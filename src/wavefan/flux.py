@@ -7,7 +7,7 @@ Both are twice differentiable, which is all the profile solver needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +22,15 @@ class FluxSpec:
 
     kind: "burgers" or "polynomial".
     coefficients: ascending polynomial coefficients (empty for burgers).
+    The coefficients of the first three derivatives are derived once, at
+    construction, and kept out of equality and hashing.
     """
 
     kind: str
     coefficients: tuple[float, ...] = ()
+    _d1: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _d2: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _d3: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == BURGERS:
@@ -40,6 +45,10 @@ class FluxSpec:
                 )
             if not all(np.isfinite(coeffs)):
                 raise InvalidParameterError("polynomial coefficients must be finite")
+            for m in (1, 2, 3):
+                d = np.polynomial.polynomial.polyder(coeffs, m)
+                d.setflags(write=False)
+                object.__setattr__(self, "_d%d" % m, d)
         else:
             raise InvalidParameterError("unknown flux kind %r" % (self.kind,))
 
@@ -80,20 +89,39 @@ def evaluate(flux: FluxSpec, u):
     return np.polynomial.polynomial.polyval(u, flux.coefficients)
 
 
-def derivative(flux: FluxSpec, u):
-    """f'(u); accepts scalars or arrays."""
+def _polyval_into(u: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """polyval(u, coeffs) written into `out`: the same Horner steps, so the
+    values are bitwise those of numpy's polyval."""
+    np.multiply(u, 0.0, out=out)
+    out += coeffs[-1]
+    for a in coeffs[-2::-1]:
+        out *= u
+        out += a
+    return out
+
+
+def derivative(flux: FluxSpec, u, out: np.ndarray | None = None):
+    """f'(u); accepts scalars or arrays. An array `u` may come with an
+    `out` array of its shape to write the values into."""
+    if out is not None:
+        if flux.kind == BURGERS:
+            return np.add(u, 0.0, out=out)
+        return _polyval_into(u, flux._d1, out)
     if flux.kind == BURGERS:
         return np.asarray(u) + 0.0 if np.ndim(u) else float(u)
-    c = np.polynomial.polynomial.polyder(flux.coefficients)
-    return np.polynomial.polynomial.polyval(u, c)
+    return np.polynomial.polynomial.polyval(u, flux._d1)
 
 
-def second_derivative(flux: FluxSpec, u):
-    """f''(u); accepts scalars or arrays."""
+def second_derivative(flux: FluxSpec, u, out: np.ndarray | None = None):
+    """f''(u); accepts scalars or arrays, and `out` as `derivative` does."""
+    if out is not None:
+        if flux.kind == BURGERS:
+            out.fill(1.0)
+            return out
+        return _polyval_into(u, flux._d2, out)
     if flux.kind == BURGERS:
         return np.ones_like(np.asarray(u, dtype=float)) if np.ndim(u) else 1.0
-    c = np.polynomial.polynomial.polyder(flux.coefficients, 2)
-    return np.polynomial.polynomial.polyval(u, c)
+    return np.polynomial.polynomial.polyval(u, flux._d2)
 
 
 def _interior_critical_points(coeffs, lo: float, hi: float) -> list[float]:
@@ -122,10 +150,8 @@ def lipschitz_of_derivative(flux: FluxSpec, lo: float, hi: float) -> float:
         raise InvalidParameterError("invalid interval: lo > hi")
     if flux.kind == BURGERS:
         return 1.0
-    d2 = np.polynomial.polynomial.polyder(flux.coefficients, 2)
-    d3 = np.polynomial.polynomial.polyder(flux.coefficients, 3)
-    candidates = [lo, hi] + _interior_critical_points(d3, lo, hi)
-    vals = np.abs(np.polynomial.polynomial.polyval(np.asarray(candidates), d2))
+    candidates = [lo, hi] + _interior_critical_points(flux._d3, lo, hi)
+    vals = np.abs(np.polynomial.polynomial.polyval(np.asarray(candidates), flux._d2))
     return float(np.max(vals))
 
 
@@ -141,10 +167,8 @@ def derivative_range(flux: FluxSpec, lo: float, hi: float) -> tuple[float, float
         return v, v
     if flux.kind == BURGERS:
         return lo, hi
-    d1 = np.polynomial.polynomial.polyder(flux.coefficients, 1)
-    d2 = np.polynomial.polynomial.polyder(flux.coefficients, 2)
-    candidates = [lo, hi] + _interior_critical_points(d2, lo, hi)
-    vals = np.polynomial.polynomial.polyval(np.asarray(candidates), d1)
+    candidates = [lo, hi] + _interior_critical_points(flux._d2, lo, hi)
+    vals = np.polynomial.polynomial.polyval(np.asarray(candidates), flux._d1)
     return float(np.min(vals)), float(np.max(vals))
 
 

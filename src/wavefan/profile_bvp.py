@@ -16,21 +16,30 @@ the relevant state interval. The mesh marches outward from the domain
 centre with local spacing min(h_base, c * eps / S(xi)); for data symmetric
 under (xi, u) -> (-xi, -u) the two sides of the march produce bitwise
 mirror-image nodes, so the discrete problem inherits the symmetry exactly
-instead of up to interpolation error.
+instead of up to interpolation error. On the range [m, M] of f' the bound
+S is the constant M - m, so that stretch of the march (most nodes at small
+eps) is a cumulative sum, evaluated in one vectorized pass with the same
+left-to-right additions; only the tails are stepped one node at a time.
 
 Small eps is reached by continuation: solve at a sequence of decreasing
 viscosities, each stage re-meshed and warm-started from the previous one.
+Each Newton solve evaluates its residuals and Jacobians on one workspace
+(mesh differences computed once, scratch arrays reused), so the iterations
+allocate almost no fresh memory.
 
 Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
 slope that is far too large for the first-integral and comparison checks
-downstream.
+downstream. The stencil weights are the closed-form derivatives of the
+Lagrange basis. Newton never reads a slope, so a Profile reconstructs it
+only when `du` is first read; `solve_profile` and `continuation_sweep`
+compute it once for each profile they return.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -68,13 +77,32 @@ class ProfileProblem:
         return (min(self.u_left, self.u_right), max(self.u_left, self.u_right))
 
 
-@dataclass(frozen=True)
 class Profile:
-    """Mesh nodes xi, profile values u, and reconstructed slope du."""
+    """Mesh nodes xi, profile values u, and slope du. Immutable.
 
-    xi: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    A slope passed to the constructor is kept as given. Without one, `du`
+    is reconstructed by `reconstruct_derivative` when first read and cached.
+    """
+
+    def __init__(self, xi: np.ndarray, u: np.ndarray, du: np.ndarray | None = None):
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_du", du)
+
+    @property
+    def du(self) -> np.ndarray:
+        if self._du is None:
+            object.__setattr__(self, "_du", reconstruct_derivative(self.xi, self.u))
+        return self._du
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __repr__(self):
+        return "Profile(xi=%r, u=%r, du=%r)" % (self.xi, self.u, self._du)
 
 
 @dataclass(frozen=True)
@@ -121,15 +149,10 @@ def truncate_domain(problem: ProfileProblem, tail_tol: float = 1e-5) -> tuple[fl
     return (m - pad, big_m + pad)
 
 
-def _speed_gap_bound(problem: ProfileProblem):
-    """Returns S(xi) >= |f'(u) - xi| for all u in the state interval."""
-    lo, hi = problem.state_interval
-    m, big_m = derivative_range(problem.flux, lo, hi)
-
-    def gap(xi: float) -> float:
-        return max(big_m, xi) - min(m, xi)
-
-    return gap
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry of a 1-D mask, len(mask) if none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
 
 
 def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
@@ -140,47 +163,97 @@ def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
     which puts nodes_per_layer nodes across a viscous layer and keeps about
     ten nodes per e-folding of the tails. A trailing sliver shorter than
     0.3 of the local spacing is absorbed into the final step.
+
+    S(xi) = max(M, xi) - min(m, xi) bounds |f'(u) - xi| over the states,
+    with [m, M] the range of f'. It is constant on [m, M], where the march
+    is generated by np.add.accumulate: the nodes are bitwise those of
+    stepping one node at a time, which the tails still do.
     """
     opts = options or SolveOptions()
     dom = domain if domain is not None else truncate_domain(problem, opts.tail_tol)
     lo, hi = float(dom[0]), float(dom[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidParameterError("domain must be a finite increasing pair")
+    if not (opts.h_base > 0.0 and opts.nodes_per_layer > 0):
+        raise InvalidParameterError("h_base and nodes_per_layer must be positive")
 
     slo, shi = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
     if not (lo < slo and shi < hi):
         raise WindowError("domain (%g, %g) does not contain the wave fan (%g, %g)"
                           % (lo, hi, slo, shi))
 
-    gap = _speed_gap_bound(problem)
+    m, big_m = derivative_range(problem.flux, *problem.state_interval)
     c_acc = 12.0 / float(opts.nodes_per_layer)
     fine = c_acc * problem.epsilon
+    h_base = opts.h_base
+    h_fan = h_base if (big_m - m) * h_base <= fine else fine / (big_m - m)
 
-    def spacing(xi: float) -> float:
-        s = gap(xi)
-        if s * opts.h_base <= fine:
-            return opts.h_base
-        return fine / s
+    def step_right(x: float, stop: float, budget: int, out: list) -> tuple[float, bool]:
+        # off the fan S(x) is M - x on its left and x - m on its right, both
+        # exactly (x - ref) * sign; stepping ends at stop, on reaching the
+        # fan or after `budget` nodes, and appends the nodes to `out`
+        ref, sign, edge = (big_m, -1.0, m) if x < m else (m, 1.0, math.inf)
+        for _ in range(budget):
+            s = (x - ref) * sign
+            h = h_base if s * h_base <= fine else fine / s
+            x += h
+            if stop - x < 0.3 * h:
+                out.append(stop)
+                return x, True
+            out.append(x)
+            if x >= edge:
+                break
+        return x, False
 
-    def march(start: float, stop: float, step_sign: float) -> list[float]:
-        out = []
+    def step_left(x: float, stop: float, budget: int, out: list) -> tuple[float, bool]:
+        # the mirror image of step_right
+        ref, sign, edge = (m, 1.0, big_m) if x > big_m else (big_m, -1.0, -math.inf)
+        for _ in range(budget):
+            s = (x - ref) * sign
+            h = h_base if s * h_base <= fine else fine / s
+            x -= h
+            if x - stop < 0.3 * h:
+                out.append(stop)
+                return x, True
+            out.append(x)
+            if x <= edge:
+                break
+        return x, False
+
+    def march(start: float, stop: float, step_sign: float) -> np.ndarray:
+        pieces = []       # arrays of nodes, in marching order
+        count = 0
         x = start
         while True:
-            if len(out) + 1 > _MAX_NODES:
+            if count + 1 > _MAX_NODES:
                 raise CoverageError("mesh exceeds %d nodes; enlarge spacing or "
                                     "shrink the domain" % _MAX_NODES)
-            h = spacing(x)
-            nxt = x + step_sign * h
-            if step_sign * (stop - nxt) < 0.3 * h:
-                out.append(stop)
-                return out
-            out.append(nxt)
-            x = nxt
+            if m <= x <= big_m:
+                # the steps taken from points of [m, M] all have length h_fan
+                reach = (big_m - x) if step_sign > 0.0 else (x - m)
+                k = min(_MAX_NODES - count, int(reach / h_fan) + 2)
+                run = np.add.accumulate(np.concatenate(([x], np.full(k, step_sign * h_fan))))
+                prev, nodes = run[:-1], run[1:]
+                done = _first(step_sign * (stop - nodes) < 0.3 * h_fan)
+                off_fan = _first((prev < m) | (prev > big_m))
+                if done < off_fan:
+                    return np.concatenate(pieces + [nodes[:done], [stop]])
+                pieces.append(nodes[:off_fan])
+                count += off_fan
+                x = float(nodes[off_fan - 1])
+                continue
+            tail = []
+            step = step_right if step_sign > 0.0 else step_left
+            x, done = step(x, stop, _MAX_NODES - count, tail)
+            pieces.append(np.array(tail))
+            if done:
+                return np.concatenate(pieces)
+            count += len(tail)
 
     centre = 0.5 * (lo + hi)
     right = march(centre, hi, 1.0)
     left = march(centre, lo, -1.0)
-    mesh = np.array(left[::-1] + [centre] + right)
+    mesh = np.concatenate((left[::-1], [centre], right))
     if len(mesh) > _MAX_NODES:
         raise CoverageError("mesh exceeds %d nodes" % _MAX_NODES)
     return mesh
@@ -189,9 +262,14 @@ def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
 def reconstruct_derivative(xi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Fourth-order slope reconstruction on a nonuniform mesh.
 
-    Each node uses the five nearest nodes (windows clipped at the ends);
-    the stencil weights come from a scaled Vandermonde solve done for all
-    nodes at once.
+    Each node x_i uses the five nearest nodes x_k (windows clipped at the
+    ends). Its slope is the derivative at x_i of their Lagrange interpolant,
+    whose weights are closed-form (Fornberg, Math. Comp. 51, 1988):
+
+        w_j = prod_{k != i,j} (x_i - x_k) / prod_{k != j} (x_j - x_k),  j != i
+        w_i = sum_{k != i} 1 / (x_i - x_k)
+
+    They are built one stencil column at a time, as arrays over all nodes.
     """
     xi = np.asarray(xi, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -199,16 +277,18 @@ def reconstruct_derivative(xi: np.ndarray, u: np.ndarray) -> np.ndarray:
     if n < 5:
         return np.gradient(u, xi, edge_order=2 if n >= 3 else 1)
     starts = np.clip(np.arange(n) - 2, 0, n - 5)
-    idx = starts[:, None] + np.arange(5)[None, :]
-    dx = xi[idx] - xi[:, None]
-    scale = np.max(np.abs(dx), axis=1)
-    t = dx / scale[:, None]
-    powers = np.arange(5)
-    vander = t[:, None, :] ** powers[None, :, None]   # (n, 5, 5): row m is t^m
-    rhs = np.zeros((n, 5, 1))
-    rhs[:, 1, 0] = 1.0
-    weights = np.linalg.solve(vander, rhs)[:, :, 0]
-    return np.einsum("ij,ij->i", weights, u[idx]) / scale
+    own = np.arange(n) - starts                # the node's own stencil column
+    x = [xi[starts + k] for k in range(5)]
+    # x_i - x_k, set to 1 in the node's own column so that products skip it
+    d = [np.where(own == k, 1.0, xi - x[k]) for k in range(5)]
+    w_own = sum(np.where(own == k, 0.0, 1.0 / d[k]) for k in range(5))
+    du = np.zeros(n)
+    for j in range(5):
+        others = [k for k in range(5) if k != j]
+        num = math.prod(d[k] for k in others)
+        den = math.prod(x[j] - x[k] for k in others)
+        du += np.where(own == j, w_own, num / den) * u[starts + j]
+    return du
 
 
 def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
@@ -233,30 +313,75 @@ def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
     u = (upper - lower) / (2.0 * delta)
     u[0] = problem.u_left
     u[-1] = problem.u_right
-    return Profile(xi=xi, u=u, du=reconstruct_derivative(xi, u))
+    return Profile(xi=xi, u=u)
 
 
-def residual(problem: ProfileProblem, profile: Profile) -> np.ndarray:
+class _Workspace:
+    """The mesh differences and scratch arrays that `residual` and `jacobian`
+    use on one mesh. Newton keeps one per solve, so its iterations allocate
+    almost nothing; a fresh workspace per call gives the same values."""
+
+    def __init__(self, xi: np.ndarray):
+        self.xi = xi
+        n = len(xi)
+        self.hm = xi[1:-1] - xi[:-2]
+        self.hp = xi[2:] - xi[1:-1]
+        self.hs = self.hm + self.hp
+        self.sm, self.sp, self.d1, self.c, self.t = (np.empty(n - 2) for _ in range(5))
+        self._geometry = self._ab = None
+
+    def jacobian_geometry(self):
+        """hp*hs, hm*hp, hm*hs, hp-hm and a (3, n) band array; built on
+        first use."""
+        if self._ab is None:
+            hm, hp, hs = self.hm, self.hp, self.hs
+            self._geometry = (hp * hs, hm * hp, hm * hs, hp - hm)
+            self._ab = np.empty((3, len(self.xi)))
+        return self._geometry, self._ab
+
+    def slopes(self, u: np.ndarray):
+        """The one-sided slopes sm, sp and the central slope d1 at the
+        interior nodes, in the workspace's arrays."""
+        sm = np.subtract(u[1:-1], u[:-2], out=self.sm)
+        sm /= self.hm
+        sp = np.subtract(u[2:], u[1:-1], out=self.sp)
+        sp /= self.hp
+        d1 = np.multiply(self.hm, sp, out=self.d1)
+        d1 += np.multiply(self.hp, sm, out=self.t)
+        d1 /= self.hs
+        return sm, sp, d1
+
+    def speed_offset(self, flux: FluxSpec, u: np.ndarray) -> np.ndarray:
+        """f'(u_i) - xi_i at the interior nodes."""
+        c = derivative(flux, u[1:-1], out=self.c)
+        c -= self.xi[1:-1]
+        return c
+
+
+def residual(problem: ProfileProblem, profile: Profile,
+             work: _Workspace | None = None) -> np.ndarray:
     """Full-length discrete residual; the first and last entries are the
     boundary mismatches and the interior entries are
 
         eps * D2(u) - (f'(u_i) - xi_i) * D1(u)
 
     with the standard three-point divided differences on a nonuniform mesh.
+    `work`, a workspace for profile.xi, saves recomputing the mesh
+    differences and allocating temporaries; the values are the same.
     """
     xi, u = profile.xi, profile.u
+    w = work if work is not None else _Workspace(xi)
     n = len(xi)
     r = np.empty(n)
     r[0] = u[0] - problem.u_left
     r[-1] = u[-1] - problem.u_right
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
-    hs = hm + hp
-    sm = (u[1:-1] - u[:-2]) / hm
-    sp = (u[2:] - u[1:-1]) / hp
-    c = derivative(problem.flux, u[1:-1]) - xi[1:-1]
-    d1 = (hm * sp + hp * sm) / hs
-    r[1:-1] = problem.epsilon * 2.0 * (sp - sm) / hs - c * d1
+    sm, sp, d1 = w.slopes(u)
+    c = w.speed_offset(problem.flux, u)
+    inner = np.subtract(sp, sm, out=r[1:-1])
+    inner *= problem.epsilon * 2.0
+    inner /= w.hs
+    c *= d1
+    inner -= c
     return r
 
 
@@ -274,32 +399,50 @@ def residual_noise_floor(problem: ProfileProblem, profile: Profile) -> float:
     return 4.0 * _EPS_MACH * float(np.max(level))
 
 
-def jacobian(problem: ProfileProblem, profile: Profile) -> np.ndarray:
+def jacobian(problem: ProfileProblem, profile: Profile,
+             work: _Workspace | None = None) -> np.ndarray:
     """Analytic tridiagonal Jacobian of `residual`, in banded (3, n) storage
-    for scipy.linalg.solve_banded; the boundary rows are identity."""
+    for scipy.linalg.solve_banded; the boundary rows are identity. With a
+    workspace `work` the band array is the workspace's own, overwritten by
+    the next call."""
     xi, u = profile.xi, profile.u
-    n = len(xi)
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
-    hs = hm + hp
-    sm = (u[1:-1] - u[:-2]) / hm
-    sp = (u[2:] - u[1:-1]) / hp
-    d1 = (hm * sp + hp * sm) / hs
-    c = derivative(problem.flux, u[1:-1]) - xi[1:-1]
+    w = work if work is not None else _Workspace(xi)
+    (hphs, hmhp, hmhs, hpmhm), ab = w.jacobian_geometry()
+    _, _, d1 = w.slopes(u)
+    c = w.speed_offset(problem.flux, u)
     eps = problem.epsilon
+    t = w.t
 
-    ab = np.zeros((3, n))
-    # superdiagonal entries J[i, i+1], stored in ab[0, i+1]
-    ab[0, 2:] = 2.0 * eps / (hp * hs) - c * hm / (hp * hs)
-    # diagonal
-    ab[1, 0] = 1.0
-    ab[1, -1] = 1.0
-    ab[1, 1:-1] = (-2.0 * eps / (hm * hp)
-                   - c * (hp - hm) / (hm * hp)
-                   - second_derivative(problem.flux, u[1:-1]) * d1)
-    # subdiagonal entries J[i, i-1], stored in ab[2, i-1]
-    ab[2, :-2] = 2.0 * eps / (hm * hs) + c * hp / (hm * hs)
+    # identity boundary rows; the unused corners of the band are zero
+    ab[0, :2] = 0.0
+    ab[2, -2:] = 0.0
+    ab[1, [0, -1]] = 1.0
+    # superdiagonal entries J[i, i+1], stored in ab[0, i+1]:
+    # 2 eps / (hp hs) - c hm / (hp hs)
+    sup = np.divide(2.0 * eps, hphs, out=ab[0, 2:])
+    np.multiply(c, w.hm, out=t)
+    t /= hphs
+    sup -= t
+    # diagonal: -2 eps / (hm hp) - c (hp - hm) / (hm hp) - f''(u) d1
+    diag = np.divide(-2.0 * eps, hmhp, out=ab[1, 1:-1])
+    np.multiply(c, hpmhm, out=t)
+    t /= hmhp
+    diag -= t
+    second_derivative(problem.flux, u[1:-1], out=t)
+    t *= d1
+    diag -= t
+    # subdiagonal entries J[i, i-1], stored in ab[2, i-1]:
+    # 2 eps / (hm hs) + c hp / (hm hs)
+    sub = np.divide(2.0 * eps, hmhs, out=ab[2, :-2])
+    np.multiply(c, w.hp, out=t)
+    t /= hmhs
+    sub += t
     return ab
+
+
+def _max_abs(r: np.ndarray) -> float:
+    """max |r| (NaN if r has one) without an |r| temporary."""
+    return abs(float(np.maximum(r.max(), -r.min())))
 
 
 def _check_guess(profile: Profile):
@@ -318,37 +461,45 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     satisfies an Armijo-type decrease. Raises NonConvergenceError, with the
     partial report attached, if the iteration stalls above both the
     tolerance and the floating-point noise floor of the residual.
+
+    The returned profile's slope is reconstructed only when read.
     """
     opts = options or SolveOptions()
     _check_guess(guess)
     xi = np.asarray(guess.xi, dtype=float)
     u = np.asarray(guess.u, dtype=float).copy()
+    work = _Workspace(xi)
+    trial = np.empty_like(u)
 
-    def rnorm(uu):
-        return float(np.max(np.abs(residual(problem, Profile(xi, uu, guess.du)))))
-
-    history = [rnorm(u)]
+    r = residual(problem, Profile(xi, u), work)
+    history = [_max_abs(r)]
     converged = history[-1] <= opts.newton_tol
     floor_limited = False
     iterations = 0
 
     while not converged and iterations < opts.max_iter:
-        prof = Profile(xi, u, guess.du)
-        r = residual(problem, prof)
         try:
-            step = solve_banded((1, 1), jacobian(problem, prof), -r)
+            # the band array and the negated residual are scratch: LAPACK may
+            # overwrite them instead of copying
+            step = solve_banded((1, 1), jacobian(problem, Profile(xi, u), work), -r,
+                                overwrite_ab=True, overwrite_b=True)
         except np.linalg.LinAlgError as exc:
             raise LinearSolverError("banded solve failed: %s" % exc) from exc
         if not np.all(np.isfinite(step)):
             raise LinearSolverError("banded solve produced non-finite step")
+        # the boundary rows are identity; their exact solution keeps the
+        # pivoting of the banded solve from moving the pinned end values
+        step[0], step[-1] = -r[0], -r[-1]
 
         lam = 1.0
         accepted = False
         for _ in range(opts.max_halvings + 1):
-            trial = u + lam * step
-            nt = rnorm(trial)
+            np.multiply(step, lam, out=trial)
+            trial += u
+            rt = residual(problem, Profile(xi, trial), work)
+            nt = _max_abs(rt)
             if nt <= (1.0 - _ARMIJO * lam) * history[-1] or nt <= opts.newton_tol:
-                u = trial
+                u, trial, r = trial, u, rt
                 history.append(nt)
                 accepted = True
                 break
@@ -360,7 +511,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
             converged = True
 
     if not converged:
-        floor = residual_noise_floor(problem, Profile(xi, u, guess.du))
+        floor = residual_noise_floor(problem, Profile(xi, u))
         if history[-1] <= floor:
             converged = True
             floor_limited = True
@@ -374,8 +525,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
             "Newton stalled at residual %.3e (tol %.3e) after %d iterations"
             % (history[-1], opts.newton_tol, iterations),
             report=report, epsilon=problem.epsilon)
-    final = Profile(xi=xi, u=u, du=reconstruct_derivative(xi, u))
-    return final, report
+    return Profile(xi, u), report
 
 
 def _viscosity_schedule(epsilon: float) -> tuple:
@@ -388,6 +538,24 @@ def _viscosity_schedule(epsilon: float) -> tuple:
     return tuple(seq)
 
 
+def _warm_start(stage: ProfileProblem, previous: Profile | None,
+                opts: SolveOptions) -> Profile:
+    """Newton guess on a fresh mesh for `stage`: the previous profile
+    linearly interpolated, with the end values pinned to the data, or the
+    mollified inviscid solution if there is none."""
+    mesh = build_mesh(stage, opts.domain, opts)
+    if previous is None:
+        return initial_guess(stage, mesh)
+    u0 = np.interp(mesh, previous.xi, previous.u)
+    u0[0] = stage.u_left
+    u0[-1] = stage.u_right
+    return Profile(mesh, u0)
+
+
+def _with_slope(profile: Profile) -> Profile:
+    return Profile(profile.xi, profile.u, reconstruct_derivative(profile.xi, profile.u))
+
+
 def solve_profile(problem: ProfileProblem,
                   options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
     """Solve for the viscous profile at problem.epsilon by continuation.
@@ -395,7 +563,8 @@ def solve_profile(problem: ProfileProblem,
     Each stage truncates and meshes for its own viscosity, warm-starts from
     the previous stage (linearly reinterpolated), and solves to a loose
     intermediate tolerance; the final stage uses newton_tol. The returned
-    report is the final stage's, with the stage count filled in.
+    profile carries its slope; the report is the final stage's, with the
+    stage count filled in.
     """
     opts = options or SolveOptions()
     if opts.continuation is not None:
@@ -414,20 +583,13 @@ def solve_profile(problem: ProfileProblem,
     total_iterations = 0
     for k, eps_k in enumerate(schedule):
         stage = replace(problem, epsilon=eps_k)
-        dom = opts.domain if opts.domain is not None else truncate_domain(stage, opts.tail_tol)
-        mesh = build_mesh(stage, dom, opts)
-        if profile is None:
-            guess = initial_guess(stage, mesh)
-        else:
-            u0 = np.interp(mesh, profile.xi, profile.u)
-            u0[0] = problem.u_left
-            u0[-1] = problem.u_right
-            guess = Profile(mesh, u0, reconstruct_derivative(mesh, u0))
+        guess = _warm_start(stage, profile, opts)
         last = k == len(schedule) - 1
         tol = opts.newton_tol if last else max(opts.newton_tol, 1e-8)
         profile, report = newton_solve(stage, guess, replace(opts, newton_tol=tol))
         total_iterations += report.iterations
-    return profile, replace(report, stages=len(schedule), iterations=total_iterations)
+    return _with_slope(profile), replace(report, stages=len(schedule),
+                                         iterations=total_iterations)
 
 
 def continuation_sweep(problem: ProfileProblem, epsilons,
@@ -435,7 +597,8 @@ def continuation_sweep(problem: ProfileProblem, epsilons,
     """Profiles at a strictly decreasing sequence of viscosities.
 
     The first entry is solved from scratch; each later entry is warm-started
-    from its predecessor. Returns [(epsilon, Profile), ...]."""
+    from its predecessor. Returns [(epsilon, Profile), ...], each profile
+    with its slope."""
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) == 0:
         raise InvalidParameterError("need at least one viscosity")
@@ -452,13 +615,8 @@ def continuation_sweep(problem: ProfileProblem, epsilons,
         if profile is None:
             profile, _ = solve_profile(stage, opts)
         else:
-            dom = opts.domain if opts.domain is not None else truncate_domain(stage, opts.tail_tol)
-            mesh = build_mesh(stage, dom, opts)
-            u0 = np.interp(mesh, profile.xi, profile.u)
-            u0[0] = problem.u_left
-            u0[-1] = problem.u_right
-            guess = Profile(mesh, u0, reconstruct_derivative(mesh, u0))
-            profile, _ = newton_solve(stage, guess, opts)
+            profile, _ = newton_solve(stage, _warm_start(stage, profile, opts), opts)
+            profile = _with_slope(profile)
         out.append((eps_k, profile))
     return out
 

@@ -48,7 +48,6 @@ from .profile_bvp import (
     SolveOptions,
     build_mesh,
     newton_solve,
-    reconstruct_derivative,
     residual,
     solve_profile,
     truncate_domain,
@@ -271,7 +270,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
         u0 = problem.u_left + jump * expit((mesh - centre) / width)
         u0[0] = problem.u_left
         u0[-1] = problem.u_right
-        guess = Profile(mesh, u0, reconstruct_derivative(mesh, u0))
+        guess = Profile(mesh, u0)
         try:
             prof, _ = newton_solve(problem, guess, opts)
         except (NonConvergenceError, LinearSolverError):

@@ -115,6 +115,31 @@ def test_derivative_matches_finite_differences_of_evaluate():
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+def test_stored_derivative_coefficients_match_polyder_bitwise():
+    poly = np.polynomial.polynomial
+    u = np.random.default_rng(3).uniform(-3.0, 3.0, 200)
+    for coeffs in ((0.0, 0.0, 0.0, 1.0), (0.3, -1.0, 0.2, 0.0, 0.25), (1.5, -2.0)):
+        flux = wf.polynomial_flux(coeffs)
+        d1, d2 = poly.polyder(coeffs), poly.polyder(coeffs, 2)
+        assert np.array_equal(wf.derivative(flux, u), poly.polyval(u, d1))
+        assert np.array_equal(wf.second_derivative(flux, u), poly.polyval(u, d2))
+        assert wf.derivative(flux, 0.7) == poly.polyval(0.7, d1)
+        # derived arrays stay out of equality, hashing and the repr
+        again = wf.polynomial_flux(coeffs)
+        assert again == flux and hash(again) == hash(flux)
+        assert repr(flux) == "FluxSpec(kind='polynomial', coefficients=%r)" % (
+            tuple(float(c) for c in coeffs),)
+
+
+def test_derivatives_written_into_out_match_bitwise():
+    u = np.random.default_rng(5).uniform(-3.0, 3.0, 300)
+    for flux in (BURGERS, CUBIC, wf.polynomial_flux((0.3, -1.0, 0.2, 0.0, 0.25))):
+        for fn in (wf.derivative, wf.second_derivative):
+            out = np.full_like(u, np.nan)
+            assert fn(flux, u, out=out) is out
+            assert np.array_equal(out, fn(flux, u))
+
+
 def test_token_round_trip():
     for token in ("burgers", "poly:0,0,0,1", "poly:0.5,-1,0,0.25"):
         flux = wf.parse_flux_token(token)

@@ -1,12 +1,16 @@
 """Discretization, Newton solver, and continuation for viscous profiles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import wavefan as wf
+from wavefan import profile_bvp
 from wavefan.errors import (
+    CoverageError,
     InvalidParameterError,
     NonConvergenceError,
     WindowError,
@@ -40,6 +44,71 @@ def fd_jacobian(problem, profile, h=1e-7):
 
 def make_problem(ul=1.0, ur=-1.0, eps=0.05, flux=None):
     return wf.ProfileProblem(flux or wf.burgers_flux(), ul, ur, eps)
+
+
+def scalar_mesh_oracle(problem, domain=None, options=None, max_nodes=400_000):
+    """Oracle: the graded mesh marched outward from the centre one node at a
+    time, with spacing min(h_base, c*eps/S(xi)) at the current node."""
+    opts = options or wf.SolveOptions()
+    lo, hi = domain if domain is not None else wf.truncate_domain(problem, opts.tail_tol)
+    m, big_m = wf.derivative_range(problem.flux, *problem.state_interval)
+    fine = 12.0 / float(opts.nodes_per_layer) * problem.epsilon
+
+    def spacing(x):
+        s = max(big_m, x) - min(m, x)
+        return opts.h_base if s * opts.h_base <= fine else fine / s
+
+    def march(start, stop, sign):
+        out = []
+        x = start
+        while True:
+            if len(out) + 1 > max_nodes:
+                raise CoverageError("mesh exceeds %d nodes; enlarge spacing or "
+                                    "shrink the domain" % max_nodes)
+            h = spacing(x)
+            nxt = x + sign * h
+            if sign * (stop - nxt) < 0.3 * h:
+                return out + [stop]
+            out.append(nxt)
+            x = nxt
+
+    centre = 0.5 * (lo + hi)
+    right = march(centre, hi, 1.0)
+    left = march(centre, lo, -1.0)
+    mesh = np.array(left[::-1] + [centre] + right)
+    if len(mesh) > max_nodes:
+        raise CoverageError("mesh exceeds %d nodes" % max_nodes)
+    return mesh
+
+
+def vandermonde_slope_oracle(xi, u):
+    """Oracle: five-point slope weights from one scaled 5x5 Vandermonde solve
+    per node."""
+    n = len(xi)
+    starts = np.clip(np.arange(n) - 2, 0, n - 5)
+    idx = starts[:, None] + np.arange(5)[None, :]
+    dx = xi[idx] - xi[:, None]
+    scale = np.max(np.abs(dx), axis=1)
+    t = dx / scale[:, None]
+    vander = t[:, None, :] ** np.arange(5)[None, :, None]
+    rhs = np.zeros((n, 5, 1))
+    rhs[:, 1, 0] = 1.0
+    weights = np.linalg.solve(vander, rhs)[:, :, 0]
+    return np.einsum("ij,ij->i", weights, u[idx]) / scale
+
+
+@pytest.fixture
+def slope_calls(monkeypatch):
+    """Counts calls of reconstruct_derivative made through profile_bvp."""
+    calls = []
+    real = profile_bvp.reconstruct_derivative
+
+    def counting(xi, u):
+        calls.append(len(xi))
+        return real(xi, u)
+
+    monkeypatch.setattr(profile_bvp, "reconstruct_derivative", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +182,51 @@ def test_mesh_rejects_malformed_domain():
             wf.build_mesh(make_problem(), domain=dom)
 
 
+def test_mesh_rejects_nonpositive_spacing():
+    for opts in (wf.SolveOptions(h_base=0.0), wf.SolveOptions(nodes_per_layer=0)):
+        with pytest.raises(InvalidParameterError):
+            wf.build_mesh(make_problem(), options=opts)
+
+
+CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("problem, domain", [
+    (make_problem(1.0, -1.0, 0.05), None),                  # Burgers shock
+    (make_problem(-1.0, 1.0, 0.01), None),                  # Burgers rarefaction
+    (make_problem(-1.0, 1.0, 0.002, flux=CUBIC), None),     # cubic composite
+    (make_problem(1.0, -1.0, 0.01, flux=CUBIC), None),
+    (make_problem(-1.0, 1.0, 1.0), None),                   # h_base on the fan
+    (make_problem(0.0, 0.05, 0.05), None),                  # h_base, small jump
+    (make_problem(0.4, 0.4, 0.05), None),                   # constant data, m == M
+    (make_problem(1.0, -1.0, 0.05), (-1.25, 1.5)),          # domain override
+    (make_problem(-0.2, 0.2, 0.01), (-0.5, 3.0)),           # centre beyond the fan
+])
+def test_mesh_matches_scalar_march_bitwise(problem, domain):
+    mesh = wf.build_mesh(problem, domain=domain)
+    assert np.array_equal(mesh, scalar_mesh_oracle(problem, domain=domain))
+
+
+@pytest.mark.parametrize("problem, domain", [
+    (make_problem(-1.0, 1.0, 0.01), None),           # sides end in the tails
+    (make_problem(1.0, -1.0, 0.01), (-0.5, 0.5)),    # sides end on the fan
+])
+def test_mesh_node_cap_matches_scalar_march(monkeypatch, problem, domain):
+    full = wf.build_mesh(problem, domain=domain)
+    right = int(np.sum(full > 0.5 * (full[0] + full[-1])))
+    # inside the fan run of one side, at the end of one side, and on the total
+    for cap in (50, right - 1, right, len(full) - 1, len(full)):
+        monkeypatch.setattr(profile_bvp, "_MAX_NODES", cap)
+        try:
+            expected = scalar_mesh_oracle(problem, domain=domain, max_nodes=cap)
+        except CoverageError as exc:
+            with pytest.raises(CoverageError) as got:
+                wf.build_mesh(problem, domain=domain)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(wf.build_mesh(problem, domain=domain), expected)
+
+
 # ---------------------------------------------------------------------------
 # slope reconstruction
 
@@ -128,6 +242,18 @@ def test_reconstruct_derivative_exact_on_quartics():
     u = 0.25 * xi**4 - xi**2 + 3.0 * xi - 7.0
     du = xi**3 - 2.0 * xi + 3.0
     assert np.max(np.abs(wf.reconstruct_derivative(xi, u) - du)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reconstruct_derivative_matches_vandermonde_oracle(seed):
+    rng = np.random.default_rng(seed)
+    # spacing graded over two decades, jittered node to node
+    h = 10.0 ** np.linspace(-3.0, -1.0, 400) * rng.uniform(0.5, 1.5, 400)
+    xi = np.concatenate([[-0.3], -0.3 + np.cumsum(h)])
+    for u in (np.tanh(5.0 * xi), np.sin(xi), rng.uniform(-1.0, 1.0, len(xi))):
+        ref = vandermonde_slope_oracle(xi, u)
+        got = wf.reconstruct_derivative(xi, u)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_reconstruct_derivative_tiny_input():
@@ -211,6 +337,63 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(dense - fd)) <= 1e-6 * scale
 
 
+def test_workspace_residual_and_jacobian_match_fresh_evaluation_bitwise():
+    # Newton keeps one workspace per solve and lets the banded solve
+    # overwrite its band array; every call must equal a fresh evaluation
+    rng = np.random.default_rng(19)
+    for flux in (wf.burgers_flux(), wf.polynomial_flux([0.0, 0.2, 0.5, 1.0 / 3.0])):
+        prob = wf.ProfileProblem(flux, 1.0, -1.0, 0.03)
+        xi = np.sort(rng.uniform(-2.0, 2.0, 400))
+        work = profile_bvp._Workspace(xi)
+        for _ in range(3):
+            u = np.tanh(-xi / 0.1) + 1e-3 * rng.standard_normal(len(xi))
+            prof = wf.Profile(xi, u)
+            r = wf.residual(prob, prof, work)
+            assert np.array_equal(r, wf.residual(prob, prof))
+            ab = wf.jacobian(prob, prof, work)
+            assert np.array_equal(ab, wf.jacobian(prob, prof))
+            solve_banded((1, 1), ab, -r, overwrite_ab=True, overwrite_b=True)
+
+
+def reference_newton(problem, guess, opts):
+    """Oracle: the damped Newton loop with fresh arrays for every evaluation."""
+    xi, u = guess.xi, guess.u.copy()
+    r = wf.residual(problem, wf.Profile(xi, u))
+    history = [float(np.max(np.abs(r)))]
+    while history[-1] > opts.newton_tol and len(history) <= opts.max_iter:
+        step = solve_banded((1, 1), wf.jacobian(problem, wf.Profile(xi, u)), -r)
+        step[0], step[-1] = -r[0], -r[-1]
+        lam = 1.0
+        for _ in range(opts.max_halvings + 1):
+            trial = u + lam * step
+            rt = wf.residual(problem, wf.Profile(xi, trial))
+            nt = float(np.max(np.abs(rt)))
+            if nt <= (1.0 - profile_bvp._ARMIJO * lam) * history[-1] or nt <= opts.newton_tol:
+                u, r = trial, rt
+                history.append(nt)
+                break
+            lam *= opts.damping
+        else:
+            break
+    return u, history
+
+
+@pytest.mark.parametrize("token,ul,ur,eps", [
+    ("burgers", 1.0, -1.0, 0.05),
+    ("poly:0,0,0,1", -1.0, 1.0, 0.02),
+    ("poly:0,0,-1,0,1", -0.747, 1.490, 0.026),
+])
+def test_newton_matches_reference_loop_bitwise(token, ul, ur, eps):
+    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, eps)
+    opts = wf.SolveOptions(newton_tol=1e-8)
+    guess = wf.initial_guess(prob, wf.build_mesh(prob))
+    profile, report = wf.newton_solve(prob, guess, opts)
+    u, history = reference_newton(prob, guess, opts)
+    assert report.converged and not report.floor_limited
+    assert np.array_equal(profile.u, u)
+    assert report.residual_history == tuple(history)
+
+
 # ---------------------------------------------------------------------------
 # Newton iteration
 
@@ -245,6 +428,15 @@ def test_newton_rejects_malformed_guess():
     xi3 = np.array([-2.0, -2.0, 2.0])
     with pytest.raises(InvalidParameterError):
         wf.newton_solve(prob, wf.Profile(xi3, np.zeros(3), np.zeros(3)))
+
+
+def test_newton_keeps_end_values_bitwise():
+    # the banded solve pivots through the identity boundary rows; unpinned,
+    # this case returned u[0] 7 ulp below the data
+    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,-1,0,1"), -0.747, 1.490, 0.026)
+    profile, report = wf.solve_profile(prob)
+    assert report.converged
+    assert profile.u[0] == -0.747 and profile.u[-1] == 1.490
 
 
 def test_residual_history_decreases(shock_profile, shock_problem):
@@ -326,6 +518,41 @@ def test_sweep_profiles_sharpen():
     assert [e for e, _ in out] == [0.1, 0.05]
     slopes = [float(np.min(p.du)) for _, p in out]
     assert slopes[1] < slopes[0] < 0.0  # steeper interior layer at smaller eps
+
+
+def test_solve_profile_reconstructs_the_slope_once(slope_calls):
+    profile, report = wf.solve_profile(make_problem(-1.0, 1.0, 0.01))
+    assert report.stages > 1
+    assert slope_calls == [len(profile.xi)]
+    assert np.array_equal(profile.du, wf.reconstruct_derivative(profile.xi, profile.u))
+    assert len(slope_calls) == 1      # read again: cached, not recomputed
+
+
+def test_sweep_returns_profiles_with_slopes(slope_calls):
+    out = wf.continuation_sweep(make_problem(1.0, -1.0, 0.1), [0.1, 0.05, 0.025])
+    assert len(slope_calls) == 3
+    for _, p in out:
+        assert np.array_equal(p.du, wf.reconstruct_derivative(p.xi, p.u))
+    assert len(slope_calls) == 3      # the slopes were computed inside the sweep
+
+
+def test_probe_never_reconstructs_slopes(slope_calls):
+    result = wf.uniqueness_probe(make_problem(-1.0, 1.0, 0.05), n_guesses=3)
+    assert result.n_converged >= 2
+    assert slope_calls == []
+
+
+def test_profile_slope_is_lazy_unless_given(slope_calls):
+    xi = np.linspace(-1.0, 1.0, 9)
+    given = np.full(9, 7.0)
+    assert wf.Profile(xi, xi ** 2, given).du is given
+    assert slope_calls == []
+    lazy = wf.Profile(xi, xi ** 2)
+    assert slope_calls == []
+    assert np.allclose(lazy.du, 2.0 * xi, atol=1e-12)
+    assert lazy.du is lazy.du and len(slope_calls) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lazy.u = xi
 
 
 def test_sample_profile_interpolates_and_clamps(shock_profile):
