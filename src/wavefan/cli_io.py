@@ -226,20 +226,23 @@ def parse_config(argv) -> RunConfig:
     argv = _expand_config_file(argv)
     ns = _build_parser().parse_args(argv)
     kwargs = {"command": ns.command, "flux": getattr(ns, "flux", burgers_flux())}
-    if ns.command in ("solve", "verify", "sweep"):
-        kwargs.update(u_left=ns.ul, u_right=ns.ur, eps=ns.eps,
-                      newton_tol=ns.tol, tail_tol=ns.tail_tol)
+    if ns.command in ("solve", "verify", "sweep", "riemann"):
+        kwargs.update(u_left=ns.ul, u_right=ns.ur)
         if not np.isfinite(ns.ul) or not np.isfinite(ns.ur):
             raise ConfigError("states must be finite, got --ul %r --ur %r"
                               % (ns.ul, ns.ur))
-        if ns.tol <= 0 or ns.tail_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-    if ns.command == "riemann":
-        kwargs.update(u_left=ns.ul, u_right=ns.ur, samples=ns.samples)
+    if ns.command in ("solve", "verify", "sweep"):
+        kwargs.update(eps=ns.eps, newton_tol=ns.tol, tail_tol=ns.tail_tol)
+        if not (np.isfinite(ns.tol) and ns.tol > 0.0):
+            raise ConfigError("--tol must be finite and positive, got %r" % (ns.tol,))
+        if not 0.0 < ns.tail_tol < 1.0:
+            raise ConfigError("--tail-tol must lie in (0, 1), got %r" % (ns.tail_tol,))
+    if ns.command in ("riemann", "corner"):
+        kwargs["samples"] = ns.samples
         if ns.samples < 2:
             raise ConfigError("--samples must be at least 2, got %r" % (ns.samples,))
     if ns.command == "corner":
-        kwargs.update(xi_min=ns.xi_min, xi_max=ns.xi_max, samples=ns.samples)
+        kwargs.update(xi_min=ns.xi_min, xi_max=ns.xi_max)
     if ns.command == "verify":
         seed = ns.seed if ns.seed is not None else _default_seed()
         kwargs.update(check=ns.check, seed=seed)
@@ -252,15 +255,27 @@ def parse_config(argv) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
+# text output
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def _csv_text(names, columns) -> str:
+    """CSV with a header of `names` and one row per index of the equal-length
+    `columns`, every number at full double precision."""
+    rows = [",".join(names)]
+    rows.extend(",".join(_FMT % v for v in row) for row in zip(*columns))
+    return "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # profile persistence
 
 def write_profile(profile: Profile, path) -> None:
     """Write a profile as ``xi,u,du`` CSV at full double precision."""
-    rows = ["xi,u,du"]
-    for x, u, d in zip(profile.xi, profile.u, profile.du):
-        rows.append(",".join(_FMT % v for v in (x, u, d)))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+    _write_text(path, _csv_text(("xi", "u", "du"), (profile.xi, profile.u, profile.du)))
 
 
 def read_profile(path) -> Profile:
@@ -324,16 +339,10 @@ def emit_plotdata(profiles, reference, path, labels=None, svg_path=None) -> None
     if reference is not None:
         columns.append(("exact", eval_riemann(reference, grid)))
 
-    header = ",".join(["xi"] + [name for name, _ in columns])
-    rows = [header]
-    for i in range(len(grid)):
-        rows.append(",".join([_FMT % grid[i]] +
-                             [_FMT % col[i] for _, col in columns]))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+    _write_text(path, _csv_text(["xi"] + [name for name, _ in columns],
+                                [grid] + [col for _, col in columns]))
     if svg_path is not None:
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_render_svg(grid, columns))
+        _write_text(svg_path, _render_svg(grid, columns))
 
 
 def _render_svg(grid, columns, width=640, height=420, pad=56):
@@ -420,8 +429,7 @@ def _write_json(payload, path):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write_text(path, text)
 
 
 def _cmd_solve(config: RunConfig) -> int:
@@ -443,15 +451,10 @@ def _cmd_corner(config: RunConfig) -> int:
     corner = solve_corner(xi_min=config.xi_min, xi_max=config.xi_max,
                           n_points=config.samples)
     h_vals = first_integral_H(corner, 1.0)
-    rows = ["xi,U,p,w,H"]
-    for i in range(len(corner.xi)):
-        rows.append(",".join(_FMT % v for v in (corner.xi[i], corner.u[i],
-                                                corner.p[i], corner.w[i],
-                                                h_vals[i])))
-    text = "\n".join(rows) + "\n"
+    text = _csv_text(("xi", "U", "p", "w", "H"),
+                     (corner.xi, corner.u, corner.p, corner.w, h_vals))
     if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write_text(config.out, text)
         print("corner [%g, %g]: %d nodes, max |H| = %.3e"
               % (config.xi_min, config.xi_max, len(corner.xi),
                  float(np.max(np.abs(h_vals)))))
@@ -466,18 +469,14 @@ def _cmd_riemann(config: RunConfig) -> int:
     if config.out:
         lo, hi = wave_speed_span(solution)
         grid = np.linspace(lo - 1.0, hi + 1.0, config.samples)
-        values = eval_riemann(solution, grid)
-        rows = ["xi,u"]
-        rows.extend(_FMT % x + "," + _FMT % u for x, u in zip(grid, values))
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(rows) + "\n")
+        _write_text(config.out,
+                    _csv_text(("xi", "u"), (grid, eval_riemann(solution, grid))))
     return 0
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    problem = _problem_from(config)
-    options = SolveOptions(newton_tol=config.newton_tol, tail_tol=config.tail_tol)
-    checks, _ = run_battery(problem, options, seed=config.seed)
+    checks, _ = run_battery(_problem_from(config), _options_from(config),
+                            seed=config.seed)
     if config.check is not None:
         if config.check not in checks:
             raise ConfigError("unknown or inapplicable check %r; this run has: %s"

@@ -1,8 +1,9 @@
 """Flux functions for scalar conservation laws u_t + f(u)_x = 0.
 
-Two kinds are supported: the quadratic flux f(u) = u^2/2 (token ``burgers``)
-and polynomials with ascending coefficients (token ``poly:c0,c1,...,cn``).
-Both are twice differentiable, which is all the profile solver needs.
+A flux is a polynomial with ascending coefficients (token
+``poly:c0,c1,...,cn``). The token ``burgers`` is an alias for the quadratic
+flux f(u) = u^2/2, i.e. ``poly:0,0,0.5``. Polynomials are twice
+differentiable, which is all the profile solver needs.
 """
 
 from __future__ import annotations
@@ -13,58 +14,60 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-BURGERS = "burgers"
-POLYNOMIAL = "polynomial"
+_QUADRATIC = (0.0, 0.0, 0.5)  # f(u) = u^2/2, token alias "burgers"
+
 
 @dataclass(frozen=True)
 class FluxSpec:
-    """Immutable flux description.
+    """Immutable polynomial flux f(u) = sum_k coefficients[k] * u**k.
 
-    kind: "burgers" or "polynomial".
-    coefficients: ascending polynomial coefficients (empty for burgers).
+    coefficients: ascending polynomial coefficients, degree >= 1.
     The coefficients of the first three derivatives are derived once, at
     construction, and kept out of equality and hashing.
     """
 
-    kind: str
-    coefficients: tuple[float, ...] = ()
+    coefficients: tuple[float, ...]
     _d1: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _d2: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _d3: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == BURGERS:
-            if self.coefficients:
-                raise InvalidParameterError("burgers flux takes no coefficients")
-        elif self.kind == POLYNOMIAL:
-            coeffs = tuple(float(c) for c in self.coefficients)
-            object.__setattr__(self, "coefficients", coeffs)
-            if len(coeffs) < 2 or all(c == 0.0 for c in coeffs[1:]):
-                raise InvalidParameterError(
-                    "polynomial flux must have degree >= 1 (got %r)" % (coeffs,)
-                )
-            if not all(np.isfinite(coeffs)):
-                raise InvalidParameterError("polynomial coefficients must be finite")
-            for m in (1, 2, 3):
-                d = np.polynomial.polynomial.polyder(coeffs, m)
-                d.setflags(write=False)
-                object.__setattr__(self, "_d%d" % m, d)
-        else:
-            raise InvalidParameterError("unknown flux kind %r" % (self.kind,))
+        coeffs = tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coeffs)
+        if len(coeffs) < 2 or all(c == 0.0 for c in coeffs[1:]):
+            raise InvalidParameterError(
+                "polynomial flux must have degree >= 1 (got %r)" % (coeffs,)
+            )
+        if not all(np.isfinite(coeffs)):
+            raise InvalidParameterError("polynomial coefficients must be finite")
+        for m in (1, 2, 3):
+            d = np.polynomial.polynomial.polyder(coeffs, m)
+            d.setflags(write=False)
+            object.__setattr__(self, "_d%d" % m, d)
 
 
 def burgers_flux() -> FluxSpec:
-    return FluxSpec(BURGERS)
+    """The quadratic flux f(u) = u^2/2."""
+    return FluxSpec(_QUADRATIC)
 
 
 def polynomial_flux(coefficients) -> FluxSpec:
-    return FluxSpec(POLYNOMIAL, tuple(float(c) for c in coefficients))
+    return FluxSpec(tuple(coefficients))
+
+
+def has_identity_derivative(flux: FluxSpec) -> bool:
+    """True when f'(u) = u, as for the quadratic flux u^2/2 plus any constant.
+
+    The profile equation is then eps*u'' = (u - xi)*u', which is invariant
+    under (xi, u) -> (xi + lam, u + lam) and under the odd reflection
+    (xi, u) -> (uL + uR - xi, uL + uR - u)."""
+    return tuple(np.trim_zeros(flux._d1, "b")) == (0.0, 1.0)
 
 
 def parse_flux_token(token: str) -> FluxSpec:
     """Parse a flux token: ``burgers`` or ``poly:c0,c1,...,cn``."""
     token = token.strip()
-    if token == BURGERS:
+    if token == "burgers":
         return burgers_flux()
     if token.startswith("poly:"):
         body = token[len("poly:"):]
@@ -77,21 +80,21 @@ def parse_flux_token(token: str) -> FluxSpec:
 
 
 def format_flux_token(flux: FluxSpec) -> str:
-    if flux.kind == BURGERS:
-        return BURGERS
+    if flux.coefficients == _QUADRATIC:
+        return "burgers"
     return "poly:" + ",".join(repr(c) for c in flux.coefficients)
 
 
 def evaluate(flux: FluxSpec, u):
     """f(u); accepts scalars or arrays."""
-    if flux.kind == BURGERS:
-        return np.multiply(u, u) * 0.5
     return np.polynomial.polynomial.polyval(u, flux.coefficients)
 
 
-def _polyval_into(u: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """polyval(u, coeffs) written into `out`: the same Horner steps, so the
-    values are bitwise those of numpy's polyval."""
+def _polyval(u, coeffs: np.ndarray, out: np.ndarray | None):
+    """polyval(u, coeffs), written into `out` if one is given: the same
+    Horner steps, so the values are bitwise those of numpy's polyval."""
+    if out is None:
+        return np.polynomial.polynomial.polyval(u, coeffs)
     np.multiply(u, 0.0, out=out)
     out += coeffs[-1]
     for a in coeffs[-2::-1]:
@@ -103,25 +106,12 @@ def _polyval_into(u: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> np.ndar
 def derivative(flux: FluxSpec, u, out: np.ndarray | None = None):
     """f'(u); accepts scalars or arrays. An array `u` may come with an
     `out` array of its shape to write the values into."""
-    if out is not None:
-        if flux.kind == BURGERS:
-            return np.add(u, 0.0, out=out)
-        return _polyval_into(u, flux._d1, out)
-    if flux.kind == BURGERS:
-        return np.asarray(u) + 0.0 if np.ndim(u) else float(u)
-    return np.polynomial.polynomial.polyval(u, flux._d1)
+    return _polyval(u, flux._d1, out)
 
 
 def second_derivative(flux: FluxSpec, u, out: np.ndarray | None = None):
     """f''(u); accepts scalars or arrays, and `out` as `derivative` does."""
-    if out is not None:
-        if flux.kind == BURGERS:
-            out.fill(1.0)
-            return out
-        return _polyval_into(u, flux._d2, out)
-    if flux.kind == BURGERS:
-        return np.ones_like(np.asarray(u, dtype=float)) if np.ndim(u) else 1.0
-    return np.polynomial.polynomial.polyval(u, flux._d2)
+    return _polyval(u, flux._d2, out)
 
 
 def _interior_critical_points(coeffs, lo: float, hi: float) -> list[float]:
@@ -141,15 +131,13 @@ def _interior_critical_points(coeffs, lo: float, hi: float) -> list[float]:
 def lipschitz_of_derivative(flux: FluxSpec, lo: float, hi: float) -> float:
     """The Lipschitz constant of f' on [lo, hi], i.e. sup |f''|.
 
-    Exact for the supported flux kinds: a polynomial's |f''| attains its sup
-    at an endpoint or at an interior root of f''', all of which are checked.
+    Exact: a polynomial's |f''| attains its sup at an endpoint or at an
+    interior root of f''', all of which are checked.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidParameterError("interval endpoints must be finite")
     if lo > hi:
         raise InvalidParameterError("invalid interval: lo > hi")
-    if flux.kind == BURGERS:
-        return 1.0
     candidates = [lo, hi] + _interior_critical_points(flux._d3, lo, hi)
     vals = np.abs(np.polynomial.polynomial.polyval(np.asarray(candidates), flux._d2))
     return float(np.max(vals))
@@ -165,8 +153,6 @@ def derivative_range(flux: FluxSpec, lo: float, hi: float) -> tuple[float, float
     if lo == hi:
         v = float(derivative(flux, lo))
         return v, v
-    if flux.kind == BURGERS:
-        return lo, hi
     candidates = [lo, hi] + _interior_critical_points(flux._d2, lo, hi)
     vals = np.polynomial.polynomial.polyval(np.asarray(candidates), flux._d1)
     return float(np.min(vals)), float(np.max(vals))

@@ -188,35 +188,24 @@ def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
     h_base = opts.h_base
     h_fan = h_base if (big_m - m) * h_base <= fine else fine / (big_m - m)
 
-    def step_right(x: float, stop: float, budget: int, out: list) -> tuple[float, bool]:
+    def step_off_fan(x: float, stop: float, step_sign: float, budget: int,
+                     out: list) -> tuple[float, bool]:
         # off the fan S(x) is M - x on its left and x - m on its right, both
-        # exactly (x - ref) * sign; stepping ends at stop, on reaching the
-        # fan or after `budget` nodes, and appends the nodes to `out`
-        ref, sign, edge = (big_m, -1.0, m) if x < m else (m, 1.0, math.inf)
+        # exactly (x - ref) * sign; stepping in the direction step_sign
+        # (x + (-h) is bitwise x - h) ends at stop, on entering [m, M], where
+        # step_sign * x reaches `limit`, or after `budget` nodes, and appends
+        # the nodes to `out`
+        near, ref, sign = (big_m, m, 1.0) if x > big_m else (m, big_m, -1.0)
+        limit = step_sign * near if sign != step_sign else math.inf
         for _ in range(budget):
             s = (x - ref) * sign
             h = h_base if s * h_base <= fine else fine / s
-            x += h
-            if stop - x < 0.3 * h:
+            x += step_sign * h
+            if step_sign * (stop - x) < 0.3 * h:
                 out.append(stop)
                 return x, True
             out.append(x)
-            if x >= edge:
-                break
-        return x, False
-
-    def step_left(x: float, stop: float, budget: int, out: list) -> tuple[float, bool]:
-        # the mirror image of step_right
-        ref, sign, edge = (m, 1.0, big_m) if x > big_m else (big_m, -1.0, -math.inf)
-        for _ in range(budget):
-            s = (x - ref) * sign
-            h = h_base if s * h_base <= fine else fine / s
-            x -= h
-            if x - stop < 0.3 * h:
-                out.append(stop)
-                return x, True
-            out.append(x)
-            if x <= edge:
+            if step_sign * x >= limit:
                 break
         return x, False
 
@@ -243,8 +232,7 @@ def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
                 x = float(nodes[off_fan - 1])
                 continue
             tail = []
-            step = step_right if step_sign > 0.0 else step_left
-            x, done = step(x, stop, _MAX_NODES - count, tail)
+            x, done = step_off_fan(x, stop, step_sign, _MAX_NODES - count, tail)
             pieces.append(np.array(tail))
             if done:
                 return np.concatenate(pieces)
@@ -385,15 +373,17 @@ def residual(problem: ProfileProblem, profile: Profile,
     return r
 
 
-def residual_noise_floor(problem: ProfileProblem, profile: Profile) -> float:
+def residual_noise_floor(problem: ProfileProblem, profile: Profile,
+                         work: _Workspace | None = None) -> float:
     """Roundoff level of the interior residual: below this value the computed
     residual is indistinguishable from zero in floating point, so iterating
-    past it cannot help."""
-    xi, u = profile.xi, profile.u
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
+    past it cannot help. `work` is a workspace for profile.xi, as in
+    `residual`; its scratch arrays are overwritten."""
+    u = profile.u
+    w = work if work is not None else _Workspace(profile.xi)
+    hm, hp = w.hm, w.hp
     uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
-    c = np.abs(derivative(problem.flux, u[1:-1]) - xi[1:-1])
+    c = np.abs(w.speed_offset(problem.flux, u))
     level = 2.0 * problem.epsilon * uscale / (hm * hp) \
         + c * uscale * (1.0 / hm + 1.0 / hp)
     return 4.0 * _EPS_MACH * float(np.max(level))
@@ -511,7 +501,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
             converged = True
 
     if not converged:
-        floor = residual_noise_floor(problem, Profile(xi, u))
+        floor = residual_noise_floor(problem, Profile(xi, u), work)
         if history[-1] <= floor:
             converged = True
             floor_limited = True
@@ -526,6 +516,19 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
             % (history[-1], opts.newton_tol, iterations),
             report=report, epsilon=problem.epsilon)
     return Profile(xi, u), report
+
+
+def _decreasing_schedule(values) -> tuple:
+    """`values` as a tuple of floats, checked to be a nonempty, finite,
+    positive and strictly decreasing sequence of viscosities."""
+    schedule = tuple(float(e) for e in values)
+    if len(schedule) == 0:
+        raise InvalidParameterError("need at least one viscosity")
+    if any(not (np.isfinite(e) and e > 0.0) for e in schedule):
+        raise InvalidParameterError("viscosities must be finite and positive")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise InvalidParameterError("viscosities must be strictly decreasing")
+    return schedule
 
 
 def _viscosity_schedule(epsilon: float) -> tuple:
@@ -568,11 +571,7 @@ def solve_profile(problem: ProfileProblem,
     """
     opts = options or SolveOptions()
     if opts.continuation is not None:
-        schedule = tuple(float(e) for e in opts.continuation)
-        if len(schedule) == 0 or any(not (np.isfinite(e) and e > 0.0) for e in schedule):
-            raise InvalidParameterError("continuation values must be positive")
-        if any(b >= a for a, b in zip(schedule, schedule[1:])):
-            raise InvalidParameterError("continuation must be strictly decreasing")
+        schedule = _decreasing_schedule(opts.continuation)
         if schedule[-1] != problem.epsilon:
             raise InvalidParameterError("continuation must end at problem.epsilon")
     else:
@@ -599,13 +598,7 @@ def continuation_sweep(problem: ProfileProblem, epsilons,
     The first entry is solved from scratch; each later entry is warm-started
     from its predecessor. Returns [(epsilon, Profile), ...], each profile
     with its slope."""
-    eps_list = [float(e) for e in epsilons]
-    if len(eps_list) == 0:
-        raise InvalidParameterError("need at least one viscosity")
-    if any(not (np.isfinite(e) and e > 0.0) for e in eps_list):
-        raise InvalidParameterError("viscosities must be positive")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise InvalidParameterError("viscosities must be strictly decreasing")
+    eps_list = _decreasing_schedule(epsilons)
     opts = options or SolveOptions()
 
     out = []

@@ -20,13 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidParameterError
-from .flux import (
-    BURGERS,
-    FluxSpec,
-    derivative,
-    evaluate,
-    polynomial_flux,
-)
+from .flux import FluxSpec, derivative, evaluate, polynomial_flux
 
 _DEFAULT_GRID = 200_001
 _FAN_TABLE_N = 20_001
@@ -90,16 +84,10 @@ def shock_speeds(sol: RiemannSolution) -> list[float]:
     return [w.speed for w in sol.waves if isinstance(w, Shock)]
 
 
-def _as_poly_coeffs(flux: FluxSpec) -> tuple[float, ...]:
-    if flux.kind == BURGERS:
-        return (0.0, 0.0, 0.5)
-    return flux.coefficients
-
-
 def _reflected_flux(flux: FluxSpec) -> FluxSpec:
     # g(v) = -f(-v); entropy solutions map via u(xi) = -v(xi)
-    coeffs = _as_poly_coeffs(flux)
-    return polynomial_flux(tuple(-c if k % 2 == 0 else c for k, c in enumerate(coeffs)))
+    return polynomial_flux(tuple(-c if k % 2 == 0 else c
+                                 for k, c in enumerate(flux.coefficients)))
 
 
 def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:

@@ -35,10 +35,11 @@ from .errors import (
     WindowError,
 )
 from .flux import (
-    BURGERS,
     FluxSpec,
+    burgers_flux,
     chord_slope_Q,
     derivative,
+    has_identity_derivative,
     lipschitz_of_derivative,
     sup_derivative,
 )
@@ -46,6 +47,7 @@ from .profile_bvp import (
     Profile,
     ProfileProblem,
     SolveOptions,
+    _Workspace,
     build_mesh,
     newton_solve,
     residual,
@@ -98,11 +100,12 @@ def check_symmetry(profile: Profile, u_left: float, u_right: float,
                    flux: FluxSpec | None = None) -> float:
     """Sup deviation from the odd symmetry u(uL+uR-xi) + u(xi) = uL+uR.
 
-    The symmetry holds for the quadratic flux only, so passing any other
-    flux is an error; omitting `flux` asserts the caller knows the profile
-    is a quadratic-flux solve."""
-    if flux is not None and flux.kind != BURGERS:
-        raise UnsupportedFluxError("odd symmetry holds for the quadratic flux only")
+    The symmetry holds when f'(u) = u (the quadratic flux u^2/2, up to a
+    constant), so passing a flux without that derivative is an error;
+    omitting `flux` asserts the caller knows the profile solves
+    eps*u'' = (u - xi)*u'."""
+    if flux is not None and not has_identity_derivative(flux):
+        raise UnsupportedFluxError("odd symmetry needs f'(u) = u")
     total = u_left + u_right
     xi, u = profile.xi, profile.u
     mirrored_x = total - xi
@@ -149,13 +152,11 @@ def l1_window_error(profile: Profile, exact, window) -> float:
     return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(xs)))
 
 
-def _interior_d1(profile: Profile) -> np.ndarray:
-    xi, u = profile.xi, profile.u
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
-    sm = (u[1:-1] - u[:-2]) / hm
-    sp = (u[2:] - u[1:-1]) / hp
-    return (hm * sp + hp * sm) / (hm + hp)
+def _residual_and_d1(problem: ProfileProblem, profile: Profile):
+    """Interior residual and central slope D1(u) of the profile, from one
+    pass of the residual's difference kernel."""
+    work = _Workspace(profile.xi)
+    return residual(problem, profile, work)[1:-1], work.d1
 
 
 def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
@@ -172,8 +173,7 @@ def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
         raise InvalidParameterError("lam must be finite and >= 0")
     if not problem.u_left < problem.u_right:
         raise InvalidParameterError("sliding family applies to increasing data")
-    r = residual(problem, profile)[1:-1]
-    d1 = _interior_d1(profile)
+    r, d1 = _residual_and_d1(problem, profile)
     keep = profile.xi[1:-1] - lam >= profile.xi[0]
     if not np.any(keep):
         raise CoverageError("translate leaves no overlap with the domain")
@@ -196,8 +196,7 @@ def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
     if not (np.isfinite(big_k) and big_k >= needed):
         raise InvalidParameterError(
             "K = %g is below the Lipschitz constant %g of f'" % (big_k, needed))
-    r = residual(problem, profile)[1:-1]
-    d1 = _interior_d1(profile)
+    r, d1 = _residual_and_d1(problem, profile)
     u_in = profile.u[1:-1]
     shift = (derivative(problem.flux, u_in + lam) - derivative(problem.flux, u_in)
              - 2.0 * big_k * lam)
@@ -290,30 +289,24 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
 
 def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
                                  flux: FluxSpec | None = None) -> float:
-    """Max interior defect of the translated samples u(xi - lam) + lam under
-    the quadratic-flux equation eps*u'' = (u - xi)*u'.
+    """Max interior residual of the translated samples u(xi - lam) + lam
+    under eps*u'' = (u - xi)*u', the profile equation when f'(u) = u.
 
     The translate is sampled exactly (nodes shifted with the values), so the
     result sits at the same roundoff floor as the original profile's
-    residual, independent of lam."""
-    if flux is not None and flux.kind != BURGERS:
-        raise UnsupportedFluxError("translation family is quadratic-flux specific")
-    epsilon = float(epsilon)
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidParameterError("epsilon must be positive")
+    residual, independent of lam. Passing a flux whose derivative is not
+    f'(u) = u is an error; omitting `flux` asserts the caller knows the
+    profile solves that equation."""
+    if flux is not None and not has_identity_derivative(flux):
+        raise UnsupportedFluxError("translation family needs f'(u) = u")
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParameterError("lam must be finite")
-    xi = profile.xi + lam
-    u = profile.u + lam
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
-    sm = (u[1:-1] - u[:-2]) / hm
-    sp = (u[2:] - u[1:-1]) / hp
-    d2 = 2.0 * (sp - sm) / (hm + hp)
-    d1 = (hm * sp + hp * sm) / (hm + hp)
-    defect = epsilon * d2 - (u[1:-1] - xi[1:-1]) * d1
-    keep = (xi[1:-1] >= profile.xi[0]) & (xi[1:-1] <= profile.xi[-1])
+    shifted = Profile(profile.xi + lam, profile.u + lam)
+    problem = ProfileProblem(burgers_flux(), shifted.u[0], shifted.u[-1], float(epsilon))
+    defect = residual(problem, shifted)[1:-1]
+    xi = shifted.xi[1:-1]
+    keep = (xi >= profile.xi[0]) & (xi <= profile.xi[-1])
     if not np.any(keep):
         raise CoverageError("translate leaves no overlap with the domain")
     return float(np.max(np.abs(defect[keep])))
@@ -375,7 +368,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     floor = 10.0 * opts.newton_tol
     increasing = problem.u_left < problem.u_right
     decreasing = problem.u_left > problem.u_right
-    is_burgers = problem.flux.kind == BURGERS
+    quadratic = has_identity_derivative(problem.flux)
 
     profile, _ = solve_profile(problem, opts)
     exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
@@ -401,7 +394,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         * math.sqrt(problem.epsilon)
     record("l1_window", l1, l1_threshold, l1 <= l1_threshold)
 
-    if is_burgers and problem.u_left != problem.u_right:
+    if quadratic and problem.u_left != problem.u_right:
         windowed = windowed_by_slope(profile)
         h_vals = first_integral_H(windowed, problem.epsilon)
         spread = float(np.max(h_vals) - np.min(h_vals))
@@ -416,7 +409,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         t_threshold = max(2.0 * t0, floor)
         record("translation_invariance", t1, t_threshold, t1 <= t_threshold)
 
-    if is_burgers and increasing:
+    if quadratic and increasing:
         sym = check_symmetry(profile, problem.u_left, problem.u_right,
                              flux=problem.flux)
         record("symmetry", sym, 1e-6, sym <= 1e-6)

@@ -14,7 +14,6 @@ from wavefan.cli_io import (
     write_profile,
 )
 from wavefan.errors import ConfigError, ProfileFormatError
-from wavefan.flux import POLYNOMIAL
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +31,6 @@ def test_parse_solve_defaults():
 def test_parse_polynomial_flux():
     cfg = parse_config(["solve", "--flux", "poly:0,0,0,1", "--ul", "-1",
                         "--ur", "1", "--eps", "0.1"])
-    assert cfg.flux.kind == POLYNOMIAL
     assert tuple(cfg.flux.coefficients) == (0.0, 0.0, 0.0, 1.0)
 
 
@@ -69,6 +67,22 @@ def test_parse_rejects_bad_states_and_tols():
     with pytest.raises(ConfigError):
         parse_config(["solve", "--ul", "0", "--ur", "1", "--eps", "0.1",
                       "--tol", "-1e-9"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--ul", "-1", "--ur", "1", "--tol", "inf"],
+    ["solve", "--ul", "-1", "--ur", "1", "--tol", "nan"],
+    ["solve", "--ul", "-1", "--ur", "1", "--tail-tol", "nan"],
+    ["solve", "--ul", "-1", "--ur", "1", "--tail-tol", "1"],
+    ["riemann", "--ul", "-1", "--ur", "nan"],
+    ["corner", "--samples", "1"],
+], ids=["tol-inf", "tol-nan", "tail-tol-nan", "tail-tol-one", "riemann-state-nan",
+        "corner-one-sample"])
+def test_out_of_range_values_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(ConfigError):
+        parse_config(argv)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_takes_single_viscosity():
@@ -116,6 +130,21 @@ def test_config_file_errors(tmp_path):
 # ---------------------------------------------------------------------------
 # profile round trip
 
+def csv_rows_oracle(header, columns):
+    """Oracle: the CSV text built row by row, one formatted field at a time."""
+    rows = [header]
+    for i in range(len(columns[0])):
+        rows.append(",".join("%.17g" % col[i] for col in columns))
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def test_write_profile_matches_row_oracle(tmp_path, shock_profile):
+    path = tmp_path / "profile.csv"
+    write_profile(shock_profile, path)
+    assert path.read_bytes() == csv_rows_oracle(
+        "xi,u,du", (shock_profile.xi, shock_profile.u, shock_profile.du))
+
+
 def test_profile_round_trip_is_bitwise(tmp_path, shock_profile):
     path = tmp_path / "profile.csv"
     write_profile(shock_profile, path)
@@ -162,6 +191,26 @@ def test_emit_plotdata_columns(tmp_path, shock_profile, shock_problem):
     assert lines[0] == "xi,a,b,exact"
     # grid is the finest profile's mesh
     assert len(lines) - 1 == len(shock_profile.xi)
+
+
+def test_emit_plotdata_matches_row_oracle(tmp_path, shock_profile, shock_problem):
+    coarse, _ = wf.solve_profile(shock_problem, wf.SolveOptions(nodes_per_layer=60))
+    exact = wf.solve_exact(shock_problem.flux, 1.0, -1.0)
+    grid = shock_profile.xi
+    lo, hi = wf.wave_speed_span(exact)
+    ref_grid = np.linspace(lo - 1.0, hi + 1.0, 401)
+    cases = [
+        ([coarse, shock_profile], exact, "xi,a,b,exact",
+         (grid, np.interp(grid, coarse.xi, coarse.u), shock_profile.u,
+          wf.eval_riemann(exact, grid))),
+        ([], exact, "xi,exact", (ref_grid, wf.eval_riemann(exact, ref_grid))),
+        ([], None, "xi", (np.empty(0),)),
+    ]
+    for profiles, reference, header, columns in cases:
+        out = tmp_path / "plot.csv"
+        labels = ["a", "b"] if profiles else None
+        emit_plotdata(profiles, reference, out, labels=labels)
+        assert out.read_bytes() == csv_rows_oracle(header, columns)
 
 
 def test_emit_plotdata_reference_only(tmp_path):
@@ -233,6 +282,25 @@ def test_main_corner_csv(tmp_path, capsys):
     # stdout mode: dump the same CSV to the terminal
     assert main(["corner", "--xi-min", "-5", "--xi-max", "4"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "xi,U,p,w,H"
+
+
+def test_main_corner_and_riemann_csv_match_row_oracle(tmp_path):
+    out = tmp_path / "corner.csv"
+    assert main(["corner", "--xi-min", "-5", "--xi-max", "4", "--samples", "300",
+                 "--out", str(out)]) == 0
+    corner = wf.solve_corner(xi_min=-5.0, xi_max=4.0, n_points=300)
+    h_vals = wf.first_integral_H(corner, 1.0)
+    assert out.read_bytes() == csv_rows_oracle(
+        "xi,U,p,w,H", (corner.xi, corner.u, corner.p, corner.w, h_vals))
+
+    out = tmp_path / "exact.csv"
+    assert main(["riemann", "--flux", "poly:0,0,0,1", "--ul", "-1", "--ur", "1",
+                 "--samples", "77", "--out", str(out)]) == 0
+    exact = wf.solve_exact(wf.polynomial_flux((0.0, 0.0, 0.0, 1.0)), -1.0, 1.0)
+    lo, hi = wf.wave_speed_span(exact)
+    grid = np.linspace(lo - 1.0, hi + 1.0, 77)
+    assert out.read_bytes() == csv_rows_oracle("xi,u",
+                                               (grid, wf.eval_riemann(exact, grid)))
 
 
 def test_main_corner_invalid_range_is_runtime_error(capsys):

@@ -105,6 +105,13 @@ def test_burgers_equals_half_square_polynomial(u):
     assert wf.second_derivative(BURGERS, u) == wf.second_derivative(poly, u)
 
 
+def test_burgers_is_an_alias_of_the_half_square_polynomial():
+    half_square = wf.polynomial_flux((0, 0, 0.5))
+    assert wf.burgers_flux() == half_square
+    assert wf.parse_flux_token("burgers") == wf.parse_flux_token("poly:0,0,0.5")
+    assert wf.format_flux_token(half_square) == "burgers"
+
+
 def test_derivative_matches_finite_differences_of_evaluate():
     rng = np.random.default_rng(11)
     h = 1e-5
@@ -127,7 +134,7 @@ def test_stored_derivative_coefficients_match_polyder_bitwise():
         # derived arrays stay out of equality, hashing and the repr
         again = wf.polynomial_flux(coeffs)
         assert again == flux and hash(again) == hash(flux)
-        assert repr(flux) == "FluxSpec(kind='polynomial', coefficients=%r)" % (
+        assert repr(flux) == "FluxSpec(coefficients=%r)" % (
             tuple(float(c) for c in coeffs),)
 
 

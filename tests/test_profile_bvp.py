@@ -355,6 +355,32 @@ def test_workspace_residual_and_jacobian_match_fresh_evaluation_bitwise():
             solve_banded((1, 1), ab, -r, overwrite_ab=True, overwrite_b=True)
 
 
+def noise_floor_oracle(problem, profile):
+    """Oracle: the residual's roundoff level from freshly computed mesh
+    differences."""
+    xi, u = profile.xi, profile.u
+    hm = xi[1:-1] - xi[:-2]
+    hp = xi[2:] - xi[1:-1]
+    uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
+    c = np.abs(wf.derivative(problem.flux, u[1:-1]) - xi[1:-1])
+    level = 2.0 * problem.epsilon * uscale / (hm * hp) \
+        + c * uscale * (1.0 / hm + 1.0 / hp)
+    return 4.0 * float(np.finfo(float).eps) * float(np.max(level))
+
+
+def test_noise_floor_on_a_used_workspace_matches_oracle_bitwise():
+    rng = np.random.default_rng(23)
+    for flux in (wf.burgers_flux(), wf.polynomial_flux([0.0, 0.2, 0.5, 1.0 / 3.0])):
+        prob = wf.ProfileProblem(flux, 1.0, -1.0, 0.03)
+        xi = np.sort(rng.uniform(-2.0, 2.0, 400))
+        prof = wf.Profile(xi, np.tanh(-xi / 0.1) + 1e-3 * rng.standard_normal(len(xi)))
+        work = profile_bvp._Workspace(xi)
+        wf.jacobian(prob, prof, work)
+        expected = noise_floor_oracle(prob, prof)
+        assert wf.residual_noise_floor(prob, prof, work) == expected
+        assert wf.residual_noise_floor(prob, prof) == expected
+
+
 def reference_newton(problem, guess, opts):
     """Oracle: the damped Newton loop with fresh arrays for every evaluation."""
     xi, u = guess.xi, guess.u.copy()

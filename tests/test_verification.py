@@ -17,6 +17,54 @@ from wavefan.errors import (
 from wavefan.verification import _narrow_domain
 
 
+EPS_MACH = float(np.finfo(float).eps)
+
+
+def interior_d1_oracle(profile):
+    """Oracle: the central slope D1(u) at the interior nodes, written out."""
+    xi, u = profile.xi, profile.u
+    hm = xi[1:-1] - xi[:-2]
+    hp = xi[2:] - xi[1:-1]
+    sm = (u[1:-1] - u[:-2]) / hm
+    sp = (u[2:] - u[1:-1]) / hp
+    return (hm * sp + hp * sm) / (hm + hp)
+
+
+def sliding_margin_oracle(profile, problem, lam):
+    r = wf.residual(problem, profile)[1:-1]
+    d1 = interior_d1_oracle(profile)
+    keep = profile.xi[1:-1] - lam >= profile.xi[0]
+    return float(np.min(lam * d1[keep] - r[keep]))
+
+
+def sweeping_margin_oracle(profile, problem, lam, big_k):
+    r = wf.residual(problem, profile)[1:-1]
+    d1 = interior_d1_oracle(profile)
+    u_in = profile.u[1:-1]
+    shift = (wf.derivative(problem.flux, u_in + lam) - wf.derivative(problem.flux, u_in)
+             - 2.0 * big_k * lam)
+    return float(np.min(shift * d1 - r))
+
+
+def translation_defect_oracle(profile, epsilon, lam):
+    """Oracle: the translate's defect under eps*u'' = (u - xi)*u' from its
+    own divided differences. Returns the max |defect| and the largest
+    |term| it is the difference of, which sets its roundoff."""
+    xi = profile.xi + lam
+    u = profile.u + lam
+    hm = xi[1:-1] - xi[:-2]
+    hp = xi[2:] - xi[1:-1]
+    sm = (u[1:-1] - u[:-2]) / hm
+    sp = (u[2:] - u[1:-1]) / hp
+    d2 = 2.0 * (sp - sm) / (hm + hp)
+    d1 = (hm * sp + hp * sm) / (hm + hp)
+    viscous, transport = epsilon * d2, (u[1:-1] - xi[1:-1]) * d1
+    keep = (xi[1:-1] >= profile.xi[0]) & (xi[1:-1] <= profile.xi[-1])
+    defect = np.abs(viscous - transport)[keep]
+    terms = (np.abs(viscous) + np.abs(transport))[keep]
+    return float(np.max(defect)), float(np.max(terms))
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and symmetry detectors
 
@@ -53,6 +101,24 @@ def test_symmetry_across_viscosity_range():
         profile, report = wf.solve_profile(prob)
         assert report.converged
         assert wf.check_symmetry(profile, -1.0, 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5, 0.0)])
+def test_quadratic_checks_accept_any_flux_with_identity_derivative(shock_profile,
+                                                                   coeffs):
+    flux = wf.polynomial_flux(coeffs)
+    assert wf.check_symmetry(shock_profile, 1.0, -1.0, flux=flux) \
+        == wf.check_symmetry(shock_profile, 1.0, -1.0)
+    assert wf.translation_invariance_check(shock_profile, 0.05, 0.7, flux=flux) \
+        == wf.translation_invariance_check(shock_profile, 0.05, 0.7)
+
+
+def test_quadratic_checks_reject_a_shifted_derivative(shock_profile):
+    shifted = wf.polynomial_flux((0.0, 1.0, 0.5))  # f'(u) = u + 1
+    with pytest.raises(UnsupportedFluxError):
+        wf.check_symmetry(shock_profile, 1.0, -1.0, flux=shifted)
+    with pytest.raises(UnsupportedFluxError):
+        wf.translation_invariance_check(shock_profile, 0.05, 0.1, flux=shifted)
 
 
 def test_symmetry_rejects_other_fluxes(shock_profile):
@@ -113,6 +179,29 @@ def test_sliding_margin_preconditions(shock_profile, shock_problem, rarefaction_
         wf.sliding_supersolution_margin(shock_profile, shock_problem, 0.1)
     with pytest.raises(InvalidParameterError):
         wf.sliding_supersolution_margin(rarefaction_profile, rarefaction_problem, -0.1)
+
+
+@pytest.fixture(scope="module")
+def cubic_profiles():
+    out = {}
+    for name, ul, ur in (("increasing", -1.0, 1.0), ("decreasing", 1.0, -1.0)):
+        prob = wf.ProfileProblem(wf.polynomial_flux((0.0, 0.0, 0.0, 1.0)), ul, ur, 0.05)
+        out[name] = (prob, wf.solve_profile(prob)[0])
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.35])
+def test_margins_match_the_written_out_slope_oracle_bitwise(
+        lam, shock_problem, shock_profile, rarefaction_problem, rarefaction_profile,
+        cubic_profiles):
+    increasing = ((rarefaction_problem, rarefaction_profile), cubic_profiles["increasing"])
+    for prob, prof in increasing:
+        assert wf.sliding_supersolution_margin(prof, prob, lam) \
+            == sliding_margin_oracle(prof, prob, lam)
+    for prob, prof in ((shock_problem, shock_profile), cubic_profiles["decreasing"]):
+        big_k = 1.5 * wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
+        assert wf.sweeping_supersolution_margin(prof, prob, lam, big_k) \
+            == sweeping_margin_oracle(prof, prob, lam, big_k)
 
 
 def test_sweeping_margin_positive_on_resolved_tails(shock_problem):
@@ -196,6 +285,17 @@ def test_translation_check_rejects_other_fluxes(shock_profile):
         wf.translation_invariance_check(shock_profile, -0.05, 0.1)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.7, -0.3])
+def test_translation_defect_matches_written_out_oracle(lam, shock_profile,
+                                                       rarefaction_profile):
+    # the residual kernel orders the operations differently, so the two
+    # agree to the roundoff of the terms the defect is the difference of
+    for profile in (shock_profile, rarefaction_profile):
+        expected, terms = translation_defect_oracle(profile, 0.05, lam)
+        got = wf.translation_invariance_check(profile, 0.05, lam)
+        assert abs(got - expected) <= 8.0 * EPS_MACH * terms
+
+
 def test_uniqueness_probe_agrees(shock_problem):
     result = wf.uniqueness_probe(shock_problem, n_guesses=6)
     assert result.n_converged + result.n_failed == 6
@@ -261,6 +361,16 @@ def test_battery_on_rarefaction(rarefaction_problem):
     assert diag.margins["sliding_margin"] > 0.0
     assert diag.margins["barrier_margin"] < 0.0
     assert np.isfinite(diag.margins["corner_remainder"])
+
+
+@pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
+def test_battery_same_for_burgers_token_and_half_square_polynomial(ul, ur):
+    (checks, diag), (poly_checks, poly_diag) = (
+        wf.run_battery(wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, 0.05))
+        for token in ("burgers", "poly:0,0,0.5"))
+    assert "translation_invariance" in poly_checks
+    assert poly_checks == checks
+    assert poly_diag == diag
 
 
 def test_battery_on_constant_data():
