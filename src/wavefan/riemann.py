@@ -3,10 +3,11 @@
 For left state below right state the solution is induced by the convex
 envelope of f between the states (pointwise u(xi) = argmin of f(u) - xi*u,
 left state on ties); for left above right, by the concave envelope (argmax).
-The construction here builds the envelope on a fine u-grid, extracts the
-wave structure (constant states, shocks, rarefaction fans), and then
-refines shock tangency points to full floating-point accuracy, so evaluated
-values are not limited by the grid.
+The envelope is built from polynomial algebra (Osher, SIAM J. Numer. Anal.
+21, 1984): from a state p, the next vertex has the smallest chord slope
+from p and is the right state or a tangency point, a root of a polynomial.
+A fan starts where f' is below every such chord, and inside a fan u(xi)
+inverts f' to full floating-point accuracy.
 
 The solution is self-similar: u depends on xi = x/t only.
 """
@@ -14,16 +15,16 @@ The solution is self-similar: u depends on xi = x/t only.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+import numpy.polynomial.polynomial as _poly
 
 from .errors import InvalidParameterError
-from .flux import FluxSpec, derivative, evaluate, polynomial_flux
+from .flux import (FluxSpec, _interior_critical_points, derivative, evaluate,
+                   polynomial_flux, second_derivative)
 
-_DEFAULT_GRID = 200_001
-_FAN_TABLE_N = 20_001
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -44,18 +45,12 @@ class Shock:
 
 @dataclass(frozen=True)
 class RarefactionFan:
-    """Continuous wave on [xi_lo, xi_hi]; u(xi) inverts f' along the envelope.
-
-    table_fp is increasing; table_u holds the matching states, so evaluation
-    is a monotone interpolation xi -> u.
-    """
+    """Continuous wave on [xi_lo, xi_hi]; u(xi) inverts f' between u_lo and u_hi."""
 
     xi_lo: float
     xi_hi: float
     u_lo: float          # state at xi_lo
     u_hi: float          # state at xi_hi
-    table_fp: np.ndarray = field(repr=False, compare=False)
-    table_u: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -90,159 +85,94 @@ def _reflected_flux(flux: FluxSpec) -> FluxSpec:
                                  for k, c in enumerate(flux.coefficients)))
 
 
-def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Indices of the lower convex hull of the sorted point set (x_i, y_i).
-
-    Collinear points are kept, so a linear stretch of f stays in the touch
-    set instead of being misread as a jump.
-    """
-    stack: list[int] = []
-    for i in range(len(x)):
-        while len(stack) >= 2:
-            j, k = stack[-2], stack[-1]
-            cross = (x[k] - x[j]) * (y[i] - y[j]) - (y[k] - y[j]) * (x[i] - x[j])
-            if cross < 0.0:
-                stack.pop()
-            else:
-                break
-        stack.append(i)
-    return stack
-
-
-def _refine_shock(flux, a, b, a_free, b_free, du, lo_limit, hi_limit):
-    """Polish shock endpoints so free ends satisfy the tangency condition
-    f'(end) = chord slope. Alternates one-dimensional safeguarded solves;
-    each free end moves within a small expanding bracket around the grid
-    estimate. Falls back to the grid value if no sign change is found
-    (degenerate tangency)."""
-
-    def chord_defect_at_right(b_, a_):
-        return derivative(flux, b_) * (b_ - a_) - (evaluate(flux, b_) - evaluate(flux, a_))
-
-    def chord_defect_at_left(a_, b_):
-        return derivative(flux, a_) * (b_ - a_) - (evaluate(flux, b_) - evaluate(flux, a_))
-
-    scale = max(1.0, abs(a), abs(b))
-    for _ in range(60):
-        moved = 0.0
-        if b_free:
-            width = 4.0 * du
-            new_b = None
-            for _ in range(4):
-                blo = max(b - width, a + 1e-3 * du)
-                bhi = min(b + width, hi_limit)
-                flo = chord_defect_at_right(blo, a)
-                fhi = chord_defect_at_right(bhi, a)
-                if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0.0:
-                    new_b = brentq(chord_defect_at_right, blo, bhi, args=(a,),
-                                   xtol=1e-14, rtol=8.9e-16)
-                    break
-                width *= 4.0
-            if new_b is not None:
-                moved += abs(new_b - b)
-                b = new_b
-        if a_free:
-            width = 4.0 * du
-            new_a = None
-            for _ in range(4):
-                alo = max(a - width, lo_limit)
-                ahi = min(a + width, b - 1e-3 * du)
-                flo = chord_defect_at_left(alo, b)
-                fhi = chord_defect_at_left(ahi, b)
-                if np.isfinite(flo) and np.isfinite(fhi) and flo * fhi <= 0.0:
-                    new_a = brentq(chord_defect_at_left, alo, ahi, args=(b,),
-                                   xtol=1e-14, rtol=8.9e-16)
-                    break
-                width *= 4.0
-            if new_a is not None:
-                moved += abs(new_a - a)
-                a = new_a
-        if moved < 1e-13 * scale:
-            break
-    return a, b
+def _next_vertex(flux: FluxSpec, p: float, u_right: float) -> tuple[float, bool]:
+    """(q, fan): the farthest point q of (p, u_right] whose chord from p has
+    the smallest slope up to roundoff, and whether f'(p) is below that slope,
+    in which case a fan starts at p."""
+    a = list(flux.coefficients)  # becomes a_j with f(p + t) = sum_j a_j t^j
+    for i in range(len(a) - 1):
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] += p * a[k + 1]
+    # f'(p+t)*t - (f(p+t) - f(p)) = t^2 * g(t) with g(t) = sum_{j>=2} (j-1)*a_j*t^(j-2),
+    # so the tangency points are p + t at the positive roots of g
+    g = [(j - 1) * a[j] for j in range(2, len(a))]
+    t = np.array(_interior_critical_points(g, 0.0, u_right - p))
+    if len(t):  # one Newton polish
+        with np.errstate(divide="ignore", invalid="ignore"):
+            polished = t - _poly.polyval(t, g) / _poly.polyval(t, _poly.polyder(g))
+        t = np.where((polished > 0.0) & (polished < u_right - p), polished, t)
+    q = np.array([u_right] + [p + x for x in t if p < p + x < u_right])
+    fp = evaluate(flux, p)
+    slopes = (evaluate(flux, q) - fp) / (q - p)
+    # slopes that agree within the rounding of f tie (over a few ulps of u,
+    # the slack overflows and everything ties)
+    size = _poly.polyval(np.abs(np.append(q, p)), np.abs(flux.coefficients))
+    k = int(np.argmin(slopes))
+    with np.errstate(over="ignore"):
+        slack = 8.0 * _EPS * (size[:-1] + size[-1]) / (q - p)
+        far = q[slopes <= slopes[k] + slack[k] + slack].max()
+    return float(far), float(derivative(flux, p)) < slopes[k]
 
 
-def _fan_table(flux, u_lo, u_hi):
-    uu = np.linspace(u_lo, u_hi, _FAN_TABLE_N)
-    fp = np.asarray(derivative(flux, uu), dtype=float)
-    fp = np.maximum.accumulate(fp)  # guard float dips; f' is nondecreasing on touch sets
-    return fp, uu
+def _fan_end(flux: FluxSpec, p: float, u_right: float) -> float:
+    """End of the fan from p: u_right if f'' stays >= 0 up to it. Otherwise
+    the fan ends before the first point c where f turns concave, where the
+    tangent stops supporting f; being monotone on the convex [p, c], that
+    test is bisected to one ulp, and the first state past it is returned."""
+    edges = [p] + sorted(_interior_critical_points(flux._d2, p, u_right)) + [u_right]
+    concave = [lo for lo, hi in zip(edges, edges[1:])
+               if second_derivative(flux, 0.5 * (lo + hi)) < 0.0]
+    if not concave:
+        return u_right
+    lo, hi = p, concave[0]
+    ulp = np.spacing(max(abs(lo), abs(hi)))
+    while hi - lo > ulp:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _next_vertex(flux, mid, u_right)[1] else (lo, mid)
+    return hi
 
 
-def _solve_increasing(flux: FluxSpec, u_left: float, u_right: float, n_grid: int):
-    """Wave list for u_left < u_right (convex envelope case)."""
-    grid = np.linspace(u_left, u_right, n_grid)
-    fv = np.asarray(evaluate(flux, grid), dtype=float)
-    hull = _lower_hull_indices(grid, fv)
-    du = grid[1] - grid[0]
-
-    # classify hull edges; micro-gaps (a few cells) are grid artifacts of
-    # near-linear stretches and count as touch edges
-    segments = []  # ("fan", i0, i1) with grid indices, or ("shock", a_idx, b_idx)
-    for e in range(len(hull) - 1):
-        i0, i1 = hull[e], hull[e + 1]
-        kind = "fan" if (i1 - i0) <= 3 else "shock"
-        if segments and segments[-1][0] == kind == "fan":
-            segments[-1] = ("fan", segments[-1][1], i1)
-        else:
-            segments.append((kind, i0, i1))
-
-    # resolve shock endpoints to tangency accuracy
-    refined = []  # per segment: (kind, a, b); shock values authoritative
-    for kind, i0, i1 in segments:
-        if kind == "shock":
-            a_free = i0 != 0
-            b_free = i1 != n_grid - 1
-            a_ref, b_ref = _refine_shock(flux, float(grid[i0]), float(grid[i1]),
-                                         a_free, b_free, du,
-                                         float(u_left), float(u_right))
-            if not a_free:
-                a_ref = float(u_left)
-            if not b_free:
-                b_ref = float(u_right)
-            refined.append(("shock", a_ref, b_ref))
-        else:
-            refined.append(("fan", float(grid[i0]), float(grid[i1])))
-
-    # chain pass: fans inherit their endpoints from the neighbouring refined
-    # tangency states so the state sequence is exactly continuous
-    waves_raw = []
-    cursor = float(u_left)
-    for k, (kind, a, b) in enumerate(refined):
-        if kind == "shock":
-            waves_raw.append(("shock", a, b))
-            cursor = b
-        else:
-            hi = refined[k + 1][1] if k + 1 < len(refined) else float(u_right)
-            waves_raw.append(("fan", cursor, hi))
-            cursor = hi
-
-    # assemble typed waves with xi intervals; degenerate-width fans become shocks
+def _solve_increasing(flux: FluxSpec, u_left: float, u_right: float) -> list:
+    """Shocks and fans for u_left < u_right (convex envelope case)."""
     waves = []
-    for kind, a, b in waves_raw:
-        if b <= a:
-            continue
-        if kind == "shock" or (b - a) <= 1e-9 * max(1.0, abs(a), abs(b)):
-            speed = float((evaluate(flux, b) - evaluate(flux, a)) / (b - a))
-            waves.append(Shock(speed, a, b))
+
+    def add_shock(a, b):
+        speed = float((evaluate(flux, b) - evaluate(flux, a)) / (b - a))
+        fan = waves.pop() if waves and isinstance(waves[-1], RarefactionFan) else None
+        if fan and fan.xi_lo >= speed:  # a zero-width fan folds into the shock
+            return add_shock(fan.u_lo, b)
+        if fan:  # the fan ends on the tangent shock, at its speed
+            waves.append(RarefactionFan(fan.xi_lo, speed, fan.u_lo, fan.u_hi))
+        waves.append(Shock(speed, a, b))
+
+    p = u_left
+    while p < u_right:
+        q, fan = _next_vertex(flux, p, u_right)
+        r = _fan_end(flux, p, u_right) if fan else p
+        if r > p:
+            xi_lo = waves[-1].speed if waves else float(derivative(flux, p))
+            waves.append(RarefactionFan(xi_lo, float(derivative(flux, r)), p, r))
+            p = r
         else:
-            xi_lo = float(derivative(flux, a))
-            xi_hi = float(derivative(flux, b))
-            fp, uu = _fan_table(flux, a, b)
-            waves.append(RarefactionFan(xi_lo, xi_hi, a, b, fp, uu))
+            add_shock(p, q)
+            p = q
+    last = waves[-1]
+    if isinstance(last, RarefactionFan) and last.xi_hi <= last.xi_lo:
+        waves.pop()
+        add_shock(last.u_lo, last.u_hi)
     return waves
 
 
-def _with_constants(waves, u_left, u_right):
-    """Insert the surrounding and intermediate constant states."""
-    if not waves:
-        return (ConstantState(u_left, -np.inf, np.inf),)
+def _with_constants(waves, u_left):
+    """Insert the surrounding constant states, and those of positive width
+    between waves."""
     full = []
     cursor_u = u_left
     cursor_xi = -np.inf
     for w in waves:
         start = w.speed if isinstance(w, Shock) else w.xi_lo
-        full.append(ConstantState(cursor_u, cursor_xi, start))
+        if start > cursor_xi:
+            full.append(ConstantState(cursor_u, cursor_xi, start))
         full.append(w)
         if isinstance(w, Shock):
             cursor_u, cursor_xi = w.u_right, w.speed
@@ -253,42 +183,59 @@ def _with_constants(waves, u_left, u_right):
 
 
 @functools.lru_cache(maxsize=64)
-def solve_exact(flux: FluxSpec, u_left: float, u_right: float,
-                n_grid: int = _DEFAULT_GRID) -> RiemannSolution:
+def solve_exact(flux: FluxSpec, u_left: float, u_right: float) -> RiemannSolution:
     """Exact self-similar entropy solution connecting u_left to u_right.
 
     The wave sequence has nondecreasing speeds, every shock satisfies the
     Rankine-Hugoniot relation by construction, and the xi-intervals of the
-    waves partition the line.
+    waves partition the line exactly: each wave starts where the one before
+    it ends, a fan next to a shock shares the shock's speed as its edge, and
+    constant states between waves have positive width.
     """
     u_left = float(u_left)
     u_right = float(u_right)
     if not (np.isfinite(u_left) and np.isfinite(u_right)):
         raise InvalidParameterError("states must be finite")
-    if n_grid < 1000:
-        raise InvalidParameterError("n_grid too small for envelope construction")
 
-    if u_left == u_right:
-        return RiemannSolution(flux, u_left, u_right,
-                               (ConstantState(u_left, -np.inf, np.inf),))
     if u_left < u_right:
-        waves = _solve_increasing(flux, u_left, u_right, n_grid)
-        return RiemannSolution(flux, u_left, u_right,
-                               _with_constants(waves, u_left, u_right))
+        waves = _solve_increasing(flux, u_left, u_right)
+    elif u_left > u_right:
+        # decreasing data: solve the reflected increasing problem with
+        # g(v) = -f(-v) and map v -> -v (speeds are preserved)
+        waves = [Shock(w.speed, -w.u_left, -w.u_right) if isinstance(w, Shock)
+                 else RarefactionFan(w.xi_lo, w.xi_hi, -w.u_lo, -w.u_hi)
+                 for w in _solve_increasing(_reflected_flux(flux), -u_left, -u_right)]
+    else:
+        waves = []
+    return RiemannSolution(flux, u_left, u_right, _with_constants(waves, u_left))
 
-    # decreasing data: solve the reflected increasing problem with
-    # g(v) = -f(-v) and map v -> -v (speeds are preserved)
-    refl = _reflected_flux(flux)
-    vwaves = _solve_increasing(refl, -u_left, -u_right, n_grid)
-    waves = []
-    for w in vwaves:
-        if isinstance(w, Shock):
-            waves.append(Shock(w.speed, -w.u_left, -w.u_right))
-        else:
-            waves.append(RarefactionFan(w.xi_lo, w.xi_hi, -w.u_lo, -w.u_hi,
-                                        w.table_fp, -w.table_u))
-    return RiemannSolution(flux, u_left, u_right,
-                           _with_constants(waves, u_left, u_right))
+
+def _invert_fan(flux: FluxSpec, fan: RarefactionFan, xi: np.ndarray) -> np.ndarray:
+    """u with f'(u) = xi on the fan, where f' is monotone: Newton steps kept
+    inside a bisection bracket. The step tolerance is absolute, since a
+    relative one stalls on a fan that starts at an inflection point; a point
+    whose f'(u) - xi is at the rounding level of xi also stops, since its
+    steps only follow noise (on poly:0,10,0,1 they never met the tolerance)."""
+    lo = np.full_like(xi, fan.u_lo)   # f'(lo) <= xi
+    hi = np.full_like(xi, fan.u_hi)   # f'(hi) >= xi
+    share = np.clip((xi - fan.xi_lo) / (fan.xi_hi - fan.xi_lo), 0.0, 1.0)
+    u = fan.u_lo + share * (fan.u_hi - fan.u_lo)
+    tol = 4.0 * _EPS * max(abs(fan.u_lo), abs(fan.u_hi))
+    noise = 4.0 * _EPS * np.abs(xi)
+    for _ in range(100):
+        gap = derivative(flux, u) - xi
+        below = gap <= 0.0
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = u - gap / second_derivative(flux, u)
+        inside = (newton - lo) * (newton - hi) <= 0.0
+        new = np.where(inside, newton, 0.5 * (lo + hi))
+        done = (np.abs(new - u) <= tol) | (np.abs(gap) <= noise)
+        u = new
+        if np.all(done):
+            break
+    return np.where(xi <= fan.xi_lo, fan.u_lo, np.where(xi >= fan.xi_hi, fan.u_hi, u))
 
 
 def eval_riemann(sol: RiemannSolution, xi):
@@ -312,7 +259,7 @@ def eval_riemann(sol: RiemannSolution, xi):
         if isinstance(piece, ConstantState):
             out[mask] = piece.u
         else:
-            out[mask] = np.interp(xi_arr[mask], piece.table_fp, piece.table_u)
+            out[mask] = _invert_fan(sol.flux, piece, xi_arr[mask])
     if np.ndim(xi) == 0:
         return float(out[0])
     return out
@@ -323,8 +270,6 @@ def describe_waves(sol: RiemannSolution) -> list[str]:
     lines = []
     for w in sol.waves:
         if isinstance(w, ConstantState):
-            if w.xi_lo == w.xi_hi:
-                continue
             lines.append("constant u=%.12g on xi in (%.12g, %.12g)" % (w.u, w.xi_lo, w.xi_hi))
         elif isinstance(w, Shock):
             lines.append("shock at xi=%.12g: %.12g -> %.12g" % (w.speed, w.u_left, w.u_right))

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavefan as wf
+from grid_envelope import GridFan, grid_waves
 from wavefan.flux import evaluate
 from wavefan.riemann import ConstantState, RarefactionFan, Shock
 
 BURGERS = wf.burgers_flux()
 CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
+QUARTIC = wf.polynomial_flux((0.0, 0.0, -1.0, 0.0, 1.0))
 
 
 def variational_oracle(flux, ul, ur, xi, n=100001):
@@ -158,3 +160,140 @@ def test_wave_speed_span_no_waves():
     sol = wf.solve_exact(BURGERS, 0.25, 0.25)
     lo, hi = wf.wave_speed_span(sol)
     assert lo == hi == 0.25
+
+
+def _random_problems(seed, count):
+    """Polynomial fluxes of degree 2 to 5 with states in [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(3, 7)))
+        if abs(coeffs[-1]) < 0.1:
+            coeffs[-1] = 0.5
+        ul, ur = rng.uniform(-2.0, 2.0, 2)
+        yield wf.polynomial_flux(tuple(coeffs)), float(ul), float(ur)
+
+
+def _xi_edges(w):
+    return (w.speed, w.speed) if isinstance(w, Shock) else (w.xi_lo, w.xi_hi)
+
+
+def _states(w):
+    if isinstance(w, ConstantState):
+        return w.u, w.u
+    if isinstance(w, Shock):
+        return w.u_left, w.u_right
+    return w.u_lo, w.u_hi
+
+
+def test_quartic_double_tangent_partition_is_exact():
+    # fans down to the two minima of the W-shaped flux, joined by the
+    # stationary double-tangent shock, with nothing in between
+    sol = wf.solve_exact(QUARTIC, -1.5, 1.5)
+    assert [type(w) for w in sol.waves] == [ConstantState, RarefactionFan, Shock,
+                                            RarefactionFan, ConstantState]
+    left, shock, right = sol.waves[1:4]
+    assert left.xi_hi == shock.speed == right.xi_lo
+    assert abs(shock.speed) <= 1e-15
+    assert (left.u_hi, right.u_lo) == (shock.u_left, shock.u_right)
+    assert shock.u_left == pytest.approx(-np.sqrt(0.5), abs=1e-15)
+    assert shock.u_right == pytest.approx(np.sqrt(0.5), abs=1e-15)
+
+
+def test_quartic_decreasing_is_one_stationary_shock():
+    # the chord from 1 to -1 also touches f at u = 0; that tangency point
+    # ties with the far state, so the solution is one shock
+    sol = wf.solve_exact(QUARTIC, 1.0, -1.0)
+    assert [type(w) for w in sol.waves] == [ConstantState, Shock, ConstantState]
+    shock = sol.waves[1]
+    assert (shock.u_left, shock.u_right) == (1.0, -1.0)
+    assert abs(shock.speed) <= 1e-15
+    assert wf.eval_riemann(sol, shock.speed) == 1.0
+
+
+def test_roundoff_slivers_fold_into_one_shock():
+    # each of these is one shock, but roundoff offers a sliver next to it:
+    # a right state within roundoff of a tangency point (the chord over the
+    # gap has a garbage slope), a fan of zero xi-width before a shock at its
+    # speed, and a fan between states one ulp apart
+    quintic = wf.polynomial_flux((-0.5, -0.75, 0.25, -1.0, -1.0, 0.5))
+    problems = [(wf.polynomial_flux((0.0, 0.75, 0.0, 1.0, -0.5, 0.5)), -2.0, 1.4182525874233998),
+                (quintic, 0.27866783573512244, -0.6108176164871973),
+                (quintic, -0.4365921819557489, np.nextafter(-0.4365921819557489, 0.0))]
+    for flux, ul, ur in problems:
+        sol = wf.solve_exact(flux, ul, ur)
+        assert [type(w) for w in sol.waves] == [ConstantState, Shock, ConstantState]
+        assert (sol.waves[1].u_left, sol.waves[1].u_right) == (ul, ur)
+
+
+def test_wave_edges_exactly_contiguous_for_random_fluxes():
+    for flux, ul, ur in _random_problems(23, 200):
+        sol = wf.solve_exact(flux, ul, ur)
+        edges = [_xi_edges(w) for w in sol.waves]
+        assert edges[0][0] == -np.inf and edges[-1][1] == np.inf
+        assert all(lo <= hi for lo, hi in edges)
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        states = [_states(w) for w in sol.waves]
+        assert states[0][0] == ul and states[-1][1] == ur
+        assert all(a[1] == b[0] for a, b in zip(states, states[1:]))
+        for w in sol.waves:
+            if isinstance(w, Shock):
+                assert wf.eval_riemann(sol, w.speed) == w.u_left
+
+
+def test_fan_inversion_solves_f_prime_to_roundoff():
+    # includes a fan that starts at an inflection point (cubic 0 -> 1),
+    # where f'' vanishes and the Newton steps need the bisection safeguard
+    problems = [(CUBIC, 0.0, 1.0), (CUBIC, 1.0, 0.0), (QUARTIC, -1.5, 1.5),
+                (wf.polynomial_flux((0.0, 10.0, 0.0, 1.0)), 0.1, 1.0)]
+    problems += list(_random_problems(29, 60))
+    fans = 0
+    for flux, ul, ur in problems:
+        sol = wf.solve_exact(flux, ul, ur)
+        for w in sol.waves:
+            if isinstance(w, RarefactionFan):
+                fans += 1
+                xi = np.linspace(w.xi_lo, w.xi_hi, 501)[1:-1]
+                u = wf.eval_riemann(sol, xi)
+                gap = np.abs(wf.derivative(flux, u) - xi)
+                assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(xi)))
+                assert np.all(np.sign(w.u_hi - w.u_lo) * np.diff(u) >= 0.0)
+    assert fans >= 30
+
+
+def _oracle_waves(flux, ul, ur):
+    """The grid oracle's shocks and fans, without its sub-ulp slivers: a
+    fan of zero xi-width and a shock at the speed of the shock before it
+    (the oracle keeps collinear hull points, so it splits such a shock)."""
+    waves = []
+    for w in grid_waves(flux, ul, ur, n_grid=20_001):
+        if isinstance(w, GridFan) and w.xi_hi <= w.xi_lo:
+            continue
+        if (isinstance(w, Shock) and waves and isinstance(waves[-1], Shock)
+                and abs(w.speed - waves[-1].speed) <= 1e-13):
+            waves[-1] = Shock(waves[-1].speed, waves[-1].u_left, w.u_right)
+        else:
+            waves.append(w)
+    return waves
+
+
+def test_waves_match_grid_oracle():
+    # jittered states of the benchmark design (cell centres of [-1.5, 1.5])
+    # on its three fluxes, then random polynomial fluxes
+    rng = np.random.default_rng(31)
+    centres = (-1.2, -0.6, 0.0, 0.6, 1.2)
+    problems = []
+    for flux in (BURGERS, CUBIC, QUARTIC):
+        for a in centres:
+            for b in centres:
+                if a != b:
+                    ul, ur = np.array([a, b]) + rng.uniform(-0.01, 0.01, 2)
+                    problems.append((flux, float(ul), float(ur)))
+    problems += list(_random_problems(37, 20))
+    for flux, ul, ur in problems:
+        got = [w for w in wf.solve_exact(flux, ul, ur).waves
+               if not isinstance(w, ConstantState)]
+        want = _oracle_waves(flux, ul, ur)
+        assert [isinstance(w, Shock) for w in got] == [isinstance(w, Shock) for w in want]
+        for g, o in zip(got, want):
+            for x, y in zip(_states(g) + _xi_edges(g), _states(o) + _xi_edges(o)):
+                assert abs(x - y) <= 1e-13 * max(1.0, abs(y)), (flux, ul, ur, g, o)
