@@ -28,12 +28,14 @@ import numpy as np
 from dataclasses import dataclass
 
 from .corner_layer import first_integral_H, solve_corner
-from .errors import ConfigError, ProfileFormatError, WavefanError
+from .errors import (ConfigError, InvalidParameterError, ProfileFormatError,
+                     WavefanError)
 from .flux import FluxSpec, burgers_flux, format_flux_token, parse_flux_token
 from .profile_bvp import (
     Profile,
     ProfileProblem,
     SolveOptions,
+    _decreasing_schedule,
     continuation_sweep,
     solve_profile,
 )
@@ -82,23 +84,12 @@ def _flux_arg(token):
 
 
 def _schedule_arg(text):
-    parts = [p.strip() for p in text.split(",")]
-    values = []
-    for part in parts:
-        try:
-            values.append(float(part))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                "malformed number %r in schedule %r" % (part, text)) from None
-    for v in values:
-        if not np.isfinite(v) or v <= 0.0:
-            raise argparse.ArgumentTypeError(
-                "viscosity must be finite and positive, got %r" % (v,))
-    for a, b in zip(values, values[1:]):
-        if b >= a:
-            raise argparse.ArgumentTypeError(
-                "schedule must be strictly decreasing, got %r" % (text,))
-    return tuple(values)
+    try:
+        return _decreasing_schedule(float(part) for part in text.split(","))
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError("%s, got %r" % (exc, text)) from None
+    except ValueError as exc:  # float() on a malformed part
+        raise argparse.ArgumentTypeError("%s in schedule %r" % (exc, text)) from None
 
 
 def _writable_path(path):

@@ -6,7 +6,8 @@ monotonicity, odd symmetry, the corner-layer expansion, comparison-function
 number with a definite expected sign or bound. Margins that a proof wants
 strictly positive are reported as values to compare against a noise floor
 (10x the solver tolerance), since strict pointwise inequalities are not
-machine-checkable.
+machine-checkable. The barrier margin is L(g)/g, read off the main profile
+and closed-form tails past its ends, so no solve has to reach out to M.
 
 The margin checks evaluate translates by moving the *sample points*, never
 by re-interpolating the profile values: a translate of a mesh function is
@@ -52,7 +53,6 @@ from .profile_bvp import (
     newton_solve,
     residual,
     solve_profile,
-    truncate_domain,
 )
 from .riemann import eval_riemann, solve_exact, wave_speed_span
 
@@ -212,16 +212,32 @@ def sliding_constant_M(problem: ProfileProblem, profile: Profile) -> float:
                  * lipschitz_of_derivative(problem.flux, lo, hi))
 
 
+def _barrier_ratio(problem: ProfileProblem, profile: Profile, lam: float,
+                   mask: np.ndarray) -> np.ndarray:
+    """L(g)/g = eps - |xi| + sign(xi)*f'(u_lam) - du*Q at the masked nodes."""
+    xs = profile.xi[mask]
+    u_here = profile.u[mask]
+    u_lam = np.interp(xs + lam, profile.xi, profile.u)
+    q = np.array([chord_slope_Q(problem.flux, a, b) for a, b in zip(u_lam, u_here)])
+    return (problem.epsilon - np.abs(xs) + np.sign(xs) * derivative(problem.flux, u_lam)
+            - profile.du[mask] * q)
+
+
 def barrier_operator_margin(problem: ProfileProblem, profile: Profile,
                             lam: float, big_m: float) -> float:
-    """Maximum of the linearized operator applied to g = e^{-|xi|} over mesh
-    nodes with |xi| > M:
+    """Supremum over |xi| > M of L(g)/g for the barrier g = e^{-|xi|} and
 
         L(g) = eps*g'' - (f'(u_lam) - xi)*g' - du*Q*g,
 
     with u_lam the profile shifted by lam and Q the chord slope of f'
-    between the two profiles. Expected strictly negative when M comes from
-    sliding_constant_M."""
+    between the two profiles; dividing by g > 0 keeps the sign and cannot
+    underflow. Mesh nodes with |xi| > M use the profile. Past each mesh end
+    L(g)/g <= eps - |xi| + sup|f'| + Lip(f')*|du_end|, with sup|f'| and
+    Lip(f') on the state interval and du_end the end node's slope. The bound
+    needs |u'| <= |du_end| past the end, which (ln|u'|)' = (f'(u) - xi)/eps
+    gives wherever xi lies beyond f' of the tail's states, as it does past
+    a mesh end beyond the range of f'. It is largest at the tail's inner end
+    and at most -1 when M comes from sliding_constant_M."""
     lam = float(lam)
     if not (np.isfinite(lam) and lam > 0.0):
         raise InvalidParameterError("lam must be finite and positive")
@@ -229,20 +245,15 @@ def barrier_operator_margin(problem: ProfileProblem, profile: Profile,
         raise InvalidParameterError("barrier check applies to increasing data")
     if not np.isfinite(big_m):
         raise InvalidParameterError("M must be finite")
-    xi = profile.xi
-    mask = np.abs(xi) > big_m
-    if not np.any(mask):
-        raise CoverageError("no mesh nodes with |xi| > %g; enlarge the domain" % big_m)
-    xs = xi[mask]
-    u_here = profile.u[mask]
-    u_lam = np.interp(xs + lam, xi, profile.u)
-    g = np.exp(-np.abs(xs))
-    gp = -np.sign(xs) * g
-    q = np.array([chord_slope_Q(problem.flux, a, b) for a, b in zip(u_lam, u_here)])
-    lg = (problem.epsilon * g
-          - (derivative(problem.flux, u_lam) - xs) * gp
-          - profile.du[mask] * q * g)
-    return float(np.max(lg))
+    lo, hi = problem.state_interval
+    big_s = sup_derivative(problem.flux, lo, hi)
+    big_k = lipschitz_of_derivative(problem.flux, lo, hi)
+    # the inner end of each tail: |xi| > M and outside the mesh
+    inner = (max(big_m, -profile.xi[0], 0.0), max(big_m, profile.xi[-1], 0.0))
+    tails = [problem.epsilon - a + big_s + big_k * abs(du)
+             for a, du in zip(inner, profile.du[[0, -1]])]
+    nodes = _barrier_ratio(problem, profile, lam, np.abs(profile.xi) > big_m)
+    return float(max(np.max(nodes, initial=-math.inf), *tails))
 
 
 def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
@@ -346,12 +357,6 @@ def _narrow_domain(problem: ProfileProblem, deviation: float = 1e-6) -> tuple[fl
             span[1] + pad(problem.u_right, span[1]))
 
 
-def _barrier_domain(problem: ProfileProblem, big_m: float) -> tuple[float, float]:
-    # nodes on both sides of |xi| = M, wide enough for the barrier check
-    lo, hi = truncate_domain(problem, 1e-5)
-    return (min(lo, -(big_m + 1.0)), max(hi, big_m + 1.0))
-
-
 def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
                 seed: int | None = None):
     """Run every check that applies to the problem.
@@ -361,6 +366,10 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     comparison-function checks used. Thresholds for expected-positive
     margins are 10x the Newton tolerance so discretization noise cannot
     fake a sign.
+
+    One solve_profile call feeds every check except the sweeping margin,
+    which re-solves decreasing data on _narrow_domain; the uniqueness probe
+    runs Newton from its own ramp guesses.
     """
     opts = options or SolveOptions()
     seed = DEFAULT_PROBE_SEED if seed is None else int(seed)
@@ -427,9 +436,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         record("sliding_margin", slide, floor, slide > floor)
         margins["sliding_margin"] = slide
 
-        wide, _ = solve_profile(problem,
-                                replace(opts, domain=_barrier_domain(problem, big_m)))
-        barrier = barrier_operator_margin(problem, wide, lam, big_m)
+        barrier = barrier_operator_margin(problem, profile, lam, big_m)
         record("barrier_margin", barrier, 0.0, barrier < 0.0)
         margins["barrier_margin"] = barrier
 

@@ -334,6 +334,21 @@ def test_main_verify_json_and_exit(tmp_path, capsys):
     assert list(only) == ["monotone"]
 
 
+@pytest.mark.parametrize("eps", ["0.05", "0.01", "0.005"])
+def test_main_verify_cubic_rarefaction_gives_verdicts(eps, tmp_path, capsys):
+    # M is 70 to 612 here, far past the mesh; the exit code follows the verdicts
+    out = tmp_path / "checks.json"
+    code = main(["verify", "--flux", "poly:0,0,0,1", "--ul", "-1", "--ur", "1",
+                 "--eps", eps, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "error:" not in err
+    checks = json.loads(out.read_text())
+    assert checks["barrier_margin"]["pass"]
+    failed = sorted(name for name, entry in checks.items() if not entry["pass"])
+    assert code == (1 if failed else 0)
+    assert all("FAIL %s:" % name in err for name in failed)
+
+
 def test_main_verify_unknown_check(capsys):
     code = main(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05",
                  "--check", "bogus"])

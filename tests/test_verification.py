@@ -14,7 +14,8 @@ from wavefan.errors import (
     UnsupportedFluxError,
     WindowError,
 )
-from wavefan.verification import _narrow_domain
+from wavefan import verification
+from wavefan.verification import _barrier_ratio, _narrow_domain
 
 
 EPS_MACH = float(np.finfo(float).eps)
@@ -44,6 +45,31 @@ def sweeping_margin_oracle(profile, problem, lam, big_k):
     shift = (wf.derivative(problem.flux, u_in + lam) - wf.derivative(problem.flux, u_in)
              - 2.0 * big_k * lam)
     return float(np.min(shift * d1 - r))
+
+
+def barrier_operator_oracle(problem, profile, lam, mask):
+    """Oracle: L(g) = eps*g'' - (f'(u_lam) - xi)*g' - du*Q*g for g = e^{-|xi|}
+    at the masked nodes, written out term by term, and g there."""
+    xs = profile.xi[mask]
+    u_lam = np.interp(xs + lam, profile.xi, profile.u)
+    g = np.exp(-np.abs(xs))
+    gp = -np.sign(xs) * g
+    q = np.array([wf.chord_slope_Q(problem.flux, a, b)
+                  for a, b in zip(u_lam, profile.u[mask])])
+    lg = (problem.epsilon * g - (wf.derivative(problem.flux, u_lam) - xs) * gp
+          - profile.du[mask] * q * g)
+    return lg, g
+
+
+def barrier_tail_oracle(problem, profile, big_m):
+    """Oracle: eps - |xi| + sup|f'| + Lip(f')*|du_end| at the inner end of
+    each tail past the mesh (|xi| > M), the larger of the two."""
+    lo, hi = problem.state_interval
+    reach = problem.epsilon + wf.sup_derivative(problem.flux, lo, hi)
+    lip = wf.lipschitz_of_derivative(problem.flux, lo, hi)
+    left = reach - max(big_m, -profile.xi[0], 0.0) + lip * abs(profile.du[0])
+    right = reach - max(big_m, profile.xi[-1], 0.0) + lip * abs(profile.du[-1])
+    return max(left, right)
 
 
 def translation_defect_oracle(profile, epsilon, lam):
@@ -240,13 +266,43 @@ def test_sliding_constant_for_constant_data():
     assert wf.sliding_constant_M(prob, profile) == pytest.approx(1.5, rel=1e-14)
 
 
-def test_barrier_margin_negative_beyond_threshold(rarefaction_problem):
-    prob = rarefaction_problem
-    base, _ = wf.solve_profile(prob)
-    big_m = wf.sliding_constant_M(prob, base)
+@pytest.fixture(scope="module")
+def wide_rarefaction(rarefaction_problem):
+    """The rarefaction re-solved on a domain reaching past |xi| = M, and M."""
+    base, _ = wf.solve_profile(rarefaction_problem)
+    big_m = wf.sliding_constant_M(rarefaction_problem, base)
     wide, _ = wf.solve_profile(
-        prob, wf.SolveOptions(domain=(-(big_m + 1.5), big_m + 1.5)))
-    assert wf.barrier_operator_margin(prob, wide, 0.1, big_m) < 0.0
+        rarefaction_problem, wf.SolveOptions(domain=(-(big_m + 1.5), big_m + 1.5)))
+    return wide, big_m
+
+
+def test_barrier_margin_negative_beyond_threshold(rarefaction_problem, wide_rarefaction):
+    wide, big_m = wide_rarefaction
+    assert wf.barrier_operator_margin(rarefaction_problem, wide, 0.1, big_m) < 0.0
+
+
+def test_barrier_ratio_matches_written_out_oracle(rarefaction_problem, wide_rarefaction):
+    # the node values are L(g)/g of the undivided operator, to roundoff
+    wide, big_m = wide_rarefaction
+    mask = np.abs(wide.xi) > big_m
+    assert np.count_nonzero(mask) > 10
+    lg, g = barrier_operator_oracle(rarefaction_problem, wide, 0.1, mask)
+    got = _barrier_ratio(rarefaction_problem, wide, 0.1, mask)
+    terms = np.abs(wide.xi[mask]) + 1.0 + rarefaction_problem.epsilon
+    assert np.all(np.abs(got - lg / g) <= 8.0 * EPS_MACH * terms)
+    margin = wf.barrier_operator_margin(rarefaction_problem, wide, 0.1, big_m)
+    assert margin == max(float(np.max(got)),
+                         barrier_tail_oracle(rarefaction_problem, wide, big_m))
+
+
+def test_barrier_margin_far_threshold_is_tail_closed_form(rarefaction_problem,
+                                                         rarefaction_profile):
+    # at M = 800 no node is left and g = e^{-800} underflows; the ratio does not
+    val = wf.barrier_operator_margin(rarefaction_problem, rarefaction_profile, 0.1, 800.0)
+    assert np.isfinite(val) and val < 0.0
+    assert val == pytest.approx(
+        barrier_tail_oracle(rarefaction_problem, rarefaction_profile, 800.0),
+        rel=4.0 * EPS_MACH)
 
 
 def test_barrier_margin_small_threshold_is_diagnostic(rarefaction_profile,
@@ -258,8 +314,11 @@ def test_barrier_margin_small_threshold_is_diagnostic(rarefaction_profile,
 
 def test_barrier_margin_errors(rarefaction_profile, rarefaction_problem,
                                shock_profile, shock_problem):
-    with pytest.raises(CoverageError):
-        wf.barrier_operator_margin(rarefaction_problem, rarefaction_profile, 0.1, 1e6)
+    # a threshold beyond the mesh leaves only the closed-form tails
+    far = wf.barrier_operator_margin(rarefaction_problem, rarefaction_profile, 0.1, 1e6)
+    assert far == pytest.approx(
+        barrier_tail_oracle(rarefaction_problem, rarefaction_profile, 1e6),
+        rel=4.0 * EPS_MACH)
     with pytest.raises(InvalidParameterError):
         wf.barrier_operator_margin(shock_problem, shock_profile, 0.1, 3.0)
     with pytest.raises(InvalidParameterError):
@@ -361,6 +420,35 @@ def test_battery_on_rarefaction(rarefaction_problem):
     assert diag.margins["sliding_margin"] > 0.0
     assert diag.margins["barrier_margin"] < 0.0
     assert np.isfinite(diag.margins["corner_remainder"])
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01, 0.005])
+def test_battery_on_cubic_rarefaction_returns_verdicts(eps):
+    # M is 70 to 612 here; the barrier needs no mesh node beyond it
+    prob = wf.ProfileProblem(wf.polynomial_flux([0.0, 0.0, 0.0, 1.0]), -1.0, 1.0, eps)
+    checks, diag = wf.run_battery(prob)
+    assert diag.M > 60.0
+    assert checks["barrier_margin"]["value"] < 0.0
+    assert checks["barrier_margin"]["pass"]
+    for entry in checks.values():
+        assert not (math.isnan(entry["value"]) or math.isnan(entry["threshold"]))
+
+
+@pytest.mark.parametrize("ul, ur, solves", [(-1.0, 1.0, 1), (1.0, -1.0, 2),
+                                            (0.3, 0.3, 1)])
+def test_battery_solve_count(monkeypatch, ul, ur, solves):
+    # one solve for increasing or constant data, plus the narrow re-solve
+    # of the sweeping margin for decreasing data
+    calls = []
+    real = verification.solve_profile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "solve_profile", counting)
+    wf.run_battery(wf.ProfileProblem(wf.burgers_flux(), ul, ur, 0.05))
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
