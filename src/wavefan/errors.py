@@ -34,7 +34,14 @@ class NonConvergenceError(WavefanError, RuntimeError):
 
 
 class LinearSolverError(WavefanError, RuntimeError):
-    """The tridiagonal Newton system was singular or produced non-finite values."""
+    """The tridiagonal Newton system was singular or produced non-finite values.
+
+    Carries the partial solve report, as NonConvergenceError does.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class IntegrationError(WavefanError, RuntimeError):

@@ -21,11 +21,15 @@ S is the constant M - m, so that stretch of the march (most nodes at small
 eps) is a cumulative sum, evaluated in one vectorized pass with the same
 left-to-right additions; only the tails are stepped one node at a time.
 
-Small eps is reached by continuation: solve at a sequence of decreasing
-viscosities, each stage re-meshed and warm-started from the previous one.
-Each Newton solve evaluates its residuals and Jacobians on one workspace
-(mesh differences computed once, scratch arrays reused), so the iterations
-allocate almost no fresh memory.
+Newton starts at the target viscosity from the zero-order asymptotics of
+the profile, the inviscid solution mollified across each wave. Continuation
+(stages at larger viscosities, each re-meshed and warm-started from the
+previous one) is the fallback when that fails, or runs when asked for. Each
+Newton solve evaluates its residuals and Jacobians on one workspace (mesh
+differences computed once, scratch arrays reused, the Jacobian built from
+the slopes its residual left there), so the iterations allocate almost no
+fresh memory, and it stops once a full step can no longer lower a residual
+that is already at its roundoff floor.
 
 Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
@@ -57,6 +61,7 @@ from .riemann import eval_riemann, solve_exact, wave_speed_span
 _MAX_NODES = 400_000
 _EPS_MACH = float(np.finfo(float).eps)
 _ARMIJO = 1e-4
+_BACKOFF_RATIO = 1.1     # see solve_profile
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ class SolveOptions:
     h_base: float = 0.05
     nodes_per_layer: int = 120
     domain: tuple | None = None          # override truncate_domain
-    continuation: tuple | None = None    # override the viscosity schedule
+    continuation: tuple | None = None    # stages to run instead of [epsilon]
 
 
 @dataclass(frozen=True)
@@ -282,9 +287,9 @@ def reconstruct_derivative(xi: np.ndarray, u: np.ndarray) -> np.ndarray:
 def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
     """Exact inviscid solution mollified on the sqrt(eps) scale.
 
-    The sliding average removes the kinks and jumps of the inviscid limit,
-    which is enough structure for Newton to take full steps at moderate
-    viscosity.
+    The sliding average removes the kinks and jumps of the inviscid limit.
+    What is left is the zero-order asymptotics of the profile, which
+    `solve_profile` uses as the Newton start at the target viscosity.
     """
     xi = np.asarray(xi, dtype=float)
     if problem.u_left == problem.u_right:
@@ -355,7 +360,9 @@ def residual(problem: ProfileProblem, profile: Profile,
 
     with the standard three-point divided differences on a nonuniform mesh.
     `work`, a workspace for profile.xi, saves recomputing the mesh
-    differences and allocating temporaries; the values are the same.
+    differences and allocating temporaries; the values are the same. The
+    workspace is left holding D1(u) and f'(u_i) - xi_i, which a following
+    Jacobian at the same u reuses.
     """
     xi, u = profile.xi, profile.u
     w = work if work is not None else _Workspace(xi)
@@ -368,8 +375,7 @@ def residual(problem: ProfileProblem, profile: Profile,
     inner = np.subtract(sp, sm, out=r[1:-1])
     inner *= problem.epsilon * 2.0
     inner /= w.hs
-    c *= d1
-    inner -= c
+    inner -= np.multiply(c, d1, out=w.t)
     return r
 
 
@@ -395,13 +401,19 @@ def jacobian(problem: ProfileProblem, profile: Profile,
     for scipy.linalg.solve_banded; the boundary rows are identity. With a
     workspace `work` the band array is the workspace's own, overwritten by
     the next call."""
-    xi, u = profile.xi, profile.u
-    w = work if work is not None else _Workspace(xi)
+    w = work if work is not None else _Workspace(profile.xi)
+    w.slopes(profile.u)
+    w.speed_offset(problem.flux, profile.u)
+    return _jacobian_band(problem, profile.u, w)
+
+
+def _jacobian_band(problem: ProfileProblem, u: np.ndarray, w: _Workspace) -> np.ndarray:
+    """`jacobian` at u from the central slope w.d1 and the offset
+    w.c = f'(u) - xi that the workspace already holds for u, as `residual`
+    leaves them."""
     (hphs, hmhp, hmhs, hpmhm), ab = w.jacobian_geometry()
-    _, _, d1 = w.slopes(u)
-    c = w.speed_offset(problem.flux, u)
+    d1, c, t = w.d1, w.c, w.t
     eps = problem.epsilon
-    t = w.t
 
     # identity boundary rows; the unused corners of the band are zero
     ab[0, :2] = 0.0
@@ -448,11 +460,17 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     """Damped Newton iteration from the given guess on the guess's own mesh.
 
     Steps are backtracked (factor `damping`) until the sup-norm residual
-    satisfies an Armijo-type decrease. Raises NonConvergenceError, with the
-    partial report attached, if the iteration stalls above both the
-    tolerance and the floating-point noise floor of the residual.
+    satisfies an Armijo-type decrease. Once the residual is at or below the
+    floating-point noise floor of `residual_noise_floor`, a rejected full
+    step ends the iteration: no shorter step can show a decrease that is
+    not roundoff, and the solve is reported converged and `floor_limited`.
+    Raises NonConvergenceError if the iteration stalls above both the
+    tolerance and that floor, and LinearSolverError if a Newton system
+    cannot be solved; both carry the partial report.
 
-    The returned profile's slope is reconstructed only when read.
+    Each Jacobian reuses the slopes and f'(u) - xi that the residual of the
+    accepted step left in the workspace. The returned profile's slope is
+    reconstructed only when read.
     """
     opts = options or SolveOptions()
     _check_guess(guess)
@@ -467,16 +485,24 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     floor_limited = False
     iterations = 0
 
+    def report() -> SolveReport:
+        return SolveReport(converged=converged, iterations=iterations,
+                           residual_history=tuple(history),
+                           domain=(float(xi[0]), float(xi[-1])),
+                           mesh_size=len(xi), floor_limited=floor_limited)
+
     while not converged and iterations < opts.max_iter:
         try:
             # the band array and the negated residual are scratch: LAPACK may
             # overwrite them instead of copying
-            step = solve_banded((1, 1), jacobian(problem, Profile(xi, u), work), -r,
+            step = solve_banded((1, 1), _jacobian_band(problem, u, work), -r,
                                 overwrite_ab=True, overwrite_b=True)
         except np.linalg.LinAlgError as exc:
-            raise LinearSolverError("banded solve failed: %s" % exc) from exc
+            raise LinearSolverError("banded solve failed: %s" % exc,
+                                    report=report()) from exc
         if not np.all(np.isfinite(step)):
-            raise LinearSolverError("banded solve produced non-finite step")
+            raise LinearSolverError("banded solve produced non-finite step",
+                                    report=report())
         # the boundary rows are identity; their exact solution keeps the
         # pivoting of the banded solve from moving the pinned end values
         step[0], step[-1] = -r[0], -r[-1]
@@ -493,6 +519,9 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
                 history.append(nt)
                 accepted = True
                 break
+            if lam == 1.0 and history[-1] <= residual_noise_floor(
+                    problem, Profile(xi, u), work):
+                break
             lam *= opts.damping
         iterations += 1
         if not accepted:
@@ -506,16 +535,12 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
             converged = True
             floor_limited = True
 
-    report = SolveReport(converged=converged, iterations=iterations,
-                         residual_history=tuple(history),
-                         domain=(float(xi[0]), float(xi[-1])),
-                         mesh_size=len(xi), floor_limited=floor_limited)
     if not converged:
         raise NonConvergenceError(
             "Newton stalled at residual %.3e (tol %.3e) after %d iterations"
             % (history[-1], opts.newton_tol, iterations),
-            report=report, epsilon=problem.epsilon)
-    return Profile(xi, u), report
+            report=report(), epsilon=problem.epsilon)
+    return Profile(xi, u), report()
 
 
 def _decreasing_schedule(values) -> tuple:
@@ -529,16 +554,6 @@ def _decreasing_schedule(values) -> tuple:
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidParameterError("viscosities must be strictly decreasing")
     return schedule
-
-
-def _viscosity_schedule(epsilon: float) -> tuple:
-    if epsilon >= 1.0:
-        return (epsilon,)
-    seq = [1.0]
-    while seq[-1] * 0.5 > epsilon:
-        seq.append(seq[-1] * 0.5)
-    seq.append(epsilon)
-    return tuple(seq)
 
 
 def _warm_start(stage: ProfileProblem, previous: Profile | None,
@@ -561,13 +576,28 @@ def _with_slope(profile: Profile) -> Profile:
 
 def solve_profile(problem: ProfileProblem,
                   options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
-    """Solve for the viscous profile at problem.epsilon by continuation.
+    """Solve for the viscous profile at problem.epsilon, at that viscosity
+    first.
 
-    Each stage truncates and meshes for its own viscosity, warm-starts from
-    the previous stage (linearly reinterpolated), and solves to a loose
-    intermediate tolerance; the final stage uses newton_tol. The returned
-    profile carries its slope; the report is the final stage's, with the
-    stage count filled in.
+    The one-stage schedule [eps] starts Newton from the mollified inviscid
+    solution of `initial_guess`, the profile's zero-order asymptotics, on
+    the target's own mesh. An explicit `options.continuation` replaces that
+    schedule and runs as given. Continuation is otherwise the fallback: if
+    Newton at a stage raises NonConvergenceError or LinearSolverError, a
+    stage at the geometric mean of the failed viscosity and the last solved
+    one (1.0 before any) is solved first, and the failed stage is retried
+    from it. Back-off ends, re-raising the failure, once the last solved
+    viscosity is less than 1.1 times the failed one. Each failure halves
+    the logarithmic gap, so at most log2(ln(gap) / ln 1.1) + 1 stages are
+    pushed in a row (5 for a gap of 10), and each solved stage cuts the
+    gap by a factor of at least sqrt(1.1): the solve always ends.
+
+    Each stage truncates and meshes for its own viscosity and warm-starts
+    from the last solved stage (linearly reinterpolated); every stage but
+    the target is solved to the loose tolerance max(newton_tol, 1e-8). The
+    returned profile carries its slope. The report is the final stage's,
+    with `stages` and `iterations` counting every Newton attempt, failed
+    ones included.
     """
     opts = options or SolveOptions()
     if opts.continuation is not None:
@@ -575,20 +605,28 @@ def solve_profile(problem: ProfileProblem,
         if schedule[-1] != problem.epsilon:
             raise InvalidParameterError("continuation must end at problem.epsilon")
     else:
-        schedule = _viscosity_schedule(problem.epsilon)
+        schedule = (problem.epsilon,)
 
+    pending = list(reversed(schedule))      # the next stage is last
     profile = None
-    report = None
-    total_iterations = 0
-    for k, eps_k in enumerate(schedule):
-        stage = replace(problem, epsilon=eps_k)
-        guess = _warm_start(stage, profile, opts)
-        last = k == len(schedule) - 1
-        tol = opts.newton_tol if last else max(opts.newton_tol, 1e-8)
-        profile, report = newton_solve(stage, guess, replace(opts, newton_tol=tol))
-        total_iterations += report.iterations
-    return _with_slope(profile), replace(report, stages=len(schedule),
-                                         iterations=total_iterations)
+    solved_eps = 1.0
+    stages = iterations = 0
+    while pending:
+        stage = replace(problem, epsilon=pending[-1])
+        tol = opts.newton_tol if len(pending) == 1 else max(opts.newton_tol, 1e-8)
+        stages += 1
+        try:
+            profile, report = newton_solve(stage, _warm_start(stage, profile, opts),
+                                           replace(opts, newton_tol=tol))
+        except (NonConvergenceError, LinearSolverError) as exc:
+            iterations += exc.report.iterations
+            if solved_eps < _BACKOFF_RATIO * stage.epsilon:
+                raise
+            pending.append(math.sqrt(solved_eps * stage.epsilon))
+            continue
+        iterations += report.iterations
+        solved_eps = pending.pop()
+    return _with_slope(profile), replace(report, stages=stages, iterations=iterations)
 
 
 def continuation_sweep(problem: ProfileProblem, epsilons,

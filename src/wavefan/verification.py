@@ -49,6 +49,7 @@ from .profile_bvp import (
     ProfileProblem,
     SolveOptions,
     _Workspace,
+    _warm_start,
     build_mesh,
     newton_solve,
     residual,
@@ -368,8 +369,10 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     fake a sign.
 
     One solve_profile call feeds every check except the sweeping margin,
-    which re-solves decreasing data on _narrow_domain; the uniqueness probe
-    runs Newton from its own ramp guesses.
+    which re-solves decreasing data on _narrow_domain by one Newton solve
+    warm-started from the main profile (reinterpolated onto the narrow
+    mesh, as in continuation_sweep); the uniqueness probe runs Newton from
+    its own ramp guesses.
     """
     opts = options or SolveOptions()
     seed = DEFAULT_PROBE_SEED if seed is None else int(seed)
@@ -441,8 +444,9 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         margins["barrier_margin"] = barrier
 
     if decreasing:
-        narrow, _ = solve_profile(problem,
-                                  replace(opts, domain=_narrow_domain(problem)))
+        narrow_opts = replace(opts, domain=_narrow_domain(problem))
+        narrow, _ = newton_solve(problem, _warm_start(problem, profile, narrow_opts),
+                                 narrow_opts)
         sweep = sweeping_supersolution_margin(narrow, problem, lam, big_k)
         record("sweeping_margin", sweep, floor, sweep > floor)
         margins["sweeping_margin"] = sweep

@@ -1,6 +1,7 @@
 """Discretization, Newton solver, and continuation for viscous profiles."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from wavefan import profile_bvp
 from wavefan.errors import (
     CoverageError,
     InvalidParameterError,
+    LinearSolverError,
     NonConvergenceError,
     WindowError,
 )
@@ -355,6 +357,22 @@ def test_workspace_residual_and_jacobian_match_fresh_evaluation_bitwise():
             solve_banded((1, 1), ab, -r, overwrite_ab=True, overwrite_b=True)
 
 
+def test_jacobian_from_the_residual_workspace_matches_fresh_jacobian_bitwise():
+    # Newton builds each Jacobian from the slopes and f'(u) - xi that the
+    # accepted trial's residual left in the workspace
+    rng = np.random.default_rng(29)
+    for flux in (wf.burgers_flux(), wf.polynomial_flux([0.0, 0.2, 0.5, 1.0 / 3.0])):
+        prob = wf.ProfileProblem(flux, 1.0, -1.0, 0.03)
+        xi = np.sort(rng.uniform(-2.0, 2.0, 400))
+        work = profile_bvp._Workspace(xi)
+        for _ in range(3):
+            prof = wf.Profile(xi, np.tanh(-xi / 0.1) + 1e-3 * rng.standard_normal(len(xi)))
+            wf.residual(prob, prof, work)
+            assert np.array_equal(work.c, wf.derivative(flux, prof.u[1:-1]) - xi[1:-1])
+            ab = profile_bvp._jacobian_band(prob, prof.u, work)
+            assert np.array_equal(ab, wf.jacobian(prob, prof))
+
+
 def noise_floor_oracle(problem, profile):
     """Oracle: the residual's roundoff level from freshly computed mesh
     differences."""
@@ -422,6 +440,28 @@ def test_newton_matches_reference_loop_bitwise(token, ul, ur, eps):
 
 # ---------------------------------------------------------------------------
 # Newton iteration
+
+def test_floor_limited_newton_rejects_one_trial_at_the_floor(monkeypatch):
+    # once the residual is at its noise floor a rejected full step ends the
+    # solve; the last line search evaluates that one trial, not 31
+    norms = []
+    real = profile_bvp.residual
+
+    def counting(*args):
+        r = real(*args)
+        norms.append(profile_bvp._max_abs(r))
+        return r
+
+    monkeypatch.setattr(profile_bvp, "residual", counting)
+    prob = make_problem(1.0, -1.0, 5e-3)
+    guess = wf.initial_guess(prob, wf.build_mesh(prob))
+    _, report = wf.newton_solve(prob, guess)
+    assert report.converged and report.floor_limited
+    last_accepted = max(i for i, n in enumerate(norms) if n == report.residual_norm)
+    assert len(norms) - 1 - last_accepted == 1
+    # the final iteration took no step
+    assert report.iterations == len(report.residual_history)
+
 
 def test_newton_constant_data_converges_immediately():
     prob = make_problem(0.3, 0.3, 0.2)
@@ -522,6 +562,75 @@ def test_continuation_schedule_validation():
             wf.solve_profile(prob, wf.SolveOptions(continuation=sched))
 
 
+HALVING = tuple(0.5 ** k for k in range(7)) + (0.01,)
+
+
+@pytest.mark.parametrize("token", ["burgers", "poly:0,0,0,1", "poly:0,0,-1,0,1"])
+@pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
+def test_target_first_solve_matches_halving_continuation(token, ul, ur):
+    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, 0.01)
+    direct, report = wf.solve_profile(prob)
+    halved, halved_report = wf.solve_profile(prob, wf.SolveOptions(continuation=HALVING))
+    assert report.stages == 1 and halved_report.stages == len(HALVING)
+    assert np.array_equal(direct.xi, halved.xi)
+    assert np.max(np.abs(direct.u - halved.u)) <= 1e-9
+
+
+def test_quartic_shock_solves_at_default_settings(tmp_path, capsys):
+    # halving down from eps = 1 stalls at this stage (residual 1.8e-6 after
+    # 25 iterations); started at the target, Newton converges
+    report = tmp_path / "report.json"
+    assert wf.cli_io.main(["solve", "--flux", "poly:0,0,-1,0,1", "--ul", "1", "--ur", "-1",
+                           "--eps", "0.002", "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["converged"] and payload["stages"] == 1
+
+
+def failing_attempts(monkeypatch, fails):
+    """Replaces profile_bvp.newton_solve with one whose first `fails`
+    attempts raise (NonConvergenceError and LinearSolverError in turn, each
+    after 3 iterations); returns the list of attempted viscosities."""
+    attempts = []
+    real = profile_bvp.newton_solve
+
+    def flaky(stage, guess, opts=None):
+        attempts.append(stage.epsilon)
+        if len(attempts) > fails:
+            return real(stage, guess, opts)
+        report = profile_bvp.SolveReport(False, 3, (1.0,), (guess.xi[0], guess.xi[-1]),
+                                         len(guess.xi))
+        if len(attempts) % 2:
+            raise NonConvergenceError("stalled", report=report, epsilon=stage.epsilon)
+        raise LinearSolverError("singular", report=report)
+
+    monkeypatch.setattr(profile_bvp, "newton_solve", flaky)
+    return attempts
+
+
+def test_failed_stage_backs_off_to_the_geometric_mean(monkeypatch):
+    prob = make_problem(1.0, -1.0, 0.01)
+    direct, direct_report = wf.solve_profile(prob)
+    attempts = failing_attempts(monkeypatch, 2)
+    profile, report = wf.solve_profile(prob)
+    # 0.01 fails; its retry waits on 0.1 = sqrt(1 * 0.01), which fails and
+    # waits on sqrt(1 * 0.1); sqrt(0.1), 0.1 and 0.01 then solve
+    assert attempts == [0.01, 0.1, math.sqrt(0.1), 0.1, 0.01]
+    assert report.stages == 5
+    assert report.converged and report.iterations > 2 * 3 + direct_report.iterations
+    assert np.max(np.abs(profile.u - direct.u)) <= 1e-9
+
+
+def test_back_off_ends_when_viscosities_close_in(monkeypatch):
+    attempts = failing_attempts(monkeypatch, 10 ** 6)
+    with pytest.raises((NonConvergenceError, LinearSolverError)):
+        wf.solve_profile(make_problem(1.0, -1.0, 0.01))
+    # every attempt fails, so each one bisects [eps_k, 1] in log eps until
+    # 1 < 1.1 * eps_k
+    assert attempts[0] == 0.01 and 1.0 < 1.1 * attempts[-1]
+    assert all(b == math.sqrt(a) for a, b in zip(attempts, attempts[1:]))
+    assert len(attempts) == 7
+
+
 def test_sweep_validation():
     prob = make_problem()
     for eps_list in ([], [0.1, 0.1], [0.05, 0.1], [0.1, 0.0]):
@@ -547,8 +656,9 @@ def test_sweep_profiles_sharpen():
 
 
 def test_solve_profile_reconstructs_the_slope_once(slope_calls):
-    profile, report = wf.solve_profile(make_problem(-1.0, 1.0, 0.01))
-    assert report.stages > 1
+    profile, report = wf.solve_profile(
+        make_problem(-1.0, 1.0, 0.01), wf.SolveOptions(continuation=(0.04, 0.02, 0.01)))
+    assert report.stages == 3
     assert slope_calls == [len(profile.xi)]
     assert np.array_equal(profile.du, wf.reconstruct_derivative(profile.xi, profile.u))
     assert len(slope_calls) == 1      # read again: cached, not recomputed

@@ -437,18 +437,39 @@ def test_battery_on_cubic_rarefaction_returns_verdicts(eps):
 @pytest.mark.parametrize("ul, ur, solves", [(-1.0, 1.0, 1), (1.0, -1.0, 2),
                                             (0.3, 0.3, 1)])
 def test_battery_solve_count(monkeypatch, ul, ur, solves):
-    # one solve for increasing or constant data, plus the narrow re-solve
-    # of the sweeping margin for decreasing data
-    calls = []
-    real = verification.solve_profile
+    # one solve_profile call, plus for decreasing data the sweeping margin's
+    # narrow-domain Newton solve warm-started from the main profile; the
+    # uniqueness probe's own Newton runs are not counted
+    profiles, newtons, in_probe = [], [], []
+    real_solve, real_newton = verification.solve_profile, verification.newton_solve
+    real_probe = verification.uniqueness_probe
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting_solve(*args, **kwargs):
+        profiles.append(args)
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(verification, "solve_profile", counting)
-    wf.run_battery(wf.ProfileProblem(wf.burgers_flux(), ul, ur, 0.05))
-    assert len(calls) == solves
+    def counting_newton(problem, guess, opts=None):
+        if not in_probe:
+            newtons.append(guess)
+        return real_newton(problem, guess, opts)
+
+    def probe(*args, **kwargs):
+        in_probe.append(True)
+        try:
+            return real_probe(*args, **kwargs)
+        finally:
+            in_probe.pop()
+
+    monkeypatch.setattr(verification, "solve_profile", counting_solve)
+    monkeypatch.setattr(verification, "newton_solve", counting_newton)
+    monkeypatch.setattr(verification, "uniqueness_probe", probe)
+    problem = wf.ProfileProblem(wf.burgers_flux(), ul, ur, 0.05)
+    wf.run_battery(problem)
+    assert len(profiles) == 1
+    assert len(profiles) + len(newtons) == solves
+    for guess in newtons:
+        lo, hi = _narrow_domain(problem)
+        assert guess.xi[0] == lo and guess.xi[-1] == hi
 
 
 @pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
