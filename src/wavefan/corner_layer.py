@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import erfc
 
 from .errors import (
@@ -180,6 +179,7 @@ def solve_corner(xi_min: float = -8.0, xi_max: float = 10.0,
         raise InvalidParameterError("n_points must be at least 2")
     ctrl = step_control or StepControl()
 
+    from scipy.integrate import solve_ivp   # deferred: slow to import
     u0 = math.exp(-1.0 - 0.5 * xi_min * xi_min) / abs(xi_min)
 
     def rhs(xi, y):

@@ -379,20 +379,29 @@ def residual(problem: ProfileProblem, profile: Profile,
     return r
 
 
+def _node_noise(problem: ProfileProblem, profile: Profile,
+                work: _Workspace, extra=0.0) -> np.ndarray:
+    """Roundoff of the residual at each interior node: 4*eps_mach times the
+    terms it is the difference of, 2*eps*uscale/(hm*hp) +
+    (|f'(u) - xi| + extra)*uscale*(1/hm + 1/hp), uscale the largest |u| of
+    the stencil. `extra` adds to the transport coefficient, as a translate
+    margin's a*D1(u) does. The workspace's scratch arrays are overwritten."""
+    u = profile.u
+    hm, hp = work.hm, work.hp
+    uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
+    c = np.abs(work.speed_offset(problem.flux, u)) + extra
+    return 4.0 * _EPS_MACH * (2.0 * problem.epsilon * uscale / (hm * hp)
+                              + c * uscale * (1.0 / hm + 1.0 / hp))
+
+
 def residual_noise_floor(problem: ProfileProblem, profile: Profile,
                          work: _Workspace | None = None) -> float:
-    """Roundoff level of the interior residual: below this value the computed
-    residual is indistinguishable from zero in floating point, so iterating
-    past it cannot help. `work` is a workspace for profile.xi, as in
-    `residual`; its scratch arrays are overwritten."""
-    u = profile.u
+    """Roundoff level of the interior residual, the largest `_node_noise`:
+    below it the residual is indistinguishable from zero in floating point,
+    so iterating past it cannot help. `work` is a workspace for profile.xi,
+    as in `residual`; its scratch arrays are overwritten."""
     w = work if work is not None else _Workspace(profile.xi)
-    hm, hp = w.hm, w.hp
-    uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
-    c = np.abs(w.speed_offset(problem.flux, u))
-    level = 2.0 * problem.epsilon * uscale / (hm * hp) \
-        + c * uscale * (1.0 / hm + 1.0 / hp)
-    return 4.0 * _EPS_MACH * float(np.max(level))
+    return float(np.max(_node_noise(problem, profile, w)))
 
 
 def jacobian(problem: ProfileProblem, profile: Profile,

@@ -3,11 +3,11 @@
 Each check here turns a structural property of the viscous profiles --
 monotonicity, odd symmetry, the corner-layer expansion, comparison-function
 (super/subsolution) margins, uniqueness, translation invariance -- into a
-number with a definite expected sign or bound. Margins that a proof wants
-strictly positive are reported as values to compare against a noise floor
-(10x the solver tolerance), since strict pointwise inequalities are not
-machine-checkable. The barrier margin is L(g)/g, read off the main profile
-and closed-form tails past its ends, so no solve has to reach out to M.
+number with a definite expected sign or bound. The sliding and sweeping
+margins, which a proof wants strictly positive, count a node only where its
+defect exceeds the defect's own roundoff, so flat tails cannot fake a sign.
+The barrier margin is L(g)/g, read off the main profile and closed-form
+tails past its ends, so no solve has to reach out to M.
 
 The margin checks evaluate translates by moving the *sample points*, never
 by re-interpolating the profile values: a translate of a mesh function is
@@ -19,7 +19,7 @@ would bury the margins under O(h^2) interpolation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -49,7 +49,7 @@ from .profile_bvp import (
     ProfileProblem,
     SolveOptions,
     _Workspace,
-    _warm_start,
+    _node_noise,
     build_mesh,
     newton_solve,
     residual,
@@ -68,6 +68,7 @@ class DiagnosticsRecord:
     M: float            # threshold beyond which the barrier argument applies
     lam: float          # translate amount used for the margin checks
     margins: dict       # check-name -> reported margin
+    undecided: dict = field(default_factory=dict)  # margin check -> nodes inside roundoff
 
     def __post_init__(self):
         if not (np.isfinite(self.K) and self.K >= 0.0):
@@ -153,55 +154,62 @@ def l1_window_error(profile: Profile, exact, window) -> float:
     return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(xs)))
 
 
-def _residual_and_d1(problem: ProfileProblem, profile: Profile):
-    """Interior residual and central slope D1(u) of the profile, from one
-    pass of the residual's difference kernel."""
+def _translate_defect(profile: Profile, problem: ProfileProblem, lam: float,
+                      big_k: float | None = None):
+    """Per-node defect m = a*D1(u) - r of the slid translate (big_k None,
+    a = lam, nodes inside the domain) or the sweeping one (a = f'(u + lam) -
+    f'(u) - 2*K*lam), and its roundoff n: m is minus the residual with
+    f'(u) - xi raised by a, so n is `_node_noise` with |a| added."""
+    lam = float(lam)
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise InvalidParameterError("lam must be finite and >= 0")
+    if big_k is None:
+        if not problem.u_left < problem.u_right:
+            raise InvalidParameterError("sliding family applies to increasing data")
+        a, keep = lam, profile.xi[1:-1] - lam >= profile.xi[0]
+        if not np.any(keep):
+            raise CoverageError("translate leaves no overlap with the domain")
+    else:
+        if not problem.u_left > problem.u_right:
+            raise InvalidParameterError("sweeping family applies to decreasing data")
+        needed = lipschitz_of_derivative(problem.flux, *problem.state_interval)
+        if not (np.isfinite(big_k) and big_k >= needed):
+            raise InvalidParameterError(
+                "K = %g is below the Lipschitz constant %g of f'" % (big_k, needed))
+        u_in = profile.u[1:-1]
+        a = (derivative(problem.flux, u_in + lam) - derivative(problem.flux, u_in)
+             - 2.0 * big_k * lam)
+        keep = slice(None)
     work = _Workspace(profile.xi)
-    return residual(problem, profile, work)[1:-1], work.d1
+    r = residual(problem, profile, work)[1:-1]
+    defect = a * work.d1 - r
+    return defect[keep], _node_noise(problem, profile, work, np.abs(a))[keep]
+
+
+def _judge(defect: np.ndarray, noise: np.ndarray) -> tuple[float, int]:
+    """(value, undecided): the smallest defect among the nodes where |m| > n
+    (0.0 if none) and the count of the others. The value is positive exactly
+    when no node is decidably negative and one is decidably positive."""
+    decided = np.abs(defect) > noise
+    value = float(np.min(defect[decided])) if np.any(decided) else 0.0
+    return value, int(np.count_nonzero(~decided))
 
 
 def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
                                  lam: float) -> float:
-    """Minimum defect of the slid translate u(xi + lam) for increasing data.
-
-    The translate's samples are (xi_i - lam, u_i), so its defect at its own
-    interior nodes is lam * D1(u) - residual; for a converged increasing
-    profile and lam > 0 this is strictly positive (a strict supersolution),
-    up to the residual's noise. Restricted to translate nodes that overlap
-    the original domain."""
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise InvalidParameterError("lam must be finite and >= 0")
-    if not problem.u_left < problem.u_right:
-        raise InvalidParameterError("sliding family applies to increasing data")
-    r, d1 = _residual_and_d1(problem, profile)
-    keep = profile.xi[1:-1] - lam >= profile.xi[0]
-    if not np.any(keep):
-        raise CoverageError("translate leaves no overlap with the domain")
-    return float(np.min(lam * d1[keep] - r[keep]))
+    """Margin of the slid translate u(xi + lam) for increasing data, by
+    `_judge`. Its samples are (xi_i - lam, u_i), so its defect at its own
+    interior nodes is lam * D1(u) - residual: for lam > 0 a strict
+    supersolution, positive wherever it exceeds its roundoff."""
+    return _judge(*_translate_defect(profile, problem, lam))[0]
 
 
 def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
                                   lam: float, big_k: float) -> float:
-    """Minimum defect of the sweeping translate u(xi - 2*K*lam) + lam for
-    decreasing data; K must dominate the Lipschitz constant of f' on the
+    """Margin of the sweeping translate u(xi - 2*K*lam) + lam for decreasing
+    data, by `_judge`; K must dominate the Lipschitz constant of f' on the
     state interval or the construction is invalid."""
-    lam = float(lam)
-    big_k = float(big_k)
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise InvalidParameterError("lam must be finite and >= 0")
-    if not problem.u_left > problem.u_right:
-        raise InvalidParameterError("sweeping family applies to decreasing data")
-    lo, hi = problem.state_interval
-    needed = lipschitz_of_derivative(problem.flux, lo, hi)
-    if not (np.isfinite(big_k) and big_k >= needed):
-        raise InvalidParameterError(
-            "K = %g is below the Lipschitz constant %g of f'" % (big_k, needed))
-    r, d1 = _residual_and_d1(problem, profile)
-    u_in = profile.u[1:-1]
-    shift = (derivative(problem.flux, u_in + lam) - derivative(problem.flux, u_in)
-             - 2.0 * big_k * lam)
-    return float(np.min(shift * d1 - r))
+    return _judge(*_translate_defect(profile, problem, lam, float(big_k)))[0]
 
 
 def sliding_constant_M(problem: ProfileProblem, profile: Profile) -> float:
@@ -338,58 +346,33 @@ def windowed_by_slope(profile: Profile, ratio: float = 1e-6) -> Profile:
     return Profile(xi=profile.xi[lo:hi], u=profile.u[lo:hi], du=profile.du[lo:hi])
 
 
-def _narrow_domain(problem: ProfileProblem, deviation: float = 1e-6) -> tuple[float, float]:
-    """Domain whose far-field deviation from the states is about `deviation`.
-
-    The tail of a profile decays like exp(-int |f'(u_end) - xi| / eps), and
-    the speed gap grows linearly in xi beyond the wave span, so the distance
-    d to a target deviation solves gap0*d + d^2/2 = eps*ln(1/deviation).
-    Keeping the deviation well above rounding keeps the tail slopes (and so
-    the translate-margin checks) meaningful at every node.
-    """
-    span = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
-    budget = problem.epsilon * math.log(1.0 / deviation)
-
-    def pad(u_end, edge):
-        gap0 = abs(derivative(problem.flux, u_end) - edge)
-        return math.sqrt(gap0 * gap0 + 2.0 * budget) - gap0
-
-    return (span[0] - pad(problem.u_left, span[0]),
-            span[1] + pad(problem.u_right, span[1]))
-
-
 def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
                 seed: int | None = None):
     """Run every check that applies to the problem.
 
     Returns (checks, diagnostics): checks maps check-name to
     {"value", "threshold", "pass"}, diagnostics records the constants the
-    comparison-function checks used. Thresholds for expected-positive
-    margins are 10x the Newton tolerance so discretization noise cannot
-    fake a sign.
+    comparison-function checks used and, per translate margin, the number
+    of nodes whose defect is within its roundoff. The sliding and sweeping
+    margins are judged by `_judge` and pass when their value exceeds 0.
 
-    One solve_profile call feeds every check except the sweeping margin,
-    which re-solves decreasing data on _narrow_domain by one Newton solve
-    warm-started from the main profile (reinterpolated onto the narrow
-    mesh, as in continuation_sweep); the uniqueness probe runs Newton from
-    its own ramp guesses.
+    One solve_profile call feeds every check, whichever way the data run;
+    the uniqueness probe runs Newton from its own ramp guesses.
     """
     opts = options or SolveOptions()
     seed = DEFAULT_PROBE_SEED if seed is None else int(seed)
     lam = 0.1
-    floor = 10.0 * opts.newton_tol
     increasing = problem.u_left < problem.u_right
-    decreasing = problem.u_left > problem.u_right
     quadratic = has_identity_derivative(problem.flux)
 
     profile, _ = solve_profile(problem, opts)
     exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
-    lo, hi = problem.state_interval
-    big_k = lipschitz_of_derivative(problem.flux, lo, hi)
+    big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
     big_m = sliding_constant_M(problem, profile)
 
     checks = {}
     margins = {}
+    undecided = {}
 
     def record(name, value, threshold, ok):
         checks[name] = {"value": float(value), "threshold": float(threshold),
@@ -418,7 +401,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
 
         t0 = translation_invariance_check(profile, problem.epsilon, 0.0)
         t1 = translation_invariance_check(profile, problem.epsilon, 0.7)
-        t_threshold = max(2.0 * t0, floor)
+        t_threshold = max(2.0 * t0, 10.0 * opts.newton_tol)
         record("translation_invariance", t1, t_threshold, t1 <= t_threshold)
 
     if quadratic and increasing:
@@ -434,22 +417,17 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         except CoverageError:
             pass
 
-    if increasing:
-        slide = sliding_supersolution_margin(profile, problem, lam)
-        record("sliding_margin", slide, floor, slide > floor)
-        margins["sliding_margin"] = slide
+    if problem.u_left != problem.u_right:
+        name = "sliding_margin" if increasing else "sweeping_margin"
+        value, undecided[name] = _judge(*_translate_defect(
+            profile, problem, lam, None if increasing else big_k))
+        record(name, value, 0.0, value > 0.0)
+        margins[name] = value
 
+    if increasing:
         barrier = barrier_operator_margin(problem, profile, lam, big_m)
         record("barrier_margin", barrier, 0.0, barrier < 0.0)
         margins["barrier_margin"] = barrier
-
-    if decreasing:
-        narrow_opts = replace(opts, domain=_narrow_domain(problem))
-        narrow, _ = newton_solve(problem, _warm_start(problem, profile, narrow_opts),
-                                 narrow_opts)
-        sweep = sweeping_supersolution_margin(narrow, problem, lam, big_k)
-        record("sweeping_margin", sweep, floor, sweep > floor)
-        margins["sweeping_margin"] = sweep
 
     try:
         probe = uniqueness_probe(problem, opts, 6, seed)
@@ -458,5 +436,6 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     except InconclusiveProbeError:
         record("uniqueness_probe", math.inf, 1e-6, False)
 
-    diagnostics = DiagnosticsRecord(K=big_k, M=big_m, lam=lam, margins=margins)
+    diagnostics = DiagnosticsRecord(K=big_k, M=big_m, lam=lam, margins=margins,
+                                    undecided=undecided)
     return checks, diagnostics

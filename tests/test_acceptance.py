@@ -14,7 +14,6 @@ from scipy.interpolate import CubicSpline
 
 import wavefan as wf
 from wavefan.flux import evaluate
-from wavefan.verification import _narrow_domain
 
 BURGERS = wf.burgers_flux()
 CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
@@ -157,7 +156,8 @@ def test_criterion_07_proof_device_margins(capsys):
     slide = wf.sliding_supersolution_margin(rprof, rare, 0.1)
 
     shock = wf.ProfileProblem(BURGERS, 1.0, -1.0, 0.05)
-    narrow, _ = wf.solve_profile(shock, wf.SolveOptions(domain=_narrow_domain(shock)))
+    # tails resolved to 1e-6 of the jump: xi + xi^2/2 = eps*ln(1e6) at |xi| = 0.54
+    narrow, _ = wf.solve_profile(shock, wf.SolveOptions(domain=(-0.55, 0.55)))
     sweep = wf.sweeping_supersolution_margin(narrow, shock, 0.1, 1.0)
 
     big_m = wf.sliding_constant_M(rare, rprof)

@@ -1,6 +1,9 @@
 """Command-line parsing, file formats, plot export, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -386,3 +389,18 @@ def test_main_output_path_is_directory(tmp_path, capsys):
     code = main(["riemann", "--ul", "1", "--ur", "-1", "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_the_ode_and_spline_modules_unloaded():
+    # only `corner` and the checks need them; they load on first use
+    code = ("import sys, wavefan\n"
+            "heavy = ('scipy.integrate', 'scipy.interpolate', 'wavefan.verification')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "print(wavefan.run_battery is wavefan.verification.run_battery, "
+            "sorted(m for m in heavy if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(wf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.splitlines() == [
+        "[]", "True ['scipy.interpolate', 'wavefan.verification']"]

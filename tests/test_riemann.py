@@ -225,6 +225,29 @@ def test_roundoff_slivers_fold_into_one_shock():
         assert (sol.waves[1].u_left, sol.waves[1].u_right) == (ul, ur)
 
 
+def test_shock_between_adjacent_doubles_moves_at_the_characteristic_speed():
+    # the chord over one ulp is f'(p) up to rounding; the difference quotient
+    # of f values gave -1.0 here, where f' is -1.116
+    quintic = wf.polynomial_flux((-0.5, -0.75, 0.25, -1.0, -1.0, 0.5))
+    p = -0.4365921819557489
+    q = float(np.nextafter(p, 0.0))
+    slope = float(wf.derivative(quintic, p))
+    for ul, ur in ((p, q), (q, p)):
+        sol = wf.solve_exact(quintic, ul, ur)
+        assert [type(w) for w in sol.waves] == [ConstantState, Shock, ConstantState]
+        assert abs(sol.waves[1].speed - slope) <= 8.0 * np.spacing(abs(slope))
+
+
+def test_shock_speed_is_the_exact_chord_on_symmetric_states():
+    # the divided difference sums p^i q^j terms, so a symmetric chord of an
+    # even flux is exactly zero, as the difference of f values is
+    for flux in (QUARTIC, wf.polynomial_flux((0.0, 0.0, 0.5))):
+        for ul, ur in ((-1.0, 1.0), (1.0, -1.0)):
+            for w in wf.solve_exact(flux, ul, ur).waves:
+                if isinstance(w, Shock):
+                    assert w.speed == 0.0
+
+
 def test_wave_edges_exactly_contiguous_for_random_fluxes():
     for flux, ul, ur in _random_problems(23, 200):
         sol = wf.solve_exact(flux, ul, ur)

@@ -15,7 +15,7 @@ from wavefan.errors import (
     WindowError,
 )
 from wavefan import verification
-from wavefan.verification import _barrier_ratio, _narrow_domain
+from wavefan.verification import _barrier_ratio, _judge, _translate_defect
 
 
 EPS_MACH = float(np.finfo(float).eps)
@@ -32,19 +32,44 @@ def interior_d1_oracle(profile):
 
 
 def sliding_margin_oracle(profile, problem, lam):
+    """Oracle: the slid translate's per-node defect lam*D1(u) - r at the
+    interior nodes that overlap the domain, and those nodes."""
     r = wf.residual(problem, profile)[1:-1]
     d1 = interior_d1_oracle(profile)
     keep = profile.xi[1:-1] - lam >= profile.xi[0]
-    return float(np.min(lam * d1[keep] - r[keep]))
+    return lam * d1[keep] - r[keep], keep
 
 
 def sweeping_margin_oracle(profile, problem, lam, big_k):
+    """Oracle: the sweeping translate's per-node defect a*D1(u) - r with
+    a = f'(u + lam) - f'(u) - 2*K*lam, and a."""
     r = wf.residual(problem, profile)[1:-1]
     d1 = interior_d1_oracle(profile)
     u_in = profile.u[1:-1]
     shift = (wf.derivative(problem.flux, u_in + lam) - wf.derivative(problem.flux, u_in)
              - 2.0 * big_k * lam)
-    return float(np.min(shift * d1 - r))
+    return shift * d1 - r, shift
+
+
+def node_noise_oracle(profile, problem, a):
+    """Oracle: n = 4*eps_mach*(level + |a|*uscale*(1/hm + 1/hp)) with
+    level = 2*eps*uscale/(hm*hp) + |f'(u) - xi|*uscale*(1/hm + 1/hp) and
+    uscale the largest |u| of each interior node's three-point stencil."""
+    xi, u = profile.xi, profile.u
+    hm = xi[1:-1] - xi[:-2]
+    hp = xi[2:] - xi[1:-1]
+    uscale = np.max(np.abs(np.stack([u[:-2], u[1:-1], u[2:]])), axis=0)
+    speed = np.abs(wf.derivative(problem.flux, u[1:-1]) - xi[1:-1])
+    level = 2.0 * problem.epsilon * uscale / (hm * hp) \
+        + speed * uscale * (1.0 / hm + 1.0 / hp)
+    return 4.0 * EPS_MACH * (level + np.abs(a) * uscale * (1.0 / hm + 1.0 / hp))
+
+
+def margin_verdict_oracle(defect, noise):
+    """Oracle: the smallest defect among the nodes with |m| > n (0.0 if
+    none) and the number of other nodes."""
+    decided = [m for m, n in zip(defect, noise) if abs(m) > n]
+    return (min(decided) if decided else 0.0), len(defect) - len(decided)
 
 
 def barrier_operator_oracle(problem, profile, lam, mask):
@@ -220,19 +245,85 @@ def cubic_profiles():
 def test_margins_match_the_written_out_slope_oracle_bitwise(
         lam, shock_problem, shock_profile, rarefaction_problem, rarefaction_profile,
         cubic_profiles):
+    # the per-node defect is bitwise the oracle's; its roundoff n agrees with
+    # the written-out formula to the rounding of n itself, and the reported
+    # margin is the oracle's verdict on the two
     increasing = ((rarefaction_problem, rarefaction_profile), cubic_profiles["increasing"])
     for prob, prof in increasing:
+        defect, noise = _translate_defect(prof, prob, lam)
+        want, keep = sliding_margin_oracle(prof, prob, lam)
+        assert np.array_equal(defect, want)
+        assert np.allclose(noise, node_noise_oracle(prof, prob, lam)[keep],
+                           rtol=8.0 * EPS_MACH, atol=0.0)
         assert wf.sliding_supersolution_margin(prof, prob, lam) \
-            == sliding_margin_oracle(prof, prob, lam)
+            == margin_verdict_oracle(want, noise)[0]
     for prob, prof in ((shock_problem, shock_profile), cubic_profiles["decreasing"]):
         big_k = 1.5 * wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
+        defect, noise = _translate_defect(prof, prob, lam, big_k)
+        want, shift = sweeping_margin_oracle(prof, prob, lam, big_k)
+        assert np.array_equal(defect, want)
+        assert np.allclose(noise, node_noise_oracle(prof, prob, shift),
+                           rtol=8.0 * EPS_MACH, atol=0.0)
         assert wf.sweeping_supersolution_margin(prof, prob, lam, big_k) \
-            == sweeping_margin_oracle(prof, prob, lam, big_k)
+            == margin_verdict_oracle(want, noise)[0]
+
+
+def test_margin_verdict_rule_matches_oracle():
+    defect = np.array([3e-12, -1e-13, 5e-12, 2e-14, -4e-12])
+    noise = np.full(5, 1e-12)
+    assert _judge(defect, noise) == margin_verdict_oracle(defect, noise) == (-4e-12, 2)
+    assert _judge(defect[:4], noise[:4]) == (3e-12, 2)
+    assert _judge(defect[[1, 3]], noise[[1, 3]]) == (0.0, 2)
+
+
+MARGIN_GRID = [(flux, ul, -ul, eps)
+               for flux in ("burgers", "poly:0,0,0,1", "poly:0,0,-1,0,1")
+               for ul in (1.0, -1.0) for eps in (5.0, 0.2, 0.05, 0.005)]
+
+
+def _solved_margin(flux, ul, ur, eps, bump_at=None):
+    """Per-node defect and roundoff of the margin that applies to the data,
+    on the solved profile, optionally with 1e-6*|jump| added to the node
+    `bump_at` of the way into the mesh."""
+    prob = wf.ProfileProblem(wf.parse_flux_token(flux), ul, ur, eps)
+    prof, _ = wf.solve_profile(prob)
+    if bump_at is not None:
+        u = prof.u.copy()
+        u[int(bump_at * len(u))] += 1e-6 * abs(ur - ul)
+        prof = wf.Profile(prof.xi, u)
+    if ul < ur:
+        return _translate_defect(prof, prob, 0.1), wf.sliding_supersolution_margin(prof, prob, 0.1)
+    big_k = wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
+    return (_translate_defect(prof, prob, 0.1, big_k),
+            wf.sweeping_supersolution_margin(prof, prob, 0.1, big_k))
+
+
+@pytest.mark.parametrize("flux, ul, ur, eps", MARGIN_GRID)
+def test_margins_hold_beyond_roundoff_on_solved_profiles(flux, ul, ur, eps):
+    # on the main profile's own domain: no node decidably negative, and at
+    # least one decidably positive, so the margin is positive
+    (defect, noise), value = _solved_margin(flux, ul, ur, eps)
+    assert not np.any(defect < -noise)
+    assert np.any(defect > noise)
+    assert value > 0.0
+
+
+@pytest.mark.parametrize("bump_at", [0.05, 0.25])
+@pytest.mark.parametrize("flux, ul, ur, eps",
+                         [case for case in MARGIN_GRID if case[3] in (0.2, 0.005)])
+def test_margins_catch_a_small_bump_off_the_layer(flux, ul, ur, eps, bump_at):
+    # a bump of 1e-6 of the jump on the node 5% or 25% into the mesh, off
+    # the layer, is decidably negative for both margins (at the layer centre
+    # the sweeping margin's K*lam*|D1|, about 0.05/eps, hides it)
+    (defect, noise), value = _solved_margin(flux, ul, ur, eps, bump_at=bump_at)
+    assert np.any(defect < -noise)
+    assert value < 0.0
 
 
 def test_sweeping_margin_positive_on_resolved_tails(shock_problem):
-    narrow, _ = wf.solve_profile(
-        shock_problem, wf.SolveOptions(domain=_narrow_domain(shock_problem)))
+    # the tails decay to 1e-6 of the jump at |xi| = 0.54 (where
+    # xi*1 + xi^2/2 = eps*ln(1e6)), so no node's slope is roundoff
+    narrow, _ = wf.solve_profile(shock_problem, wf.SolveOptions(domain=(-0.55, 0.55)))
     margin = wf.sweeping_supersolution_margin(narrow, shock_problem, 0.1, 1.0)
     assert margin > 1e-10
     assert abs(wf.sweeping_supersolution_margin(narrow, shock_problem, 0.0, 1.0)) <= 1e-10
@@ -422,6 +513,20 @@ def test_battery_on_rarefaction(rarefaction_problem):
     assert np.isfinite(diag.margins["corner_remainder"])
 
 
+def test_battery_judges_margins_at_their_roundoff():
+    # the cubic rarefaction's sliding margin is below the old fixed floor
+    # 10*newton_tol = 1e-10, but decidably positive
+    prob = wf.ProfileProblem(wf.polynomial_flux([0.0, 0.0, 0.0, 1.0]), -1.0, 1.0, 0.2)
+    checks, diag = wf.run_battery(prob)
+    defect, noise = _translate_defect(wf.solve_profile(prob)[0], prob, diag.lam)
+    value, undecided = margin_verdict_oracle(defect, noise)
+    assert checks["sliding_margin"] == {"value": value, "threshold": 0.0, "pass": True}
+    assert 0.0 < value < 1e-10
+    assert diag.margins["sliding_margin"] == value
+    assert diag.undecided == {"sliding_margin": undecided}
+    assert undecided > 0
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.01, 0.005])
 def test_battery_on_cubic_rarefaction_returns_verdicts(eps):
     # M is 70 to 612 here; the barrier needs no mesh node beyond it
@@ -434,12 +539,10 @@ def test_battery_on_cubic_rarefaction_returns_verdicts(eps):
         assert not (math.isnan(entry["value"]) or math.isnan(entry["threshold"]))
 
 
-@pytest.mark.parametrize("ul, ur, solves", [(-1.0, 1.0, 1), (1.0, -1.0, 2),
-                                            (0.3, 0.3, 1)])
-def test_battery_solve_count(monkeypatch, ul, ur, solves):
-    # one solve_profile call, plus for decreasing data the sweeping margin's
-    # narrow-domain Newton solve warm-started from the main profile; the
-    # uniqueness probe's own Newton runs are not counted
+@pytest.mark.parametrize("ul, ur", [(-1.0, 1.0), (1.0, -1.0), (0.3, 0.3)])
+def test_battery_solve_count(monkeypatch, ul, ur):
+    # one solve_profile call feeds every check, whichever way the data run;
+    # the uniqueness probe's own Newton runs are not counted
     profiles, newtons, in_probe = [], [], []
     real_solve, real_newton = verification.solve_profile, verification.newton_solve
     real_probe = verification.uniqueness_probe
@@ -466,10 +569,7 @@ def test_battery_solve_count(monkeypatch, ul, ur, solves):
     problem = wf.ProfileProblem(wf.burgers_flux(), ul, ur, 0.05)
     wf.run_battery(problem)
     assert len(profiles) == 1
-    assert len(profiles) + len(newtons) == solves
-    for guess in newtons:
-        lo, hi = _narrow_domain(problem)
-        assert guess.xi[0] == lo and guess.xi[-1] == hi
+    assert newtons == []
 
 
 @pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
