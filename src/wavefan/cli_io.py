@@ -155,13 +155,13 @@ def _build_parser():
                                  "conservation laws: solve, check, export.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps_default="0.05"):
+    def common(p, eps_default="0.05", eps_help="viscosity"):
         p.add_argument("--flux", type=_flux_arg, default=burgers_flux(),
                        help="burgers or poly:c0,c1,...,cn (default burgers)")
         p.add_argument("--ul", type=float, required=True, help="left state")
         p.add_argument("--ur", type=float, required=True, help="right state")
         p.add_argument("--eps", type=_schedule_arg, default=_schedule_arg(eps_default),
-                       help="viscosity, or comma-separated decreasing schedule")
+                       help=eps_help)
         p.add_argument("--tol", type=float, default=1e-11,
                        help="Newton residual tolerance")
         p.add_argument("--tail-tol", type=float, default=1e-5,
@@ -200,7 +200,8 @@ def _build_parser():
                           help="JSON report; stdout when omitted")
 
     p_sweep = sub.add_parser("sweep", help="profiles across a viscosity schedule")
-    common(p_sweep, eps_default="0.1,0.05,0.025")
+    common(p_sweep, eps_default="0.1,0.05,0.025",
+           eps_help="comma-separated decreasing viscosity schedule")
     p_sweep.add_argument("--out", type=_writable_path, default=None,
                          help="multi-column plot CSV (xi, one column per eps, exact)")
     p_sweep.add_argument("--svg", type=_writable_path, default=None,
@@ -233,12 +234,12 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError("--samples must be at least 2, got %r" % (ns.samples,))
     if ns.command == "corner":
         kwargs.update(xi_min=ns.xi_min, xi_max=ns.xi_max)
+    if ns.command in ("solve", "verify") and len(ns.eps) != 1:
+        raise ConfigError("%s takes a single --eps, got schedule %r; sweep solves "
+                          "a schedule" % (ns.command, ",".join(map(repr, ns.eps))))
     if ns.command == "verify":
         seed = ns.seed if ns.seed is not None else _default_seed()
         kwargs.update(check=ns.check, seed=seed)
-        if len(ns.eps) != 1:
-            raise ConfigError("verify takes a single --eps, got schedule %r"
-                              % (",".join(_FMT % e for e in ns.eps),))
     for field in ("out", "report", "svg"):
         kwargs[field] = getattr(ns, field, None)
     return RunConfig(**kwargs)
@@ -392,9 +393,7 @@ def _render_svg(grid, columns, width=640, height=420, pad=56):
 # subcommands
 
 def _options_from(config: RunConfig) -> SolveOptions:
-    continuation = config.eps if len(config.eps) > 1 else None
-    return SolveOptions(newton_tol=config.newton_tol, tail_tol=config.tail_tol,
-                        continuation=continuation)
+    return SolveOptions(newton_tol=config.newton_tol, tail_tol=config.tail_tol)
 
 
 def _problem_from(config: RunConfig) -> ProfileProblem:
@@ -483,9 +482,7 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    problem = _problem_from(config)
-    options = SolveOptions(newton_tol=config.newton_tol, tail_tol=config.tail_tol)
-    results = continuation_sweep(problem, config.eps, options)
+    results = continuation_sweep(_problem_from(config), config.eps, _options_from(config))
     exact = solve_exact(config.flux, config.u_left, config.u_right)
     labels = ["eps=%g" % eps for eps, _ in results]
     for (eps, prof), label in zip(results, labels):

@@ -24,12 +24,12 @@ left-to-right additions; only the tails are stepped one node at a time.
 Newton starts at the target viscosity from the zero-order asymptotics of
 the profile, the inviscid solution mollified across each wave. Continuation
 (stages at larger viscosities, each re-meshed and warm-started from the
-previous one) is the fallback when that fails, or runs when asked for. Each
-Newton solve evaluates its residuals and Jacobians on one workspace (mesh
-differences computed once, scratch arrays reused, the Jacobian built from
-the slopes its residual left there), so the iterations allocate almost no
-fresh memory, and it stops once a full step can no longer lower a residual
-that is already at its roundoff floor.
+previous one) is the fallback when that fails. Each Newton solve evaluates
+its residuals and Jacobians on one workspace (mesh differences computed
+once, scratch arrays reused, the Jacobian built from the slopes its residual
+left there), so the iterations allocate almost no fresh memory, and it stops
+once a full step can no longer lower a residual that is already at its
+roundoff floor.
 
 Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
@@ -120,7 +120,6 @@ class SolveOptions:
     h_base: float = 0.05
     nodes_per_layer: int = 120
     domain: tuple | None = None          # override truncate_domain
-    continuation: tuple | None = None    # stages to run instead of [epsilon]
 
 
 @dataclass(frozen=True)
@@ -579,27 +578,22 @@ def _warm_start(stage: ProfileProblem, previous: Profile | None,
     return Profile(mesh, u0)
 
 
-def _with_slope(profile: Profile) -> Profile:
-    return Profile(profile.xi, profile.u, reconstruct_derivative(profile.xi, profile.u))
-
-
 def solve_profile(problem: ProfileProblem,
                   options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
     """Solve for the viscous profile at problem.epsilon, at that viscosity
     first.
 
-    The one-stage schedule [eps] starts Newton from the mollified inviscid
-    solution of `initial_guess`, the profile's zero-order asymptotics, on
-    the target's own mesh. An explicit `options.continuation` replaces that
-    schedule and runs as given. Continuation is otherwise the fallback: if
-    Newton at a stage raises NonConvergenceError or LinearSolverError, a
-    stage at the geometric mean of the failed viscosity and the last solved
-    one (1.0 before any) is solved first, and the failed stage is retried
-    from it. Back-off ends, re-raising the failure, once the last solved
-    viscosity is less than 1.1 times the failed one. Each failure halves
-    the logarithmic gap, so at most log2(ln(gap) / ln 1.1) + 1 stages are
-    pushed in a row (5 for a gap of 10), and each solved stage cuts the
-    gap by a factor of at least sqrt(1.1): the solve always ends.
+    Newton starts from the mollified inviscid solution of `initial_guess`,
+    the profile's zero-order asymptotics, on the target's own mesh.
+    Continuation is the fallback: if Newton at a stage raises
+    NonConvergenceError or LinearSolverError, a stage at the geometric mean
+    of the failed viscosity and the last solved one (1.0 before any) is
+    solved first, and the failed stage is retried from it. Back-off ends,
+    re-raising the failure, once the last solved viscosity is less than 1.1
+    times the failed one. Each failure halves the logarithmic gap, so at
+    most log2(ln(gap) / ln 1.1) + 1 stages are pushed in a row (5 for a gap
+    of 10), and each solved stage cuts the gap by a factor of at least
+    sqrt(1.1): the solve always ends.
 
     Each stage truncates and meshes for its own viscosity and warm-starts
     from the last solved stage (linearly reinterpolated); every stage but
@@ -609,14 +603,7 @@ def solve_profile(problem: ProfileProblem,
     ones included.
     """
     opts = options or SolveOptions()
-    if opts.continuation is not None:
-        schedule = _decreasing_schedule(opts.continuation)
-        if schedule[-1] != problem.epsilon:
-            raise InvalidParameterError("continuation must end at problem.epsilon")
-    else:
-        schedule = (problem.epsilon,)
-
-    pending = list(reversed(schedule))      # the next stage is last
+    pending = [problem.epsilon]             # the next stage is last
     profile = None
     solved_eps = 1.0
     stages = iterations = 0
@@ -635,30 +622,19 @@ def solve_profile(problem: ProfileProblem,
             continue
         iterations += report.iterations
         solved_eps = pending.pop()
-    return _with_slope(profile), replace(report, stages=stages, iterations=iterations)
+    du = reconstruct_derivative(profile.xi, profile.u)
+    return (Profile(profile.xi, profile.u, du),
+            replace(report, stages=stages, iterations=iterations))
 
 
 def continuation_sweep(problem: ProfileProblem, epsilons,
                        options: SolveOptions | None = None) -> list:
-    """Profiles at a strictly decreasing sequence of viscosities.
-
-    The first entry is solved from scratch; each later entry is warm-started
-    from its predecessor. Returns [(epsilon, Profile), ...], each profile
-    with its slope."""
-    eps_list = _decreasing_schedule(epsilons)
-    opts = options or SolveOptions()
-
-    out = []
-    profile = None
-    for eps_k in eps_list:
-        stage = replace(problem, epsilon=eps_k)
-        if profile is None:
-            profile, _ = solve_profile(stage, opts)
-        else:
-            profile, _ = newton_solve(stage, _warm_start(stage, profile, opts), opts)
-            profile = _with_slope(profile)
-        out.append((eps_k, profile))
-    return out
+    """Profiles at a strictly decreasing sequence of viscosities, each
+    solved by `solve_profile` exactly as a single viscosity is: the
+    profile at a viscosity does not depend on the others. Returns
+    [(epsilon, Profile), ...], each profile with its slope."""
+    return [(e, solve_profile(replace(problem, epsilon=e), options)[0])
+            for e in _decreasing_schedule(epsilons)]
 
 
 def sample_profile(profile: Profile, xi):

@@ -88,9 +88,13 @@ def test_out_of_range_values_rejected_at_parse_time(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_takes_single_viscosity():
-    with pytest.raises(ConfigError, match="single"):
-        parse_config(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.1,0.05"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_verify_takes_single_viscosity(command, capsys):
+    argv = [command, "--ul", "1", "--ur", "-1", "--eps", "0.1,0.05"]
+    with pytest.raises(ConfigError, match="single --eps, got schedule '0.1,0.05'; sweep"):
+        parse_config(argv)
+    assert main(argv) == 2
+    assert "'0.1,0.05'" in capsys.readouterr().err
 
 
 def test_seed_from_environment(monkeypatch):

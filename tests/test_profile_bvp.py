@@ -555,23 +555,29 @@ def test_report_floor_flag_is_consistent(shock_problem):
 # ---------------------------------------------------------------------------
 # continuation
 
-def test_continuation_schedule_validation():
-    prob = make_problem(eps=0.05)
-    for sched in ((0.1, 0.2, 0.05), (0.1, 0.04), (0.1, -0.05), ()):
-        with pytest.raises(InvalidParameterError):
-            wf.solve_profile(prob, wf.SolveOptions(continuation=sched))
-
-
 HALVING = tuple(0.5 ** k for k in range(7)) + (0.01,)
+
+
+def halving_chain(problem):
+    """Reference: Newton at each viscosity of HALVING in turn, warm-started
+    from the previous stage, the intermediate stages to 1e-8."""
+    opts = wf.SolveOptions()
+    profile = None
+    for eps in HALVING:
+        stage = dataclasses.replace(problem, epsilon=eps)
+        tol = opts.newton_tol if eps == HALVING[-1] else 1e-8
+        profile, _ = wf.newton_solve(stage, profile_bvp._warm_start(stage, profile, opts),
+                                     dataclasses.replace(opts, newton_tol=tol))
+    return profile
 
 
 @pytest.mark.parametrize("token", ["burgers", "poly:0,0,0,1", "poly:0,0,-1,0,1"])
 @pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
 def test_target_first_solve_matches_halving_continuation(token, ul, ur):
-    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, 0.01)
+    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, HALVING[-1])
     direct, report = wf.solve_profile(prob)
-    halved, halved_report = wf.solve_profile(prob, wf.SolveOptions(continuation=HALVING))
-    assert report.stages == 1 and halved_report.stages == len(HALVING)
+    halved = halving_chain(prob)
+    assert report.stages == 1
     assert np.array_equal(direct.xi, halved.xi)
     assert np.max(np.abs(direct.u - halved.u)) <= 1e-9
 
@@ -638,13 +644,20 @@ def test_sweep_validation():
             wf.continuation_sweep(prob, eps_list)
 
 
-def test_singleton_sweep_matches_direct_solve():
-    prob = make_problem(eps=0.05)
-    direct, _ = wf.solve_profile(prob)
-    (eps0, swept), = wf.continuation_sweep(prob, [0.05])
-    assert eps0 == 0.05
-    assert np.array_equal(swept.xi, direct.xi)
-    assert np.array_equal(swept.u, direct.u)
+@pytest.mark.parametrize("token, ul, ur, schedule", [
+    ("burgers", 1.0, -1.0, [0.05]),
+    ("poly:0,0,0,1", -1.0, 1.0, [0.1, 0.002]),
+    ("poly:0,0,-1,0,1", 1.0, -1.0, [0.05, 0.005]),
+])
+def test_singleton_sweep_matches_direct_solve(token, ul, ur, schedule):
+    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, schedule[-1])
+    out = wf.continuation_sweep(prob, schedule)
+    assert [e for e, _ in out] == schedule
+    for eps, swept in out:
+        direct, _ = wf.solve_profile(dataclasses.replace(prob, epsilon=eps))
+        assert np.array_equal(swept.xi, direct.xi)
+        assert np.array_equal(swept.u, direct.u)
+        assert np.array_equal(swept.du, direct.du)
 
 
 def test_sweep_profiles_sharpen():
@@ -655,10 +668,11 @@ def test_sweep_profiles_sharpen():
     assert slopes[1] < slopes[0] < 0.0  # steeper interior layer at smaller eps
 
 
-def test_solve_profile_reconstructs_the_slope_once(slope_calls):
-    profile, report = wf.solve_profile(
-        make_problem(-1.0, 1.0, 0.01), wf.SolveOptions(continuation=(0.04, 0.02, 0.01)))
-    assert report.stages == 3
+def test_solve_profile_reconstructs_the_slope_once(slope_calls, monkeypatch):
+    # 0.01 fails, then 0.1 and 0.01 solve
+    attempts = failing_attempts(monkeypatch, 1)
+    profile, report = wf.solve_profile(make_problem(-1.0, 1.0, 0.01))
+    assert attempts == [0.01, 0.1, 0.01] and report.stages == 3
     assert slope_calls == [len(profile.xi)]
     assert np.array_equal(profile.du, wf.reconstruct_derivative(profile.xi, profile.u))
     assert len(slope_calls) == 1      # read again: cached, not recomputed
