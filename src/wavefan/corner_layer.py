@@ -40,6 +40,7 @@ estimates from the computed profile.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,6 +160,7 @@ def barrier_upper(xi, barrier: BarrierUpper | None = None):
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def solve_corner(xi_min: float = -8.0, xi_max: float = 10.0,
                  step_control: StepControl | None = None,
                  n_points: int = 2001) -> CornerProfile:
@@ -168,6 +170,9 @@ def solve_corner(xi_min: float = -8.0, xi_max: float = 10.0,
     n_points equispaced output nodes. xi_min must be <= -4 so the left-tail
     anchoring error is negligible; xi_max is capped where the deviation
     w ~ e^{-xi} would fall below the floating-point resolution of U itself.
+
+    The profile depends on the arguments alone, so the last few are kept:
+    a repeated call returns the same object, whose arrays are read-only.
     """
     xi_min = float(xi_min)
     xi_max = float(xi_max)
@@ -196,6 +201,8 @@ def solve_corner(xi_min: float = -8.0, xi_max: float = 10.0,
     u = sol.sol(grid)[0]
     w = u - grid
     p = np.array([invert_first_integral(wi if wi > 0.0 else 0.0) for wi in w])
+    for a in (grid, u, p, w):
+        a.setflags(write=False)
     return CornerProfile(xi=grid, u=u, p=p, w=w)
 
 

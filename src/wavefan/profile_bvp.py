@@ -29,13 +29,17 @@ its residuals and Jacobians on one workspace (mesh differences computed
 once, scratch arrays reused, the Jacobian built from the slopes its residual
 left there), so the iterations allocate almost no fresh memory, and it stops
 once a full step can no longer lower a residual that is already at its
-roundoff floor.
+roundoff floor. That floor is a pass over every node; Newton computes it
+only when the residual is at or below a bound of it made of maxima of the
+mesh and of u, which rules it out while the residual is large.
 
 Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
 slope that is far too large for the first-integral and comparison checks
 downstream. The stencil weights are the closed-form derivatives of the
-Lagrange basis. Newton never reads a slope, so a Profile reconstructs it
+Lagrange basis; every node but the four at the ends has the same window
+shape, so its stencil columns are shifted slices of the mesh and profile
+arrays. Newton never reads a slope, so a Profile reconstructs it
 only when `du` is first read; `solve_profile` and `continuation_sweep`
 compute it once for each profile they return.
 """
@@ -55,7 +59,7 @@ from .errors import (
     NonConvergenceError,
     WindowError,
 )
-from .flux import FluxSpec, derivative, derivative_range, second_derivative
+from .flux import FluxSpec, derivative, derivative_range, second_derivative, sup_derivative
 from .riemann import eval_riemann, solve_exact, wave_speed_span
 
 _MAX_NODES = 400_000
@@ -261,20 +265,63 @@ def reconstruct_derivative(xi: np.ndarray, u: np.ndarray) -> np.ndarray:
         w_j = prod_{k != i,j} (x_i - x_k) / prod_{k != j} (x_j - x_k),  j != i
         w_i = sum_{k != i} 1 / (x_i - x_k)
 
-    They are built one stencil column at a time, as arrays over all nodes.
+    They are built one stencil column at a time, as arrays over the nodes.
+    The interior nodes 2..n-3 all have the window i-2..i+2 with the node in
+    column 2, so their columns are shifted slices of xi and u; only the four
+    end nodes gather clipped windows (`_window_slopes`). Both paths take the
+    same operations in the same order, except for the exact products with 1
+    and sums with 0 that the clipped windows' masks need, so the slopes do
+    not depend on which path computed them. The interior writes into a few
+    reused arrays: on large meshes, fresh temporaries cost more than the
+    arithmetic.
     """
     xi = np.asarray(xi, dtype=float)
     u = np.asarray(u, dtype=float)
     n = len(xi)
     if n < 5:
         return np.gradient(u, xi, edge_order=2 if n >= 3 else 1)
-    starts = np.clip(np.arange(n) - 2, 0, n - 5)
-    own = np.arange(n) - starts                # the node's own stencil column
+    m = n - 4                                   # the interior nodes 2..n-3
+    x = [xi[k:m + k] for k in range(5)]         # column k holds x_{i-2+k}
+    d = {k: x[2] - x[k] for k in (0, 1, 3, 4)}  # x_i - x_k
+    t, den, term = np.empty(m), np.empty(m), np.empty(m)
+    w_own = 1.0 / d[0]
+    for k in (1, 3, 4):
+        w_own += np.divide(1.0, d[k], out=t)
+    du = np.empty(n)
+    inner = du[2:-2]
+    for j in range(5):
+        # w_j * u_j, written into du for j = 0 and summed into it after
+        out = term if j else inner
+        if j == 2:
+            np.multiply(w_own, u[2:m + 2], out=out)
+        else:
+            num = [d[k] for k in (0, 1, 3, 4) if k != j]
+            np.multiply(num[0], num[1], out=out)
+            out *= num[2]
+            others = [k for k in range(5) if k != j]
+            np.subtract(x[j], x[others[0]], out=den)
+            for k in others[1:]:
+                den *= np.subtract(x[j], x[k], out=t)
+            out /= den
+            out *= u[j:m + j]
+        if j:
+            inner += term
+    ends = np.array([0, 1, n - 2, n - 1])
+    du[ends] = _window_slopes(xi, u, ends)
+    return du
+
+
+def _window_slopes(xi: np.ndarray, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """`reconstruct_derivative` at the given nodes from their gathered
+    (clipped) five-node windows; n >= 5."""
+    n = len(xi)
+    starts = np.clip(nodes - 2, 0, n - 5)
+    own = nodes - starts                       # the node's own stencil column
     x = [xi[starts + k] for k in range(5)]
     # x_i - x_k, set to 1 in the node's own column so that products skip it
-    d = [np.where(own == k, 1.0, xi - x[k]) for k in range(5)]
+    d = [np.where(own == k, 1.0, xi[nodes] - x[k]) for k in range(5)]
     w_own = sum(np.where(own == k, 0.0, 1.0 / d[k]) for k in range(5))
-    du = np.zeros(n)
+    du = np.zeros(len(nodes))
     for j in range(5):
         others = [k for k in range(5) if k != j]
         num = math.prod(d[k] for k in others)
@@ -320,7 +367,7 @@ class _Workspace:
         self.hp = xi[2:] - xi[1:-1]
         self.hs = self.hm + self.hp
         self.sm, self.sp, self.d1, self.c, self.t = (np.empty(n - 2) for _ in range(5))
-        self._geometry = self._ab = None
+        self._geometry = self._ab = self._noise_maxima = None
 
     def jacobian_geometry(self):
         """hp*hs, hm*hp, hm*hs, hp-hm and a (3, n) band array; built on
@@ -330,6 +377,15 @@ class _Workspace:
             self._geometry = (hp * hs, hm * hp, hm * hs, hp - hm)
             self._ab = np.empty((3, len(self.xi)))
         return self._geometry, self._ab
+
+    def noise_maxima(self):
+        """max 1/(hm*hp), max (1/hm + 1/hp) and max |xi| over the interior
+        nodes; computed on first use."""
+        if self._noise_maxima is None:
+            hm, hp, xi = self.hm, self.hp, self.xi[1:-1]
+            self._noise_maxima = (float(np.max(1.0 / (hm * hp))),
+                                  float(np.max(1.0 / hm + 1.0 / hp)), _max_abs(xi))
+        return self._noise_maxima
 
     def slopes(self, u: np.ndarray):
         """The one-sided slopes sm, sp and the central slope d1 at the
@@ -403,6 +459,25 @@ def residual_noise_floor(problem: ProfileProblem, profile: Profile,
     return float(np.max(_node_noise(problem, profile, w)))
 
 
+def _noise_floor_bound(problem: ProfileProblem, u: np.ndarray, work: _Workspace) -> float:
+    """An upper bound of `residual_noise_floor` at u that costs two passes
+    over u: 4*eps_mach*(2*level), where
+
+        level = 2*eps*umax*max 1/(hm*hp) + (S + max|xi|)*umax*max(1/hm + 1/hp),
+
+    umax = max|u| and S = sup |f'| over [min u, max u]. Each factor bounds
+    its counterpart in every node's `_node_noise` and both terms are summed
+    in the same association, so the exact level is at least each node's
+    exact level; the factor 2 covers the few ulps by which either computed
+    value can stray from its exact one, overflow to inf included."""
+    inv_hmhp, inv_h, xmax = work.noise_maxima()
+    lo, hi = float(u.min()), float(u.max())
+    umax = max(-lo, hi)
+    s = sup_derivative(problem.flux, lo, hi)
+    level = 2.0 * problem.epsilon * umax * inv_hmhp + (s + xmax) * umax * inv_h
+    return 4.0 * _EPS_MACH * (2.0 * level)
+
+
 def jacobian(problem: ProfileProblem, profile: Profile,
              work: _Workspace | None = None) -> np.ndarray:
     """Analytic tridiagonal Jacobian of `residual`, in banded (3, n) storage
@@ -474,7 +549,17 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     not roundoff, and the solve is reported converged and `floor_limited`.
     Raises NonConvergenceError if the iteration stalls above both the
     tolerance and that floor, and LinearSolverError if a Newton system
-    cannot be solved; both carry the partial report.
+    cannot be solved or gives a non-finite step; both carry the partial
+    report.
+
+    The floor is judged after each rejected full step, and after the loop
+    when its last step was accepted; a loop that ended in a rejected full
+    step reuses that verdict. Each judgement first compares the residual
+    with `_noise_floor_bound`, an upper bound of the floor from the mesh
+    maxima (computed once per solve) and the range of u. A residual above
+    the bound is above the floor, so the floor is computed only for a
+    residual at or below the bound, and every decision, iterate and report
+    is the one the floor alone gives.
 
     Each Jacobian reuses the slopes and f'(u) - xi that the residual of the
     accepted step left in the workspace. The returned profile's slope is
@@ -491,7 +576,14 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     history = [_max_abs(r)]
     converged = history[-1] <= opts.newton_tol
     floor_limited = False
+    at_floor = None          # whether history[-1] <= the floor at u, once known
     iterations = 0
+
+    def residual_at_floor() -> bool:
+        # the bound is at least the floor, so a residual above it is above
+        # the floor too; only a residual at or below it needs the floor
+        return not history[-1] > _noise_floor_bound(problem, u, work) \
+            and history[-1] <= residual_noise_floor(problem, Profile(xi, u), work)
 
     def report() -> SolveReport:
         return SolveReport(converged=converged, iterations=iterations,
@@ -504,7 +596,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
             # the band array and the negated residual are scratch: LAPACK may
             # overwrite them instead of copying
             step = solve_banded((1, 1), _jacobian_band(problem, u, work), -r,
-                                overwrite_ab=True, overwrite_b=True)
+                                overwrite_ab=True, overwrite_b=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise LinearSolverError("banded solve failed: %s" % exc,
                                     report=report()) from exc
@@ -526,10 +618,12 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
                 u, trial, r = trial, u, rt
                 history.append(nt)
                 accepted = True
+                at_floor = None
                 break
-            if lam == 1.0 and history[-1] <= residual_noise_floor(
-                    problem, Profile(xi, u), work):
-                break
+            if lam == 1.0:
+                at_floor = residual_at_floor()
+                if at_floor:
+                    break
             lam *= opts.damping
         iterations += 1
         if not accepted:
@@ -538,10 +632,9 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
             converged = True
 
     if not converged:
-        floor = residual_noise_floor(problem, Profile(xi, u), work)
-        if history[-1] <= floor:
-            converged = True
-            floor_limited = True
+        # a line search that took no step has judged u already
+        converged = floor_limited = at_floor if at_floor is not None \
+            else residual_at_floor()
 
     if not converged:
         raise NonConvergenceError(

@@ -188,6 +188,14 @@ def test_solve_corner_contains_requested_grid():
     assert np.all(np.diff(out.xi) > 0)
 
 
+def test_solve_corner_is_computed_once_and_read_only():
+    first = wf.solve_corner(xi_min=-6.0, xi_max=7.0, n_points=301)
+    assert wf.solve_corner(xi_min=-6.0, xi_max=7.0, n_points=301) is first
+    for name in ("xi", "u", "p", "w"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(first, name)[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # tail-rate fitting on synthetic data
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy.linalg import solve_banded
 
 import wavefan as wf
@@ -97,6 +98,32 @@ def vandermonde_slope_oracle(xi, u):
     rhs[:, 1, 0] = 1.0
     weights = np.linalg.solve(vander, rhs)[:, :, 0]
     return np.einsum("ij,ij->i", weights, u[idx]) / scale
+
+
+def gathered_slope_oracle(xi, u):
+    """Oracle: the closed-form five-point slope with every node's clipped
+    window gathered by index and masked, one set of arrays over all nodes."""
+    n = len(xi)
+    starts = np.clip(np.arange(n) - 2, 0, n - 5)
+    own = np.arange(n) - starts
+    x = [xi[starts + k] for k in range(5)]
+    d = [np.where(own == k, 1.0, xi - x[k]) for k in range(5)]
+    w_own = sum(np.where(own == k, 0.0, 1.0 / d[k]) for k in range(5))
+    du = np.zeros(n)
+    for j in range(5):
+        others = [k for k in range(5) if k != j]
+        num = math.prod(d[k] for k in others)
+        den = math.prod(x[j] - x[k] for k in others)
+        du += np.where(own == j, w_own, num / den) * u[starts + j]
+    return du
+
+
+def graded_mesh(rng, n):
+    """n strictly increasing nodes whose spacing is graded over three
+    decades and jittered node to node."""
+    h = 10.0 ** (np.linspace(-4.0, -1.0, n - 1) + rng.uniform(-0.3, 0.3, n - 1))
+    start = rng.uniform(-1.0, 1.0)
+    return np.concatenate([[start], start + np.cumsum(h)])
 
 
 @pytest.fixture
@@ -258,6 +285,18 @@ def test_reconstruct_derivative_matches_vandermonde_oracle(seed):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 64, 2999])
+def test_reconstruct_derivative_matches_gathered_windows_bitwise(n):
+    # at n = 5, 6 and 7 the end windows overlap the interior ones
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        xi = graded_mesh(rng, n)
+        for u in (np.tanh((xi - xi[n // 2]) / (xi[-1] - xi[0])),
+                  rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)):
+            assert np.array_equal(wf.reconstruct_derivative(xi, u),
+                                  gathered_slope_oracle(xi, u))
+
+
 def test_reconstruct_derivative_tiny_input():
     xi = np.array([0.0, 0.4, 1.0])
     out = wf.reconstruct_derivative(xi, 2.0 * xi + 1.0)
@@ -397,6 +436,52 @@ def test_noise_floor_on_a_used_workspace_matches_oracle_bitwise():
         expected = noise_floor_oracle(prob, prof)
         assert wf.residual_noise_floor(prob, prof, work) == expected
         assert wf.residual_noise_floor(prob, prof) == expected
+
+
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(3, 80),
+       eps=st.floats(1e-4, 1.0), scale=st.floats(1e-3, 1e3))
+def test_noise_floor_bound_is_at_least_the_floor(coeffs, seed, n, eps, scale):
+    assume(any(c != 0.0 for c in coeffs[1:]))
+    rng = np.random.default_rng(seed)
+    xi = graded_mesh(rng, n) * rng.uniform(0.1, 10.0)
+    u = scale * rng.uniform(-1.0, 1.0, n)
+    prob = wf.ProfileProblem(wf.polynomial_flux(coeffs), u[0], u[-1], eps)
+    work = profile_bvp._Workspace(xi)
+    assert profile_bvp._noise_floor_bound(prob, u, work) \
+        >= wf.residual_noise_floor(prob, wf.Profile(xi, u), work)
+
+
+def test_newton_evaluates_the_floor_only_where_it_can_decide(monkeypatch):
+    # the cubic's rejected full steps come far above the floor, which the
+    # bound settles, and at it, where the one floor evaluation ends the solve
+    calls = []
+    real = profile_bvp._node_noise
+
+    def counting(*args):
+        calls.append(len(args[1].u))
+        return real(*args)
+
+    monkeypatch.setattr(profile_bvp, "_node_noise", counting)
+    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), -1.0, 1.0, 2e-3)
+    guess = wf.initial_guess(prob, wf.build_mesh(prob))
+    _, report = wf.newton_solve(prob, guess)
+    assert report.converged and report.floor_limited
+    assert len(calls) == 1
+
+
+def test_newton_non_finite_system_raises_linear_solver_error():
+    # f'(1e200) overflows, so the first Newton system is not finite
+    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), -1.0, 1.0, 0.05)
+    xi = np.linspace(-3.0, 3.0, 50)
+    u = np.linspace(-1.0, 1.0, 50)
+    u[20] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(LinearSolverError) as exc:
+        wf.newton_solve(prob, wf.Profile(xi, u))
+    report = exc.value.report
+    assert not report.converged and report.iterations == 0
+    assert report.residual_history == (math.inf,)
 
 
 def reference_newton(problem, guess, opts):

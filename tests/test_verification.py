@@ -572,6 +572,24 @@ def test_battery_solve_count(monkeypatch, ul, ur):
     assert newtons == []
 
 
+def test_increasing_burgers_batteries_integrate_the_corner_once(monkeypatch):
+    import scipy.integrate
+
+    runs = []
+    real = scipy.integrate.solve_ivp
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    wf.solve_corner.cache_clear()
+    for ul, ur in ((-1.0, 1.0), (-0.5, 1.0)):
+        checks, _ = wf.run_battery(wf.ProfileProblem(wf.burgers_flux(), ul, ur, 0.05))
+        assert "corner_remainder" in checks
+    assert runs == [(-8.0, 10.0)]
+
+
 @pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
 def test_battery_same_for_burgers_token_and_half_square_polynomial(ul, ur):
     (checks, diag), (poly_checks, poly_diag) = (
