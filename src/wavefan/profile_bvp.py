@@ -21,10 +21,15 @@ S is the constant M - m, so that stretch of the march (most nodes at small
 eps) is a cumulative sum, evaluated in one vectorized pass with the same
 left-to-right additions; only the tails are stepped one node at a time.
 
-Newton starts at the target viscosity from the zero-order asymptotics of
-the profile, the inviscid solution mollified across each wave. Continuation
+Newton starts at the target viscosity from the profile's asymptotics: at
+each shock its viscous travelling wave, eps*U' = f(U) - f(u_L) - s*(U - u_L),
+integrated once per shock on nodes clustered at both roots and centred so
+that it carries no mass against the jump over a sqrt(eps) window (the
+viscous and inviscid profiles have equal integrals); elsewhere the inviscid
+solution mollified over sqrt(eps). A shock whose g vanishes between its
+states has no travelling wave and keeps its mollified jump. Continuation
 (stages at larger viscosities, each re-meshed and warm-started from the
-previous one) is the fallback when that fails. Each Newton solve evaluates
+previous one) is the fallback when Newton fails. Each Newton solve evaluates
 its residuals and Jacobians on one workspace (mesh differences computed
 once, scratch arrays reused, the Jacobian built from the slopes its residual
 left there), so the iterations allocate almost no fresh memory, and it stops
@@ -59,13 +64,17 @@ from .errors import (
     NonConvergenceError,
     WindowError,
 )
-from .flux import FluxSpec, derivative, derivative_range, second_derivative, sup_derivative
-from .riemann import eval_riemann, solve_exact, wave_speed_span
+from .flux import (FluxSpec, _interior_critical_points, derivative, derivative_range,
+                   second_derivative, sup_derivative)
+from .riemann import Shock, eval_riemann, solve_exact, wave_speed_span
 
 _MAX_NODES = 400_000
 _EPS_MACH = float(np.finfo(float).eps)
 _ARMIJO = 1e-4
 _BACKOFF_RATIO = 1.1     # see solve_profile
+_LAYER_DT = 1.0 / 16.0   # see _ShockLayer
+_LAYER_T = 20.0
+_CENTRE_WINDOW = 1.0     # see initial_guess
 
 
 @dataclass(frozen=True)
@@ -330,26 +339,195 @@ def _window_slopes(xi: np.ndarray, u: np.ndarray, nodes: np.ndarray) -> np.ndarr
     return du
 
 
-def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
-    """Exact inviscid solution mollified on the sqrt(eps) scale.
+def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
+    """Integrals of y from its first sample to each sample, by the
+    trapezoid rule on samples `step` apart."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * step)])
 
-    The sliding average removes the kinks and jumps of the inviscid limit.
-    What is left is the zero-order asymptotics of the profile, which
-    `solve_profile` uses as the Newton start at the target viscosity.
+
+def _chord_excess(flux: FluxSpec, a: float, b: float) -> np.ndarray:
+    """Ascending coefficients, in u, of the second divided difference
+    f[a, u, b], so that f(u) - f(a) - s*(u - a) = (u - a)*(u - b)*f[a, u, b]
+    with s the chord slope over [a, b]. The u^j coefficient is
+    sum_{k >= j+2} c_k h_{k-2-j}(a, b), h_m(a, b) = sum_{i<=m} a^i b^(m-i),
+    so no difference of nearby values is taken."""
+    c = flux.coefficients
+    h = [1.0]
+    for m in range(1, len(c) - 2):
+        h.append(h[-1] * b + a ** m)
+    return np.array([sum(c[k] * h[k - 2 - j] for k in range(j + 2, len(c)))
+                     for j in range(max(len(c) - 2, 1))])
+
+
+class _ShockLayer:
+    """The viscous travelling wave of a shock from u_L to u_R at speed s,
+
+        eps*U' = g(U),   g(u) = f(u) - f(u_L) - s*(u - u_L),
+
+    tabulated with xi in units of eps, so one table serves every eps.
+
+    U runs from u_L to u_R with share w = (U - u_L)/(u_R - u_L) =
+    1/(1 + exp(-2t)), which puts the nodes of a uniform t grid at both
+    roots of g. With g = (u - u_L)*(u - u_R)*f[u_L, u, u_R] (`_chord_excess`)
+    the integral xi = eps * int du/g(u) becomes
+
+        d(xi/eps)/dt = 2/P(U),   P(u) = -(u_R - u_L)*f[u_L, u, u_R] > 0.
+
+    Its rate is bounded where g has a simple root (an exponential tail) and
+    grows like exp(2|t|) where g has a double one, at a sonic state next to
+    a fan (an algebraic tail, U - u_R ~ eps/xi). Each side of t = 0 is
+    integrated outward by the trapezoid rule in steps `_LAYER_DT` to
+    |t| = `_LAYER_T`, where w is within e^-40 of 0 or 1, so xi(t) carries an
+    O(_LAYER_DT^2) relative error; it is exact when f is quadratic, where P
+    is constant and U = u_L + (u_R - u_L)/(1 + exp(-(f'(u_L) - s)*xi/eps)),
+    -tanh(xi/(2 eps)) for the Burgers shock 1 -> -1. A side stops early
+    where P, computed next to a sonic root, is no longer positive, or where
+    the distance overflows.
+
+    Each side also keeps int (U - end state) dxi outward from t = 0, as a
+    fraction of the jump and in units of eps, for `centre_offset`.
+    """
+
+    def __init__(self, shock: Shock, chord_excess: np.ndarray):
+        self.jump = shock.u_right - shock.u_left
+        t = np.arange(int(_LAYER_T / _LAYER_DT) + 1) * _LAYER_DT
+        tail = 1.0 / (1.0 + np.exp(2.0 * t))            # w at -t, 1 - w at t
+        self.sides = [self._side(chord_excess, end, other, t, tail)
+                      for end, other in ((shock.u_left, shock.u_right),
+                                         (shock.u_right, shock.u_left))]
+
+    def _side(self, chord_excess, end, other, t, tail):
+        # (t, distance from the centre, mass) while P > 0 and both sums are finite
+        p = -self.jump * np.polynomial.polynomial.polyval(end + (other - end) * tail,
+                                                          chord_excess)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rate = 2.0 / p
+            dist = _cumulative_trapezoid(rate, _LAYER_DT)
+            mass = _cumulative_trapezoid(tail * rate, _LAYER_DT)
+        n = _first(~((p > 0.0) & np.isfinite(dist) & np.isfinite(mass)))
+        return t[:n], dist[:n], mass[:n]
+
+    def share(self, x) -> np.ndarray:
+        """(U - u_L)/(u_R - u_L) at increasing x = (xi - centre)/eps, taken
+        as 0 and 1 beyond the ends of the table."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        (t_l, dist_l, _), (t_r, dist_r, _) = self.sides
+        i, j = np.searchsorted(x, (-dist_l[-1], 0.0))
+        k = np.searchsorted(x, dist_r[-1], side="right")
+        w = np.zeros(len(x))
+        w[i:j] = 1.0 / (1.0 + np.exp(2.0 * np.interp(-x[i:j], dist_l, t_l)))
+        w[j:k] = 1.0 - 1.0 / (1.0 + np.exp(2.0 * np.interp(x[j:k], dist_r, t_r)))
+        w[k:] = 1.0
+        return w
+
+    def _mass(self, x: float) -> float:
+        # int_0^x (U - step)/(-(u_R - u_L)), the step jumping at 0; x in eps
+        _, dist, mass = self.sides[1 if x >= 0.0 else 0]
+        return float(np.interp(abs(x), dist, mass))
+
+    def centre_offset(self, half: float) -> float:
+        """The offset d, in units of eps, of the layer's centre from the
+        shock speed at which int (U - step) over |xi - s| <= half*eps is
+        zero (see `initial_guess`). The window's mass mu(d) grows with d at
+        the rate of the jump's share inside the window, so Newton steps
+        safeguarded by bisection find the root; mu is exactly zero at d = 0
+        when both sides of the table are equal, as for a symmetric shock."""
+        def mu(d):
+            return self._mass(half - d) - self._mass(-half - d) + min(max(d, -half), half)
+
+        # mu runs from -half to +half; the bracket is doubled until it holds
+        # the root, so bisection starts at the root's own scale
+        lo, hi = -half, half
+        while mu(lo) > 0.0:
+            lo *= 2.0
+        while mu(hi) < 0.0:
+            hi *= 2.0
+        d, last = 0.0, hi - lo
+        for _ in range(100):
+            m = mu(d)
+            if m == 0.0:
+                return d
+            lo, hi = (lo, d) if m > 0.0 else (d, hi)
+            inside = float(self.share(half - d)[0] - self.share(-half - d)[0])
+            nxt = d - m / inside if inside > 0.0 else math.nan
+            # bisect when Newton leaves the bracket (or has no step) or does
+            # not halve the step before last, so the bracket keeps shrinking
+            if not (lo < nxt < hi and abs(nxt - d) <= 0.5 * last):
+                nxt = 0.5 * (lo + hi)
+            last = abs(nxt - d)
+            if last <= 1e-12:
+                return nxt
+            d = nxt
+        return d
+
+
+def _shock_layer(flux: FluxSpec, shock: Shock) -> _ShockLayer | None:
+    """The shock's travelling-wave table, or None if g vanishes inside
+    (u_L, u_R), where no travelling wave connects the states. P is checked
+    at its interior critical points, where it has its interior minima, and
+    at the midpoint as each side of the table computes it, where the rate
+    2/P must be finite for the table to start."""
+    a, b = shock.u_left, shock.u_right
+    excess = _chord_excess(flux, a, b)
+    where = [a + (b - a) * 0.5, b + (a - b) * 0.5] + _interior_critical_points(
+        np.polynomial.polynomial.polyder(excess), min(a, b), max(a, b))
+    p = -(b - a) * np.polynomial.polynomial.polyval(np.array(where), excess)
+    return _ShockLayer(shock, excess) if np.all(p > 2.0 / np.finfo(float).max) else None
+
+
+def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
+    """The inviscid solution with each shock replaced by its viscous
+    travelling wave and the rest mollified on the sqrt(eps) scale.
+
+    Near a shock the profile is the travelling wave of `_ShockLayer`, on the
+    eps scale; elsewhere its zero-order asymptotics is the inviscid solution,
+    whose fan edges a sliding average over sqrt(eps) rounds off. So the
+    jump of every shock with a travelling wave is taken out of the inviscid
+    values, the continuous remainder is mollified, and the wave is added
+    back. `solve_profile` uses this as the Newton start at the target
+    viscosity.
+
+    Centre: the profile equation has the exact identity
+    (f'(u) - xi)*u' = (f(u) - xi*u)' + u, so integrating it over the line
+    for the viscous and the inviscid solutions gives
+    int (u_viscous - u_inviscid) dxi = 0. Each wave is therefore shifted
+    from the shock speed s until int (U - step) over |xi - s| <= W is zero,
+    W = `_CENTRE_WINDOW`*sqrt(eps), the mollification scale. A wave with
+    exponential tails on both sides has all its mass within a few eps, so
+    the window does not matter there, and a symmetric one stays at s. A
+    wave with an algebraic tail has a mass growing like eps*ln(1/eps),
+    which the window cuts at the sqrt(eps) scale where the fan takes over.
+
+    Fallback: if g vanishes inside (u_L, u_R) (the quartic poly:0,0,-1,0,1
+    shock 1 -> -1 touches its chord at 0, and its layer scales like
+    sqrt(eps)), that shock keeps the mollified jump. With no travelling
+    wave at all the guess is the mollified inviscid solution alone.
     """
     xi = np.asarray(xi, dtype=float)
     if problem.u_left == problem.u_right:
         u = np.full(len(xi), problem.u_left)
         return Profile(xi=xi, u=u, du=np.zeros(len(xi)))
     exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
-    delta = 0.5 * math.sqrt(problem.epsilon)
+    eps = problem.epsilon
+    layers = []
+    for wave in exact.waves:
+        layer = _shock_layer(problem.flux, wave) if isinstance(wave, Shock) else None
+        if layer is not None:
+            layers.append((wave, layer))
+    delta = 0.5 * math.sqrt(eps)
     step = delta / 8.0
     aux = np.arange(xi[0] - 2.0 * delta, xi[-1] + 2.0 * delta + step, step)
     vals = eval_riemann(exact, aux)
-    prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
+    for shock, layer in layers:
+        vals[aux > shock.speed] -= layer.jump
+    prefix = _cumulative_trapezoid(vals, step)
     upper = np.interp(xi + delta, aux, prefix)
     lower = np.interp(xi - delta, aux, prefix)
     u = (upper - lower) / (2.0 * delta)
+    half = _CENTRE_WINDOW / math.sqrt(eps)         # W in units of eps
+    for shock, layer in layers:
+        centre = shock.speed + eps * layer.centre_offset(half)
+        u += layer.jump * layer.share((xi - centre) / eps)
     u[0] = problem.u_left
     u[-1] = problem.u_right
     return Profile(xi=xi, u=u)
@@ -660,8 +838,8 @@ def _decreasing_schedule(values) -> tuple:
 def _warm_start(stage: ProfileProblem, previous: Profile | None,
                 opts: SolveOptions) -> Profile:
     """Newton guess on a fresh mesh for `stage`: the previous profile
-    linearly interpolated, with the end values pinned to the data, or the
-    mollified inviscid solution if there is none."""
+    linearly interpolated, with the end values pinned to the data, or
+    `initial_guess` if there is none."""
     mesh = build_mesh(stage, opts.domain, opts)
     if previous is None:
         return initial_guess(stage, mesh)
@@ -676,8 +854,11 @@ def solve_profile(problem: ProfileProblem,
     """Solve for the viscous profile at problem.epsilon, at that viscosity
     first.
 
-    Newton starts from the mollified inviscid solution of `initial_guess`,
-    the profile's zero-order asymptotics, on the target's own mesh.
+    Newton starts from `initial_guess` on the target's own mesh: each
+    shock's travelling wave, centred by mass balance, on the mollified
+    inviscid solution (the mollified jump alone for a shock without a
+    travelling wave), which puts a shock's Newton iteration near its
+    quadratic phase from the start.
     Continuation is the fallback: if Newton at a stage raises
     NonConvergenceError or LinearSolverError, a stage at the geometric mean
     of the failed viscosity and the last solved one (1.0 before any) is

@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from scipy.linalg import solve_banded
 
 import wavefan as wf
-from wavefan import profile_bvp
+from wavefan import profile_bvp, riemann
 from wavefan.errors import (
     CoverageError,
     InvalidParameterError,
@@ -314,18 +314,87 @@ def test_initial_guess_constant_data_is_exact():
     assert np.all(guess.du == 0.0)
 
 
-def test_initial_guess_shock_is_a_monotone_ramp():
-    prob = make_problem(1.0, -1.0, 0.05)
+def mollified_guess_oracle(problem, xi):
+    """Oracle: the inviscid solution mollified on the sqrt(eps) scale, every
+    shock included, as the guess was before shocks got travelling waves."""
+    exact = wf.solve_exact(problem.flux, problem.u_left, problem.u_right)
+    delta = 0.5 * math.sqrt(problem.epsilon)
+    step = delta / 8.0
+    aux = np.arange(xi[0] - 2.0 * delta, xi[-1] + 2.0 * delta + step, step)
+    vals = wf.eval_riemann(exact, aux)
+    prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
+    upper = np.interp(xi + delta, aux, prefix)
+    lower = np.interp(xi - delta, aux, prefix)
+    u = (upper - lower) / (2.0 * delta)
+    u[0] = problem.u_left
+    u[-1] = problem.u_right
+    return u
+
+
+@pytest.mark.parametrize("eps", [0.05, 5e-3, 5e-4])
+def test_initial_guess_burgers_shock_is_the_tanh_layer(eps):
+    # f is quadratic, so the travelling wave's quadrature is exact and the
+    # guess is -tanh(xi/(2 eps)) up to the rounding of the mollified
+    # constant 1 it is added to; the symmetric wave is not shifted
+    prob = make_problem(1.0, -1.0, eps)
     mesh = wf.build_mesh(prob)
     guess = wf.initial_guess(prob, mesh)
-    assert guess.u[0] == 1.0 and guess.u[-1] == -1.0
-    # monotone up to prefix-sum roundoff
-    assert np.all(np.diff(guess.u) <= 1e-12)
+    near = np.abs(mesh) <= 60.0 * eps
+    assert np.max(np.abs(guess.u[near] + np.tanh(mesh[near] / (2.0 * eps)))) <= 1e-12
+    shock = wf.solve_exact(prob.flux, 1.0, -1.0).waves[1]
+    layer = profile_bvp._shock_layer(prob.flux, shock)
+    assert layer.centre_offset(1.0 / math.sqrt(eps)) == 0.0
+
+
+@pytest.mark.parametrize("token", ["burgers", "poly:0,0,0,1", "poly:0,0,-1,0,1"])
+@pytest.mark.parametrize("ul,ur", [(1.0, -1.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("eps", [0.2, 0.01, 2e-3])
+def test_initial_guess_is_monotone_inside_the_states_with_pinned_ends(token, ul, ur, eps):
+    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, eps)
+    guess = wf.initial_guess(prob, wf.build_mesh(prob))
+    assert guess.u[0] == ul and guess.u[-1] == ur
+    # monotone and inside [-1, 1] up to prefix-sum roundoff
+    assert np.all(np.diff(guess.u) * np.sign(ur - ul) >= -1e-12)
     assert np.all((guess.u >= -1.0 - 1e-12) & (guess.u <= 1.0 + 1e-12))
-    # transition is confined to the sqrt(eps) mollification scale
-    width = 2.0 * math.sqrt(prob.epsilon)
-    outside = np.abs(mesh) > width
-    assert np.max(np.abs(guess.u[outside]) - 1.0) <= 1e-12
+
+
+def test_initial_guess_without_a_travelling_wave_is_the_mollified_jump():
+    # the quartic shock 1 -> -1 touches its chord at u = 0, where g has a
+    # double root inside the states: no travelling wave, today's ramp
+    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,-1,0,1"), 1.0, -1.0, 2e-3)
+    shocks = [w for w in wf.solve_exact(prob.flux, 1.0, -1.0).waves
+              if isinstance(w, wf.Shock)]
+    assert len(shocks) == 1 and profile_bvp._shock_layer(prob.flux, shocks[0]) is None
+    mesh = wf.build_mesh(prob)
+    assert np.array_equal(wf.initial_guess(prob, mesh).u, mollified_guess_oracle(prob, mesh))
+
+
+@given(coeffs=st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=3, max_size=6),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), eps=st.floats(1e-4, 5.0))
+def test_shock_layer_centre_balances_the_window_mass(coeffs, a, b, eps):
+    # the first chord of the convex hull from the lower state: a shock to the
+    # upper state, or a tangent (sonic) one whose table reaches ~1e17 eps on
+    # its algebraic side; weak ones have layers far wider than the window
+    assume(any(c != 0.0 for c in coeffs[2:]) and a != b)
+    flux = wf.polynomial_flux(coeffs)
+    lo, hi = min(a, b), max(a, b)
+    q, _ = riemann._next_vertex(flux, lo, hi)
+    layer = profile_bvp._shock_layer(flux, wf.Shock(riemann._chord_slope(flux, lo, q), lo, q))
+    assume(layer is not None)
+    half = 1.0 / math.sqrt(eps)
+    d = layer.centre_offset(half)
+    mass = layer._mass(half - d) - layer._mass(-half - d) + min(max(d, -half), half)
+    assert abs(mass) <= 1e-12 * half
+    w = layer.share(np.linspace(-4.0 * half, 4.0 * half, 401))
+    assert np.all(np.diff(w) >= 0.0) and w[0] >= 0.0 and w[-1] <= 1.0
+
+
+def test_initial_guess_starts_the_cubic_composite_wave_near_quadratic_convergence():
+    # from the mollified jump this case took 18 iterations, 14 of them damped
+    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), -1.0, 1.0, 5e-4)
+    _, report = wf.solve_profile(prob)
+    assert report.converged and report.stages == 1
+    assert report.iterations <= 8
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +611,12 @@ def test_floor_limited_newton_rejects_one_trial_at_the_floor(monkeypatch):
     guess = wf.initial_guess(prob, wf.build_mesh(prob))
     _, report = wf.newton_solve(prob, guess)
     assert report.converged and report.floor_limited
-    last_accepted = max(i for i, n in enumerate(norms) if n == report.residual_norm)
+    # norms[0] is the guess's; the k-th accepted trial is the first later
+    # evaluation whose norm is residual_history[k] (a rejected trial after
+    # it may have the same norm)
+    last_accepted = 0
+    for accepted_norm in report.residual_history[1:]:
+        last_accepted = norms.index(accepted_norm, last_accepted + 1)
     assert len(norms) - 1 - last_accepted == 1
     # the final iteration took no step
     assert report.iterations == len(report.residual_history)
