@@ -6,14 +6,11 @@ quadratic flux, build exact entropy solutions of the limiting Riemann
 problem, and run the quantitative checks that tie the three together.
 """
 
-import importlib as _importlib
-
 from .errors import (
     ConfigError,
     CoverageError,
     DegenerateProfileError,
     InconclusiveProbeError,
-    IntegrationError,
     InvalidParameterError,
     LinearSolverError,
     NonConvergenceError,
@@ -50,7 +47,6 @@ from .riemann import (
 from .corner_layer import (
     BarrierUpper,
     CornerProfile,
-    StepControl,
     barrier_lower,
     barrier_upper,
     first_integral_H,
@@ -76,23 +72,24 @@ from .profile_bvp import (
     solve_profile,
     truncate_domain,
 )
+from .verification import (
+    DiagnosticsRecord,
+    ProbeResult,
+    barrier_operator_margin,
+    check_corner_expansion,
+    check_monotone,
+    check_symmetry,
+    l1_window_error,
+    run_battery,
+    sliding_constant_M,
+    sliding_supersolution_margin,
+    sweeping_supersolution_margin,
+    translation_invariance_check,
+    uniqueness_probe,
+    windowed_by_slope,
+)
 from .cli_io import RunConfig, emit_plotdata, parse_config, read_profile, write_profile
-
-# `verification` imports scipy's spline module, which is slow to import and
-# which nothing else needs, so it loads on first use of one of these names
-_CHECKS = ("DiagnosticsRecord", "ProbeResult", "barrier_operator_margin",
-           "check_corner_expansion", "check_monotone", "check_symmetry",
-           "l1_window_error", "run_battery", "sliding_constant_M",
-           "sliding_supersolution_margin", "sweeping_supersolution_margin",
-           "translation_invariance_check", "uniqueness_probe", "windowed_by_slope")
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["verification", *_CHECKS]
-
-
-def __getattr__(name):
-    if name != "verification" and name not in _CHECKS:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    verification = _importlib.import_module(__name__ + ".verification")
-    return verification if name == "verification" else getattr(verification, name)
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -40,6 +40,7 @@ from .profile_bvp import (
     solve_profile,
 )
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
+from .verification import run_battery
 
 _FMT = "%.17g"  # shortest text that round-trips any double
 
@@ -178,7 +179,7 @@ def _build_parser():
     p_corner.add_argument("--xi-min", type=float, default=-8.0)
     p_corner.add_argument("--xi-max", type=float, default=10.0)
     p_corner.add_argument("--samples", type=int, default=2001,
-                          help="minimum number of output nodes")
+                          help="number of equispaced output nodes")
     p_corner.add_argument("--out", type=_writable_path, default=None,
                           help="CSV (xi,U,p,w,H); stdout when omitted")
 
@@ -464,7 +465,6 @@ def _cmd_riemann(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    from .verification import run_battery   # loads the checks' scipy modules
     checks, _ = run_battery(_problem_from(config), _options_from(config),
                             seed=config.seed)
     if config.check is not None:

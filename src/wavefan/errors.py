@@ -44,10 +44,6 @@ class LinearSolverError(WavefanError, RuntimeError):
         self.report = report
 
 
-class IntegrationError(WavefanError, RuntimeError):
-    """The adaptive ODE integrator gave up (step-size underflow etc.)."""
-
-
 class CoverageError(WavefanError, ValueError):
     """A check needed samples outside the range the given data covers."""
 

@@ -161,8 +161,13 @@ def _solve_increasing(flux: FluxSpec, u_left: float, u_right: float) -> list:
         q, fan = _next_vertex(flux, p, u_right)
         r = _fan_end(flux, p, u_right) if fan else p
         if r > p:
-            xi_lo = waves[-1].speed if waves else float(derivative(flux, p))
-            waves.append(RarefactionFan(xi_lo, float(derivative(flux, r)), p, r))
+            edge = float(derivative(flux, r))
+            prev = waves[-1] if waves else None
+            if isinstance(prev, RarefactionFan):  # split off by a concave sliver
+                waves[-1] = RarefactionFan(prev.xi_lo, edge, prev.u_lo, r)
+            else:
+                xi_lo = prev.speed if prev else float(derivative(flux, p))
+                waves.append(RarefactionFan(xi_lo, edge, p, r))
             p = r
         else:
             add_shock(p, q)

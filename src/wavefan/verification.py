@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import expit
 
 from .corner_layer import CornerProfile, first_integral_H, solve_corner
 from .errors import (
@@ -135,7 +133,13 @@ def check_corner_expansion(profile: Profile, corner: CornerProfile,
         raise CoverageError(
             "corner profile covers [%g, %g] but the rescaled mesh needs [%g, %g]"
             % (corner.xi[0], corner.xi[-1], s[0], s[-1]))
-    big_u = CubicSpline(corner.xi, corner.u)(s)
+    # cubic Hermite on (U, U'), whose slope is exact at the corner's nodes
+    k = np.clip(np.searchsorted(corner.xi, s) - 1, 0, len(corner.xi) - 2)
+    h = corner.xi[k + 1] - corner.xi[k]
+    t = (s - corner.xi[k]) / h
+    u0, u1 = corner.u[k], corner.u[k + 1]
+    big_u = (u0 + (u1 - u0) * t * t * (3.0 - 2.0 * t)
+             + h * t * (1.0 - t) * ((1.0 - t) * corner.p[k] - t * corner.p[k + 1]))
     rem = np.abs(profile.u[mask] - root * big_u - problem.u_left)
     return float(np.max(rem) * math.exp(1.0 / root) / root)
 
@@ -286,7 +290,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
         rng = np.random.default_rng(child)
         centre = rng.uniform(span[0] - 0.5, span[1] + 0.5)
         width = problem.epsilon * 10.0 ** rng.uniform(-0.3, 0.8)
-        u0 = problem.u_left + jump * expit((mesh - centre) / width)
+        u0 = problem.u_left + 0.5 * jump * (1.0 + np.tanh(0.5 * (mesh - centre) / width))
         u0[0] = problem.u_left
         u0[-1] = problem.u_right
         guess = Profile(mesh, u0)

@@ -1,4 +1,4 @@
-"""Corner profile: slope inversion, integration accuracy, barriers, tails."""
+"""Corner profile: slope inversion, quadrature accuracy, barriers, tails."""
 
 import math
 
@@ -164,6 +164,26 @@ def test_corner_against_independent_reintegration(corner):
     assert np.max(np.abs(diff)) <= 1e-8
 
 
+def test_corner_against_quadrature_of_the_first_integral():
+    # on the H = 0 branch U(q) = int_{-inf}^q e^r/w(r) dr and xi = U - w,
+    # with q = ln U' and w = sqrt(2(e^q - 1 - q)); quad takes the integral
+    # as e^q * int_0^inf e^-s/w(q - s) ds, so it is scaled to U itself
+    def w_of(r):
+        return math.sqrt(2.0 * (math.expm1(r) - r))
+
+    targets = np.array([-8.0, -7.0, -6.0, -4.0, 0.0, 3.0])
+    corner = wf.solve_corner(-8.0, 10.0, n_points=19)  # the integers
+    idx = np.searchsorted(corner.xi, targets)
+    assert np.array_equal(corner.xi[idx], targets)
+    for k in idx:
+        q = math.log(corner.p[k])
+        tail, _ = quad(lambda s: math.exp(-s) / w_of(q - s), 0.0, np.inf,
+                       epsabs=0.0, epsrel=1e-13, limit=200)
+        big_u = math.exp(q) * tail
+        assert corner.u[k] == pytest.approx(big_u, rel=1e-11, abs=0.0)
+        assert corner.xi[k] == pytest.approx(big_u - w_of(q), rel=1e-11, abs=1e-11)
+
+
 def test_corner_tail_rate_near_one(corner):
     assert wf.fit_tail_rate(corner, (4.0, 8.0)) == pytest.approx(1.0, abs=0.1)
 
@@ -183,9 +203,8 @@ def test_solve_corner_validates_range():
 
 def test_solve_corner_contains_requested_grid():
     out = wf.solve_corner(xi_min=-5.0, xi_max=6.0, n_points=501)
-    assert len(out.xi) >= 501
-    assert out.xi[0] == -5.0 and out.xi[-1] == 6.0
-    assert np.all(np.diff(out.xi) > 0)
+    assert np.array_equal(out.xi, np.linspace(-5.0, 6.0, 501))
+    assert np.max(np.abs(out.u - out.w - out.xi)) <= 1e-14
 
 
 def test_solve_corner_is_computed_once_and_read_only():

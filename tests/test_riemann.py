@@ -225,6 +225,18 @@ def test_roundoff_slivers_fold_into_one_shock():
         assert (sol.waves[1].u_left, sol.waves[1].u_right) == (ul, ur)
 
 
+def test_a_fan_that_follows_a_fan_extends_it():
+    # the u^2 coefficient makes f concave on |u| < 1e-47 only, so the fan
+    # from the shock's right state ends at 0 and a second one starts there;
+    # they join, and the solution is that of the flux without the term
+    tiny = wf.polynomial_flux((0.0, 0.0, -8.252642698941022e-95, 0.0, 1.0, 1.0))
+    sol = wf.solve_exact(tiny, -1.0, 1.0)
+    assert [type(w) for w in sol.waves] == [ConstantState, Shock, RarefactionFan,
+                                            ConstantState]
+    plain = wf.polynomial_flux((0.0, 0.0, 0.0, 0.0, 1.0, 1.0))
+    assert sol.waves == wf.solve_exact(plain, -1.0, 1.0).waves
+
+
 def test_shock_between_adjacent_doubles_moves_at_the_characteristic_speed():
     # the chord over one ulp is f'(p) up to rounding; the difference quotient
     # of f values gave -1.0 here, where f' is -1.116
