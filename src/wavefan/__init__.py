@@ -61,14 +61,12 @@ from .profile_bvp import (
     SolveOptions,
     SolveReport,
     build_mesh,
-    continuation_sweep,
     initial_guess,
     jacobian,
     newton_solve,
     reconstruct_derivative,
     residual,
     residual_noise_floor,
-    sample_profile,
     solve_profile,
     truncate_domain,
 )

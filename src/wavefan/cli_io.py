@@ -2,15 +2,16 @@
 
 Five subcommands map onto the library entry points: ``solve`` (viscous
 profile), ``corner`` (the unbounded similarity profile), ``riemann`` (exact
-wave structure), ``verify`` (check battery), ``sweep`` (profiles across a
-decreasing viscosity schedule).  Everything numeric is written as
-17-significant-digit decimal text so files diff cleanly and parse back to the
-exact same doubles.
+wave structure), ``verify`` (check battery), ``sweep`` (one ``solve_profile``
+per viscosity of a strictly decreasing schedule, written as plot data).
+Everything numeric is written as 17-significant-digit decimal text so files
+diff cleanly and parse back to the exact same doubles.
 
 A config file is flat ``key=value`` text mirroring the long flags; values
 given on the command line win.  Runs are deterministic: the same RunConfig
-(including the probe seed, which ``WAVEFAN_SEED`` may set) produces
-byte-identical output files.
+(including the probe seed, set by ``--seed`` or ``seed=``) produces
+byte-identical output files.  The solver defaults (``--tol``,
+``--tail-tol``) are those of ``SolveOptions``.
 
 Exit codes: 0 success, 1 a check or solve failed, 2 the invocation itself
 was rejected.
@@ -22,23 +23,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .corner_layer import first_integral_H, solve_corner
-from .errors import (ConfigError, InvalidParameterError, ProfileFormatError,
-                     WavefanError)
+from .errors import ConfigError, ProfileFormatError, WavefanError
 from .flux import FluxSpec, burgers_flux, format_flux_token, parse_flux_token
-from .profile_bvp import (
-    Profile,
-    ProfileProblem,
-    SolveOptions,
-    _decreasing_schedule,
-    continuation_sweep,
-    solve_profile,
-)
+from .profile_bvp import Profile, ProfileProblem, SolveOptions, solve_profile
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
 from .verification import run_battery
 
@@ -57,8 +49,8 @@ class RunConfig:
     u_left: float = 0.0
     u_right: float = 0.0
     eps: tuple[float, ...] = (0.05,)
-    newton_tol: float = 1e-11
-    tail_tol: float = 1e-5
+    newton_tol: float = SolveOptions.newton_tol
+    tail_tol: float = SolveOptions.tail_tol
     xi_min: float = -8.0
     xi_max: float = 10.0
     samples: int = 401
@@ -84,12 +76,20 @@ def _flux_arg(token):
 
 
 def _schedule_arg(text):
+    """A comma-separated viscosity schedule: finite, positive and strictly
+    decreasing, so a sweep's columns run from the widest profile to the
+    sharpest."""
     try:
-        return _decreasing_schedule(float(part) for part in text.split(","))
-    except InvalidParameterError as exc:
-        raise argparse.ArgumentTypeError("%s, got %r" % (exc, text)) from None
+        schedule = tuple(float(part) for part in text.split(","))
     except ValueError as exc:  # float() on a malformed part
         raise argparse.ArgumentTypeError("%s in schedule %r" % (exc, text)) from None
+    if not all(np.isfinite(e) and e > 0.0 for e in schedule):
+        raise argparse.ArgumentTypeError(
+            "viscosities must be finite and positive, got %r" % (text,))
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise argparse.ArgumentTypeError(
+            "viscosities must be strictly decreasing, got %r" % (text,))
+    return schedule
 
 
 def _writable_path(path):
@@ -100,16 +100,6 @@ def _writable_path(path):
     if not os.access(parent, os.W_OK):
         raise argparse.ArgumentTypeError("output path not writable: %r" % (path,))
     return path
-
-
-def _default_seed():
-    raw = os.environ.get("WAVEFAN_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("WAVEFAN_SEED must be an integer, got %r" % (raw,)) from None
 
 
 def _expand_config_file(argv):
@@ -163,9 +153,9 @@ def _build_parser():
         p.add_argument("--ur", type=float, required=True, help="right state")
         p.add_argument("--eps", type=_schedule_arg, default=_schedule_arg(eps_default),
                        help=eps_help)
-        p.add_argument("--tol", type=float, default=1e-11,
+        p.add_argument("--tol", type=float, default=SolveOptions.newton_tol,
                        help="Newton residual tolerance")
-        p.add_argument("--tail-tol", type=float, default=1e-5,
+        p.add_argument("--tail-tol", type=float, default=SolveOptions.tail_tol,
                        help="committed boundary truncation error")
 
     p_solve = sub.add_parser("solve", help="solve one viscous profile")
@@ -196,7 +186,7 @@ def _build_parser():
     p_verify.add_argument("--check", default=None,
                           help="single check name (default: every applicable check)")
     p_verify.add_argument("--seed", type=int, default=None,
-                          help="probe seed (default WAVEFAN_SEED or builtin)")
+                          help="probe seed (default: the builtin probe seed)")
     p_verify.add_argument("--out", type=_writable_path, default=None,
                           help="JSON report; stdout when omitted")
 
@@ -239,8 +229,7 @@ def parse_config(argv) -> RunConfig:
         raise ConfigError("%s takes a single --eps, got schedule %r; sweep solves "
                           "a schedule" % (ns.command, ",".join(map(repr, ns.eps))))
     if ns.command == "verify":
-        seed = ns.seed if ns.seed is not None else _default_seed()
-        kwargs.update(check=ns.check, seed=seed)
+        kwargs.update(check=ns.check, seed=ns.seed)
     for field in ("out", "report", "svg"):
         kwargs[field] = getattr(ns, field, None)
     return RunConfig(**kwargs)
@@ -303,33 +292,23 @@ def read_profile(path) -> Profile:
 # ---------------------------------------------------------------------------
 # plot data
 
-def emit_plotdata(profiles, reference, path, labels=None, svg_path=None) -> None:
-    """Write a multi-column CSV (xi plus one u column per profile/reference).
+def emit_plotdata(profiles, reference, path, labels, svg_path=None) -> None:
+    """Write a multi-column CSV: xi, one u column per profile under its
+    label, and the exact solution ``reference`` as column ``exact``.
 
-    ``profiles`` is a sequence of Profile; ``reference`` an optional exact
-    solution evaluated on the same grid.  The grid is the finest profile's
-    mesh.  With ``svg_path`` the same columns are also rendered as a line
-    chart (one polyline per column) with axes and a legend — plain SVG text,
-    no plotting package.
+    ``profiles`` is a nonempty sequence of Profile; the grid is the finest
+    profile's mesh.  With ``svg_path`` the same columns are also rendered as
+    a line chart (one polyline per column) with axes and a legend — plain
+    SVG text, no plotting package.
     """
     profiles = list(profiles)
-    if labels is None:
-        labels = ["u%d" % (i + 1) for i in range(len(profiles))]
     if len(labels) != len(profiles):
         raise ConfigError("got %d labels for %d profiles"
                           % (len(labels), len(profiles)))
-    columns = []
-    if profiles:
-        grid = max((p.xi for p in profiles), key=len)
-        for label, prof in zip(labels, profiles):
-            columns.append((label, np.interp(grid, prof.xi, prof.u)))
-    elif reference is not None:
-        lo, hi = wave_speed_span(reference)
-        grid = np.linspace(lo - 1.0, hi + 1.0, 401)
-    else:
-        grid = np.empty(0)
-    if reference is not None:
-        columns.append(("exact", eval_riemann(reference, grid)))
+    grid = max((p.xi for p in profiles), key=len)
+    columns = [(label, np.interp(grid, prof.xi, prof.u))
+               for label, prof in zip(labels, profiles)]
+    columns.append(("exact", eval_riemann(reference, grid)))
 
     _write_text(path, _csv_text(["xi"] + [name for name, _ in columns],
                                 [grid] + [col for _, col in columns]))
@@ -345,41 +324,40 @@ def _render_svg(grid, columns, width=640, height=420, pad=56):
             '<rect width="%d" height="%d" fill="white"/>' % (width, height)]
     x0, x1 = pad, width - pad
     y0, y1 = height - pad, pad
-    if len(grid) and columns:
-        gx_lo, gx_hi = float(grid[0]), float(grid[-1])
-        values = np.concatenate([col for _, col in columns])
-        gy_lo, gy_hi = float(np.min(values)), float(np.max(values))
-        if gx_hi == gx_lo:
-            gx_hi = gx_lo + 1.0
-        if gy_hi == gy_lo:
-            gy_hi = gy_lo + 1.0
-        span_y = gy_hi - gy_lo
-        gy_lo -= 0.05 * span_y
-        gy_hi += 0.05 * span_y
+    gx_lo, gx_hi = float(grid[0]), float(grid[-1])
+    values = np.concatenate([col for _, col in columns])
+    gy_lo, gy_hi = float(np.min(values)), float(np.max(values))
+    if gx_hi == gx_lo:
+        gx_hi = gx_lo + 1.0
+    if gy_hi == gy_lo:
+        gy_hi = gy_lo + 1.0
+    span_y = gy_hi - gy_lo
+    gy_lo -= 0.05 * span_y
+    gy_hi += 0.05 * span_y
 
-        def sx(x):
-            return x0 + (x - gx_lo) / (gx_hi - gx_lo) * (x1 - x0)
+    def sx(x):
+        return x0 + (x - gx_lo) / (gx_hi - gx_lo) * (x1 - x0)
 
-        def sy(y):
-            return y0 - (y - gy_lo) / (gy_hi - gy_lo) * (y0 - y1)
+    def sy(y):
+        return y0 - (y - gy_lo) / (gy_hi - gy_lo) * (y0 - y1)
 
-        for k, (name, col) in enumerate(columns):
-            pts = " ".join("%.2f,%.2f" % (sx(float(gx)), sy(float(gy)))
-                           for gx, gy in zip(grid, col))
-            color = _SVG_PALETTE[k % len(_SVG_PALETTE)]
-            body.append('<polyline fill="none" stroke="%s" stroke-width="1.5" '
-                        'points="%s"/>' % (color, pts))
-            ly = y1 + 16 * k
-            body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" '
-                        'stroke-width="3"/>' % (x1 - 110, ly, x1 - 86, ly, color))
-            body.append('<text x="%d" y="%d">%s</text>' % (x1 - 80, ly + 4, name))
-        for frac in (0.0, 0.5, 1.0):
-            gx = gx_lo + frac * (gx_hi - gx_lo)
-            gy = gy_lo + frac * (gy_hi - gy_lo)
-            body.append('<text x="%.2f" y="%d" text-anchor="middle">%.3g</text>'
-                        % (sx(gx), y0 + 18, gx))
-            body.append('<text x="%d" y="%.2f" text-anchor="end">%.3g</text>'
-                        % (x0 - 6, sy(gy) + 4, gy))
+    for k, (name, col) in enumerate(columns):
+        pts = " ".join("%.2f,%.2f" % (sx(float(gx)), sy(float(gy)))
+                       for gx, gy in zip(grid, col))
+        color = _SVG_PALETTE[k % len(_SVG_PALETTE)]
+        body.append('<polyline fill="none" stroke="%s" stroke-width="1.5" '
+                    'points="%s"/>' % (color, pts))
+        ly = y1 + 16 * k
+        body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" '
+                    'stroke-width="3"/>' % (x1 - 110, ly, x1 - 86, ly, color))
+        body.append('<text x="%d" y="%d">%s</text>' % (x1 - 80, ly + 4, name))
+    for frac in (0.0, 0.5, 1.0):
+        gx = gx_lo + frac * (gx_hi - gx_lo)
+        gy = gy_lo + frac * (gy_hi - gy_lo)
+        body.append('<text x="%.2f" y="%d" text-anchor="middle">%.3g</text>'
+                    % (sx(gx), y0 + 18, gx))
+        body.append('<text x="%d" y="%.2f" text-anchor="end">%.3g</text>'
+                    % (x0 - 6, sy(gy) + 4, gy))
     body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
                 % (x0, y0, x1, y0))
     body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
@@ -402,18 +380,6 @@ def _problem_from(config: RunConfig) -> ProfileProblem:
                           u_right=config.u_right, epsilon=config.eps[-1])
 
 
-def _report_payload(report):
-    return {
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "residual_history": [float(r) for r in report.residual_history],
-        "domain": [float(report.domain[0]), float(report.domain[1])],
-        "mesh_size": report.mesh_size,
-        "floor_limited": report.floor_limited,
-        "stages": report.stages,
-    }
-
-
 def _write_json(payload, path):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
@@ -428,7 +394,7 @@ def _cmd_solve(config: RunConfig) -> int:
     if config.out:
         write_profile(profile, config.out)
     if config.report:
-        _write_json(_report_payload(report), config.report)
+        _write_json(asdict(report), config.report)
     print("solve %s ul=%g ur=%g eps=%g: converged=%s iterations=%d "
           "residual=%.3e nodes=%d"
           % (format_flux_token(config.flux), config.u_left, config.u_right,
@@ -482,14 +448,15 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    results = continuation_sweep(_problem_from(config), config.eps, _options_from(config))
-    exact = solve_exact(config.flux, config.u_left, config.u_right)
-    labels = ["eps=%g" % eps for eps, _ in results]
-    for (eps, prof), label in zip(results, labels):
+    problem, options = _problem_from(config), _options_from(config)
+    profiles = [solve_profile(replace(problem, epsilon=eps), options)[0]
+                for eps in config.eps]
+    labels = ["eps=%g" % eps for eps in config.eps]
+    for prof, label in zip(profiles, labels):
         print("%s: %d nodes" % (label, len(prof.xi)))
     if config.out:
-        emit_plotdata([prof for _, prof in results], exact, config.out,
-                      labels=labels, svg_path=config.svg)
+        emit_plotdata(profiles, solve_exact(config.flux, config.u_left, config.u_right),
+                      config.out, labels, config.svg)
     return 0
 
 

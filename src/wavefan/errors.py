@@ -23,14 +23,13 @@ class UnsupportedFluxError(WavefanError, ValueError):
 class NonConvergenceError(WavefanError, RuntimeError):
     """Newton (or a continuation stage) failed to converge.
 
-    Carries the partial solve report (and the failing epsilon for sweeps)
-    so callers can inspect the residual history.
+    Carries the partial solve report so callers can inspect the residual
+    history.
     """
 
-    def __init__(self, message, report=None, epsilon=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-        self.epsilon = epsilon
 
 
 class LinearSolverError(WavefanError, RuntimeError):

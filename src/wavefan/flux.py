@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 _QUADRATIC = (0.0, 0.0, 0.5)  # f(u) = u^2/2, token alias "burgers"
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,24 @@ def second_derivative(flux: FluxSpec, u, out: np.ndarray | None = None):
 
 def _interior_critical_points(coeffs, lo: float, hi: float) -> list[float]:
     """Real roots of the polynomial with the given ascending coefficients
-    that lie strictly inside (lo, hi)."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    that lie strictly inside (lo, hi).
+
+    Leading coefficients below the rounding of the others on the interval
+    are trimmed first: with R = max(1, |lo|, |hi|), c_n goes while
+    |c_n|*R^n <= eps_mach * sum_{k<n} |c_k|*R^k (zeros always go). The roots
+    inside do not move: a root u of the untrimmed polynomial with |u| <= R
+    has |q(u)| = |c_n*u^n| <= eps_mach * sum_{k<n} |c_k|*R^k for the trimmed
+    q, so it is a root of q up to a change of q's coefficients by one
+    rounding, which is all the accuracy any root finder has from them. The
+    trim keeps `polyroots` from dividing by a negligible (say subnormal)
+    c_n, which overflows.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    r = 1.0 / max(1.0, abs(lo), abs(hi))
+    # sum_{k<n} |c_k| r^(n-k) = (sum_{k<n} |c_k| R^k) / R^n, without overflow
+    while len(c) > 1 and abs(c[-1]) <= _EPS * r * np.polynomial.polynomial.polyval(
+            r, np.abs(c[-2::-1])):
+        c = c[:-1]
     if len(c) < 2:
         return []
     roots = np.polynomial.polynomial.polyroots(c)

@@ -13,7 +13,7 @@ Mesh design: away from the wave fan the solution relaxes to its limit like
 exp(-|f'(u) - xi| * distance / eps), so both the interior layers and the
 tails live on the scale eps / S(xi), where S(xi) bounds |f'(u) - xi| over
 the relevant state interval. The mesh marches outward from the domain
-centre with local spacing min(h_base, c * eps / S(xi)); for data symmetric
+centre with local spacing min(_H_BASE, c * eps / S(xi)); for data symmetric
 under (xi, u) -> (-xi, -u) the two sides of the march produce bitwise
 mirror-image nodes, so the discrete problem inherits the symmetry exactly
 instead of up to interpolation error. On the range [m, M] of f' the bound
@@ -45,8 +45,8 @@ downstream. The stencil weights are the closed-form derivatives of the
 Lagrange basis; every node but the four at the ends has the same window
 shape, so its stencil columns are shifted slices of the mesh and profile
 arrays. Newton never reads a slope, so a Profile reconstructs it
-only when `du` is first read; `solve_profile` and `continuation_sweep`
-compute it once for each profile they return.
+only when `du` is first read; `solve_profile` computes it once for the
+profile it returns.
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ from .riemann import Shock, eval_riemann, solve_exact, wave_speed_span
 _MAX_NODES = 400_000
 _EPS_MACH = float(np.finfo(float).eps)
 _ARMIJO = 1e-4
+_MAX_ITER = 25           # Newton iterations per solve
+_DAMPING = 0.5           # line-search step factor
+_MAX_HALVINGS = 30       # line-search steps below the full one
+_H_BASE = 0.05           # coarsest mesh spacing
 _BACKOFF_RATIO = 1.1     # see solve_profile
 _LAYER_DT = 1.0 / 16.0   # see _ShockLayer
 _LAYER_T = 20.0
@@ -126,11 +130,7 @@ class Profile:
 @dataclass(frozen=True)
 class SolveOptions:
     newton_tol: float = 1e-11
-    max_iter: int = 25
-    damping: float = 0.5
-    max_halvings: int = 30
     tail_tol: float = 1e-5
-    h_base: float = 0.05
     nodes_per_layer: int = 120
     domain: tuple | None = None          # override truncate_domain
 
@@ -172,11 +172,11 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
-def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
-               options: SolveOptions | None = None) -> np.ndarray:
-    """Graded mesh on the truncated domain, marched outward from the centre.
+def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> np.ndarray:
+    """Graded mesh on the truncated domain (or options.domain), marched
+    outward from the centre.
 
-    Local spacing is min(h_base, c*eps/S(xi)) with c = 12/nodes_per_layer,
+    Local spacing is min(_H_BASE, c*eps/S(xi)) with c = 12/nodes_per_layer,
     which puts nodes_per_layer nodes across a viscous layer and keeps about
     ten nodes per e-folding of the tails. A trailing sliver shorter than
     0.3 of the local spacing is absorbed into the final step.
@@ -187,12 +187,12 @@ def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
     stepping one node at a time, which the tails still do.
     """
     opts = options or SolveOptions()
-    dom = domain if domain is not None else truncate_domain(problem, opts.tail_tol)
+    dom = opts.domain if opts.domain is not None else truncate_domain(problem, opts.tail_tol)
     lo, hi = float(dom[0]), float(dom[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidParameterError("domain must be a finite increasing pair")
-    if not (opts.h_base > 0.0 and opts.nodes_per_layer > 0):
-        raise InvalidParameterError("h_base and nodes_per_layer must be positive")
+    if not opts.nodes_per_layer > 0:
+        raise InvalidParameterError("nodes_per_layer must be positive")
 
     slo, shi = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
     if not (lo < slo and shi < hi):
@@ -202,7 +202,7 @@ def build_mesh(problem: ProfileProblem, domain: tuple | None = None,
     m, big_m = derivative_range(problem.flux, *problem.state_interval)
     c_acc = 12.0 / float(opts.nodes_per_layer)
     fine = c_acc * problem.epsilon
-    h_base = opts.h_base
+    h_base = _H_BASE
     h_fan = h_base if (big_m - m) * h_base <= fine else fine / (big_m - m)
 
     def step_off_fan(x: float, stop: float, step_sign: float, budget: int,
@@ -720,7 +720,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
                  options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
     """Damped Newton iteration from the given guess on the guess's own mesh.
 
-    Steps are backtracked (factor `damping`) until the sup-norm residual
+    Steps are backtracked (factor `_DAMPING`) until the sup-norm residual
     satisfies an Armijo-type decrease. Once the residual is at or below the
     floating-point noise floor of `residual_noise_floor`, a rejected full
     step ends the iteration: no shorter step can show a decrease that is
@@ -769,7 +769,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
                            domain=(float(xi[0]), float(xi[-1])),
                            mesh_size=len(xi), floor_limited=floor_limited)
 
-    while not converged and iterations < opts.max_iter:
+    while not converged and iterations < _MAX_ITER:
         try:
             # the band array and the negated residual are scratch: LAPACK may
             # overwrite them instead of copying
@@ -787,7 +787,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
 
         lam = 1.0
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             np.multiply(step, lam, out=trial)
             trial += u
             rt = residual(problem, Profile(xi, trial), work)
@@ -802,7 +802,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
                 at_floor = residual_at_floor()
                 if at_floor:
                     break
-            lam *= opts.damping
+            lam *= _DAMPING
         iterations += 1
         if not accepted:
             break
@@ -818,21 +818,8 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
         raise NonConvergenceError(
             "Newton stalled at residual %.3e (tol %.3e) after %d iterations"
             % (history[-1], opts.newton_tol, iterations),
-            report=report(), epsilon=problem.epsilon)
+            report=report())
     return Profile(xi, u), report()
-
-
-def _decreasing_schedule(values) -> tuple:
-    """`values` as a tuple of floats, checked to be a nonempty, finite,
-    positive and strictly decreasing sequence of viscosities."""
-    schedule = tuple(float(e) for e in values)
-    if len(schedule) == 0:
-        raise InvalidParameterError("need at least one viscosity")
-    if any(not (np.isfinite(e) and e > 0.0) for e in schedule):
-        raise InvalidParameterError("viscosities must be finite and positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise InvalidParameterError("viscosities must be strictly decreasing")
-    return schedule
 
 
 def _warm_start(stage: ProfileProblem, previous: Profile | None,
@@ -840,7 +827,7 @@ def _warm_start(stage: ProfileProblem, previous: Profile | None,
     """Newton guess on a fresh mesh for `stage`: the previous profile
     linearly interpolated, with the end values pinned to the data, or
     `initial_guess` if there is none."""
-    mesh = build_mesh(stage, opts.domain, opts)
+    mesh = build_mesh(stage, opts)
     if previous is None:
         return initial_guess(stage, mesh)
     u0 = np.interp(mesh, previous.xi, previous.u)
@@ -900,17 +887,3 @@ def solve_profile(problem: ProfileProblem,
     return (Profile(profile.xi, profile.u, du),
             replace(report, stages=stages, iterations=iterations))
 
-
-def continuation_sweep(problem: ProfileProblem, epsilons,
-                       options: SolveOptions | None = None) -> list:
-    """Profiles at a strictly decreasing sequence of viscosities, each
-    solved by `solve_profile` exactly as a single viscosity is: the
-    profile at a viscosity does not depend on the others. Returns
-    [(epsilon, Profile), ...], each profile with its slope."""
-    return [(e, solve_profile(replace(problem, epsilon=e), options)[0])
-            for e in _decreasing_schedule(epsilons)]
-
-
-def sample_profile(profile: Profile, xi):
-    """Piecewise-linear sample of the profile (end values beyond the mesh)."""
-    return np.interp(xi, profile.xi, profile.u)

@@ -97,14 +97,12 @@ def check_monotone(profile: Profile, u_left: float, u_right: float) -> float:
 
 
 def check_symmetry(profile: Profile, u_left: float, u_right: float,
-                   flux: FluxSpec | None = None) -> float:
+                   flux: FluxSpec) -> float:
     """Sup deviation from the odd symmetry u(uL+uR-xi) + u(xi) = uL+uR.
 
     The symmetry holds when f'(u) = u (the quadratic flux u^2/2, up to a
-    constant), so passing a flux without that derivative is an error;
-    omitting `flux` asserts the caller knows the profile solves
-    eps*u'' = (u - xi)*u'."""
-    if flux is not None and not has_identity_derivative(flux):
+    constant), so passing a flux without that derivative is an error."""
+    if not has_identity_derivative(flux):
         raise UnsupportedFluxError("odd symmetry needs f'(u) = u")
     total = u_left + u_right
     xi, u = profile.xi, profile.u
@@ -280,7 +278,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
     if n_guesses < 2:
         raise InvalidParameterError("need at least 2 guesses to compare")
     opts = opts or SolveOptions()
-    mesh = build_mesh(problem, opts.domain, opts)
+    mesh = build_mesh(problem, opts)
     span = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
     jump = problem.u_right - problem.u_left
 
@@ -312,16 +310,15 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
 
 
 def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
-                                 flux: FluxSpec | None = None) -> float:
+                                 flux: FluxSpec) -> float:
     """Max interior residual of the translated samples u(xi - lam) + lam
     under eps*u'' = (u - xi)*u', the profile equation when f'(u) = u.
 
     The translate is sampled exactly (nodes shifted with the values), so the
     result sits at the same roundoff floor as the original profile's
     residual, independent of lam. Passing a flux whose derivative is not
-    f'(u) = u is an error; omitting `flux` asserts the caller knows the
-    profile solves that equation."""
-    if flux is not None and not has_identity_derivative(flux):
+    f'(u) = u is an error."""
+    if not has_identity_derivative(flux):
         raise UnsupportedFluxError("translation family needs f'(u) = u")
     lam = float(lam)
     if not np.isfinite(lam):
@@ -350,6 +347,19 @@ def windowed_by_slope(profile: Profile, ratio: float = 1e-6) -> Profile:
     return Profile(xi=profile.xi[lo:hi], u=profile.u[lo:hi], du=profile.du[lo:hi])
 
 
+def _corner_for(problem: ProfileProblem) -> CornerProfile:
+    """The corner profile that `check_corner_expansion` needs for `problem`:
+    on [-8, xi_max], xi_max = max(10, ceil((mid - uL)/sqrt(eps))) capped at
+    `solve_corner`'s 30, where (mid - uL)/sqrt(eps) is the rescaled
+    half-mesh's right end computed as the check computes it; its nodes are
+    no farther apart than the default 2,001 on [-8, 10]."""
+    reach = math.ceil((0.5 * (problem.u_left + problem.u_right) - problem.u_left)
+                      / math.sqrt(problem.epsilon))
+    xi_max = min(max(10, reach), 30)
+    return solve_corner(xi_max=float(xi_max),
+                        n_points=1 + math.ceil(2000 * (xi_max + 8) / 18))
+
+
 def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
                 seed: int | None = None):
     """Run every check that applies to the problem.
@@ -359,6 +369,9 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     comparison-function checks used and, per translate margin, the number
     of nodes whose defect is within its roundoff. The sliding and sweeping
     margins are judged by `_judge` and pass when their value exceeds 0.
+    `corner_remainder` is omitted where the corner profile, capped at
+    xi = 30, cannot reach the rescaled half-mesh (`_corner_for`): for
+    -1 -> 1 below eps = 1/900, about 1.1e-3.
 
     One solve_profile call feeds every check, whichever way the data run;
     the uniqueness probe runs Newton from its own ramp guesses.
@@ -403,19 +416,17 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         h_threshold = max(1e-5, 2.0 * (12.0 / opts.nodes_per_layer) ** 2)
         record("first_integral_spread", spread, h_threshold, spread <= h_threshold)
 
-        t0 = translation_invariance_check(profile, problem.epsilon, 0.0)
-        t1 = translation_invariance_check(profile, problem.epsilon, 0.7)
+        t0 = translation_invariance_check(profile, problem.epsilon, 0.0, problem.flux)
+        t1 = translation_invariance_check(profile, problem.epsilon, 0.7, problem.flux)
         t_threshold = max(2.0 * t0, 10.0 * opts.newton_tol)
         record("translation_invariance", t1, t_threshold, t1 <= t_threshold)
 
     if quadratic and increasing:
-        sym = check_symmetry(profile, problem.u_left, problem.u_right,
-                             flux=problem.flux)
+        sym = check_symmetry(profile, problem.u_left, problem.u_right, problem.flux)
         record("symmetry", sym, 1e-6, sym <= 1e-6)
 
-        corner = solve_corner()
         try:
-            rem = check_corner_expansion(profile, corner, problem)
+            rem = check_corner_expansion(profile, _corner_for(problem), problem)
             record("corner_remainder", rem, math.inf, np.isfinite(rem))
             margins["corner_remainder"] = rem
         except CoverageError:

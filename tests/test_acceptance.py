@@ -74,9 +74,10 @@ def test_criterion_03_rarefaction_convergence(capsys):
     t0 = perf_counter()
     prob = wf.ProfileProblem(BURGERS, -1.0, 1.0, 0.0125)
     exact = wf.solve_exact(BURGERS, -1.0, 1.0)
-    sweep = wf.continuation_sweep(prob, (0.1, 0.05, 0.025, 0.0125),
-                                  wf.SolveOptions(domain=(-2.6, 2.6)))
-    errs = [wf.l1_window_error(p, exact, (-2.0, 2.0)) for _, p in sweep]
+    opts = wf.SolveOptions(domain=(-2.6, 2.6))
+    sweep = [wf.solve_profile(replace(prob, epsilon=eps), opts)[0]
+             for eps in (0.1, 0.05, 0.025, 0.0125)]
+    errs = [wf.l1_window_error(p, exact, (-2.0, 2.0)) for p in sweep]
     dt = perf_counter() - t0
     conds = {
         "strictly_decreasing": all(b < a for a, b in zip(errs, errs[1:])),
@@ -197,10 +198,11 @@ def test_criterion_09_nonconvex_flux(capsys):
     t0 = perf_counter()
     prob = wf.ProfileProblem(CUBIC, -1.0, 1.0, 0.025)
     exact = wf.solve_exact(CUBIC, -1.0, 1.0)
-    sweep = wf.continuation_sweep(prob, (0.1, 0.05, 0.025),
-                                  wf.SolveOptions(domain=(-1.5, 4.5)))
-    monos = [wf.check_monotone(p, -1.0, 1.0) for _, p in sweep]
-    errs = [wf.l1_window_error(p, exact, (-1.0, 4.0)) for _, p in sweep]
+    opts = wf.SolveOptions(domain=(-1.5, 4.5))
+    sweep = [wf.solve_profile(replace(prob, epsilon=eps), opts)[0]
+             for eps in (0.1, 0.05, 0.025)]
+    monos = [wf.check_monotone(p, -1.0, 1.0) for p in sweep]
+    errs = [wf.l1_window_error(p, exact, (-1.0, 4.0)) for p in sweep]
     dt = perf_counter() - t0
     conds = {
         "monotone": all(m >= 0.0 for m in monos),

@@ -79,8 +79,12 @@ def test_parse_rejects_bad_states_and_tols():
     ["solve", "--ul", "-1", "--ur", "1", "--tail-tol", "1"],
     ["riemann", "--ul", "-1", "--ur", "nan"],
     ["corner", "--samples", "1"],
+    ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.1,0.1"],
+    ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.05,0.1"],
+    ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.1,0"],
+    ["sweep", "--ul", "1", "--ur", "-1", "--eps", "nan"],
 ], ids=["tol-inf", "tol-nan", "tail-tol-nan", "tail-tol-one", "riemann-state-nan",
-        "corner-one-sample"])
+        "corner-one-sample", "eps-repeated", "eps-increasing", "eps-zero", "eps-nan"])
 def test_out_of_range_values_rejected_at_parse_time(argv, capsys):
     with pytest.raises(ConfigError):
         parse_config(argv)
@@ -97,17 +101,16 @@ def test_verify_takes_single_viscosity(command, capsys):
     assert "'0.1,0.05'" in capsys.readouterr().err
 
 
-def test_seed_from_environment(monkeypatch):
-    monkeypatch.setenv("WAVEFAN_SEED", "12345")
-    cfg = parse_config(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05"])
-    assert cfg.seed == 12345
-    # explicit flag wins over the environment
-    cfg = parse_config(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05",
-                        "--seed", "99"])
-    assert cfg.seed == 99
-    monkeypatch.setenv("WAVEFAN_SEED", "not-a-number")
-    with pytest.raises(ConfigError, match="WAVEFAN_SEED"):
-        parse_config(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05"])
+def test_seed_from_flag_or_config_file(tmp_path):
+    argv = ["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05"]
+    assert parse_config(argv).seed is None           # the probe's own default
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed=12345\n")
+    assert parse_config(argv + ["--config", str(cfg_file)]).seed == 12345
+    # explicit flag wins over the file
+    assert parse_config(argv + ["--config", str(cfg_file), "--seed", "99"]).seed == 99
+    with pytest.raises(ConfigError, match="--seed"):
+        parse_config(argv + ["--seed", "not-a-number"])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ def test_emit_plotdata_columns(tmp_path, shock_profile, shock_problem):
     coarse, _ = wf.solve_profile(shock_problem, wf.SolveOptions(nodes_per_layer=60))
     exact = wf.solve_exact(shock_problem.flux, 1.0, -1.0)
     out = tmp_path / "plot.csv"
-    emit_plotdata([coarse, shock_profile], exact, out, labels=["a", "b"])
+    emit_plotdata([coarse, shock_profile], exact, out, ["a", "b"])
     lines = out.read_text().splitlines()
     assert lines[0] == "xi,a,b,exact"
     # grid is the finest profile's mesh
@@ -204,47 +207,23 @@ def test_emit_plotdata_matches_row_oracle(tmp_path, shock_profile, shock_problem
     coarse, _ = wf.solve_profile(shock_problem, wf.SolveOptions(nodes_per_layer=60))
     exact = wf.solve_exact(shock_problem.flux, 1.0, -1.0)
     grid = shock_profile.xi
-    lo, hi = wf.wave_speed_span(exact)
-    ref_grid = np.linspace(lo - 1.0, hi + 1.0, 401)
-    cases = [
-        ([coarse, shock_profile], exact, "xi,a,b,exact",
-         (grid, np.interp(grid, coarse.xi, coarse.u), shock_profile.u,
-          wf.eval_riemann(exact, grid))),
-        ([], exact, "xi,exact", (ref_grid, wf.eval_riemann(exact, ref_grid))),
-        ([], None, "xi", (np.empty(0),)),
-    ]
-    for profiles, reference, header, columns in cases:
-        out = tmp_path / "plot.csv"
-        labels = ["a", "b"] if profiles else None
-        emit_plotdata(profiles, reference, out, labels=labels)
-        assert out.read_bytes() == csv_rows_oracle(header, columns)
-
-
-def test_emit_plotdata_reference_only(tmp_path):
-    exact = wf.solve_exact(wf.burgers_flux(), -1.0, 1.0)
-    out = tmp_path / "ref.csv"
-    emit_plotdata([], exact, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "xi,exact"
-    assert len(lines) == 402
-
-
-def test_emit_plotdata_empty(tmp_path):
-    out = tmp_path / "empty.csv"
-    emit_plotdata([], None, out)
-    assert out.read_text() == "xi\n"
+    out = tmp_path / "plot.csv"
+    emit_plotdata([coarse, shock_profile], exact, out, ["a", "b"])
+    assert out.read_bytes() == csv_rows_oracle(
+        "xi,a,b,exact", (grid, np.interp(grid, coarse.xi, coarse.u), shock_profile.u,
+                         wf.eval_riemann(exact, grid)))
 
 
 def test_emit_plotdata_label_mismatch(tmp_path, shock_profile):
+    exact = wf.solve_exact(wf.burgers_flux(), 1.0, -1.0)
     with pytest.raises(ConfigError):
-        emit_plotdata([shock_profile], None, tmp_path / "x.csv", labels=["a", "b"])
+        emit_plotdata([shock_profile], exact, tmp_path / "x.csv", ["a", "b"])
 
 
 def test_svg_has_one_polyline_per_column(tmp_path, shock_profile):
     exact = wf.solve_exact(wf.burgers_flux(), 1.0, -1.0)
     svg = tmp_path / "plot.svg"
-    emit_plotdata([shock_profile], exact, tmp_path / "plot.csv",
-                  labels=["u"], svg_path=svg)
+    emit_plotdata([shock_profile], exact, tmp_path / "plot.csv", ["u"], svg_path=svg)
     text = svg.read_text()
     assert text.count("<polyline") == 2
     assert text.startswith("<svg ")
@@ -374,6 +353,25 @@ def test_main_sweep_outputs(tmp_path, capsys):
     header = out.read_text().splitlines()[0]
     assert header == "xi,eps=0.1,eps=0.05,exact"
     assert svg.read_text().count("<polyline") == 3
+
+
+@pytest.mark.parametrize("token, ul, ur, schedule", [
+    ("burgers", 1.0, -1.0, [0.05]),
+    ("poly:0,0,0,1", -1.0, 1.0, [0.1, 0.002]),
+    ("poly:0,0,-1,0,1", 1.0, -1.0, [0.05, 0.005]),
+])
+def test_sweep_columns_are_direct_solves(token, ul, ur, schedule, tmp_path):
+    # each viscosity is solved as `solve` solves it, whatever the others are
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--flux", token, "--ul", repr(ul), "--ur", repr(ur),
+                 "--eps", ",".join(map(repr, schedule)), "--out", str(out)]) == 0
+    flux = wf.parse_flux_token(token)
+    direct = [wf.solve_profile(wf.ProfileProblem(flux, ul, ur, eps))[0] for eps in schedule]
+    grid = max((p.xi for p in direct), key=len)
+    assert out.read_bytes() == csv_rows_oracle(
+        ",".join(["xi"] + ["eps=%g" % eps for eps in schedule] + ["exact"]),
+        [grid] + [np.interp(grid, p.xi, p.u) for p in direct]
+        + [wf.eval_riemann(wf.solve_exact(flux, ul, ur), grid)])
 
 
 def test_main_bad_invocation_exits_two(capsys):

@@ -49,17 +49,18 @@ def make_problem(ul=1.0, ur=-1.0, eps=0.05, flux=None):
     return wf.ProfileProblem(flux or wf.burgers_flux(), ul, ur, eps)
 
 
-def scalar_mesh_oracle(problem, domain=None, options=None, max_nodes=400_000):
+def scalar_mesh_oracle(problem, options=None, max_nodes=400_000):
     """Oracle: the graded mesh marched outward from the centre one node at a
     time, with spacing min(h_base, c*eps/S(xi)) at the current node."""
     opts = options or wf.SolveOptions()
-    lo, hi = domain if domain is not None else wf.truncate_domain(problem, opts.tail_tol)
+    lo, hi = opts.domain or wf.truncate_domain(problem, opts.tail_tol)
     m, big_m = wf.derivative_range(problem.flux, *problem.state_interval)
     fine = 12.0 / float(opts.nodes_per_layer) * problem.epsilon
+    h_base = profile_bvp._H_BASE
 
     def spacing(x):
         s = max(big_m, x) - min(m, x)
-        return opts.h_base if s * opts.h_base <= fine else fine / s
+        return h_base if s * h_base <= fine else fine / s
 
     def march(start, stop, sign):
         out = []
@@ -189,7 +190,7 @@ def test_mesh_mirrors_for_odd_symmetric_data():
 
 
 def test_mesh_hits_requested_endpoints():
-    mesh = wf.build_mesh(make_problem(), domain=(-1.25, 1.5))
+    mesh = wf.build_mesh(make_problem(), wf.SolveOptions(domain=(-1.25, 1.5)))
     assert mesh[0] == -1.25 and mesh[-1] == 1.5
 
 
@@ -202,19 +203,18 @@ def test_mesh_refines_with_layer_budget():
 
 def test_mesh_rejects_domain_missing_the_fan():
     with pytest.raises(WindowError):
-        wf.build_mesh(make_problem(-1.0, 1.0), domain=(-0.5, 2.0))
+        wf.build_mesh(make_problem(-1.0, 1.0), wf.SolveOptions(domain=(-0.5, 2.0)))
 
 
 def test_mesh_rejects_malformed_domain():
     for dom in ((1.0, -1.0), (0.0, 0.0), (-np.inf, 2.0), (np.nan, 1.0)):
         with pytest.raises(InvalidParameterError):
-            wf.build_mesh(make_problem(), domain=dom)
+            wf.build_mesh(make_problem(), wf.SolveOptions(domain=dom))
 
 
 def test_mesh_rejects_nonpositive_spacing():
-    for opts in (wf.SolveOptions(h_base=0.0), wf.SolveOptions(nodes_per_layer=0)):
-        with pytest.raises(InvalidParameterError):
-            wf.build_mesh(make_problem(), options=opts)
+    with pytest.raises(InvalidParameterError):
+        wf.build_mesh(make_problem(), wf.SolveOptions(nodes_per_layer=0))
 
 
 CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
@@ -232,8 +232,8 @@ CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
     (make_problem(-0.2, 0.2, 0.01), (-0.5, 3.0)),           # centre beyond the fan
 ])
 def test_mesh_matches_scalar_march_bitwise(problem, domain):
-    mesh = wf.build_mesh(problem, domain=domain)
-    assert np.array_equal(mesh, scalar_mesh_oracle(problem, domain=domain))
+    opts = wf.SolveOptions(domain=domain)
+    assert np.array_equal(wf.build_mesh(problem, opts), scalar_mesh_oracle(problem, opts))
 
 
 @pytest.mark.parametrize("problem, domain", [
@@ -241,19 +241,20 @@ def test_mesh_matches_scalar_march_bitwise(problem, domain):
     (make_problem(1.0, -1.0, 0.01), (-0.5, 0.5)),    # sides end on the fan
 ])
 def test_mesh_node_cap_matches_scalar_march(monkeypatch, problem, domain):
-    full = wf.build_mesh(problem, domain=domain)
+    opts = wf.SolveOptions(domain=domain)
+    full = wf.build_mesh(problem, opts)
     right = int(np.sum(full > 0.5 * (full[0] + full[-1])))
     # inside the fan run of one side, at the end of one side, and on the total
     for cap in (50, right - 1, right, len(full) - 1, len(full)):
         monkeypatch.setattr(profile_bvp, "_MAX_NODES", cap)
         try:
-            expected = scalar_mesh_oracle(problem, domain=domain, max_nodes=cap)
+            expected = scalar_mesh_oracle(problem, opts, max_nodes=cap)
         except CoverageError as exc:
             with pytest.raises(CoverageError) as got:
-                wf.build_mesh(problem, domain=domain)
+                wf.build_mesh(problem, opts)
             assert str(got.value) == str(exc)
         else:
-            assert np.array_equal(wf.build_mesh(problem, domain=domain), expected)
+            assert np.array_equal(wf.build_mesh(problem, opts), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +559,11 @@ def reference_newton(problem, guess, opts):
     xi, u = guess.xi, guess.u.copy()
     r = wf.residual(problem, wf.Profile(xi, u))
     history = [float(np.max(np.abs(r)))]
-    while history[-1] > opts.newton_tol and len(history) <= opts.max_iter:
+    while history[-1] > opts.newton_tol and len(history) <= profile_bvp._MAX_ITER:
         step = solve_banded((1, 1), wf.jacobian(problem, wf.Profile(xi, u)), -r)
         step[0], step[-1] = -r[0], -r[-1]
         lam = 1.0
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(profile_bvp._MAX_HALVINGS + 1):
             trial = u + lam * step
             rt = wf.residual(problem, wf.Profile(xi, trial))
             nt = float(np.max(np.abs(rt)))
@@ -570,7 +571,7 @@ def reference_newton(problem, guess, opts):
                 u, r = trial, rt
                 history.append(nt)
                 break
-            lam *= opts.damping
+            lam *= profile_bvp._DAMPING
         else:
             break
     return u, history
@@ -632,16 +633,16 @@ def test_newton_constant_data_converges_immediately():
     assert np.all(profile.u == 0.3)
 
 
-def test_newton_failure_carries_partial_report():
+def test_newton_failure_carries_partial_report(monkeypatch):
     prob = make_problem(1.0, -1.0, 0.05)
     mesh = wf.build_mesh(prob)
     guess = wf.initial_guess(prob, mesh)
+    monkeypatch.setattr(profile_bvp, "_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as exc:
-        wf.newton_solve(prob, guess, wf.SolveOptions(max_iter=1))
+        wf.newton_solve(prob, guess)
     report = exc.value.report
     assert report is not None and not report.converged
     assert report.iterations == 1
-    assert exc.value.epsilon == 0.05
     assert len(report.residual_history) >= 2
 
 
@@ -765,7 +766,7 @@ def failing_attempts(monkeypatch, fails):
         report = profile_bvp.SolveReport(False, 3, (1.0,), (guess.xi[0], guess.xi[-1]),
                                          len(guess.xi))
         if len(attempts) % 2:
-            raise NonConvergenceError("stalled", report=report, epsilon=stage.epsilon)
+            raise NonConvergenceError("stalled", report=report)
         raise LinearSolverError("singular", report=report)
 
     monkeypatch.setattr(profile_bvp, "newton_solve", flaky)
@@ -796,34 +797,10 @@ def test_back_off_ends_when_viscosities_close_in(monkeypatch):
     assert len(attempts) == 7
 
 
-def test_sweep_validation():
-    prob = make_problem()
-    for eps_list in ([], [0.1, 0.1], [0.05, 0.1], [0.1, 0.0]):
-        with pytest.raises(InvalidParameterError):
-            wf.continuation_sweep(prob, eps_list)
-
-
-@pytest.mark.parametrize("token, ul, ur, schedule", [
-    ("burgers", 1.0, -1.0, [0.05]),
-    ("poly:0,0,0,1", -1.0, 1.0, [0.1, 0.002]),
-    ("poly:0,0,-1,0,1", 1.0, -1.0, [0.05, 0.005]),
-])
-def test_singleton_sweep_matches_direct_solve(token, ul, ur, schedule):
-    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, schedule[-1])
-    out = wf.continuation_sweep(prob, schedule)
-    assert [e for e, _ in out] == schedule
-    for eps, swept in out:
-        direct, _ = wf.solve_profile(dataclasses.replace(prob, epsilon=eps))
-        assert np.array_equal(swept.xi, direct.xi)
-        assert np.array_equal(swept.u, direct.u)
-        assert np.array_equal(swept.du, direct.du)
-
-
-def test_sweep_profiles_sharpen():
-    prob = make_problem(1.0, -1.0, 0.1)
-    out = wf.continuation_sweep(prob, [0.1, 0.05], wf.SolveOptions(domain=(-1.5, 1.5)))
-    assert [e for e, _ in out] == [0.1, 0.05]
-    slopes = [float(np.min(p.du)) for _, p in out]
+def test_profiles_sharpen_as_viscosity_falls():
+    opts = wf.SolveOptions(domain=(-1.5, 1.5))
+    slopes = [float(np.min(wf.solve_profile(make_problem(1.0, -1.0, eps), opts)[0].du))
+              for eps in (0.1, 0.05)]
     assert slopes[1] < slopes[0] < 0.0  # steeper interior layer at smaller eps
 
 
@@ -835,14 +812,6 @@ def test_solve_profile_reconstructs_the_slope_once(slope_calls, monkeypatch):
     assert slope_calls == [len(profile.xi)]
     assert np.array_equal(profile.du, wf.reconstruct_derivative(profile.xi, profile.u))
     assert len(slope_calls) == 1      # read again: cached, not recomputed
-
-
-def test_sweep_returns_profiles_with_slopes(slope_calls):
-    out = wf.continuation_sweep(make_problem(1.0, -1.0, 0.1), [0.1, 0.05, 0.025])
-    assert len(slope_calls) == 3
-    for _, p in out:
-        assert np.array_equal(p.du, wf.reconstruct_derivative(p.xi, p.u))
-    assert len(slope_calls) == 3      # the slopes were computed inside the sweep
 
 
 def test_probe_never_reconstructs_slopes(slope_calls):
@@ -862,15 +831,6 @@ def test_profile_slope_is_lazy_unless_given(slope_calls):
     assert lazy.du is lazy.du and len(slope_calls) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         lazy.u = xi
-
-
-def test_sample_profile_interpolates_and_clamps(shock_profile):
-    left = wf.sample_profile(shock_profile, shock_profile.xi[0] - 5.0)
-    right = wf.sample_profile(shock_profile, shock_profile.xi[-1] + 5.0)
-    assert left == shock_profile.u[0]
-    assert right == shock_profile.u[-1]
-    mid = wf.sample_profile(shock_profile, shock_profile.xi[3:6])
-    assert np.array_equal(mid, shock_profile.u[3:6])
 
 
 def test_problem_validation():

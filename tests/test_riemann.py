@@ -237,6 +237,18 @@ def test_a_fan_that_follows_a_fan_extends_it():
     assert sol.waves == wf.solve_exact(plain, -1.0, 1.0).waves
 
 
+@pytest.mark.parametrize("token", ["poly:0,0,0,1,2.225073858507e-311",
+                                   "poly:0,0,1,2.225073858507e-311"])
+def test_a_subnormal_leading_coefficient_is_trimmed(token):
+    # the root finder divided by the subnormal leading coefficient of the
+    # tangency and inflection polynomials and overflowed; below the rounding
+    # of the other terms on the interval it is trimmed instead
+    flux = wf.parse_flux_token(token)
+    plain = wf.polynomial_flux(flux.coefficients[:-1] + (0.0,))
+    for ul, ur in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
+        assert wf.solve_exact(flux, ul, ur).waves == wf.solve_exact(plain, ul, ur).waves
+
+
 def test_shock_between_adjacent_doubles_moves_at_the_characteristic_speed():
     # the chord over one ulp is f'(p) up to rounding; the difference quotient
     # of f values gave -1.0 here, where f' is -1.116

@@ -14,11 +14,12 @@ from wavefan.errors import (
     UnsupportedFluxError,
     WindowError,
 )
-from wavefan import verification
+from wavefan import profile_bvp, verification
 from wavefan.verification import _barrier_ratio, _judge, _translate_defect
 
 
 EPS_MACH = float(np.finfo(float).eps)
+BURGERS = wf.burgers_flux()
 
 
 def interior_d1_oracle(profile):
@@ -134,14 +135,14 @@ def test_monotone_constant_data_is_zero(shock_profile):
 
 
 def test_symmetry_zero_for_symmetric_solve(shock_profile, rarefaction_profile):
-    assert wf.check_symmetry(shock_profile, 1.0, -1.0) <= 1e-12
-    assert wf.check_symmetry(rarefaction_profile, -1.0, 1.0) <= 1e-12
+    assert wf.check_symmetry(shock_profile, 1.0, -1.0, BURGERS) <= 1e-12
+    assert wf.check_symmetry(rarefaction_profile, -1.0, 1.0, BURGERS) <= 1e-12
 
 
 def test_symmetry_detects_a_shift(shock_profile):
     s = 1e-4
     shifted = wf.Profile(shock_profile.xi + s, shock_profile.u, shock_profile.du)
-    dev = wf.check_symmetry(shifted, 1.0, -1.0)
+    dev = wf.check_symmetry(shifted, 1.0, -1.0, BURGERS)
     expected = 2.0 * s * float(np.max(np.abs(shock_profile.du)))
     assert dev == pytest.approx(expected, rel=0.05)
 
@@ -151,17 +152,17 @@ def test_symmetry_across_viscosity_range():
         prob = wf.ProfileProblem(wf.burgers_flux(), -1.0, 1.0, eps)
         profile, report = wf.solve_profile(prob)
         assert report.converged
-        assert wf.check_symmetry(profile, -1.0, 1.0) <= 1e-6
+        assert wf.check_symmetry(profile, -1.0, 1.0, BURGERS) <= 1e-6
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5, 0.0)])
 def test_quadratic_checks_accept_any_flux_with_identity_derivative(shock_profile,
                                                                    coeffs):
     flux = wf.polynomial_flux(coeffs)
-    assert wf.check_symmetry(shock_profile, 1.0, -1.0, flux=flux) \
-        == wf.check_symmetry(shock_profile, 1.0, -1.0)
-    assert wf.translation_invariance_check(shock_profile, 0.05, 0.7, flux=flux) \
-        == wf.translation_invariance_check(shock_profile, 0.05, 0.7)
+    assert wf.check_symmetry(shock_profile, 1.0, -1.0, flux) \
+        == wf.check_symmetry(shock_profile, 1.0, -1.0, BURGERS)
+    assert wf.translation_invariance_check(shock_profile, 0.05, 0.7, flux) \
+        == wf.translation_invariance_check(shock_profile, 0.05, 0.7, BURGERS)
 
 
 def test_quadratic_checks_reject_a_shifted_derivative(shock_profile):
@@ -421,8 +422,8 @@ def test_barrier_margin_errors(rarefaction_profile, rarefaction_problem,
 
 def test_translation_defect_independent_of_shift(shock_profile, rarefaction_profile):
     for profile in (shock_profile, rarefaction_profile):
-        t0 = wf.translation_invariance_check(profile, 0.05, 0.0)
-        t1 = wf.translation_invariance_check(profile, 0.05, 0.7)
+        t0 = wf.translation_invariance_check(profile, 0.05, 0.0, BURGERS)
+        t1 = wf.translation_invariance_check(profile, 0.05, 0.7, BURGERS)
         assert t0 <= 1e-10
         assert t1 <= max(2.0 * t0, 1e-10)
 
@@ -432,7 +433,7 @@ def test_translation_check_rejects_other_fluxes(shock_profile):
     with pytest.raises(UnsupportedFluxError):
         wf.translation_invariance_check(shock_profile, 0.05, 0.1, flux=cubic)
     with pytest.raises(InvalidParameterError):
-        wf.translation_invariance_check(shock_profile, -0.05, 0.1)
+        wf.translation_invariance_check(shock_profile, -0.05, 0.1, BURGERS)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, -0.3])
@@ -442,7 +443,7 @@ def test_translation_defect_matches_written_out_oracle(lam, shock_profile,
     # agree to the roundoff of the terms the defect is the difference of
     for profile in (shock_profile, rarefaction_profile):
         expected, terms = translation_defect_oracle(profile, 0.05, lam)
-        got = wf.translation_invariance_check(profile, 0.05, lam)
+        got = wf.translation_invariance_check(profile, 0.05, lam, BURGERS)
         assert abs(got - expected) <= 8.0 * EPS_MACH * terms
 
 
@@ -461,11 +462,12 @@ def test_uniqueness_probe_stable_under_refinement(shock_problem):
     assert fine.max_distance <= max(coarse.max_distance, floor)
 
 
-def test_uniqueness_probe_validation_and_inconclusive(shock_problem):
+def test_uniqueness_probe_validation_and_inconclusive(shock_problem, monkeypatch):
     with pytest.raises(InvalidParameterError):
         wf.uniqueness_probe(shock_problem, n_guesses=1)
+    monkeypatch.setattr(profile_bvp, "_MAX_ITER", 1)
     with pytest.raises(InconclusiveProbeError):
-        wf.uniqueness_probe(shock_problem, wf.SolveOptions(max_iter=1), n_guesses=2)
+        wf.uniqueness_probe(shock_problem, n_guesses=2)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +593,19 @@ def test_increasing_burgers_batteries_integrate_the_corner_once():
         checks, _ = wf.run_battery(wf.ProfileProblem(wf.burgers_flux(), ul, ur, 0.05))
         assert "corner_remainder" in checks
     assert wf.solve_corner.cache_info().misses == 1
-    wf.solve_corner()  # the batteries used the default range
+    # the batteries used the default range and node count
+    wf.solve_corner(xi_max=10.0, n_points=2001)
     assert wf.solve_corner.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("ul, ur, eps", [(-1.004, 0.997, 0.01), (-1.0, 1.0, 0.005)])
+def test_battery_sizes_the_corner_to_the_rescaled_mesh(ul, ur, eps):
+    # the rescaled half-mesh reaches 10.005 and 14.1, past the default
+    # corner's 10; the corner is widened to 11 and 15 instead of the check
+    # being dropped
+    checks, diag = wf.run_battery(wf.ProfileProblem(BURGERS, ul, ur, eps))
+    assert checks["corner_remainder"]["pass"]
+    assert np.isfinite(diag.margins["corner_remainder"])
 
 
 @pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
