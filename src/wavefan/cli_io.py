@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -62,7 +63,16 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so main() owns the exit code."""
+    """argparse that raises instead of exiting, so main() owns the exit code.
+
+    A token that is a negative number in any form float() reads, exponent
+    included (-1e-3, -.5E+2), is a value, not an option; argparse's own rule
+    (Python 3.11) takes only the -1 and -1.5 forms as values. Subparsers are
+    made from this class, so they share the rule."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +155,6 @@ def _gauss_legendre(t0, t1):
     return d * (_branch(t0[:, None] + d[:, None] * _GL_NODES)[2] @ _GL_WEIGHTS)
 
 
-@functools.lru_cache(maxsize=8)
 def solve_corner(xi_min: float = -8.0, xi_max: float = 10.0,
                  n_points: int = 2001) -> CornerProfile:
     """The corner-layer profile at n_points equispaced nodes of [xi_min, xi_max].
@@ -162,10 +162,16 @@ def solve_corner(xi_min: float = -8.0, xi_max: float = 10.0,
     xi_min must lie in [-30, -4]; xi_max is capped at 30, where the
     deviation w ~ e^{-xi} nears the floating-point resolution of U itself.
 
-    The profile depends on the arguments alone, so the last few are kept:
-    a repeated call returns the same object, whose arrays are read-only.
+    The profile depends on the argument values alone, so the last few are
+    kept, keyed on the values however the call spells them: a repeated call
+    returns the same object, whose arrays are read-only.
     """
-    xi_min, xi_max = float(xi_min), float(xi_max)
+    return _corner_profile(float(xi_min), float(xi_max), operator.index(n_points))
+
+
+@functools.lru_cache(maxsize=8)
+def _corner_profile(xi_min: float, xi_max: float, n_points: int) -> CornerProfile:
+    """`solve_corner` on normalised arguments."""
     if not (-30.0 <= xi_min <= -4.0):
         raise InvalidParameterError("xi_min must lie in [-30, -4]")
     if not (0.0 < xi_max <= 30.0):

@@ -12,14 +12,16 @@ residual.
 Mesh design: away from the wave fan the solution relaxes to its limit like
 exp(-|f'(u) - xi| * distance / eps), so both the interior layers and the
 tails live on the scale eps / S(xi), where S(xi) bounds |f'(u) - xi| over
-the relevant state interval. The mesh marches outward from the domain
-centre with local spacing min(_H_BASE, c * eps / S(xi)); for data symmetric
-under (xi, u) -> (-xi, -u) the two sides of the march produce bitwise
-mirror-image nodes, so the discrete problem inherits the symmetry exactly
-instead of up to interpolation error. On the range [m, M] of f' the bound
-S is the constant M - m, so that stretch of the march (most nodes at small
-eps) is a cumulative sum, evaluated in one vectorized pass with the same
-left-to-right additions; only the tails are stepped one node at a time.
+the relevant state interval. The mesh equidistributes the node density
+1/h, h = min(_H_BASE, c * eps / S(xi)), outward from the domain centre:
+each step holds exactly one node (Linss, Layer-Adapted Meshes, LNM 1985,
+2010). The density is piecewise linear in the distance from the centre, so
+the node count is piecewise quadratic and every node is one closed-form
+root, computed for all nodes at once; the count, and with it the node cap,
+is known before any node is placed. For data symmetric under
+(xi, u) -> (-xi, -u) both sides use the same numbers in the distance and
+produce bitwise mirror-image nodes, so the discrete problem inherits the
+symmetry exactly instead of up to interpolation error.
 
 Newton starts at the target viscosity from the profile's asymptotics: at
 each shock its viscous travelling wave, eps*U' = f(U) - f(u_L) - s*(U - u_L),
@@ -172,19 +174,55 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
+def _side_nodes(p: float, q: float, s0: float, fine: float, length: float):
+    """The number J of nodes strictly inside one side of the centre, as a
+    float (NaN or inf when fine underflows), and place(out, centre, sign),
+    which writes the nodes centre + sign*y_k, k = 1..J, into out.
+
+    In the distance y the node density is S(y)/fine with
+    S(y) = max(s0, p - y, q + y), piecewise linear with breakpoints p - s0
+    and s0 - q, so the node count N(y) = int_0^y S/fine is piecewise
+    quadratic. Node k sits at N(y_k) = k: on a piece starting at y_a, where
+    S is a and has slope b, w = (k - N(y_a))*fine gives
+    y_k = y_a + 2w/(a + sqrt(a^2 + 2bw)), the root of a*t + b*t^2/2 = w that
+    does not cancel, for every sign of b. J = floor(N(L) - 0.3), so the last
+    step, to the side's end at L, holds [0.3, 1.3) nodes.
+    """
+    y = np.maximum.accumulate(np.clip([0.0, p - s0, s0 - q, length], 0.0, length))
+    big_s = np.maximum(np.maximum(s0, p - y), q + y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_at = np.cumsum([0.0, *(0.5 * (big_s[1:] + big_s[:-1]) * np.diff(y))]) / fine
+    interior = np.maximum(np.floor(n_at[-1] - 0.3), 0.0)
+
+    def place(out: np.ndarray, centre: float, sign: float):
+        # piece i holds the k with N(y_i) <= k < N(y_{i+1}); S has slope i - 1
+        last = int(interior)
+        first = [1, *(min(max(math.ceil(n), 1), last + 1) for n in n_at[1:3]), last + 1]
+        for i in range(3):
+            w = (np.arange(first[i], first[i + 1], dtype=float) - n_at[i]) * fine
+            t = 2.0 * w / (big_s[i] + np.sqrt(big_s[i] * big_s[i] + 2.0 * (i - 1.0) * w))
+            np.add(centre, sign * (y[i] + t), out=out[first[i] - 1:first[i + 1] - 1])
+
+    return interior, place
+
+
 def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> np.ndarray:
-    """Graded mesh on the truncated domain (or options.domain), marched
-    outward from the centre.
+    """Graded mesh on the truncated domain (or options.domain), placed
+    outward from the centre by equidistributing the node density 1/h.
 
-    Local spacing is min(_H_BASE, c*eps/S(xi)) with c = 12/nodes_per_layer,
+    Local spacing is h = min(_H_BASE, c*eps/S(xi)) with c = 12/nodes_per_layer,
     which puts nodes_per_layer nodes across a viscous layer and keeps about
-    ten nodes per e-folding of the tails. A trailing sliver shorter than
-    0.3 of the local spacing is absorbed into the final step.
+    ten nodes per e-folding of the tails. S(xi) = max(M, xi) - min(m, xi)
+    bounds |f'(u) - xi| over the states, with [m, M] the range of f'.
 
-    S(xi) = max(M, xi) - min(m, xi) bounds |f'(u) - xi| over the states,
-    with [m, M] the range of f'. It is constant on [m, M], where the march
-    is generated by np.add.accumulate: the nodes are bitwise those of
-    stepping one node at a time, which the tails still do.
+    Each step outward from the centre holds exactly one node of the density
+    1/h, piecewise linear in the distance with breakpoints at m, M and where
+    S = c*eps/_H_BASE, so each node is a closed-form root (`_side_nodes`); a
+    trailing sliver holding less than 0.3 of a node is absorbed into the
+    final step. Both sides use the same formulas in the distance, so data
+    symmetric under (xi, u) -> (-xi, -u) get bitwise mirror-image nodes. A
+    node count over _MAX_NODES, or not finite because c*eps/S underflows,
+    raises CoverageError before any node is placed.
     """
     opts = options or SolveOptions()
     dom = opts.domain if opts.domain is not None else truncate_domain(problem, opts.tail_tol)
@@ -200,67 +238,22 @@ def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> 
                           % (lo, hi, slo, shi))
 
     m, big_m = derivative_range(problem.flux, *problem.state_interval)
-    c_acc = 12.0 / float(opts.nodes_per_layer)
-    fine = c_acc * problem.epsilon
-    h_base = _H_BASE
-    h_fan = h_base if (big_m - m) * h_base <= fine else fine / (big_m - m)
-
-    def step_off_fan(x: float, stop: float, step_sign: float, budget: int,
-                     out: list) -> tuple[float, bool]:
-        # off the fan S(x) is M - x on its left and x - m on its right, both
-        # exactly (x - ref) * sign; stepping in the direction step_sign
-        # (x + (-h) is bitwise x - h) ends at stop, on entering [m, M], where
-        # step_sign * x reaches `limit`, or after `budget` nodes, and appends
-        # the nodes to `out`
-        near, ref, sign = (big_m, m, 1.0) if x > big_m else (m, big_m, -1.0)
-        limit = step_sign * near if sign != step_sign else math.inf
-        for _ in range(budget):
-            s = (x - ref) * sign
-            h = h_base if s * h_base <= fine else fine / s
-            x += step_sign * h
-            if step_sign * (stop - x) < 0.3 * h:
-                out.append(stop)
-                return x, True
-            out.append(x)
-            if step_sign * x >= limit:
-                break
-        return x, False
-
-    def march(start: float, stop: float, step_sign: float) -> np.ndarray:
-        pieces = []       # arrays of nodes, in marching order
-        count = 0
-        x = start
-        while True:
-            if count + 1 > _MAX_NODES:
-                raise CoverageError("mesh exceeds %d nodes; enlarge spacing or "
-                                    "shrink the domain" % _MAX_NODES)
-            if m <= x <= big_m:
-                # the steps taken from points of [m, M] all have length h_fan
-                reach = (big_m - x) if step_sign > 0.0 else (x - m)
-                k = min(_MAX_NODES - count, int(reach / h_fan) + 2)
-                run = np.add.accumulate(np.concatenate(([x], np.full(k, step_sign * h_fan))))
-                prev, nodes = run[:-1], run[1:]
-                done = _first(step_sign * (stop - nodes) < 0.3 * h_fan)
-                off_fan = _first((prev < m) | (prev > big_m))
-                if done < off_fan:
-                    return np.concatenate(pieces + [nodes[:done], [stop]])
-                pieces.append(nodes[:off_fan])
-                count += off_fan
-                x = float(nodes[off_fan - 1])
-                continue
-            tail = []
-            x, done = step_off_fan(x, stop, step_sign, _MAX_NODES - count, tail)
-            pieces.append(np.array(tail))
-            if done:
-                return np.concatenate(pieces)
-            count += len(tail)
-
+    fine = 12.0 / float(opts.nodes_per_layer) * problem.epsilon
+    # 1/h = max(fine/_H_BASE, S)/fine, S = max(M - xi, M - m, xi - m); at
+    # xi = centre + y, S = max(p - y, M - m, q + y) with p = M - centre and
+    # q = centre - m, and p and q swap at xi = centre - y
+    s0 = max(fine / _H_BASE, big_m - m)
     centre = 0.5 * (lo + hi)
-    right = march(centre, hi, 1.0)
-    left = march(centre, lo, -1.0)
-    mesh = np.concatenate((left[::-1], [centre], right))
-    if len(mesh) > _MAX_NODES:
-        raise CoverageError("mesh exceeds %d nodes" % _MAX_NODES)
+    right_count, right = _side_nodes(big_m - centre, centre - m, s0, fine, hi - centre)
+    left_count, left = _side_nodes(centre - m, big_m - centre, s0, fine, centre - lo)
+    if not 3.0 + left_count + right_count <= _MAX_NODES:
+        raise CoverageError("mesh exceeds %d nodes; enlarge spacing or "
+                            "shrink the domain" % _MAX_NODES)
+    j = int(left_count)
+    mesh = np.empty(3 + j + int(right_count))
+    mesh[0], mesh[j + 1], mesh[-1] = lo, centre, hi
+    left(mesh[j:0:-1], centre, -1.0)
+    right(mesh[j + 2:-1], centre, 1.0)
     return mesh
 
 

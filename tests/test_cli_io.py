@@ -31,6 +31,18 @@ def test_parse_solve_defaults():
     assert cfg.out is None and cfg.report is None
 
 
+@pytest.mark.parametrize("command", ["solve", "riemann"])
+def test_parse_negative_states_in_exponent_form(command):
+    eps = ["--eps", "0.05"] if command == "solve" else []
+    cfg = parse_config([command, "--ul", "-1e-3", "--ur", "-.5E+2"] + eps)
+    assert (cfg.u_left, cfg.u_right) == (-1e-3, -50.0)
+    cfg = parse_config([command, "--ul", "1", "--ur", "-2.5e-1"] + eps)
+    assert cfg.u_right == -0.25
+    # a token that is not a number is still an option
+    with pytest.raises(ConfigError):
+        parse_config([command, "--ul", "1", "--ur", "-e3"] + eps)
+
+
 def test_parse_polynomial_flux():
     cfg = parse_config(["solve", "--flux", "poly:0,0,0,1", "--ul", "-1",
                         "--ur", "1", "--eps", "0.1"])
@@ -372,6 +384,13 @@ def test_sweep_columns_are_direct_solves(token, ul, ur, schedule, tmp_path):
         ",".join(["xi"] + ["eps=%g" % eps for eps in schedule] + ["exact"]),
         [grid] + [np.interp(grid, p.xi, p.u) for p in direct]
         + [wf.eval_riemann(wf.solve_exact(flux, ul, ur), grid)])
+
+
+def test_main_solve_underflowing_spacing_exits_one(capsys):
+    # c*eps/S underflows to 0: a CoverageError, reported on one line
+    assert main(["solve", "--ul", "1", "--ur", "-1", "--eps", "5e-324"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh exceeds") and err.count("\n") == 1
 
 
 def test_main_bad_invocation_exits_two(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import wavefan as wf
+from wavefan import corner_layer
 from wavefan.corner_layer import GAUSS_HALF_MASS
 from wavefan.errors import (
     DegenerateProfileError,
@@ -213,6 +214,17 @@ def test_solve_corner_is_computed_once_and_read_only():
     for name in ("xi", "u", "p", "w"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(first, name)[0] = 0.0
+
+
+def test_solve_corner_is_cached_on_argument_values():
+    corner_layer._corner_profile.cache_clear()
+    default = wf.solve_corner()
+    assert wf.solve_corner(xi_max=10.0, n_points=2001) is default
+    assert wf.solve_corner(-8.0, 10.0, 2001) is default
+    assert wf.solve_corner(-8, 10, np.int64(2001)) is default
+    assert corner_layer._corner_profile.cache_info().misses == 1
+    with pytest.raises(TypeError):
+        wf.solve_corner(n_points=2001.0)
 
 
 # ---------------------------------------------------------------------------

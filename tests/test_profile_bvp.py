@@ -49,7 +49,7 @@ def make_problem(ul=1.0, ur=-1.0, eps=0.05, flux=None):
     return wf.ProfileProblem(flux or wf.burgers_flux(), ul, ur, eps)
 
 
-def scalar_mesh_oracle(problem, options=None, max_nodes=400_000):
+def scalar_mesh_oracle(problem, options=None):
     """Oracle: the graded mesh marched outward from the centre one node at a
     time, with spacing min(h_base, c*eps/S(xi)) at the current node."""
     opts = options or wf.SolveOptions()
@@ -66,9 +66,6 @@ def scalar_mesh_oracle(problem, options=None, max_nodes=400_000):
         out = []
         x = start
         while True:
-            if len(out) + 1 > max_nodes:
-                raise CoverageError("mesh exceeds %d nodes; enlarge spacing or "
-                                    "shrink the domain" % max_nodes)
             h = spacing(x)
             nxt = x + sign * h
             if sign * (stop - nxt) < 0.3 * h:
@@ -79,10 +76,29 @@ def scalar_mesh_oracle(problem, options=None, max_nodes=400_000):
     centre = 0.5 * (lo + hi)
     right = march(centre, hi, 1.0)
     left = march(centre, lo, -1.0)
-    mesh = np.array(left[::-1] + [centre] + right)
-    if len(mesh) > max_nodes:
-        raise CoverageError("mesh exceeds %d nodes" % max_nodes)
-    return mesh
+    return np.array(left[::-1] + [centre] + right)
+
+
+def mesh_density(problem, options, x):
+    """The node density 1/min(h_base, c*eps/S(x)), S(x) = max(M, x) - min(m, x),
+    at the points x, with its breakpoints (m, M and where S = c*eps/h_base)."""
+    m, big_m = wf.derivative_range(problem.flux, *problem.state_interval)
+    fine = 12.0 / float(options.nodes_per_layer) * problem.epsilon
+    s = np.maximum(big_m, x) - np.minimum(m, x)
+    density = np.maximum(1.0 / profile_bvp._H_BASE, s / fine)
+    return density, (m, big_m, big_m - fine / profile_bvp._H_BASE,
+                     m + fine / profile_bvp._H_BASE)
+
+
+def nodes_per_step(problem, options, mesh):
+    """Oracle: the integral of the node density over each step of the mesh,
+    by the trapezoid rule on the nodes and the density's breakpoints, which
+    is exact for the piecewise-linear density."""
+    _, breaks = mesh_density(problem, options, mesh[0])
+    grid = np.union1d(mesh, [b for b in breaks if mesh[0] < b < mesh[-1]])
+    density, _ = mesh_density(problem, options, grid)
+    cells = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
+    return np.add.reduceat(cells, np.searchsorted(grid, mesh[:-1]))
 
 
 def vandermonde_slope_oracle(xi, u):
@@ -220,7 +236,7 @@ def test_mesh_rejects_nonpositive_spacing():
 CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("problem, domain", [
+MESH_CASES = [
     (make_problem(1.0, -1.0, 0.05), None),                  # Burgers shock
     (make_problem(-1.0, 1.0, 0.01), None),                  # Burgers rarefaction
     (make_problem(-1.0, 1.0, 0.002, flux=CUBIC), None),     # cubic composite
@@ -230,31 +246,51 @@ CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
     (make_problem(0.4, 0.4, 0.05), None),                   # constant data, m == M
     (make_problem(1.0, -1.0, 0.05), (-1.25, 1.5)),          # domain override
     (make_problem(-0.2, 0.2, 0.01), (-0.5, 3.0)),           # centre beyond the fan
-])
-def test_mesh_matches_scalar_march_bitwise(problem, domain):
+]
+
+
+@pytest.mark.parametrize("problem, domain", MESH_CASES)
+def test_mesh_count_matches_scalar_march(problem, domain):
+    # the march takes each step at the spacing of its start node; the
+    # equidistributed mesh differs by at most one node per side
     opts = wf.SolveOptions(domain=domain)
-    assert np.array_equal(wf.build_mesh(problem, opts), scalar_mesh_oracle(problem, opts))
+    assert abs(len(wf.build_mesh(problem, opts)) - len(scalar_mesh_oracle(problem, opts))) <= 2
+
+
+@pytest.mark.parametrize("problem, domain", MESH_CASES)
+def test_mesh_equidistributes_the_node_density(problem, domain):
+    opts = wf.SolveOptions(domain=domain)
+    mesh = wf.build_mesh(problem, opts)
+    held = nodes_per_step(problem, opts, mesh)
+    centre = int(np.flatnonzero(mesh == 0.5 * (mesh[0] + mesh[-1]))[0])
+    inner = np.concatenate((held[1:centre], held[centre:-1]))
+    assert np.max(np.abs(inner - 1.0)) <= 1e-9
+    # the last step of each side absorbs a sliver of less than 0.3 of a node
+    for last in (held[0], held[-1]):
+        assert 0.3 - 1e-9 <= last < 1.3 + 1e-9
 
 
 @pytest.mark.parametrize("problem, domain", [
     (make_problem(-1.0, 1.0, 0.01), None),           # sides end in the tails
     (make_problem(1.0, -1.0, 0.01), (-0.5, 0.5)),    # sides end on the fan
 ])
-def test_mesh_node_cap_matches_scalar_march(monkeypatch, problem, domain):
+def test_mesh_node_cap_is_one_count(monkeypatch, problem, domain):
     opts = wf.SolveOptions(domain=domain)
     full = wf.build_mesh(problem, opts)
-    right = int(np.sum(full > 0.5 * (full[0] + full[-1])))
-    # inside the fan run of one side, at the end of one side, and on the total
-    for cap in (50, right - 1, right, len(full) - 1, len(full)):
-        monkeypatch.setattr(profile_bvp, "_MAX_NODES", cap)
-        try:
-            expected = scalar_mesh_oracle(problem, opts, max_nodes=cap)
-        except CoverageError as exc:
-            with pytest.raises(CoverageError) as got:
-                wf.build_mesh(problem, opts)
-            assert str(got.value) == str(exc)
-        else:
-            assert np.array_equal(wf.build_mesh(problem, opts), expected)
+    monkeypatch.setattr(profile_bvp, "_MAX_NODES", len(full))
+    assert np.array_equal(wf.build_mesh(problem, opts), full)
+    monkeypatch.setattr(profile_bvp, "_MAX_NODES", len(full) - 1)
+    with pytest.raises(CoverageError, match=r"^mesh exceeds %d nodes; enlarge spacing "
+                       r"or shrink the domain$" % (len(full) - 1)):
+        wf.build_mesh(problem, opts)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-300])
+def test_mesh_rejects_underflowing_spacing(eps):
+    # c*eps is 0 at 5e-324 and 1e-301 at 1e-300: the node count is inf or
+    # about 1e302, and no node is placed
+    with pytest.raises(CoverageError, match="mesh exceeds"):
+        wf.build_mesh(make_problem(1.0, -1.0, eps))
 
 
 # ---------------------------------------------------------------------------

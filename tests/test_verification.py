@@ -14,7 +14,7 @@ from wavefan.errors import (
     UnsupportedFluxError,
     WindowError,
 )
-from wavefan import profile_bvp, verification
+from wavefan import corner_layer, profile_bvp, verification
 from wavefan.verification import _barrier_ratio, _judge, _translate_defect
 
 
@@ -588,14 +588,15 @@ def test_battery_solve_count(monkeypatch, ul, ur):
 
 
 def test_increasing_burgers_batteries_integrate_the_corner_once():
-    wf.solve_corner.cache_clear()
+    cache = corner_layer._corner_profile
+    cache.cache_clear()
     for ul, ur in ((-1.0, 1.0), (-0.5, 1.0)):
         checks, _ = wf.run_battery(wf.ProfileProblem(wf.burgers_flux(), ul, ur, 0.05))
         assert "corner_remainder" in checks
-    assert wf.solve_corner.cache_info().misses == 1
+    assert cache.cache_info().misses == 1
     # the batteries used the default range and node count
     wf.solve_corner(xi_max=10.0, n_points=2001)
-    assert wf.solve_corner.cache_info().misses == 1
+    assert cache.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("ul, ur, eps", [(-1.004, 0.997, 0.01), (-1.0, 1.0, 0.005)])
