@@ -9,19 +9,28 @@ wave fan. The problem is discretized on a finite interval with a graded mesh
 and solved by a damped Newton iteration on the nonlinear divided-difference
 residual.
 
-Mesh design: away from the wave fan the solution relaxes to its limit like
-exp(-|f'(u) - xi| * distance / eps), so both the interior layers and the
-tails live on the scale eps / S(xi), where S(xi) bounds |f'(u) - xi| over
-the relevant state interval. The mesh equidistributes the node density
-1/h, h = min(_H_BASE, c * eps / S(xi)), outward from the domain centre:
-each step holds exactly one node (Linss, Layer-Adapted Meshes, LNM 1985,
-2010). The density is piecewise linear in the distance from the centre, so
-the node count is piecewise quadratic and every node is one closed-form
-root, computed for all nodes at once; the count, and with it the node cap,
-is known before any node is placed. For data symmetric under
-(xi, u) -> (-xi, -u) both sides use the same numbers in the distance and
-produce bitwise mirror-image nodes, so the discrete problem inherits the
-symmetry exactly instead of up to interpolation error.
+Mesh design: the profile has two inner scales, the shock layers of width
+eps/(speed gap) and the sqrt(eps)-wide corners at the fan edges, and is flat
+to roundoff elsewhere. The node density 1/h is therefore built from the
+exact wave list of `solve_exact` (a layer-adapted mesh: Linss,
+Layer-Adapted Meshes for Reaction-Convection-Diffusion Problems, LNM 1985,
+2010): the layer spacing c * eps / S(xi) inside each shock's layer, where
+S(xi) bounds |f'(u) - xi| over the states; a uniform sqrt(eps)-scaled
+spacing across each fan and its corners; and elsewhere the spacing
+eps / |f'(u) - xi| of the inviscid solution, which holds the cell Peclet
+number at 1/2, inside the bound |f'(u) - xi| * h <= 2 * eps under which the
+central scheme's Jacobian is an M-matrix and keeps a discrete maximum
+principle (Roos, Stynes & Tobiska, Robust Numerical Methods for Singularly
+Perturbed Differential Equations, Springer 2008). The density is capped by
+the layer spacing's everywhere, so no mesh has more nodes than one of that
+spacing alone. The mesh equidistributes it outward from the domain centre:
+each step holds exactly one node. The density is piecewise linear in the distance
+from the centre, so the node count is piecewise quadratic and every node is
+one closed-form root, computed for all nodes at once; the count, and with
+it the node cap, is known before any node is placed. For data symmetric
+under (xi, u) -> (-xi, -u) both sides use the same numbers in the distance
+and produce bitwise mirror-image nodes, so the discrete problem inherits
+the symmetry exactly instead of up to interpolation error.
 
 Newton starts at the target viscosity from the profile's asymptotics: at
 each shock its viscous travelling wave, eps*U' = f(U) - f(u_L) - s*(U - u_L),
@@ -68,7 +77,7 @@ from .errors import (
 )
 from .flux import (FluxSpec, _interior_critical_points, derivative, derivative_range,
                    second_derivative, sup_derivative)
-from .riemann import Shock, eval_riemann, solve_exact, wave_speed_span
+from .riemann import RarefactionFan, Shock, eval_riemann, solve_exact, wave_speed_span
 
 _MAX_NODES = 400_000
 _EPS_MACH = float(np.finfo(float).eps)
@@ -77,6 +86,11 @@ _MAX_ITER = 25           # Newton iterations per solve
 _DAMPING = 0.5           # line-search step factor
 _MAX_HALVINGS = 30       # line-search steps below the full one
 _H_BASE = 0.05           # coarsest mesh spacing
+_SHOCK_EFOLDS = 40.0     # mesh density terms, see build_mesh
+_PECLET = 0.5
+_FAN_SPACING = 0.035
+_FAN_REACH = 28.0
+_TAPER = 4.0
 _BACKOFF_RATIO = 1.1     # see solve_profile
 _LAYER_DT = 1.0 / 16.0   # see _ShockLayer
 _LAYER_T = 20.0
@@ -174,78 +188,178 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
-def _side_nodes(p: float, q: float, s0: float, fine: float, length: float):
-    """The number J of nodes strictly inside one side of the centre, as a
-    float (NaN or inf when fine underflows), and place(out, centre, sign),
-    which writes the nodes centre + sign*y_k, k = 1..J, into out.
+def _taper(zone_lo: float, zone_hi: float, top: float):
+    """Knots (x, rho) of a density that is `top` on [zone_lo, zone_hi] and
+    falls off outside it along the chords of top/(1 + top*t/_TAPER), t the
+    distance from the zone: the density halves at t = _TAPER*(2^j - 1)/top,
+    j = 1, 2, ..., until it is below 1/_H_BASE, under every other term."""
+    halvings = np.arange(1, max(math.frexp(top * _H_BASE)[1], 0) + 1)
+    reach = _TAPER * (2.0 ** halvings - 1.0) / top
+    fall = top * 0.5 ** halvings
+    return (np.concatenate((zone_lo - reach[::-1], [zone_lo, zone_hi], zone_hi + reach)),
+            np.concatenate((fall[::-1], [top, top], fall)))
 
-    In the distance y the node density is S(y)/fine with
-    S(y) = max(s0, p - y, q + y), piecewise linear with breakpoints p - s0
-    and s0 - q, so the node count N(y) = int_0^y S/fine is piecewise
-    quadratic. Node k sits at N(y_k) = k: on a piece starting at y_a, where
-    S is a and has slope b, w = (k - N(y_a))*fine gives
+
+def _density_terms(problem: ProfileProblem, exact, c: float, lo: float, hi: float, today):
+    """The terms of `build_mesh`'s density on [lo, hi], each (x, rho, below,
+    above): knots in xi of a piecewise-linear function, and its values left
+    of x[0] and right of x[-1]. `today` is the capping density at given xi."""
+    eps = problem.epsilon
+    slo, shi = wave_speed_span(exact)
+    a_left = float(derivative(problem.flux, problem.u_left))
+    a_right = float(derivative(problem.flux, problem.u_right))
+    # h = 2*_PECLET*eps/r, r = |f'(u) - xi| on the outer states and 0 across
+    # the fan span; r jumps only at a shock, inside that shock's zone
+    rate = 1.0 / (2.0 * _PECLET * eps)
+    terms = [(np.array([lo, hi]), np.full(2, 1.0 / _H_BASE), 1.0 / _H_BASE, 1.0 / _H_BASE),
+             (np.array([lo, slo]), rate * (a_left - np.array([lo, slo])), 0.0, 0.0),
+             (np.array([shi, hi]), rate * (np.array([shi, hi]) - a_right), 0.0, 0.0)]
+    for wave in exact.waves:
+        if isinstance(wave, Shock):
+            s = wave.speed
+            # (g*d + d^2/2)/eps = _SHOCK_EFOLDS, in the form that does not cancel
+            reach = [2.0 * _SHOCK_EFOLDS * eps
+                     / (g + math.sqrt(g * g + 2.0 * _SHOCK_EFOLDS * eps))
+                     for g in (max(float(derivative(problem.flux, wave.u_left)) - s, 0.0),
+                               max(s - float(derivative(problem.flux, wave.u_right)), 0.0))]
+            zone = (s - reach[0], s + reach[1])
+            x, rho = _taper(*zone, float(max(today(np.array(zone)))))
+        elif isinstance(wave, RarefactionFan):
+            pad = _FAN_REACH * math.sqrt(eps)
+            x, rho = _taper(wave.xi_lo - pad, wave.xi_hi + pad,
+                            1.0 / (_FAN_SPACING * c * math.sqrt(eps)))
+        else:
+            continue
+        terms.append((x, rho, rho[0], rho[-1]))
+    return terms
+
+
+def _side_density(terms, cap, centre: float, sign: float, length: float):
+    """Knots y in [0, length] and values of the density min(cap, max(terms))
+    at xi = centre + sign*y, the cap given as a term. Every term's knots are
+    knots, and so is every point where two terms, the cap among them, cross
+    between knots; so no term and no pair changes order between knots, and
+    the density is linear there. Both sides take the same steps in y, so
+    mirror-image terms give bitwise mirror-image knots and values."""
+    side = []
+    for x, rho, below, above in (*terms, cap):
+        y = sign * (x - centre)
+        side.append((y, rho, below, above) if sign > 0 else (y[::-1], rho[::-1], above, below))
+
+    def values(y):
+        return np.array([np.interp(y, ty, v, left=b, right=a) for ty, v, b, a in side])
+
+    y = np.unique(np.clip(np.concatenate([[0.0, length], *(t[0] for t in side)]), 0.0, length))
+    v = values(y)
+    gap = v[:, None, :] - v[None, :, :]
+    i, j, k = np.nonzero(gap[..., :-1] * gap[..., 1:] < 0.0)
+    if len(k):
+        # terms i and j cross inside (y_k, y_k+1); the pair (j, i) gives the same point
+        left, right = gap[i, j, k], gap[i, j, k + 1]
+        y = np.union1d(y, y[k] + (y[k + 1] - y[k]) * (left / (left - right)))
+        v = values(y)
+    return y, np.minimum(v[-1], np.max(v[:-1], axis=0))
+
+
+def _side_nodes(y: np.ndarray, rho: np.ndarray):
+    """The number J of nodes strictly inside one side of the centre, as a
+    float (NaN or inf when the density overflows), and place(out, centre,
+    sign), which writes the nodes centre + sign*y_k, k = 1..J, into out.
+
+    The density rho is linear between the knots y, so the node count N(y)
+    is piecewise quadratic. Node k sits at N(y_k) = k: on a piece starting
+    at y_a, where rho is a and has slope b, w = k - N(y_a) gives
     y_k = y_a + 2w/(a + sqrt(a^2 + 2bw)), the root of a*t + b*t^2/2 = w that
     does not cancel, for every sign of b. J = floor(N(L) - 0.3), so the last
     step, to the side's end at L, holds [0.3, 1.3) nodes.
     """
-    y = np.maximum.accumulate(np.clip([0.0, p - s0, s0 - q, length], 0.0, length))
-    big_s = np.maximum(np.maximum(s0, p - y), q + y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_at = np.cumsum([0.0, *(0.5 * (big_s[1:] + big_s[:-1]) * np.diff(y))]) / fine
+    step = np.diff(y)
+    n_at = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * step)))
+    slope = np.diff(rho) / step
     interior = np.maximum(np.floor(n_at[-1] - 0.3), 0.0)
 
     def place(out: np.ndarray, centre: float, sign: float):
-        # piece i holds the k with N(y_i) <= k < N(y_{i+1}); S has slope i - 1
+        # piece i holds the k with N(y_i) <= k < N(y_{i+1}); each piece's
+        # numbers are repeated over its nodes, cheaper than a gather per node
         last = int(interior)
-        first = [1, *(min(max(math.ceil(n), 1), last + 1) for n in n_at[1:3]), last + 1]
-        for i in range(3):
-            w = (np.arange(first[i], first[i + 1], dtype=float) - n_at[i]) * fine
-            t = 2.0 * w / (big_s[i] + np.sqrt(big_s[i] * big_s[i] + 2.0 * (i - 1.0) * w))
-            np.add(centre, sign * (y[i] + t), out=out[first[i] - 1:first[i + 1] - 1])
+        first = np.clip(np.ceil(n_at), 1, last + 1).astype(np.intp)
+        first[-1] = last + 1
+        count = np.diff(first)
+        a = np.repeat(rho[:-1], count)
+        w = np.arange(1.0, last + 1.0)
+        w -= np.repeat(n_at[:-1], count)
+        t = np.multiply(np.repeat(2.0 * slope, count), w, out=out)
+        t += a * a
+        np.sqrt(np.maximum(t, 0.0, out=t), out=t)
+        t += a
+        np.divide(w, t, out=t)
+        t *= 2.0
+        t += np.repeat(y[:-1], count)
+        t *= sign
+        t += centre
 
     return interior, place
 
 
 def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> np.ndarray:
-    """Graded mesh on the truncated domain (or options.domain), placed
-    outward from the centre by equidistributing the node density 1/h.
+    """Layer-adapted mesh on the truncated domain (or options.domain),
+    placed outward from the centre by equidistributing the node density
+    rho = 1/h.
 
-    Local spacing is h = min(_H_BASE, c*eps/S(xi)) with c = 12/nodes_per_layer,
-    which puts nodes_per_layer nodes across a viscous layer and keeps about
-    ten nodes per e-folding of the tails. S(xi) = max(M, xi) - min(m, xi)
-    bounds |f'(u) - xi| over the states, with [m, M] the range of f'.
+    rho is the pointwise maximum of one term per wave of `solve_exact`'s
+    solution, capped by the density today_rho = max(1/_H_BASE, S/(c*eps))
+    of the spacing c*eps/S, c = 12/nodes_per_layer, that puts
+    nodes_per_layer nodes across a viscous layer; S(xi) = max(M, xi) -
+    min(m, xi) bounds |f'(u) - xi| over the states, [m, M] the range of f'.
+    The terms:
 
-    Each step outward from the centre holds exactly one node of the density
-    1/h, piecewise linear in the distance with breakpoints at m, M and where
-    S = c*eps/_H_BASE, so each node is a closed-form root (`_side_nodes`); a
-    trailing sliver holding less than 0.3 of a node is absorbed into the
-    final step. Both sides use the same formulas in the distance, so data
-    symmetric under (xi, u) -> (-xi, -u) get bitwise mirror-image nodes. A
-    node count over _MAX_NODES, or not finite because c*eps/S underflows,
-    raises CoverageError before any node is placed.
+    - Everywhere, h = min(_H_BASE, eps/r), r = |f'(u) - xi| at the inviscid
+      solution u, taken as 0 across the fan span. This is cell Peclet number
+      h*r/(2*eps) = _PECLET = 1/2, half the bound |f'(u) - xi|*h <= 2*eps
+      under which the central scheme's Jacobian has nonnegative
+      off-diagonals (an M-matrix, so a discrete maximum principle); the
+      factor 2 covers the gap between the inviscid rate and the profile's.
+    - A shock at speed s: today_rho on [s - d_l, s + d_r]. On a side with
+      gap g = |f'(u_side) - s|, the profile leaves its state like
+      exp(-(g*d + d^2/2)/eps) at distance d, and d is where that count of
+      e-folds reaches _SHOCK_EFOLDS = 40: e^-40 = 4e-18 of the jump is
+      below the jump's own rounding (1.1e-16 of it), so nothing farther
+      out needs the layer spacing. A sonic side (g = 0) reaches
+      sqrt(80*eps).
+    - A fan: spacing _FAN_SPACING*c*sqrt(eps) across the fan and out to
+      _FAN_REACH*sqrt(eps) past each edge, the scale of its corner layers.
+      _FAN_SPACING = 0.035 is sqrt(0.005)/2: at eps = 0.005, the smallest
+      viscosity at which `corner_remainder` still measures the expansion
+      and not mesh error (`run_battery`), it is today's spacing on the
+      Burgers rarefaction (S = 2), and the coarsest uniform fan spacing
+      found to leave that value unchanged. Past an edge the corner decays
+      like a Gaussian whose rate is r = X*sqrt(eps), X the distance in
+      units of sqrt(eps); its layer spacing c*eps/r = c*sqrt(eps)/X is
+      finer than the fan's out to X = 1/_FAN_SPACING = 28.6, and
+      _FAN_REACH = 28 keeps the fan's spacing to there. Farther out the
+      corner is below e^-392 and the first term takes over.
+
+    Each shock and fan term falls off outside its zone along the chords of
+    top/(1 + top*t/_TAPER) (`_taper`), spacing that grows by 1/_TAPER of a
+    step per step, so rho is continuous and neighbouring steps stay within
+    a factor of about 1 + 2/_TAPER. rho never exceeds today_rho, so no mesh
+    has more nodes than one of spacing c*eps/S alone, and nodes_per_layer
+    scales every resolved spacing through c.
+
+    rho is piecewise linear in the distance from the centre, with knots at
+    its terms' knots and at their crossings (`_node_density`), so each
+    step outward from the centre holds exactly one node and each node is a
+    closed-form root (`_side_nodes`); a trailing sliver holding less than
+    0.3 of a node is absorbed into the final step. Both sides use the same
+    formulas in the distance, so data symmetric under (xi, u) -> (-xi, -u)
+    get bitwise mirror-image nodes. A node count over _MAX_NODES, or not
+    finite because c*eps underflows, raises CoverageError before any node
+    is placed.
     """
-    opts = options or SolveOptions()
-    dom = opts.domain if opts.domain is not None else truncate_domain(problem, opts.tail_tol)
-    lo, hi = float(dom[0]), float(dom[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise InvalidParameterError("domain must be a finite increasing pair")
-    if not opts.nodes_per_layer > 0:
-        raise InvalidParameterError("nodes_per_layer must be positive")
-
-    slo, shi = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
-    if not (lo < slo and shi < hi):
-        raise WindowError("domain (%g, %g) does not contain the wave fan (%g, %g)"
-                          % (lo, hi, slo, shi))
-
-    m, big_m = derivative_range(problem.flux, *problem.state_interval)
-    fine = 12.0 / float(opts.nodes_per_layer) * problem.epsilon
-    # 1/h = max(fine/_H_BASE, S)/fine, S = max(M - xi, M - m, xi - m); at
-    # xi = centre + y, S = max(p - y, M - m, q + y) with p = M - centre and
-    # q = centre - m, and p and q swap at xi = centre - y
-    s0 = max(fine / _H_BASE, big_m - m)
-    centre = 0.5 * (lo + hi)
-    right_count, right = _side_nodes(big_m - centre, centre - m, s0, fine, hi - centre)
-    left_count, left = _side_nodes(centre - m, big_m - centre, s0, fine, centre - lo)
+    lo, hi, centre, left_density, right_density = _node_density(problem, options)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left_count, left = _side_nodes(*left_density)
+        right_count, right = _side_nodes(*right_density)
     if not 3.0 + left_count + right_count <= _MAX_NODES:
         raise CoverageError("mesh exceeds %d nodes; enlarge spacing or "
                             "shrink the domain" % _MAX_NODES)
@@ -255,6 +369,45 @@ def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> 
     left(mesh[j:0:-1], centre, -1.0)
     right(mesh[j + 2:-1], centre, 1.0)
     return mesh
+
+
+def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
+    """`build_mesh`'s domain (lo, hi), its centre, and its node density on
+    each side of the centre, left then right: knots y in the distance from
+    the centre and the density's values there, linear between knots. Values
+    overflow to inf or NaN, without a warning raised, when c*eps underflows."""
+    opts = options or SolveOptions()
+    dom = opts.domain if opts.domain is not None else truncate_domain(problem, opts.tail_tol)
+    lo, hi = float(dom[0]), float(dom[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise InvalidParameterError("domain must be a finite increasing pair")
+    if not opts.nodes_per_layer > 0:
+        raise InvalidParameterError("nodes_per_layer must be positive")
+
+    exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
+    slo, shi = wave_speed_span(exact)
+    if not (lo < slo and shi < hi):
+        raise WindowError("domain (%g, %g) does not contain the wave fan (%g, %g)"
+                          % (lo, hi, slo, shi))
+
+    m, big_m = derivative_range(problem.flux, *problem.state_interval)
+    c = 12.0 / float(opts.nodes_per_layer)
+    fine = c * problem.epsilon
+    s0 = max(fine / _H_BASE, big_m - m)
+
+    def today(x):
+        # S = max(M, x) - min(m, x) = max(M - m, M - x, x - m)
+        return np.maximum(s0, np.maximum(big_m - x, x - m)) / fine
+
+    # today_rho is s0/fine between its knots M - s0 <= m + s0 and linear outside
+    knots = np.clip([lo, big_m - s0, m + s0, hi], lo, hi)
+    centre = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cap = today(knots)
+        cap = (knots, cap, cap[0], cap[-1])
+        terms = _density_terms(problem, exact, c, lo, hi, today)
+        return (lo, hi, centre, _side_density(terms, cap, centre, -1.0, centre - lo),
+                _side_density(terms, cap, centre, 1.0, hi - centre))
 
 
 def reconstruct_derivative(xi: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -371,7 +371,17 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     margins are judged by `_judge` and pass when their value exceeds 0.
     `corner_remainder` is omitted where the corner profile, capped at
     xi = 30, cannot reach the rescaled half-mesh (`_corner_for`): for
-    -1 -> 1 below eps = 1/900, about 1.1e-3.
+    -1 -> 1 below eps = 1/900, about 1.1e-3. Below eps of about 0.004 it
+    is reported but measures the mesh's error, not the expansion's: its
+    weight e^(1/sqrt(eps))/sqrt(eps) magnifies the profile's O(h^2) error.
+    Burgers -1 -> 1 at the default nodes_per_layer (at 480, in brackets):
+
+        eps     corner_remainder
+        5e-3    0.662 (0.662)
+        4e-3    3.07 (0.662)
+        3e-3    35.5 (2.40)
+        2e-3    2146 (145)
+        1.2e-3  1.4e6 (9.7e4)
 
     One solve_profile call feeds every check, whichever way the data run;
     the uniqueness probe runs Newton from its own ramp guesses.
