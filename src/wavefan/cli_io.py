@@ -20,6 +20,7 @@ was rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -35,7 +36,7 @@ from .profile_bvp import Profile, ProfileProblem, SolveOptions, solve_profile
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
 from .verification import run_battery
 
-_FMT = "%.17g"  # shortest text that round-trips any double
+_FMT = "%.17g"  # 17 significant digits: round-trips every double, byte-stable files
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b", "#17becf", "#7f7f7f")
@@ -150,7 +151,10 @@ def _expand_config_file(argv):
     return argv[:i] + flags + rest
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The parser, built once per process: parse_args starts every call from
+    its defaults (all immutable) and runs each ``type=`` check again."""
     parser = _Parser(prog="wavefan",
                      description="Viscous wave-fan profiles for scalar "
                                  "conservation laws: solve, check, export.")
@@ -253,12 +257,19 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
+def _rows_text(field, columns, end) -> str:
+    """One row per index of the equal-length `columns`: each value formatted
+    by `field`, comma-separated, every row followed by `end`.  The whole text
+    is one ``%`` over one repeated row template."""
+    table = np.column_stack(columns)
+    row = ",".join([field] * table.shape[1]) + end
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
 def _csv_text(names, columns) -> str:
     """CSV with a header of `names` and one row per index of the equal-length
     `columns`, every number at full double precision."""
-    rows = [",".join(names)]
-    rows.extend(",".join(_FMT % v for v in row) for row in zip(*columns))
-    return "\n".join(rows) + "\n"
+    return ",".join(names) + "\n" + _rows_text(_FMT, columns, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +356,16 @@ def _render_svg(grid, columns, width=640, height=420, pad=56):
     gy_lo -= 0.05 * span_y
     gy_hi += 0.05 * span_y
 
+    # on an array these are the scalar operations elementwise, bitwise alike
     def sx(x):
         return x0 + (x - gx_lo) / (gx_hi - gx_lo) * (x1 - x0)
 
     def sy(y):
         return y0 - (y - gy_lo) / (gy_hi - gy_lo) * (y0 - y1)
 
+    px = sx(grid)
     for k, (name, col) in enumerate(columns):
-        pts = " ".join("%.2f,%.2f" % (sx(float(gx)), sy(float(gy)))
-                       for gx, gy in zip(grid, col))
+        pts = _rows_text("%.2f", (px, sy(col)), " ")[:-1]
         color = _SVG_PALETTE[k % len(_SVG_PALETTE)]
         body.append('<polyline fill="none" stroke="%s" stroke-width="1.5" '
                     'points="%s"/>' % (color, pts))

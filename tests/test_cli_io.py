@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import pytest
 
 import wavefan as wf
 from wavefan.cli_io import (
+    _csv_text,
+    _render_svg,
     emit_plotdata,
     main,
     parse_config,
@@ -125,6 +128,28 @@ def test_seed_from_flag_or_config_file(tmp_path):
         parse_config(argv + ["--seed", "not-a-number"])
 
 
+def test_parse_does_not_carry_values_between_calls():
+    # every call starts from the parser's defaults, whatever the last one set
+    cubic = parse_config(["solve", "--flux", "poly:0,0,0,1", "--ul", "-1", "--ur", "1",
+                          "--eps", "0.1", "--tol", "1e-9", "--out", "a.csv"])
+    assert cubic.flux == wf.polynomial_flux((0, 0, 0, 1)) and cubic.newton_tol == 1e-9
+    plain = parse_config(["solve", "--ul", "-1", "--ur", "1"])
+    assert plain.flux == wf.burgers_flux()
+    assert plain.eps == (0.05,) and plain.newton_tol == 1e-11 and plain.out is None
+
+    argv = ["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05"]
+    assert parse_config(argv + ["--seed", "7"]).seed == 7
+    assert parse_config(argv).seed is None
+
+    for bad in (["solve", "--flux", "poly:abc", "--ul", "0", "--ur", "1"],
+                ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.05,0.1"],
+                ["solve", "--ul", "1"]):
+        with pytest.raises(ConfigError):
+            parse_config(bad)
+        cfg = parse_config(["sweep", "--ul", "1", "--ur", "-1"])
+        assert cfg.eps == (0.1, 0.05, 0.025) and cfg.flux == wf.burgers_flux()
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -158,6 +183,21 @@ def csv_rows_oracle(header, columns):
     for i in range(len(columns[0])):
         rows.append(",".join("%.17g" % col[i] for col in columns))
     return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+# nan, infinities, signed zero, the smallest subnormal, and the magnitudes
+# where %g switches between fixed and exponent form
+AWKWARD = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17,
+                    -1e17, 1e-4, 1e-5, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -1e300])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])   # riemann has 2 columns, profile 3, corner 5
+@pytest.mark.parametrize("rows", [0, 1, len(AWKWARD)])
+def test_csv_text_matches_row_oracle_on_awkward_values(k, rows):
+    names = ["c%d" % j for j in range(k)]
+    columns = [np.roll(AWKWARD, j)[:rows] for j in range(k)]
+    assert _csv_text(names, columns).encode("utf-8") == csv_rows_oracle(",".join(names),
+                                                                         columns)
 
 
 def test_write_profile_matches_row_oracle(tmp_path, shock_profile):
@@ -240,6 +280,59 @@ def test_svg_has_one_polyline_per_column(tmp_path, shock_profile):
     assert text.count("<polyline") == 2
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
+
+
+def svg_points_oracle(grid, columns, width=640, height=420, pad=56):
+    """Oracle: each column's polyline points, one point at a time, scaled by
+    scalar arithmetic on Python floats."""
+    x0, x1, y0, y1 = pad, width - pad, height - pad, pad
+    gx_lo, gx_hi = float(grid[0]), float(grid[-1])
+    values = np.concatenate(columns)
+    gy_lo, gy_hi = float(np.min(values)), float(np.max(values))
+    if gx_hi == gx_lo:
+        gx_hi = gx_lo + 1.0
+    if gy_hi == gy_lo:
+        gy_hi = gy_lo + 1.0
+    span_y = gy_hi - gy_lo
+    gy_lo -= 0.05 * span_y
+    gy_hi += 0.05 * span_y
+    out = []
+    for col in columns:
+        pts = []
+        for gx, gy in zip(grid, col):
+            px = x0 + (float(gx) - gx_lo) / (gx_hi - gx_lo) * (x1 - x0)
+            py = y0 - (float(gy) - gy_lo) / (gy_hi - gy_lo) * (y0 - y1)
+            pts.append("%.2f,%.2f" % (px, py))
+        out.append(" ".join(pts))
+    return out
+
+
+def svg_polylines(text):
+    return re.findall(r'<polyline [^>]*points="([^"]*)"/>', text)
+
+
+def test_svg_polylines_match_point_oracle(tmp_path, shock_profile, shock_problem):
+    coarse, _ = wf.solve_profile(shock_problem, wf.SolveOptions(nodes_per_layer=60))
+    exact = wf.solve_exact(shock_problem.flux, 1.0, -1.0)
+    svg = tmp_path / "plot.svg"
+    emit_plotdata([coarse, shock_profile], exact, tmp_path / "plot.csv", ["a", "b"],
+                  svg_path=svg)
+    grid = shock_profile.xi
+    columns = [np.interp(grid, coarse.xi, coarse.u), shock_profile.u,
+               wf.eval_riemann(exact, grid)]
+    assert svg_polylines(svg.read_text()) == svg_points_oracle(grid, columns)
+
+
+@pytest.mark.parametrize("grid, columns", [
+    (np.linspace(-3.0, 7.0, 1001), [np.sin(np.linspace(-3.0, 7.0, 1001)) / 3.0]),
+    (np.array([-1.0, -1e-17, 0.0, 1e-300, 0.1 + 0.2, 2.0]),
+     [np.array([5e-324, -0.0, 1e16, 1e-5, -1e-4, 1.0 / 3.0]), np.full(6, 0.5)]),
+    (np.array([2.0, 2.0]), [np.full(2, -7.0), np.full(2, -7.0)]),   # degenerate ranges
+])
+def test_render_svg_matches_point_oracle(grid, columns):
+    text = _render_svg(grid, [("c%d" % k, col) for k, col in enumerate(columns)])
+    assert svg_polylines(text) == svg_points_oracle(grid, columns)
+    assert text.startswith("<svg ") and text.endswith("</svg>\n")
 
 
 # ---------------------------------------------------------------------------
