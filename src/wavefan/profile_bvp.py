@@ -15,8 +15,9 @@ to roundoff elsewhere. The node density 1/h is therefore built from the
 exact wave list of `solve_exact` (a layer-adapted mesh: Linss,
 Layer-Adapted Meshes for Reaction-Convection-Diffusion Problems, LNM 1985,
 2010): the layer spacing c * eps / S(xi) inside each shock's layer, where
-S(xi) bounds |f'(u) - xi| over the states; a uniform sqrt(eps)-scaled
-spacing across each fan and its corners; and elsewhere the spacing
+S(xi) bounds |f'(u) - xi| over the states; a sqrt(eps)-scaled spacing in
+the corner layers at each fan edge, coarsening geometrically into the fan
+down to a floor spacing there; and elsewhere the spacing
 eps / |f'(u) - xi| of the inviscid solution, which holds the cell Peclet
 number at 1/2, inside the bound |f'(u) - xi| * h <= 2 * eps under which the
 central scheme's Jacobian is an M-matrix and keeps a discrete maximum
@@ -90,6 +91,9 @@ _SHOCK_EFOLDS = 40.0     # mesh density terms, see build_mesh
 _PECLET = 0.5
 _FAN_SPACING = 0.035
 _FAN_REACH = 28.0
+_CORNER_DEPTH = 4.0
+_CORNER_HALVING = 2.0 * math.log(2.0)
+_FAN_FLOOR = 0.004
 _TAPER = 4.0
 _BACKOFF_RATIO = 1.1     # see solve_profile
 _LAYER_DT = 1.0 / 16.0   # see _ShockLayer
@@ -173,13 +177,16 @@ def truncate_domain(problem: ProfileProblem, tail_tol: float = 1e-5) -> tuple[fl
     the profile relaxes like a Gaussian-in-distance factor, so a pad of
     sqrt(2 eps ln(1/tail_tol)) + sqrt(eps) suffices on each side.
     """
+    return _padded(derivative_range(problem.flux, *problem.state_interval),
+                   problem.epsilon, tail_tol)
+
+
+def _padded(span: tuple[float, float], eps: float, tail_tol: float) -> tuple[float, float]:
+    """`truncate_domain` from the range of f' over the states."""
     if not (0.0 < tail_tol < 1.0):
         raise InvalidParameterError("tail_tol must lie in (0, 1)")
-    lo, hi = problem.state_interval
-    m, big_m = derivative_range(problem.flux, lo, hi)
-    pad = math.sqrt(2.0 * problem.epsilon * math.log(1.0 / tail_tol)) \
-        + math.sqrt(problem.epsilon)
-    return (m - pad, big_m + pad)
+    pad = math.sqrt(2.0 * eps * math.log(1.0 / tail_tol)) + math.sqrt(eps)
+    return (span[0] - pad, span[1] + pad)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -188,16 +195,44 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
+def _falloff(top: float):
+    """Distances t_j and values of a density falling off from `top` along
+    the chords of top/(1 + top*t/_TAPER): it is top/2^j at t_j = _TAPER*(2^j
+    - 1)/top, j = 0, 1, ..., down to the first j where it is below
+    1/_H_BASE, under every other term."""
+    halvings = np.arange(max(math.frexp(top * _H_BASE)[1], 0) + 1)
+    return _TAPER * (2.0 ** halvings - 1.0) / top, top * 0.5 ** halvings
+
+
 def _taper(zone_lo: float, zone_hi: float, top: float):
     """Knots (x, rho) of a density that is `top` on [zone_lo, zone_hi] and
-    falls off outside it along the chords of top/(1 + top*t/_TAPER), t the
-    distance from the zone: the density halves at t = _TAPER*(2^j - 1)/top,
-    j = 1, 2, ..., until it is below 1/_H_BASE, under every other term."""
-    halvings = np.arange(1, max(math.frexp(top * _H_BASE)[1], 0) + 1)
-    reach = _TAPER * (2.0 ** halvings - 1.0) / top
-    fall = top * 0.5 ** halvings
-    return (np.concatenate((zone_lo - reach[::-1], [zone_lo, zone_hi], zone_hi + reach)),
-            np.concatenate((fall[::-1], [top, top], fall)))
+    falls off outside it by `_falloff`."""
+    reach, fall = _falloff(top)
+    return (np.concatenate((zone_lo - reach[::-1], zone_hi + reach)),
+            np.concatenate((fall[::-1], fall)))
+
+
+def _corner(width: float, top: float, root: float):
+    """Knots (d, rho) of the density term of the corner layer at a fan edge,
+    d the distance from the edge outward, width the fan's width and root =
+    sqrt(eps). It is `top` on [-_CORNER_DEPTH*root, _FAN_REACH*root], falls
+    off outside by `_falloff`, and inside halves every _CORNER_HALVING*root
+    (as chords between the halvings) down to min(top, 1/_FAN_FLOOR), which
+    it keeps to the fan's far edge, d = -width. Both edges of a fan have the
+    same knots in d."""
+    reach, fall = _falloff(top)
+    # the halvings s = H, ceil(H) - 1, ..., 1, 0 inside, H down to the floor;
+    # every double is below 2^1024, so only an infinite top (c*sqrt(eps)
+    # underflowed, and the node count rejects the mesh) is clipped
+    halvings = min(max(math.log2(top * _FAN_FLOOR), 0.0), 1024.0)
+    steps = np.arange(math.ceil(halvings), -1.0, -1.0)
+    steps[0] = halvings
+    d = np.concatenate((steps * (-_CORNER_HALVING * root) - _CORNER_DEPTH * root,
+                        reach + _FAN_REACH * root))
+    rho = np.concatenate((top * 0.5 ** steps, fall))
+    keep = d > -width
+    return (np.concatenate(([-width], d[keep])),
+            np.concatenate(([np.interp(-width, d, rho)], rho[keep])))
 
 
 def _density_terms(problem: ProfileProblem, exact, c: float, lo: float, hi: float, today):
@@ -224,13 +259,14 @@ def _density_terms(problem: ProfileProblem, exact, c: float, lo: float, hi: floa
                                max(s - float(derivative(problem.flux, wave.u_right)), 0.0))]
             zone = (s - reach[0], s + reach[1])
             x, rho = _taper(*zone, float(max(today(np.array(zone)))))
+            terms.append((x, rho, rho[0], rho[-1]))
         elif isinstance(wave, RarefactionFan):
-            pad = _FAN_REACH * math.sqrt(eps)
-            x, rho = _taper(wave.xi_lo - pad, wave.xi_hi + pad,
-                            1.0 / (_FAN_SPACING * c * math.sqrt(eps)))
-        else:
-            continue
-        terms.append((x, rho, rho[0], rho[-1]))
+            # one term per edge; past the far edge each is 0, under the
+            # other edge's top there
+            root = math.sqrt(eps)
+            d, rho = _corner(wave.xi_hi - wave.xi_lo, 1.0 / (_FAN_SPACING * c * root), root)
+            terms.append((wave.xi_lo - d[::-1], rho[::-1], rho[-1], 0.0))
+            terms.append((wave.xi_hi + d, rho, 0.0, rho[-1]))
     return terms
 
 
@@ -239,26 +275,43 @@ def _side_density(terms, cap, centre: float, sign: float, length: float):
     at xi = centre + sign*y, the cap given as a term. Every term's knots are
     knots, and so is every point where two terms, the cap among them, cross
     between knots; so no term and no pair changes order between knots, and
-    the density is linear there. Both sides take the same steps in y, so
-    mirror-image terms give bitwise mirror-image knots and values."""
-    side = []
-    for x, rho, below, above in (*terms, cap):
-        y = sign * (x - centre)
-        side.append((y, rho, below, above) if sign > 0 else (y[::-1], rho[::-1], above, below))
+    the density is linear there. A term that is 0 on the whole side is left
+    out: no density is negative, so it is under every other term and crosses
+    none. Both sides take the same steps in y, so mirror-image terms give
+    bitwise mirror-image knots and values."""
+    terms = (*terms, cap)
+    y = np.concatenate([t[0] for t in terms])
+    y -= centre
+    y *= sign
+    side, start = [], 0
+    for x, rho, below, above in terms:
+        ty, start = y[start:start + len(x)], start + len(x)
+        if sign < 0.0:
+            ty, rho, below, above = ty[::-1], rho[::-1], above, below
+        if not (ty[-1] < 0.0 and above == 0.0):
+            side.append((ty, rho, below, above))
 
     def values(y):
         return np.array([np.interp(y, ty, v, left=b, right=a) for ty, v, b, a in side])
 
-    y = np.unique(np.clip(np.concatenate([[0.0, length], *(t[0] for t in side)]), 0.0, length))
+    y = _sorted_set(np.append(y, (0.0, length)), length)
     v = values(y)
     gap = v[:, None, :] - v[None, :, :]
     i, j, k = np.nonzero(gap[..., :-1] * gap[..., 1:] < 0.0)
     if len(k):
         # terms i and j cross inside (y_k, y_k+1); the pair (j, i) gives the same point
         left, right = gap[i, j, k], gap[i, j, k + 1]
-        y = np.union1d(y, y[k] + (y[k + 1] - y[k]) * (left / (left - right)))
+        y = _sorted_set(np.concatenate((y, y[k] + (y[k + 1] - y[k]) * (left / (left - right)))),
+                        length)
         v = values(y)
     return y, np.minimum(v[-1], np.max(v[:-1], axis=0))
+
+
+def _sorted_set(y: np.ndarray, length: float) -> np.ndarray:
+    """The distinct values of y clipped to [0, length], in increasing order."""
+    y = np.minimum(np.maximum(y, 0.0), length)
+    y.sort()
+    return y[np.concatenate(([True], y[1:] != y[:-1]))]
 
 
 def _side_nodes(y: np.ndarray, rho: np.ndarray):
@@ -326,21 +379,43 @@ def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> 
       below the jump's own rounding (1.1e-16 of it), so nothing farther
       out needs the layer spacing. A sonic side (g = 0) reaches
       sqrt(80*eps).
-    - A fan: spacing _FAN_SPACING*c*sqrt(eps) across the fan and out to
-      _FAN_REACH*sqrt(eps) past each edge, the scale of its corner layers.
+    - A fan: one term per edge xi_e, its corner layer. With X the distance
+      from the edge in units of sqrt(eps), the term is the density top of
+      the spacing _FAN_SPACING*c*sqrt(eps) from _FAN_REACH*sqrt(eps)
+      outside the edge to X = _CORNER_DEPTH = 4 inside it.
       _FAN_SPACING = 0.035 is sqrt(0.005)/2: at eps = 0.005, the smallest
       viscosity at which `corner_remainder` still measures the expansion
       and not mesh error (`run_battery`), it is today's spacing on the
       Burgers rarefaction (S = 2), and the coarsest uniform fan spacing
-      found to leave that value unchanged. Past an edge the corner decays
-      like a Gaussian whose rate is r = X*sqrt(eps), X the distance in
-      units of sqrt(eps); its layer spacing c*eps/r = c*sqrt(eps)/X is
-      finer than the fan's out to X = 1/_FAN_SPACING = 28.6, and
-      _FAN_REACH = 28 keeps the fan's spacing to there. Farther out the
-      corner is below e^-392 and the first term takes over.
+      found to leave that value unchanged. Outside the fan the corner
+      decays like a Gaussian whose rate is r = X*sqrt(eps); its layer
+      spacing c*eps/r = c*sqrt(eps)/X is finer than top's out to
+      X = 1/_FAN_SPACING = 28.6, and _FAN_REACH = 28 keeps top to there.
+      Farther out the corner is below e^-392 and the first term takes over.
+      Inside the fan the corner's remainder decays like e^-X, and so does
+      the truncation error of the central differences on it, times h^2.
+      Holding h^2*e^-X at its value at X = _CORNER_DEPTH makes h grow like
+      e^(X/2): the term halves every _CORNER_HALVING = 2*ln 2 in X, along
+      the chords between the halvings, which lie above the exponential.
+      It stops at the floor spacing _FAN_FLOOR and keeps that to the fan's
+      far edge. Between the corners the profile is the inviscid fan plus a
+      smooth O(eps) term, and the linearized operator is
+      eps*d^2/dxi^2 - 1 (f''(u)*u' = 1 on the fan, f'(u) - xi = O(eps)),
+      so a truncation error eps*h^2*u''''/12 leaves an error of about its
+      own size: about 1.3e-6*eps*|u''''| at h = 0.004. The floor matters
+      where the sqrt(eps) corner scaling fails, at an edge on an inflection
+      point of f: for the cubic 0 -> 1, u = sqrt(xi/3) and u'''' grows like
+      xi^-3.5 towards the edge. Against a 4x finer solve at eps = 1e-3 its
+      sup error was 3.7e-8 with the uniform fan, 4.4e-6 with no floor, and
+      1.2e-7, 8.6e-8, 6.8e-8 and 5.4e-8 with floors 0.005, 0.004, 0.0035
+      and 0.003; 0.004 keeps it within 2.5x of the uniform fan for 1% more
+      nodes than 0.005.
+      So a fan's node count no longer grows as eps falls: the Burgers
+      rarefaction has 6,853 nodes at eps 5e-3, 7,133 at 5e-4 and 7,279 at
+      1e-6.
 
-    Each shock and fan term falls off outside its zone along the chords of
-    top/(1 + top*t/_TAPER) (`_taper`), spacing that grows by 1/_TAPER of a
+    Each shock and corner term falls off outside its zone along the chords
+    of top/(1 + top*t/_TAPER) (`_falloff`), spacing that grows by 1/_TAPER of a
     step per step, so rho is continuous and neighbouring steps stay within
     a factor of about 1 + 2/_TAPER. rho never exceeds today_rho, so no mesh
     has more nodes than one of spacing c*eps/S alone, and nodes_per_layer
@@ -377,7 +452,9 @@ def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
     the centre and the density's values there, linear between knots. Values
     overflow to inf or NaN, without a warning raised, when c*eps underflows."""
     opts = options or SolveOptions()
-    dom = opts.domain if opts.domain is not None else truncate_domain(problem, opts.tail_tol)
+    m, big_m = derivative_range(problem.flux, *problem.state_interval)
+    dom = opts.domain if opts.domain is not None \
+        else _padded((m, big_m), problem.epsilon, opts.tail_tol)
     lo, hi = float(dom[0]), float(dom[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidParameterError("domain must be a finite increasing pair")
@@ -390,7 +467,6 @@ def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
         raise WindowError("domain (%g, %g) does not contain the wave fan (%g, %g)"
                           % (lo, hi, slo, shi))
 
-    m, big_m = derivative_range(problem.flux, *problem.state_interval)
     c = 12.0 / float(opts.nodes_per_layer)
     fine = c * problem.epsilon
     s0 = max(fine / _H_BASE, big_m - m)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 import wavefan as wf
@@ -91,11 +92,33 @@ def taper_oracle(top, t):
     return np.where(j < last, top * 0.5 ** j - slope * (t - start), top * 0.5 ** last)
 
 
+def corner_oracle(top, d, root, width):
+    """Oracle: the corner term at outward distance d from a fan edge, fan
+    width `width`, root = sqrt(eps). Outside, past the reach R*root, the
+    taper of top; top from -X0*root to R*root; inside, with s = (-d -
+    X0*root)/(L*root) halvings, top*2^-s along its chords between s = 0, 1,
+    ..., ceil(H) - 1 and H, where it reaches min(top, 1/h_floor), which it
+    keeps from there to the far edge d = -width; 0 past that edge."""
+    reach = profile_bvp._FAN_REACH * root
+    depth = profile_bvp._CORNER_DEPTH * root
+    floor = min(top, 1.0 / profile_bvp._FAN_FLOOR)
+    big_h = math.log2(top / floor)
+    s = np.maximum((-d - depth) / (profile_bvp._CORNER_HALVING * root), 0.0)
+    j = np.minimum(np.floor(s), max(math.ceil(big_h) - 1, 0))
+    nxt = np.minimum(j + 1.0, big_h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = top * 0.5 ** j + (s - j) / (nxt - j) * (top * 0.5 ** nxt - top * 0.5 ** j)
+    inside = np.where(s >= big_h, floor, chord)
+    out = np.where(d > reach, taper_oracle(top, np.maximum(d - reach, 0.0)), inside)
+    return np.where(d < -width, 0.0, out)
+
+
 def mesh_density(problem, options, x):
     """Oracle: the layer-adapted node density at the points x, evaluated term
     by term from the wave list: min(today, max(1/h_base, r/eps, shocks,
-    fans)), today = max(1/h_base, S/(c*eps)) with S(x) = max(M, x) -
-    min(m, x), r the inviscid rate |f'(u) - x| (0 across the fan span)."""
+    corners)), today = max(1/h_base, S/(c*eps)) with S(x) = max(M, x) -
+    min(m, x), r the inviscid rate |f'(u) - x| (0 across the fan span), and
+    one corner term per fan edge."""
     eps, flux = problem.epsilon, problem.flux
     c = 12.0 / float(options.nodes_per_layer)
     h_base = profile_bvp._H_BASE
@@ -120,14 +143,14 @@ def mesh_density(problem, options, x):
                 reach.append(-g + math.sqrt(g * g + 2.0 * profile_bvp._SHOCK_EFOLDS * eps))
             lo, hi = s - reach[0], s + reach[1]
             top = float(max(today(np.array([lo, hi]))))
+            outside = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+            density = np.maximum(density, taper_oracle(top, outside))
         elif isinstance(wave, riemann.RarefactionFan):
-            pad = profile_bvp._FAN_REACH * math.sqrt(eps)
-            lo, hi = wave.xi_lo - pad, wave.xi_hi + pad
-            top = 1.0 / (profile_bvp._FAN_SPACING * c * math.sqrt(eps))
-        else:
-            continue
-        outside = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        density = np.maximum(density, taper_oracle(top, outside))
+            root = math.sqrt(eps)
+            top = 1.0 / (profile_bvp._FAN_SPACING * c * root)
+            width = wave.xi_hi - wave.xi_lo
+            density = np.maximum(density, corner_oracle(top, wave.xi_lo - x, root, width))
+            density = np.maximum(density, corner_oracle(top, x - wave.xi_hi, root, width))
     return np.minimum(today(x), density)
 
 
@@ -288,6 +311,7 @@ def test_mesh_rejects_nonpositive_spacing():
 
 
 CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
+STEEP = wf.polynomial_flux((0.0, 0.0, 50.0))
 
 
 MESH_CASES = [
@@ -296,6 +320,9 @@ MESH_CASES = [
     (make_problem(-1.0, 1.0, 0.002, flux=CUBIC), None),     # cubic composite
     (make_problem(1.0, -1.0, 0.01, flux=CUBIC), None),
     (make_problem(-1.0, 1.0, 1.0), None),                   # h_base on the fan
+    (make_problem(-1.0, 1.0, 9.0, flux=STEEP), None),       # corner top below the floor
+    (make_problem(-0.3, 0.3, 0.01), None),                  # far edge cuts the halvings
+    (make_problem(0.0, 1.0, 0.01, flux=CUBIC), None),       # inflection edge
     (make_problem(0.0, 0.05, 0.05), None),                  # h_base, small jump
     (make_problem(0.4, 0.4, 0.05), None),                   # constant data, m == M
     (make_problem(1.0, -1.0, 0.05), (-1.25, 1.5)),          # domain override
@@ -355,6 +382,30 @@ def test_mesh_node_cap_is_one_count(monkeypatch, problem, domain):
     with pytest.raises(CoverageError, match=r"^mesh exceeds %d nodes; enlarge spacing "
                        r"or shrink the domain$" % (len(full) - 1)):
         wf.build_mesh(problem, opts)
+
+
+def test_mesh_fan_count_stops_growing_as_viscosity_falls():
+    # fine spacing only in the corners, whose node counts do not depend on
+    # eps, and the floor spacing across the fan interior
+    counts = [len(wf.build_mesh(make_problem(-1.0, 1.0, eps))) for eps in (5e-3, 5e-4, 1e-6)]
+    assert max(counts) <= 1.1 * min(counts)
+
+
+def test_graded_fan_keeps_the_inflection_edge_accurate():
+    # the cubic 0 -> 1 fan starts at an inflection point, where the
+    # sqrt(eps) corner scaling fails and the floor spacing sets the error in
+    # the fan; the bound is twice the 6.5e-8 that a uniform fan spacing of
+    # 0.035*c*sqrt(eps) gives against the same 4x finer solve
+    prob = make_problem(0.0, 1.0, 1e-2, flux=CUBIC)
+    coarse, _ = wf.solve_profile(prob)
+    fine, _ = wf.solve_profile(prob, wf.SolveOptions(nodes_per_layer=480))
+    assert np.max(np.abs(CubicSpline(fine.xi, fine.u)(coarse.xi) - coarse.u)) <= 1.3e-7
+
+
+def test_mesh_rejects_an_infinite_fan_density():
+    # c*sqrt(eps) underflows to a subnormal, so the corners' density is inf
+    with pytest.raises(CoverageError, match="mesh exceeds"):
+        wf.build_mesh(make_problem(-1.0, 1.0, 1e-10), wf.SolveOptions(nodes_per_layer=10**305))
 
 
 @pytest.mark.parametrize("eps", [5e-324, 1e-300])

@@ -282,15 +282,16 @@ MARGIN_GRID = [(flux, ul, -ul, eps)
                for ul in (1.0, -1.0) for eps in (5.0, 0.2, 0.05, 0.005)]
 
 
-def _solved_margin(flux, ul, ur, eps, bump_at=None):
+def _solved_margin(flux, ul, ur, eps, bump=None):
     """Per-node defect and roundoff of the margin that applies to the data,
-    on the solved profile, optionally with 1e-6*|jump| added to the node
-    `bump_at` of the way into the mesh."""
+    on the solved profile, and the margin; `bump(problem, profile, lam)`, if
+    given, names a node and an amount added to u there first."""
     prob = wf.ProfileProblem(wf.parse_flux_token(flux), ul, ur, eps)
     prof, _ = wf.solve_profile(prob)
-    if bump_at is not None:
+    if bump is not None:
+        node, size = bump(prob, prof, 0.1)
         u = prof.u.copy()
-        u[int(bump_at * len(u))] += 1e-6 * abs(ur - ul)
+        u[node] += size
         prof = wf.Profile(prof.xi, u)
     if ul < ur:
         return _translate_defect(prof, prob, 0.1), wf.sliding_supersolution_margin(prof, prob, 0.1)
@@ -309,14 +310,67 @@ def test_margins_hold_beyond_roundoff_on_solved_profiles(flux, ul, ur, eps):
     assert value > 0.0
 
 
-@pytest.mark.parametrize("bump_at", [0.05, 0.25])
-@pytest.mark.parametrize("flux, ul, ur, eps",
-                         [case for case in MARGIN_GRID if case[3] in (0.2, 0.005)])
-def test_margins_catch_a_small_bump_off_the_layer(flux, ul, ur, eps, bump_at):
-    # a bump of 1e-6 of the jump on the node 5% or 25% into the mesh, off
-    # the layer, is decidably negative for both margins (at the layer centre
-    # the sweeping margin's K*lam*|D1|, about 0.05/eps, hides it)
-    (defect, noise), value = _solved_margin(flux, ul, ur, eps, bump_at=bump_at)
+def _first_fan(problem):
+    exact = wf.solve_exact(problem.flux, problem.u_left, problem.u_right)
+    return next((w for w in exact.waves if isinstance(w, wf.riemann.RarefactionFan)), None)
+
+
+def _tail_bump(problem, profile, lam):
+    # 1e-6 of the jump 4*sqrt(eps) left of the wave fan: for eps >= 0.0031
+    # that is past the strip [xi_0, xi_0 + lam] that the slid translate
+    # drops (the domain reaches 5.8*sqrt(eps) past the fan)
+    exact = wf.solve_exact(problem.flux, problem.u_left, problem.u_right)
+    at = wf.riemann.wave_speed_span(exact)[0] - 4.0 * math.sqrt(problem.epsilon)
+    return np.searchsorted(profile.xi, at), 1e-6 * abs(problem.u_right - problem.u_left)
+
+
+def _corner_bump(problem, profile, lam):
+    # 1e-6 of the jump sqrt(eps) outside the first fan's left edge
+    at = _first_fan(problem).xi_lo - math.sqrt(problem.epsilon)
+    return np.searchsorted(profile.xi, at), 1e-6 * abs(problem.u_right - problem.u_left)
+
+
+def _fan_bump(problem, profile, lam):
+    # At the first fan's midpoint. A bump delta at node i raises the second
+    # difference of its neighbours by about delta/h^2, h the step, so it
+    # lowers their defect a*D1(u) - r by about eps*delta/h^2, against a
+    # defect of about |a*D1(u)| there (a = lam for the slid translate, |a| <=
+    # 3*K*lam for the sweeping one, K the Lipschitz constant of f'). It is
+    # decidable once eps*delta/h^2 > |a*D1(u)|. In the fan interior D1 =
+    # 1/f''(u) is O(1) and the graded mesh's step is up to
+    # profile_bvp._FAN_FLOOR = 0.004, so for Burgers at eps = 0.005 that needs
+    # delta > 3.2e-4: 1e-6 of the jump is not decidable there. The bump is 10
+    # times that bound, with h the node's larger step.
+    fan = _first_fan(problem)
+    i = np.searchsorted(profile.xi, 0.5 * (fan.xi_lo + fan.xi_hi))
+    xi, u = profile.xi, profile.u
+    h = max(xi[i + 1] - xi[i], xi[i] - xi[i - 1])
+    d1 = (u[i + 1] - u[i - 1]) / (xi[i + 1] - xi[i - 1])
+    a = lam if problem.u_left < problem.u_right \
+        else 3.0 * wf.lipschitz_of_derivative(problem.flux, *problem.state_interval) * lam
+    return i, 10.0 * abs(a * d1) * h * h / problem.epsilon
+
+
+def _has_fan(flux, ul, ur, eps):
+    return _first_fan(wf.ProfileProblem(wf.parse_flux_token(flux), ul, ur, eps)) is not None
+
+
+# the tail on every case; a corner at eps = 0.005, where its spacing is
+# 0.035*c*sqrt(eps) = 2.5e-4 (at 0.2 the cap c*eps/S sets it at 0.007-0.01,
+# and by the bound in _fan_bump 1e-6 of the jump is not decidable there);
+# the fan's interior at both
+BUMP_CASES = [(*case, bump) for case in MARGIN_GRID if case[3] in (0.2, 0.005)
+              for bump in (_tail_bump, _corner_bump, _fan_bump)
+              if bump is _tail_bump
+              or (_has_fan(*case) and (bump is _fan_bump or case[3] == 0.005))]
+
+
+@pytest.mark.parametrize("flux, ul, ur, eps, bump", BUMP_CASES)
+def test_margins_catch_a_small_bump_off_the_layer(flux, ul, ur, eps, bump):
+    # a bump off the shock layers is decidably negative for both margins (at
+    # a shock layer's centre the sweeping margin's K*lam*|D1|, about
+    # 0.05/eps, hides it)
+    (defect, noise), value = _solved_margin(flux, ul, ur, eps, bump=bump)
     assert np.any(defect < -noise)
     assert value < 0.0
 
