@@ -20,27 +20,21 @@ class UnsupportedFluxError(WavefanError, ValueError):
     """An operation that only makes sense for the quadratic flux got another one."""
 
 
-class NonConvergenceError(WavefanError, RuntimeError):
-    """Newton (or a continuation stage) failed to converge.
-
-    Carries the partial solve report so callers can inspect the residual
-    history.
-    """
+class _ReportedError(WavefanError, RuntimeError):
+    """A solver failure that carries the partial solve report, so callers
+    can inspect the residual history."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
 
 
-class LinearSolverError(WavefanError, RuntimeError):
-    """The tridiagonal Newton system was singular or produced non-finite values.
+class NonConvergenceError(_ReportedError):
+    """Newton (or the Dafermos flow before it) failed to converge."""
 
-    Carries the partial solve report, as NonConvergenceError does.
-    """
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+class LinearSolverError(_ReportedError):
+    """The tridiagonal Newton system was singular or produced non-finite values."""
 
 
 class CoverageError(WavefanError, ValueError):

@@ -39,12 +39,12 @@ integrated once per shock on nodes clustered at both roots and centred so
 that it carries no mass against the jump over a sqrt(eps) window (the
 viscous and inviscid profiles have equal integrals); elsewhere the inviscid
 solution mollified over sqrt(eps). A shock whose g vanishes between its
-states has no travelling wave and keeps its mollified jump. Continuation
-(stages at larger viscosities, each re-meshed and warm-started from the
-previous one) is the fallback when Newton fails. Each Newton solve evaluates
-its residuals and Jacobians on one workspace (mesh differences computed
-once, scratch arrays reused, the Jacobian built from the slopes its residual
-left there), so the iterations allocate almost no fresh memory, and it stops
+states has no travelling wave and keeps its mollified jump. When Newton
+fails, the self-similar Dafermos flow (`_flow`) runs from the same guess on
+the same mesh until Newton can finish. Each Newton solve evaluates its
+residuals and Jacobians on one workspace (mesh differences computed once,
+scratch arrays reused, the Jacobian built from the slopes its residual left
+there), so the iterations allocate almost no fresh memory, and it stops
 once a full step can no longer lower a residual that is already at its
 roundoff floor. That floor is a pass over every node; Newton computes it
 only when the residual is at or below a bound of it made of maxima of the
@@ -95,7 +95,11 @@ _CORNER_DEPTH = 4.0
 _CORNER_HALVING = 2.0 * math.log(2.0)
 _FAN_FLOOR = 0.004
 _TAPER = 4.0
-_BACKOFF_RATIO = 1.1     # see solve_profile
+_FLOW_DT = 0.05          # see _flow
+_FLOW_GROWTH = 1.5
+_FLOW_CUT = 4.0
+_FLOW_HANDOVER = 1e-3
+_FLOW_STEPS = 100
 _LAYER_DT = 1.0 / 16.0   # see _ShockLayer
 _LAYER_T = 20.0
 _CENTRE_WINDOW = 1.0     # see initial_guess
@@ -938,6 +942,22 @@ def _check_guess(profile: Profile):
         raise InvalidParameterError("mesh nodes must be strictly increasing")
 
 
+def _linear_step(problem: ProfileProblem, u: np.ndarray, r: np.ndarray,
+                 work: _Workspace, shift: float = 0.0) -> np.ndarray:
+    """The d with (J - shift*I) d = -r, J the Jacobian at u from the slopes
+    `work` holds for u; NaN if the band is singular. The identity boundary
+    rows take their exact d = -r, so pivoting cannot move the end values."""
+    ab = _jacobian_band(problem, u, work)
+    ab[1, 1:-1] -= shift
+    try:
+        step = solve_banded((1, 1), ab, -r, overwrite_ab=True, overwrite_b=True,
+                            check_finite=False)      # ab and -r are scratch
+    except np.linalg.LinAlgError:
+        step = np.full(len(u), np.nan)
+    step[0], step[-1] = -r[0], -r[-1]
+    return step
+
+
 def newton_solve(problem: ProfileProblem, guess: Profile,
                  options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
     """Damped Newton iteration from the given guess on the guess's own mesh.
@@ -992,20 +1012,9 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
                            mesh_size=len(xi), floor_limited=floor_limited)
 
     while not converged and iterations < _MAX_ITER:
-        try:
-            # the band array and the negated residual are scratch: LAPACK may
-            # overwrite them instead of copying
-            step = solve_banded((1, 1), _jacobian_band(problem, u, work), -r,
-                                overwrite_ab=True, overwrite_b=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolverError("banded solve failed: %s" % exc,
-                                    report=report()) from exc
+        step = _linear_step(problem, u, r, work)
         if not np.all(np.isfinite(step)):
-            raise LinearSolverError("banded solve produced non-finite step",
-                                    report=report())
-        # the boundary rows are identity; their exact solution keeps the
-        # pivoting of the banded solve from moving the pinned end values
-        step[0], step[-1] = -r[0], -r[-1]
+            raise LinearSolverError("banded solve singular or not finite", report=report())
 
         lam = 1.0
         accepted = False
@@ -1044,68 +1053,61 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     return Profile(xi, u), report()
 
 
-def _warm_start(stage: ProfileProblem, previous: Profile | None,
-                opts: SolveOptions) -> Profile:
-    """Newton guess on a fresh mesh for `stage`: the previous profile
-    linearly interpolated, with the end values pinned to the data, or
-    `initial_guess` if there is none."""
-    mesh = build_mesh(stage, opts)
-    if previous is None:
-        return initial_guess(stage, mesh)
-    u0 = np.interp(mesh, previous.xi, previous.u)
-    u0[0] = stage.u_left
-    u0[-1] = stage.u_right
-    return Profile(mesh, u0)
+def _flow(problem: ProfileProblem, guess: Profile) -> Profile:
+    """Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal.
+    35, 1998) from `guess`, on its mesh, of the self-similar Dafermos flow
+    v_tau = eps*v'' - (f'(v) - xi)*v' (tau = ln t, xi = x/t; `residual`),
+    whose steady states are the profiles: linearly implicit Euler steps
+    (J - I/dt) d = -r. A layer off its place s is a front x = s*t + x0, so
+    xi - s = x0*e^(-tau) relaxes at rate 1 for every eps, to within eps at
+    tau = ln(x0/eps): 11.5 for x0 = 1 at eps = 1e-5. The residual stays
+    O(1/eps) meanwhile and cannot pace the steps, so dt grows from _FLOW_DT
+    = 0.05 by _FLOW_GROWTH = 1.5 per accepted step: tau = 0.1*(1.5^n - 1)
+    is 11.5 after 12 steps. A step that is not finite or leaves the states'
+    interval widened by half its length on each side overshoots the bounded
+    flow; it is rejected and dt cut by _FLOW_CUT = 4. At sup residual
+    _FLOW_HANDOVER = 1e-3 the layers are in place and the flow returns.
+    After _FLOW_STEPS steps, rejected ones included (several times the
+    12-18 it has taken), it raises NonConvergenceError.
+    """
+    xi, u = guess.xi, guess.u
+    work = _Workspace(xi)
+    lo, hi = problem.state_interval
+    mid, reach = 0.5 * (lo + hi), hi - lo       # the interval widened by half its length
+    r = residual(problem, guess, work)
+    history = [_max_abs(r)]
+    dt = _FLOW_DT
+    for _ in range(_FLOW_STEPS):
+        trial = u + _linear_step(problem, u, r, work, 1.0 / dt)
+        if not _max_abs(trial - mid) <= reach:      # NaN fails too
+            dt /= _FLOW_CUT
+            continue
+        u = trial
+        r = residual(problem, Profile(xi, u), work)
+        history.append(_max_abs(r))
+        if history[-1] <= _FLOW_HANDOVER:
+            return Profile(xi, u)
+        dt *= _FLOW_GROWTH
+    raise NonConvergenceError(
+        "Dafermos flow stalled at residual %.3e after %d steps" % (history[-1], _FLOW_STEPS),
+        report=SolveReport(False, 0, tuple(history), (float(xi[0]), float(xi[-1])), len(xi)))
 
 
 def solve_profile(problem: ProfileProblem,
                   options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
-    """Solve for the viscous profile at problem.epsilon, at that viscosity
-    first.
-
-    Newton starts from `initial_guess` on the target's own mesh: each
-    shock's travelling wave, centred by mass balance, on the mollified
-    inviscid solution (the mollified jump alone for a shock without a
-    travelling wave), which puts a shock's Newton iteration near its
-    quadratic phase from the start.
-    Continuation is the fallback: if Newton at a stage raises
-    NonConvergenceError or LinearSolverError, a stage at the geometric mean
-    of the failed viscosity and the last solved one (1.0 before any) is
-    solved first, and the failed stage is retried from it. Back-off ends,
-    re-raising the failure, once the last solved viscosity is less than 1.1
-    times the failed one. Each failure halves the logarithmic gap, so at
-    most log2(ln(gap) / ln 1.1) + 1 stages are pushed in a row (5 for a gap
-    of 10), and each solved stage cuts the gap by a factor of at least
-    sqrt(1.1): the solve always ends.
-
-    Each stage truncates and meshes for its own viscosity and warm-starts
-    from the last solved stage (linearly reinterpolated); every stage but
-    the target is solved to the loose tolerance max(newton_tol, 1e-8). The
-    returned profile carries its slope. The report is the final stage's,
-    with `stages` and `iterations` counting every Newton attempt, failed
-    ones included.
-    """
+    """Solve for the viscous profile at problem.epsilon on its own mesh:
+    Newton from `initial_guess` and, if that raises NonConvergenceError or
+    LinearSolverError, the Dafermos flow (`_flow`) from the same guess, then
+    Newton from where it stops; a failure there is raised. The profile
+    carries its slope. The report is the last Newton solve's, with `stages`
+    the phases that ran (1: Newton alone; 2: the flow, then Newton) and
+    `iterations` summed over both Newton attempts."""
     opts = options or SolveOptions()
-    pending = [problem.epsilon]             # the next stage is last
-    profile = None
-    solved_eps = 1.0
-    stages = iterations = 0
-    while pending:
-        stage = replace(problem, epsilon=pending[-1])
-        tol = opts.newton_tol if len(pending) == 1 else max(opts.newton_tol, 1e-8)
-        stages += 1
-        try:
-            profile, report = newton_solve(stage, _warm_start(stage, profile, opts),
-                                           replace(opts, newton_tol=tol))
-        except (NonConvergenceError, LinearSolverError) as exc:
-            iterations += exc.report.iterations
-            if solved_eps < _BACKOFF_RATIO * stage.epsilon:
-                raise
-            pending.append(math.sqrt(solved_eps * stage.epsilon))
-            continue
-        iterations += report.iterations
-        solved_eps = pending.pop()
+    guess = initial_guess(problem, build_mesh(problem, opts))
+    try:
+        profile, report = newton_solve(problem, guess, opts)
+    except (NonConvergenceError, LinearSolverError) as exc:
+        profile, report = newton_solve(problem, _flow(problem, guess), opts)
+        report = replace(report, stages=2, iterations=exc.report.iterations + report.iterations)
     du = reconstruct_derivative(profile.xi, profile.u)
-    return (Profile(profile.xi, profile.u, du),
-            replace(report, stages=stages, iterations=iterations))
-
+    return Profile(profile.xi, profile.u, du), report

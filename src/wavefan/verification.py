@@ -314,10 +314,11 @@ def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
     """Max interior residual of the translated samples u(xi - lam) + lam
     under eps*u'' = (u - xi)*u', the profile equation when f'(u) = u.
 
-    The translate is sampled exactly (nodes shifted with the values), so the
-    result sits at the same roundoff floor as the original profile's
-    residual, independent of lam. Passing a flux whose derivative is not
-    f'(u) = u is an error."""
+    The translate is sampled exactly (nodes shifted with the values) and
+    differenced on the original spacings, its own in exact arithmetic; the
+    rounded nodes xi + lam would add their rounding, magnified about 4x per
+    halving of eps, to the residual's roundoff floor, where the result sits.
+    Passing a flux whose derivative is not f'(u) = u is an error."""
     if not has_identity_derivative(flux):
         raise UnsupportedFluxError("translation family needs f'(u) = u")
     lam = float(lam)
@@ -325,7 +326,9 @@ def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
         raise InvalidParameterError("lam must be finite")
     shifted = Profile(profile.xi + lam, profile.u + lam)
     problem = ProfileProblem(burgers_flux(), shifted.u[0], shifted.u[-1], float(epsilon))
-    defect = residual(problem, shifted)[1:-1]
+    work = _Workspace(profile.xi)
+    work.xi = shifted.xi
+    defect = residual(problem, shifted, work)[1:-1]
     xi = shifted.xi[1:-1]
     keep = (xi >= profile.xi[0]) & (xi <= profile.xi[-1])
     if not np.any(keep):

@@ -1,4 +1,4 @@
-"""Discretization, Newton solver, and continuation for viscous profiles."""
+"""Discretization, Newton solver, and the Dafermos-flow fallback for viscous profiles."""
 
 import dataclasses
 import json
@@ -353,14 +353,12 @@ def test_mesh_equidistributes_the_node_density(problem, domain):
 
 QUARTIC = wf.polynomial_flux((0.0, 0.0, -1.0, 0.0, 1.0))
 FLUXES = {"burgers": wf.burgers_flux(), "cubic": CUBIC, "quartic": QUARTIC}
-# {burgers, cubic, quartic} x both ways x eps, the quartic shock 1 -> -1
-# (no travelling wave, solved by continuation) only down to 2e-3
-GRID_40 = [(name, ul, -ul, eps) for name in FLUXES for ul in (1.0, -1.0)
-           for eps in (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4)
-           if not (name == "quartic" and ul > 0.0 and eps < 2e-3)]
+# {burgers, cubic, quartic} x both ways x eps
+GRID_42 = [(name, ul, -ul, eps) for name in FLUXES for ul in (1.0, -1.0)
+           for eps in (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3, 5e-4)]
 
 
-@pytest.mark.parametrize("name, ul, ur, eps", GRID_40)
+@pytest.mark.parametrize("name, ul, ur, eps", GRID_42)
 def test_mesh_neighbour_steps_are_graded(name, ul, ur, eps):
     # each side's last step holds [0.3, 1.3) of a node by the sliver rule,
     # so up to 1/0.3 of its neighbour; every other pair is graded
@@ -857,8 +855,8 @@ def test_solved_rarefaction_tracks_the_fan(rarefaction_profile, rarefaction_prob
     assert np.all(np.diff(rarefaction_profile.u) >= 0)
 
 
-# {burgers, cubic, quartic} x both ways x eps, the quartic shock at 2e-3 for 5e-4
-DMP_CASES = [(name, ul, -ul, 2e-3 if (name, ul, eps) == ("quartic", 1.0, 5e-4) else eps)
+# {burgers, cubic, quartic} x both ways x eps
+DMP_CASES = [(name, ul, -ul, eps)
              for name in FLUXES for ul in (1.0, -1.0) for eps in (5e-2, 5e-3, 5e-4)]
 
 
@@ -890,21 +888,28 @@ def test_report_floor_flag_is_consistent(shock_problem):
 
 
 # ---------------------------------------------------------------------------
-# continuation
+# the Dafermos-flow fallback
 
 HALVING = tuple(0.5 ** k for k in range(7)) + (0.01,)
 
 
 def halving_chain(problem):
-    """Reference: Newton at each viscosity of HALVING in turn, warm-started
-    from the previous stage, the intermediate stages to 1e-8."""
+    """Reference: Newton at each viscosity of HALVING in turn, each on its
+    own mesh from the previous stage linearly interpolated (ends pinned to
+    the data), the intermediate stages to 1e-8."""
     opts = wf.SolveOptions()
     profile = None
     for eps in HALVING:
         stage = dataclasses.replace(problem, epsilon=eps)
+        mesh = wf.build_mesh(stage, opts)
+        if profile is None:
+            guess = wf.initial_guess(stage, mesh)
+        else:
+            u0 = np.interp(mesh, profile.xi, profile.u)
+            u0[0], u0[-1] = stage.u_left, stage.u_right
+            guess = wf.Profile(mesh, u0)
         tol = opts.newton_tol if eps == HALVING[-1] else 1e-8
-        profile, _ = wf.newton_solve(stage, profile_bvp._warm_start(stage, profile, opts),
-                                     dataclasses.replace(opts, newton_tol=tol))
+        profile, _ = wf.newton_solve(stage, guess, dataclasses.replace(opts, newton_tol=tol))
     return profile
 
 
@@ -929,49 +934,102 @@ def test_quartic_shock_solves_at_default_settings(tmp_path, capsys):
     assert payload["converged"] and payload["stages"] == 1
 
 
+def test_quartic_shock_below_2e3_takes_the_flow():
+    # the chord touches f at the sonic state 0, so this shock has no
+    # travelling wave and Newton from the mollified jump fails at 1e-3
+    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,-1,0,1"), 1.0, -1.0, 1e-3)
+    profile, report = wf.solve_profile(prob)
+    assert report.converged and report.stages == 2
+    assert report.iterations > profile_bvp._MAX_ITER
+    assert np.all(np.diff(profile.u) <= 0.0)
+
+
 def failing_attempts(monkeypatch, fails):
     """Replaces profile_bvp.newton_solve with one whose first `fails`
     attempts raise (NonConvergenceError and LinearSolverError in turn, each
-    after 3 iterations); returns the list of attempted viscosities."""
-    attempts = []
-    real = profile_bvp.newton_solve
+    after 3 iterations), and profile_bvp._flow with a counting one; returns
+    the lists of Newton attempts (their viscosities) and flows."""
+    attempts, flows = [], []
+    real_newton, real_flow = profile_bvp.newton_solve, profile_bvp._flow
 
     def flaky(stage, guess, opts=None):
         attempts.append(stage.epsilon)
         if len(attempts) > fails:
-            return real(stage, guess, opts)
+            return real_newton(stage, guess, opts)
         report = profile_bvp.SolveReport(False, 3, (1.0,), (guess.xi[0], guess.xi[-1]),
                                          len(guess.xi))
         if len(attempts) % 2:
             raise NonConvergenceError("stalled", report=report)
         raise LinearSolverError("singular", report=report)
 
+    def counted(problem, guess):
+        flows.append(problem.epsilon)
+        return real_flow(problem, guess)
+
     monkeypatch.setattr(profile_bvp, "newton_solve", flaky)
-    return attempts
+    monkeypatch.setattr(profile_bvp, "_flow", counted)
+    return attempts, flows
 
 
-def test_failed_stage_backs_off_to_the_geometric_mean(monkeypatch):
-    prob = make_problem(1.0, -1.0, 0.01)
+@pytest.mark.parametrize("ul, ur, flux", [(1.0, -1.0, None), (-1.0, 1.0, CUBIC)])
+def test_forced_flow_matches_the_direct_solve(monkeypatch, ul, ur, flux):
+    prob = make_problem(ul, ur, 0.01, flux)
     direct, direct_report = wf.solve_profile(prob)
-    attempts = failing_attempts(monkeypatch, 2)
+    guess = wf.initial_guess(prob, wf.build_mesh(prob))
+    flowed, flowed_report = wf.newton_solve(prob, profile_bvp._flow(prob, guess))
+    attempts, flows = failing_attempts(monkeypatch, 1)
     profile, report = wf.solve_profile(prob)
-    # 0.01 fails; its retry waits on 0.1 = sqrt(1 * 0.01), which fails and
-    # waits on sqrt(1 * 0.1); sqrt(0.1), 0.1 and 0.01 then solve
-    assert attempts == [0.01, 0.1, math.sqrt(0.1), 0.1, 0.01]
-    assert report.stages == 5
-    assert report.converged and report.iterations > 2 * 3 + direct_report.iterations
-    assert np.max(np.abs(profile.u - direct.u)) <= 1e-9
+    assert attempts == [0.01, 0.01] and flows == [0.01]
+    assert direct_report.stages == 1
+    assert report == dataclasses.replace(flowed_report, stages=2,
+                                         iterations=3 + flowed_report.iterations)
+    assert np.array_equal(profile.u, flowed.u)
+    assert np.array_equal(profile.xi, direct.xi)
+    assert np.max(np.abs(profile.u - direct.u)) <= 1e-12
 
 
-def test_back_off_ends_when_viscosities_close_in(monkeypatch):
-    attempts = failing_attempts(monkeypatch, 10 ** 6)
-    with pytest.raises((NonConvergenceError, LinearSolverError)):
+@pytest.mark.parametrize("fails", [2, 10 ** 6])
+def test_double_failure_raises_after_one_flow(monkeypatch, fails):
+    attempts, flows = failing_attempts(monkeypatch, fails)
+    with pytest.raises((NonConvergenceError, LinearSolverError)) as exc:
         wf.solve_profile(make_problem(1.0, -1.0, 0.01))
-    # every attempt fails, so each one bisects [eps_k, 1] in log eps until
-    # 1 < 1.1 * eps_k
-    assert attempts[0] == 0.01 and 1.0 < 1.1 * attempts[-1]
-    assert all(b == math.sqrt(a) for a, b in zip(attempts, attempts[1:]))
-    assert len(attempts) == 7
+    assert attempts == [0.01, 0.01] and flows == [0.01]
+    assert isinstance(exc.value.report, wf.SolveReport)
+
+
+def test_flow_past_its_step_cap_raises_with_a_report(monkeypatch):
+    monkeypatch.setattr(profile_bvp, "_FLOW_STEPS", 2)
+    attempts, _ = failing_attempts(monkeypatch, 1)
+    prob = make_problem(1.0, -1.0, 0.01)
+    with pytest.raises(NonConvergenceError) as exc:
+        wf.solve_profile(prob)
+    assert attempts == [0.01]
+    report = exc.value.report
+    assert not report.converged and report.iterations == 0
+    assert len(report.residual_history) == 3 and report.residual_norm > 1e-3
+    assert report.mesh_size == len(wf.build_mesh(prob))
+
+
+@pytest.mark.parametrize("spoil", [lambda d: d * np.nan, lambda d: d + 10.0])
+def test_flow_rejects_a_bad_step_and_cuts_dt(monkeypatch, spoil):
+    # the first step is spoiled (not finite, or past the states' interval
+    # widened by half its length); each later one is accepted, dt growing 1.5x
+    shifts = []
+    real = profile_bvp._linear_step
+
+    def spy(problem, u, r, work, shift=0.0):
+        shifts.append(shift)
+        step = real(problem, u, r, work, shift)
+        return spoil(step) if len(shifts) == 1 else step
+
+    monkeypatch.setattr(profile_bvp, "_linear_step", spy)
+    prob = wf.ProfileProblem(QUARTIC, 1.0, -1.0, 1e-3)
+    flowed = profile_bvp._flow(prob, wf.initial_guess(prob, wf.build_mesh(prob)))
+    assert shifts[0] == 1.0 / profile_bvp._FLOW_DT
+    assert shifts[1] == 4.0 * shifts[0]
+    assert all(b == pytest.approx(a / 1.5, rel=1e-14) for a, b in zip(shifts[1:], shifts[2:]))
+    assert np.max(np.abs(wf.residual(prob, flowed))) <= 1e-3 < np.max(
+        np.abs(wf.residual(prob, wf.initial_guess(prob, flowed.xi))))
 
 
 def test_profiles_sharpen_as_viscosity_falls():
@@ -982,10 +1040,10 @@ def test_profiles_sharpen_as_viscosity_falls():
 
 
 def test_solve_profile_reconstructs_the_slope_once(slope_calls, monkeypatch):
-    # 0.01 fails, then 0.1 and 0.01 solve
-    attempts = failing_attempts(monkeypatch, 1)
+    # Newton fails, then the flow and Newton solve
+    attempts, flows = failing_attempts(monkeypatch, 1)
     profile, report = wf.solve_profile(make_problem(-1.0, 1.0, 0.01))
-    assert attempts == [0.01, 0.1, 0.01] and report.stages == 3
+    assert attempts == [0.01, 0.01] and flows == [0.01] and report.stages == 2
     assert slope_calls == [len(profile.xi)]
     assert np.array_equal(profile.du, wf.reconstruct_derivative(profile.xi, profile.u))
     assert len(slope_calls) == 1      # read again: cached, not recomputed

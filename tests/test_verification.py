@@ -100,12 +100,13 @@ def barrier_tail_oracle(problem, profile, big_m):
 
 def translation_defect_oracle(profile, epsilon, lam):
     """Oracle: the translate's defect under eps*u'' = (u - xi)*u' from its
-    own divided differences. Returns the max |defect| and the largest
-    |term| it is the difference of, which sets its roundoff."""
+    divided differences on the original spacings, its own in exact
+    arithmetic. Returns the max |defect| and the largest |term| it is the
+    difference of, which sets its roundoff."""
     xi = profile.xi + lam
     u = profile.u + lam
-    hm = xi[1:-1] - xi[:-2]
-    hp = xi[2:] - xi[1:-1]
+    hm = profile.xi[1:-1] - profile.xi[:-2]
+    hp = profile.xi[2:] - profile.xi[1:-1]
     sm = (u[1:-1] - u[:-2]) / hm
     sp = (u[2:] - u[1:-1]) / hp
     d2 = 2.0 * (sp - sm) / (hm + hp)
@@ -480,6 +481,17 @@ def test_translation_defect_independent_of_shift(shock_profile, rarefaction_prof
         t1 = wf.translation_invariance_check(profile, 0.05, 0.7, BURGERS)
         assert t0 <= 1e-10
         assert t1 <= max(2.0 * t0, 1e-10)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.005])
+def test_translation_defect_stays_at_the_floor_as_viscosity_falls(eps):
+    # differenced on the shifted nodes xi + 0.7, their rounding read
+    # 2.25e-10 and 9.06e-10 here, above the battery's threshold
+    problem = wf.ProfileProblem(BURGERS, 1.0, -1.0, eps)
+    profile, _ = wf.solve_profile(problem)
+    t0 = wf.translation_invariance_check(profile, eps, 0.0, BURGERS)
+    t1 = wf.translation_invariance_check(profile, eps, 0.7, BURGERS)
+    assert t1 <= max(2.0 * t0, 10.0 * wf.SolveOptions().newton_tol)
 
 
 def test_translation_check_rejects_other_fluxes(shock_profile):
