@@ -392,10 +392,15 @@ def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> 
       and not mesh error (`run_battery`), it is today's spacing on the
       Burgers rarefaction (S = 2), and the coarsest uniform fan spacing
       found to leave that value unchanged. Outside the fan the corner
-      decays like a Gaussian whose rate is r = X*sqrt(eps); its layer
-      spacing c*eps/r = c*sqrt(eps)/X is finer than top's out to
-      X = 1/_FAN_SPACING = 28.6, and _FAN_REACH = 28 keeps top to there.
-      Farther out the corner is below e^-392 and the first term takes over.
+      decays like the Gaussian e^(-X^2/2), at the rate r = X*sqrt(eps); its
+      layer spacing c*eps/r = c*sqrt(eps)/X is coarser than top's
+      _FAN_SPACING*c*sqrt(eps) for every X below 1/_FAN_SPACING = 28.6, so
+      top is finer than the corner needs all the way out to _FAN_REACH = 28,
+      where the corner is below e^-392 and the first term takes over. By
+      the shock term's rounding argument the corner needs no layer spacing
+      past X = sqrt(2*_SHOCK_EFOLDS) = 8.9, where it falls below e^-40;
+      _FAN_REACH is kept at 28 all the same, because a shorter reach changes
+      the mesh, and with it the profile, of every fan.
       Inside the fan the corner's remainder decays like e^-X, and so does
       the truncation error of the central differences on it, times h^2.
       Holding h^2*e^-X at its value at X = _CORNER_DEPTH makes h grow like

@@ -46,7 +46,9 @@ from .profile_bvp import (
     Profile,
     ProfileProblem,
     SolveOptions,
+    _EPS_MACH,
     _Workspace,
+    _flow,
     _node_noise,
     build_mesh,
     newton_solve,
@@ -79,9 +81,15 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class ProbeResult:
+    """`uniqueness_probe`'s outcome. Each run is counted once: n_converged
+    runs ended in the bounded monotone class and were compared
+    (max_distance is the largest sup distance between two of them),
+    n_out_of_class converged outside it, n_failed did not converge."""
+
     max_distance: float
     n_converged: int
     n_failed: int
+    n_out_of_class: int
 
 
 def check_monotone(profile: Profile, u_left: float, u_right: float) -> float:
@@ -269,21 +277,39 @@ def barrier_operator_margin(problem: ProfileProblem, profile: Profile,
 
 def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
                      n_guesses: int = 8, seed: int = DEFAULT_PROBE_SEED) -> ProbeResult:
-    """Newton from randomized monotone ramp guesses; converged runs should
-    all land on the same profile.
+    """Relax randomized monotone ramp guesses along the self-similar
+    Dafermos flow (`profile_bvp._flow`), then finish each by Newton; the
+    runs that end in the bounded monotone class should all land on the
+    same profile.
 
     Guess centres and widths are drawn from per-guess child seeds, so the
-    set of guesses depends only on `seed`. Non-converged runs are counted,
-    not raised; fewer than two survivors make the probe inconclusive."""
+    set of guesses depends only on `seed`. The flow carries a misplaced
+    layer to its place at rate 1 in tau = ln t for every eps, with no line
+    search, and hands Newton an iterate near a steady state; Newton alone
+    from a ramp whose layer sits far from its place mostly stalls.
+
+    Uniqueness is proved for bounded monotone profiles, and the paper
+    builds an unbounded Burgers solution, so only runs that end in that
+    class are compared: inside the state interval and monotone in the
+    data's direction. A converged run sits at its residual's roundoff
+    floor, where every node value is the discrete solution's up to a few
+    roundings of a number no larger than U = max(|uL|, |uR|), each at most
+    eps_mach*U/2. Granting 4 of them, 2*eps_mach*U per node, a value may
+    lie that far outside the interval and a difference of two neighbours
+    may be off by twice that, tol = 4*eps_mach*U; both tests use tol. Runs
+    that fail the flow or Newton are counted, not raised; fewer than two
+    in-class runs make the probe inconclusive."""
     if n_guesses < 2:
         raise InvalidParameterError("need at least 2 guesses to compare")
     opts = opts or SolveOptions()
     mesh = build_mesh(problem, opts)
     span = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
     jump = problem.u_right - problem.u_left
+    lo, hi = problem.state_interval
+    tol = 4.0 * _EPS_MACH * max(abs(problem.u_left), abs(problem.u_right))
 
-    converged = []
-    failed = 0
+    in_class = []
+    out_of_class = failed = 0
     for child in np.random.SeedSequence(seed).spawn(n_guesses):
         rng = np.random.default_rng(child)
         centre = rng.uniform(span[0] - 0.5, span[1] + 0.5)
@@ -291,22 +317,29 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
         u0 = problem.u_left + 0.5 * jump * (1.0 + np.tanh(0.5 * (mesh - centre) / width))
         u0[0] = problem.u_left
         u0[-1] = problem.u_right
-        guess = Profile(mesh, u0)
         try:
-            prof, _ = newton_solve(problem, guess, opts)
+            prof, _ = newton_solve(problem, _flow(problem, Profile(mesh, u0)), opts)
         except (NonConvergenceError, LinearSolverError):
             failed += 1
             continue
-        converged.append(prof.u)
+        u = prof.u
+        if np.min(u) >= lo - tol and np.max(u) <= hi + tol \
+                and np.min(np.sign(jump) * np.diff(u)) >= -tol:
+            in_class.append(u)
+        else:
+            out_of_class += 1
 
-    if len(converged) < 2:
+    if len(in_class) < 2:
         raise InconclusiveProbeError(
-            "only %d of %d probe runs converged" % (len(converged), n_guesses))
+            "only %d of %d probe runs converged in the bounded monotone class; "
+            "%d converged out of it and %d failed"
+            % (len(in_class), n_guesses, out_of_class, failed))
     dist = 0.0
-    for j in range(len(converged)):
-        for k in range(j + 1, len(converged)):
-            dist = max(dist, float(np.max(np.abs(converged[j] - converged[k]))))
-    return ProbeResult(max_distance=dist, n_converged=len(converged), n_failed=failed)
+    for j in range(len(in_class)):
+        for k in range(j + 1, len(in_class)):
+            dist = max(dist, float(np.max(np.abs(in_class[j] - in_class[k]))))
+    return ProbeResult(max_distance=dist, n_converged=len(in_class), n_failed=failed,
+                       n_out_of_class=out_of_class)
 
 
 def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
@@ -387,7 +420,9 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         1.2e-3  1.4e6 (9.7e4)
 
     One solve_profile call feeds every check, whichever way the data run;
-    the uniqueness probe runs Newton from its own ramp guesses.
+    the uniqueness probe relaxes its own 6 ramp guesses along the Dafermos
+    flow, finishes each by Newton, and compares the runs that end in the
+    bounded monotone class (`uniqueness_probe`).
     """
     opts = options or SolveOptions()
     seed = DEFAULT_PROBE_SEED if seed is None else int(seed)

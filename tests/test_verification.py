@@ -515,7 +515,7 @@ def test_translation_defect_matches_written_out_oracle(lam, shock_profile,
 
 def test_uniqueness_probe_agrees(shock_problem):
     result = wf.uniqueness_probe(shock_problem, n_guesses=6)
-    assert result.n_converged + result.n_failed == 6
+    assert result.n_converged + result.n_out_of_class + result.n_failed == 6
     assert result.n_converged >= 2
     assert result.max_distance <= 1e-6
 
@@ -531,9 +531,95 @@ def test_uniqueness_probe_stable_under_refinement(shock_problem):
 def test_uniqueness_probe_validation_and_inconclusive(shock_problem, monkeypatch):
     with pytest.raises(InvalidParameterError):
         wf.uniqueness_probe(shock_problem, n_guesses=1)
-    monkeypatch.setattr(profile_bvp, "_MAX_ITER", 1)
-    with pytest.raises(InconclusiveProbeError):
+    # one flow step cannot relax a ramp to the handover residual, so every
+    # run fails inside the flow and Newton never starts
+    newtons = []
+    real_newton = verification.newton_solve
+
+    def newton(*args, **kwargs):
+        newtons.append(True)
+        return real_newton(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "newton_solve", newton)
+    monkeypatch.setattr(profile_bvp, "_FLOW_STEPS", 1)
+    with pytest.raises(InconclusiveProbeError,
+                       match="only 0 of 2 .* class; 0 converged out of it and 2 failed"):
         wf.uniqueness_probe(shock_problem, n_guesses=2)
+    assert newtons == []
+
+
+def _spoil_runs(monkeypatch, spoilers):
+    """Apply spoilers[k] to the values of the probe's k-th converged run."""
+    real_newton = verification.newton_solve
+    runs = []
+
+    def newton(problem, guess, opts=None):
+        profile, report = real_newton(problem, guess, opts)
+        spoil = spoilers[len(runs)] if len(runs) < len(spoilers) else None
+        runs.append(True)
+        if spoil is None:
+            return profile, report
+        u = profile.u.copy()
+        spoil(u)
+        return wf.Profile(profile.xi, u), report
+
+    monkeypatch.setattr(verification, "newton_solve", newton)
+
+
+def _overshoot(u):       # 0.5 past the state interval, far from the others
+    u[len(u) // 2] = 1.5
+
+
+def _kink(u):            # a wrong-way step of 0.5, inside the interval
+    k = int(np.argmin(np.abs(u)))
+    u[k], u[k + 1] = u[k + 1] - 0.25, u[k] + 0.25
+
+
+def test_uniqueness_probe_leaves_out_of_class_runs_out(shock_problem, monkeypatch):
+    _spoil_runs(monkeypatch, [_overshoot, _kink])
+    result = wf.uniqueness_probe(shock_problem, n_guesses=4)
+    assert (result.n_converged, result.n_out_of_class, result.n_failed) == (2, 2, 0)
+    assert result.max_distance <= 1e-6
+
+
+@pytest.mark.parametrize("spoiler", [_overshoot, _kink])
+def test_uniqueness_probe_is_inconclusive_with_one_run_in_class(shock_problem,
+                                                                monkeypatch, spoiler):
+    _spoil_runs(monkeypatch, [spoiler])
+    with pytest.raises(InconclusiveProbeError,
+                       match="only 1 of 2 .* class; 1 converged out of it and 0 failed"):
+        wf.uniqueness_probe(shock_problem, n_guesses=2)
+
+
+@pytest.mark.parametrize("units, in_class", [(4, True), (8, False)])
+def test_uniqueness_probe_class_tolerance_is_four_roundings(shock_problem, monkeypatch,
+                                                            units, in_class):
+    # 1 -> -1: a last-but-one node `units` eps_mach below the right state is
+    # that far outside the interval and a wrong-way step of the same size;
+    # the tolerance is 4*eps_mach*max(|uL|, |uR|) = 4*eps_mach
+    def spoil(u):
+        u[-2] = -1.0 - units * EPS_MACH
+
+    _spoil_runs(monkeypatch, [spoil])
+    result = wf.uniqueness_probe(shock_problem, n_guesses=3)
+    assert result.n_out_of_class == (0 if in_class else 1)
+    assert result.n_converged == (3 if in_class else 2)
+
+
+@pytest.mark.parametrize("flux, ul, eps", [
+    ("burgers", 1.0, 0.01), ("burgers", 1.0, 0.005),
+    ("poly:0,0,0,1", 1.0, 0.05), ("poly:0,0,0,1", -1.0, 0.05),
+    ("poly:0,0,0,1", 1.0, 0.01), ("poly:0,0,0,1", -1.0, 0.01),
+    ("poly:0,0,-1,0,1", 1.0, 0.01), ("poly:0,0,-1,0,1", -1.0, 0.01),
+    ("poly:0,0,-1,0,1", 1.0, 0.005), ("poly:0,0,-1,0,1", -1.0, 0.005),
+])
+def test_uniqueness_probe_relaxed_along_the_flow_agrees(flux, ul, eps):
+    # cold Newton from the same 6 ramps left every one of these inconclusive
+    problem = wf.ProfileProblem(wf.parse_flux_token(flux), ul, -ul, eps)
+    result = wf.uniqueness_probe(problem, n_guesses=6)
+    assert result.n_converged >= 2
+    assert result.n_converged + result.n_out_of_class + result.n_failed == 6
+    assert result.max_distance <= 1e-6
 
 
 # ---------------------------------------------------------------------------
