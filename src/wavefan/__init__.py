@@ -61,11 +61,13 @@ from .profile_bvp import (
     SolveOptions,
     SolveReport,
     build_mesh,
+    dafermos_flow,
     initial_guess,
     jacobian,
     newton_solve,
     reconstruct_derivative,
     residual,
+    residual_noise,
     residual_noise_floor,
     solve_profile,
     truncate_domain,

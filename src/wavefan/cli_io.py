@@ -463,9 +463,11 @@ def _cmd_verify(config: RunConfig) -> int:
     _write_json(checks, config.out)
     failed = [name for name, entry in checks.items() if not entry["pass"]]
     for name in sorted(failed):
-        print("FAIL %s: value=%.6e threshold=%.6e"
-              % (name, checks[name]["value"], checks[name]["threshold"]),
-              file=sys.stderr)
+        entry = checks[name]
+        extra = "".join(" %s=%s" % item for item in entry.items()
+                        if item[0] not in ("value", "threshold", "pass"))
+        print("FAIL %s: value=%.6e threshold=%.6e%s"
+              % (name, entry["value"], entry["threshold"], extra), file=sys.stderr)
     return 1 if failed else 0
 
 

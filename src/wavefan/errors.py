@@ -21,8 +21,8 @@ class UnsupportedFluxError(WavefanError, ValueError):
 
 
 class _ReportedError(WavefanError, RuntimeError):
-    """A solver failure that carries the partial solve report, so callers
-    can inspect the residual history."""
+    """A failure that carries a report of what ran: a solver's partial
+    solve report (its residual history), a probe's run counts."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -50,8 +50,10 @@ class DegenerateProfileError(WavefanError, ValueError):
     a logarithm of the slope is required)."""
 
 
-class InconclusiveProbeError(WavefanError, RuntimeError):
-    """Too few probe runs converged to say anything about uniqueness."""
+class InconclusiveProbeError(_ReportedError):
+    """Too few probe runs converged to say anything about uniqueness; the
+    report is a ProbeResult with the in-class, out-of-class and failed
+    counts and an infinite max_distance."""
 
 
 class ProfileFormatError(WavefanError, ValueError):

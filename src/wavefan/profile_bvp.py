@@ -40,9 +40,9 @@ that it carries no mass against the jump over a sqrt(eps) window (the
 viscous and inviscid profiles have equal integrals); elsewhere the inviscid
 solution mollified over sqrt(eps). A shock whose g vanishes between its
 states has no travelling wave and keeps its mollified jump. When Newton
-fails, the self-similar Dafermos flow (`_flow`) runs from the same guess on
-the same mesh until Newton can finish. Each Newton solve evaluates its
-residuals and Jacobians on one workspace (mesh differences computed once,
+fails, the self-similar Dafermos flow (`dafermos_flow`) runs from the same
+guess on the same mesh until Newton can finish. Each Newton solve evaluates
+its residuals and Jacobians on one workspace (mesh differences computed once,
 scratch arrays reused, the Jacobian built from the slopes its residual left
 there), so the iterations allocate almost no fresh memory, and it stops
 once a full step can no longer lower a residual that is already at its
@@ -95,7 +95,7 @@ _CORNER_DEPTH = 4.0
 _CORNER_HALVING = 2.0 * math.log(2.0)
 _FAN_FLOOR = 0.004
 _TAPER = 4.0
-_FLOW_DT = 0.05          # see _flow
+_FLOW_DT = 0.05          # see dafermos_flow
 _FLOW_GROWTH = 1.5
 _FLOW_CUT = 4.0
 _FLOW_HANDOVER = 1e-3
@@ -808,25 +808,29 @@ class _Workspace:
         d1 /= self.hs
         return sm, sp, d1
 
-    def speed_offset(self, flux: FluxSpec, u: np.ndarray) -> np.ndarray:
-        """f'(u_i) - xi_i at the interior nodes."""
-        c = derivative(flux, u[1:-1], out=self.c)
-        c -= self.xi[1:-1]
+    def speed_offset(self, flux: FluxSpec, profile: Profile) -> np.ndarray:
+        """f'(u_i) - xi_i at the profile's interior nodes; only the scratch
+        array is the workspace's."""
+        c = derivative(flux, profile.u[1:-1], out=self.c)
+        c -= profile.xi[1:-1]
         return c
 
 
 def residual(problem: ProfileProblem, profile: Profile,
-             work: _Workspace | None = None) -> np.ndarray:
+             work: _Workspace | None = None, offset=0.0) -> np.ndarray:
     """Full-length discrete residual; the first and last entries are the
     boundary mismatches and the interior entries are
 
-        eps * D2(u) - (f'(u_i) - xi_i) * D1(u)
+        eps * D2(u) - (f'(u_i) - xi_i + a) * D1(u)
 
     with the standard three-point divided differences on a nonuniform mesh.
-    `work`, a workspace for profile.xi, saves recomputing the mesh
-    differences and allocating temporaries; the values are the same. The
-    workspace is left holding D1(u) and f'(u_i) - xi_i, which a following
-    Jacobian at the same u reuses.
+    a = offset (a scalar or one value per interior node) raises the
+    transport coefficient, as translating the profile does; a*D1(u) is
+    subtracted on its own after (f'(u_i) - xi_i)*D1(u), and not at all when
+    a is zero. `work`, a workspace for the profile's mesh spacings, saves
+    recomputing the mesh differences and allocating temporaries; the values
+    are the same. The workspace is left holding D1(u) and f'(u_i) - xi_i,
+    which a following Jacobian at the same u reuses.
     """
     xi, u = profile.xi, profile.u
     w = work if work is not None else _Workspace(xi)
@@ -835,37 +839,38 @@ def residual(problem: ProfileProblem, profile: Profile,
     r[0] = u[0] - problem.u_left
     r[-1] = u[-1] - problem.u_right
     sm, sp, d1 = w.slopes(u)
-    c = w.speed_offset(problem.flux, u)
+    c = w.speed_offset(problem.flux, profile)
     inner = np.subtract(sp, sm, out=r[1:-1])
     inner *= problem.epsilon * 2.0
     inner /= w.hs
     inner -= np.multiply(c, d1, out=w.t)
+    if np.any(offset):
+        inner -= np.multiply(offset, d1, out=w.t)
     return r
 
 
-def _node_noise(problem: ProfileProblem, profile: Profile,
-                work: _Workspace, extra=0.0) -> np.ndarray:
-    """Roundoff of the residual at each interior node: 4*eps_mach times the
-    terms it is the difference of, 2*eps*uscale/(hm*hp) +
-    (|f'(u) - xi| + extra)*uscale*(1/hm + 1/hp), uscale the largest |u| of
-    the stencil. `extra` adds to the transport coefficient, as a translate
-    margin's a*D1(u) does. The workspace's scratch arrays are overwritten."""
+def residual_noise(problem: ProfileProblem, profile: Profile,
+                   work: _Workspace | None = None, offset=0.0) -> np.ndarray:
+    """Roundoff of `residual` (with the same offset a) at each interior
+    node: 4*eps_mach times the terms it is the difference of,
+    2*eps*uscale/(hm*hp) + (|f'(u) - xi| + |a|)*uscale*(1/hm + 1/hp), uscale
+    the largest |u| of the stencil. `work` is a workspace for profile.xi, as
+    in `residual`; its scratch arrays are overwritten."""
     u = profile.u
-    hm, hp = work.hm, work.hp
+    w = work if work is not None else _Workspace(profile.xi)
+    hm, hp = w.hm, w.hp
     uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
-    c = np.abs(work.speed_offset(problem.flux, u)) + extra
+    c = np.abs(w.speed_offset(problem.flux, profile)) + np.abs(offset)
     return 4.0 * _EPS_MACH * (2.0 * problem.epsilon * uscale / (hm * hp)
                               + c * uscale * (1.0 / hm + 1.0 / hp))
 
 
 def residual_noise_floor(problem: ProfileProblem, profile: Profile,
                          work: _Workspace | None = None) -> float:
-    """Roundoff level of the interior residual, the largest `_node_noise`:
+    """Roundoff level of the interior residual, the largest `residual_noise`:
     below it the residual is indistinguishable from zero in floating point,
-    so iterating past it cannot help. `work` is a workspace for profile.xi,
-    as in `residual`; its scratch arrays are overwritten."""
-    w = work if work is not None else _Workspace(profile.xi)
-    return float(np.max(_node_noise(problem, profile, w)))
+    so iterating past it cannot help."""
+    return float(np.max(residual_noise(problem, profile, work)))
 
 
 def _noise_floor_bound(problem: ProfileProblem, u: np.ndarray, work: _Workspace) -> float:
@@ -875,7 +880,7 @@ def _noise_floor_bound(problem: ProfileProblem, u: np.ndarray, work: _Workspace)
         level = 2*eps*umax*max 1/(hm*hp) + (S + max|xi|)*umax*max(1/hm + 1/hp),
 
     umax = max|u| and S = sup |f'| over [min u, max u]. Each factor bounds
-    its counterpart in every node's `_node_noise` and both terms are summed
+    its counterpart in every node's `residual_noise` and both terms are summed
     in the same association, so the exact level is at least each node's
     exact level; the factor 2 covers the few ulps by which either computed
     value can stray from its exact one, overflow to inf included."""
@@ -895,7 +900,7 @@ def jacobian(problem: ProfileProblem, profile: Profile,
     the next call."""
     w = work if work is not None else _Workspace(profile.xi)
     w.slopes(profile.u)
-    w.speed_offset(problem.flux, profile.u)
+    w.speed_offset(problem.flux, profile)
     return _jacobian_band(problem, profile.u, w)
 
 
@@ -1058,7 +1063,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     return Profile(xi, u), report()
 
 
-def _flow(problem: ProfileProblem, guess: Profile) -> Profile:
+def dafermos_flow(problem: ProfileProblem, guess: Profile) -> Profile:
     """Pseudo-transient continuation (Kelley & Keyes, SIAM J. Numer. Anal.
     35, 1998) from `guess`, on its mesh, of the self-similar Dafermos flow
     v_tau = eps*v'' - (f'(v) - xi)*v' (tau = ln t, xi = x/t; `residual`),
@@ -1102,17 +1107,17 @@ def solve_profile(problem: ProfileProblem,
                   options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
     """Solve for the viscous profile at problem.epsilon on its own mesh:
     Newton from `initial_guess` and, if that raises NonConvergenceError or
-    LinearSolverError, the Dafermos flow (`_flow`) from the same guess, then
-    Newton from where it stops; a failure there is raised. The profile
-    carries its slope. The report is the last Newton solve's, with `stages`
-    the phases that ran (1: Newton alone; 2: the flow, then Newton) and
-    `iterations` summed over both Newton attempts."""
+    LinearSolverError, the Dafermos flow (`dafermos_flow`) from the same
+    guess, then Newton from where it stops; a failure there is raised. The
+    profile carries its slope. The report is the last Newton solve's, with
+    `stages` the phases that ran (1: Newton alone; 2: the flow, then Newton)
+    and `iterations` summed over both Newton attempts."""
     opts = options or SolveOptions()
     guess = initial_guess(problem, build_mesh(problem, opts))
     try:
         profile, report = newton_solve(problem, guess, opts)
     except (NonConvergenceError, LinearSolverError) as exc:
-        profile, report = newton_solve(problem, _flow(problem, guess), opts)
+        profile, report = newton_solve(problem, dafermos_flow(problem, guess), opts)
         report = replace(report, stages=2, iterations=exc.report.iterations + report.iterations)
     du = reconstruct_derivative(profile.xi, profile.u)
     return Profile(profile.xi, profile.u, du), report

@@ -46,18 +46,18 @@ from .profile_bvp import (
     Profile,
     ProfileProblem,
     SolveOptions,
-    _EPS_MACH,
     _Workspace,
-    _flow,
-    _node_noise,
     build_mesh,
+    dafermos_flow,
     newton_solve,
     residual,
+    residual_noise,
     solve_profile,
 )
 from .riemann import eval_riemann, solve_exact, wave_speed_span
 
 DEFAULT_PROBE_SEED = 20240817
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,10 @@ def l1_window_error(profile: Profile, exact, window) -> float:
 
 def _translate_defect(profile: Profile, problem: ProfileProblem, lam: float,
                       big_k: float | None = None):
-    """Per-node defect m = a*D1(u) - r of the slid translate (big_k None,
-    a = lam, nodes inside the domain) or the sweeping one (a = f'(u + lam) -
-    f'(u) - 2*K*lam), and its roundoff n: m is minus the residual with
-    f'(u) - xi raised by a, so n is `_node_noise` with |a| added."""
+    """Per-node defect m of the slid translate (big_k None, a = lam, nodes
+    inside the domain) or the sweeping one (a = f'(u + lam) - f'(u) -
+    2*K*lam), and its roundoff n: m is minus the residual with f'(u) - xi
+    raised by a, and n is that residual's `residual_noise`."""
     lam = float(lam)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidParameterError("lam must be finite and >= 0")
@@ -190,10 +190,8 @@ def _translate_defect(profile: Profile, problem: ProfileProblem, lam: float,
         a = (derivative(problem.flux, u_in + lam) - derivative(problem.flux, u_in)
              - 2.0 * big_k * lam)
         keep = slice(None)
-    work = _Workspace(profile.xi)
-    r = residual(problem, profile, work)[1:-1]
-    defect = a * work.d1 - r
-    return defect[keep], _node_noise(problem, profile, work, np.abs(a))[keep]
+    defect = -residual(problem, profile, offset=a)[1:-1]
+    return defect[keep], residual_noise(problem, profile, offset=a)[keep]
 
 
 def _judge(defect: np.ndarray, noise: np.ndarray) -> tuple[float, int]:
@@ -209,8 +207,9 @@ def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
                                  lam: float) -> float:
     """Margin of the slid translate u(xi + lam) for increasing data, by
     `_judge`. Its samples are (xi_i - lam, u_i), so its defect at its own
-    interior nodes is lam * D1(u) - residual: for lam > 0 a strict
-    supersolution, positive wherever it exceeds its roundoff."""
+    interior nodes is minus the residual with f'(u) - xi raised by lam: for
+    lam > 0 a strict supersolution, positive wherever it exceeds its
+    roundoff."""
     return _judge(*_translate_defect(profile, problem, lam))[0]
 
 
@@ -278,7 +277,7 @@ def barrier_operator_margin(problem: ProfileProblem, profile: Profile,
 def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
                      n_guesses: int = 8, seed: int = DEFAULT_PROBE_SEED) -> ProbeResult:
     """Relax randomized monotone ramp guesses along the self-similar
-    Dafermos flow (`profile_bvp._flow`), then finish each by Newton; the
+    Dafermos flow (`dafermos_flow`), then finish each by Newton; the
     runs that end in the bounded monotone class should all land on the
     same profile.
 
@@ -298,7 +297,8 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
     lie that far outside the interval and a difference of two neighbours
     may be off by twice that, tol = 4*eps_mach*U; both tests use tol. Runs
     that fail the flow or Newton are counted, not raised; fewer than two
-    in-class runs make the probe inconclusive."""
+    in-class runs make the probe inconclusive, and the InconclusiveProbeError
+    carries the counts as its report."""
     if n_guesses < 2:
         raise InvalidParameterError("need at least 2 guesses to compare")
     opts = opts or SolveOptions()
@@ -318,7 +318,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
         u0[0] = problem.u_left
         u0[-1] = problem.u_right
         try:
-            prof, _ = newton_solve(problem, _flow(problem, Profile(mesh, u0)), opts)
+            prof, _ = newton_solve(problem, dafermos_flow(problem, Profile(mesh, u0)), opts)
         except (NonConvergenceError, LinearSolverError):
             failed += 1
             continue
@@ -333,7 +333,9 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
         raise InconclusiveProbeError(
             "only %d of %d probe runs converged in the bounded monotone class; "
             "%d converged out of it and %d failed"
-            % (len(in_class), n_guesses, out_of_class, failed))
+            % (len(in_class), n_guesses, out_of_class, failed),
+            report=ProbeResult(max_distance=math.inf, n_converged=len(in_class),
+                               n_failed=failed, n_out_of_class=out_of_class))
     dist = 0.0
     for j in range(len(in_class)):
         for k in range(j + 1, len(in_class)):
@@ -359,9 +361,7 @@ def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
         raise InvalidParameterError("lam must be finite")
     shifted = Profile(profile.xi + lam, profile.u + lam)
     problem = ProfileProblem(burgers_flux(), shifted.u[0], shifted.u[-1], float(epsilon))
-    work = _Workspace(profile.xi)
-    work.xi = shifted.xi
-    defect = residual(problem, shifted, work)[1:-1]
+    defect = residual(problem, shifted, _Workspace(profile.xi))[1:-1]
     xi = shifted.xi[1:-1]
     keep = (xi >= profile.xi[0]) & (xi <= profile.xi[-1])
     if not np.any(keep):
@@ -401,9 +401,11 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     """Run every check that applies to the problem.
 
     Returns (checks, diagnostics): checks maps check-name to
-    {"value", "threshold", "pass"}, diagnostics records the constants the
-    comparison-function checks used and, per translate margin, the number
-    of nodes whose defect is within its roundoff. The sliding and sweeping
+    {"value", "threshold", "pass"}, and an inconclusive uniqueness probe's
+    entry adds its run counts n_converged (in class), n_out_of_class and
+    n_failed; diagnostics records the constants the comparison-function
+    checks used and, per translate margin, the number of nodes whose
+    defect is within its roundoff. The sliding and sweeping
     margins are judged by `_judge` and pass when their value exceeds 0.
     `corner_remainder` is omitted where the corner profile, capped at
     xi = 30, cannot reach the rescaled half-mesh (`_corner_for`): for
@@ -496,8 +498,10 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         probe = uniqueness_probe(problem, opts, 6, seed)
         record("uniqueness_probe", probe.max_distance, 1e-6,
                probe.max_distance <= 1e-6)
-    except InconclusiveProbeError:
+    except InconclusiveProbeError as exc:
         record("uniqueness_probe", math.inf, 1e-6, False)
+        checks["uniqueness_probe"].update(
+            (k, getattr(exc.report, k)) for k in ("n_converged", "n_out_of_class", "n_failed"))
 
     diagnostics = DiagnosticsRecord(K=big_k, M=big_m, lam=lam, margins=margins,
                                     undecided=undecided)

@@ -440,6 +440,18 @@ def test_main_verify_cubic_rarefaction_gives_verdicts(eps, tmp_path, capsys):
     assert all("FAIL %s:" % name in err for name in failed)
 
 
+def test_main_verify_says_why_the_probe_failed(tmp_path, capsys):
+    out = tmp_path / "checks.json"
+    code = main(["verify", "--flux", "poly:0,0,0,1", "--ul", "-1", "--ur", "1",
+                 "--eps", "0.005", "--out", str(out)])
+    assert code == 1
+    entry = json.loads(out.read_text())["uniqueness_probe"]
+    assert entry == {"value": float("inf"), "threshold": 1e-6, "pass": False,
+                     "n_converged": 1, "n_out_of_class": 1, "n_failed": 4}
+    assert ("FAIL uniqueness_probe: value=inf threshold=1.000000e-06 "
+            "n_converged=1 n_out_of_class=1 n_failed=4\n") in capsys.readouterr().err
+
+
 def test_main_verify_unknown_check(capsys):
     code = main(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05",
                  "--check", "bogus"])

@@ -639,17 +639,57 @@ def test_jacobian_from_the_residual_workspace_matches_fresh_jacobian_bitwise():
             assert np.array_equal(ab, wf.jacobian(prob, prof))
 
 
-def noise_floor_oracle(problem, profile):
-    """Oracle: the residual's roundoff level from freshly computed mesh
-    differences."""
+def node_noise_oracle(problem, profile, a=0.0):
+    """Oracle: the residual's roundoff at each interior node from freshly
+    computed mesh differences, with f'(u) - xi raised by the offset a."""
     xi, u = profile.xi, profile.u
     hm = xi[1:-1] - xi[:-2]
     hp = xi[2:] - xi[1:-1]
     uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
-    c = np.abs(wf.derivative(problem.flux, u[1:-1]) - xi[1:-1])
+    c = np.abs(wf.derivative(problem.flux, u[1:-1]) - xi[1:-1]) + np.abs(a)
     level = 2.0 * problem.epsilon * uscale / (hm * hp) \
         + c * uscale * (1.0 / hm + 1.0 / hp)
-    return 4.0 * float(np.finfo(float).eps) * float(np.max(level))
+    return 4.0 * float(np.finfo(float).eps) * level
+
+
+def noise_floor_oracle(problem, profile):
+    """Oracle: the residual's roundoff level, the largest node's."""
+    return float(np.max(node_noise_oracle(problem, profile)))
+
+
+def d1_oracle(profile):
+    """Oracle: the central slope D1(u) at the interior nodes, written out."""
+    xi, u = profile.xi, profile.u
+    hm = xi[1:-1] - xi[:-2]
+    hp = xi[2:] - xi[1:-1]
+    sm = (u[1:-1] - u[:-2]) / hm
+    sp = (u[2:] - u[1:-1]) / hp
+    return (hm * sp + hp * sm) / (hm + hp)
+
+
+@pytest.mark.parametrize("flux", ["burgers", "poly:0,0,0,1", "poly:0,0,-1,0,1"])
+@pytest.mark.parametrize("ul", [1.0, -1.0])
+def test_offset_residual_is_minus_the_translate_defect_bitwise(flux, ul):
+    # the offset a raises f'(u) - xi, and a*D1(u) is subtracted on its own,
+    # so minus the offset residual is a*D1 - r to the last bit, for the slid
+    # translate's scalar a and the sweeping family's a per node
+    prob = wf.ProfileProblem(wf.parse_flux_token(flux), ul, -ul, 0.05)
+    prof, _ = wf.solve_profile(prob)
+    lam, u_in = 0.1, prof.u[1:-1]
+    big_k = wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
+    sweep = (wf.derivative(prob.flux, u_in + lam) - wf.derivative(prob.flux, u_in)
+             - 2.0 * big_k * lam)
+    r = wf.residual(prob, prof)
+    assert np.array_equal(wf.residual(prob, prof, offset=0.0), r)
+    for a in (lam, sweep):
+        work = profile_bvp._Workspace(prof.xi)
+        got = wf.residual(prob, prof, work, offset=a)
+        assert np.array_equal(-got[1:-1], a * d1_oracle(prof) - r[1:-1])
+        assert (got[0], got[-1]) == (r[0], r[-1])
+        # the workspace keeps f'(u) - xi without the offset, for the Jacobian
+        assert np.array_equal(work.c, wf.derivative(prob.flux, u_in) - prof.xi[1:-1])
+        assert np.array_equal(wf.residual_noise(prob, prof, offset=a),
+                              node_noise_oracle(prob, prof, a))
 
 
 def test_noise_floor_on_a_used_workspace_matches_oracle_bitwise():
@@ -683,13 +723,13 @@ def test_newton_evaluates_the_floor_only_where_it_can_decide(monkeypatch):
     # the cubic's rejected full steps come far above the floor, which the
     # bound settles, and at it, where the one floor evaluation ends the solve
     calls = []
-    real = profile_bvp._node_noise
+    real = profile_bvp.residual_noise
 
     def counting(*args):
         calls.append(len(args[1].u))
         return real(*args)
 
-    monkeypatch.setattr(profile_bvp, "_node_noise", counting)
+    monkeypatch.setattr(profile_bvp, "residual_noise", counting)
     prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), -1.0, 1.0, 2e-3)
     guess = wf.initial_guess(prob, wf.build_mesh(prob))
     _, report = wf.newton_solve(prob, guess)
@@ -947,10 +987,10 @@ def test_quartic_shock_below_2e3_takes_the_flow():
 def failing_attempts(monkeypatch, fails):
     """Replaces profile_bvp.newton_solve with one whose first `fails`
     attempts raise (NonConvergenceError and LinearSolverError in turn, each
-    after 3 iterations), and profile_bvp._flow with a counting one; returns
-    the lists of Newton attempts (their viscosities) and flows."""
+    after 3 iterations), and profile_bvp.dafermos_flow with a counting one;
+    returns the lists of Newton attempts (their viscosities) and flows."""
     attempts, flows = [], []
-    real_newton, real_flow = profile_bvp.newton_solve, profile_bvp._flow
+    real_newton, real_flow = profile_bvp.newton_solve, profile_bvp.dafermos_flow
 
     def flaky(stage, guess, opts=None):
         attempts.append(stage.epsilon)
@@ -967,7 +1007,7 @@ def failing_attempts(monkeypatch, fails):
         return real_flow(problem, guess)
 
     monkeypatch.setattr(profile_bvp, "newton_solve", flaky)
-    monkeypatch.setattr(profile_bvp, "_flow", counted)
+    monkeypatch.setattr(profile_bvp, "dafermos_flow", counted)
     return attempts, flows
 
 
@@ -976,7 +1016,7 @@ def test_forced_flow_matches_the_direct_solve(monkeypatch, ul, ur, flux):
     prob = make_problem(ul, ur, 0.01, flux)
     direct, direct_report = wf.solve_profile(prob)
     guess = wf.initial_guess(prob, wf.build_mesh(prob))
-    flowed, flowed_report = wf.newton_solve(prob, profile_bvp._flow(prob, guess))
+    flowed, flowed_report = wf.newton_solve(prob, profile_bvp.dafermos_flow(prob, guess))
     attempts, flows = failing_attempts(monkeypatch, 1)
     profile, report = wf.solve_profile(prob)
     assert attempts == [0.01, 0.01] and flows == [0.01]
@@ -1024,7 +1064,7 @@ def test_flow_rejects_a_bad_step_and_cuts_dt(monkeypatch, spoil):
 
     monkeypatch.setattr(profile_bvp, "_linear_step", spy)
     prob = wf.ProfileProblem(QUARTIC, 1.0, -1.0, 1e-3)
-    flowed = profile_bvp._flow(prob, wf.initial_guess(prob, wf.build_mesh(prob)))
+    flowed = profile_bvp.dafermos_flow(prob, wf.initial_guess(prob, wf.build_mesh(prob)))
     assert shifts[0] == 1.0 / profile_bvp._FLOW_DT
     assert shifts[1] == 4.0 * shifts[0]
     assert all(b == pytest.approx(a / 1.5, rel=1e-14) for a, b in zip(shifts[1:], shifts[2:]))

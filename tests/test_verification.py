@@ -1,6 +1,8 @@
 """Structural checks, comparison-function margins, and the check battery."""
 
+import ast
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -543,9 +545,35 @@ def test_uniqueness_probe_validation_and_inconclusive(shock_problem, monkeypatch
     monkeypatch.setattr(verification, "newton_solve", newton)
     monkeypatch.setattr(profile_bvp, "_FLOW_STEPS", 1)
     with pytest.raises(InconclusiveProbeError,
-                       match="only 0 of 2 .* class; 0 converged out of it and 2 failed"):
+                       match="only 0 of 2 .* class; 0 converged out of it and 2 failed") as exc:
         wf.uniqueness_probe(shock_problem, n_guesses=2)
     assert newtons == []
+    assert exc.value.report == wf.ProbeResult(math.inf, 0, 2, 0)
+
+
+def test_inconclusive_probe_reports_its_counts():
+    # the cubic's six default ramps at 0.005: one run ends in the class, one
+    # in an unresolved steady state out of it, and four flows stall
+    problem = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), -1.0, 1.0, 0.005)
+    with pytest.raises(InconclusiveProbeError) as exc:
+        wf.uniqueness_probe(problem, n_guesses=6)
+    assert exc.value.report == wf.ProbeResult(max_distance=math.inf, n_converged=1,
+                                              n_failed=4, n_out_of_class=1)
+
+
+def test_verification_imports_no_private_profile_bvp_name_but_the_workspace():
+    # the checks call the scheme's public functions; the translation check
+    # alone builds a workspace, and no code here writes to one
+    tree = ast.parse(pathlib.Path(verification.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "profile_bvp" for alias in node.names}
+    assert "residual" in imported
+    assert {name for name in imported if name.startswith("_")} == {"_Workspace"}
+    assigned = [target for node in ast.walk(tree)
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    assert not any(isinstance(t, ast.Attribute) for t in assigned)
 
 
 def _spoil_runs(monkeypatch, spoilers):
