@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .corner_layer import first_integral_H, solve_corner
-from .errors import ConfigError, ProfileFormatError, WavefanError
+from .errors import ConfigError, InvalidParameterError, ProfileFormatError, WavefanError
 from .flux import FluxSpec, burgers_flux, format_flux_token, parse_flux_token
 from .profile_bvp import Profile, ProfileProblem, SolveOptions, solve_profile
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
@@ -426,8 +426,12 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_corner(config: RunConfig) -> int:
-    corner = solve_corner(xi_min=config.xi_min, xi_max=config.xi_max,
-                          n_points=config.samples)
+    try:        # solve_corner owns the ranges; outside them the invocation is wrong
+        corner = solve_corner(xi_min=config.xi_min, xi_max=config.xi_max,
+                              n_points=config.samples)
+    except InvalidParameterError as exc:
+        raise ConfigError("%s, got --xi-min %r --xi-max %r"
+                          % (exc, config.xi_min, config.xi_max)) from None
     h_vals = first_integral_H(corner, 1.0)
     text = _csv_text(("xi", "U", "p", "w", "H"),
                      (corner.xi, corner.u, corner.p, corner.w, h_vals))

@@ -6,8 +6,8 @@ The profile u(xi) solves
 
 which connects the constant states through a smoothed copy of the inviscid
 wave fan. The problem is discretized on a finite interval with a graded mesh
-and solved by a damped Newton iteration on the nonlinear divided-difference
-residual.
+and solved by Newton's method, full steps only, on the nonlinear
+divided-difference residual; the self-similar Dafermos flow globalizes it.
 
 Mesh design: the profile has two inner scales, the shock layers of width
 eps/(speed gap) and the sqrt(eps)-wide corners at the fan edges, and is flat
@@ -39,16 +39,19 @@ integrated once per shock on nodes clustered at both roots and centred so
 that it carries no mass against the jump over a sqrt(eps) window (the
 viscous and inviscid profiles have equal integrals); elsewhere the inviscid
 solution mollified over sqrt(eps). A shock whose g vanishes between its
-states has no travelling wave and keeps its mollified jump. When Newton
-fails, the self-similar Dafermos flow (`dafermos_flow`) runs from the same
-guess on the same mesh until Newton can finish. Each Newton solve evaluates
-its residuals and Jacobians on one workspace (mesh differences computed once,
-scratch arrays reused, the Jacobian built from the slopes its residual left
-there), so the iterations allocate almost no fresh memory, and it stops
-once a full step can no longer lower a residual that is already at its
-roundoff floor. That floor is a pass over every node; Newton computes it
-only when the residual is at or below a bound of it made of maxima of the
-mesh and of u, which rules it out while the residual is large.
+states has no travelling wave and keeps its mollified jump. Newton takes
+only full steps and stops at the first one that does not lower the
+residual. If the residual is then at its roundoff floor the solve has
+converged; otherwise the start was too far off, and the self-similar
+Dafermos flow (`dafermos_flow`) runs from the same guess on the same mesh
+until Newton can finish. Each Newton solve evaluates one residual per
+iteration, and its residuals and Jacobians on one workspace (mesh
+differences computed once, scratch arrays reused, the Jacobian built from
+the slopes its residual left there), so the iterations allocate almost no
+fresh memory. The roundoff floor is a pass over every node; Newton
+computes it only when the residual is at or below a bound of it made of
+maxima of the mesh and of u, which rules it out while the residual is
+large.
 
 Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
@@ -84,8 +87,6 @@ _MAX_NODES = 400_000
 _EPS_MACH = float(np.finfo(float).eps)
 _ARMIJO = 1e-4
 _MAX_ITER = 25           # Newton iterations per solve
-_DAMPING = 0.5           # line-search step factor
-_MAX_HALVINGS = 30       # line-search steps below the full one
 _H_BASE = 0.05           # coarsest mesh spacing
 _SHOCK_EFOLDS = 40.0     # mesh density terms, see build_mesh
 _PECLET = 0.5
@@ -970,24 +971,24 @@ def _linear_step(problem: ProfileProblem, u: np.ndarray, r: np.ndarray,
 
 def newton_solve(problem: ProfileProblem, guess: Profile,
                  options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
-    """Damped Newton iteration from the given guess on the guess's own mesh.
+    """Newton iteration from the given guess on the guess's own mesh, full
+    steps only.
 
-    Steps are backtracked (factor `_DAMPING`) until the sup-norm residual
-    satisfies an Armijo-type decrease. Once the residual is at or below the
-    floating-point noise floor of `residual_noise_floor`, a rejected full
-    step ends the iteration: no shorter step can show a decrease that is
-    not roundoff, and the solve is reported converged and `floor_limited`.
-    Raises NonConvergenceError if the iteration stalls above both the
-    tolerance and that floor, and LinearSolverError if a Newton system
-    cannot be solved or gives a non-finite step; both carry the partial
-    report.
+    Each iteration evaluates one residual, at the full step, and accepts it
+    if the sup-norm residual falls by the factor 1 - `_ARMIJO` or reaches
+    the tolerance. A rejected step ends the iteration, as does `_MAX_ITER`.
+    If the residual is then at or below the floating-point noise floor of
+    `residual_noise_floor`, no step can show a decrease that is not
+    roundoff, and the solve is reported converged and `floor_limited`.
+    Otherwise NonConvergenceError is raised: the start is too far off, and
+    `solve_profile` hands it to the Dafermos flow. LinearSolverError is
+    raised if a Newton system cannot be solved or gives a non-finite step;
+    both errors carry the partial report.
 
-    The floor is judged after each rejected full step, and after the loop
-    when its last step was accepted; a loop that ended in a rejected full
-    step reuses that verdict. Each judgement first compares the residual
-    with `_noise_floor_bound`, an upper bound of the floor from the mesh
-    maxima (computed once per solve) and the range of u. A residual above
-    the bound is above the floor, so the floor is computed only for a
+    The floor is judged once, at the last iterate. It first compares the
+    residual with `_noise_floor_bound`, an upper bound of the floor from the
+    mesh maxima (computed once per solve) and the range of u. A residual
+    above the bound is above the floor, so the floor is computed only for a
     residual at or below the bound, and every decision, iterate and report
     is the one the floor alone gives.
 
@@ -1000,20 +1001,12 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     xi = np.asarray(guess.xi, dtype=float)
     u = np.asarray(guess.u, dtype=float).copy()
     work = _Workspace(xi)
-    trial = np.empty_like(u)
 
     r = residual(problem, Profile(xi, u), work)
     history = [_max_abs(r)]
     converged = history[-1] <= opts.newton_tol
     floor_limited = False
-    at_floor = None          # whether history[-1] <= the floor at u, once known
     iterations = 0
-
-    def residual_at_floor() -> bool:
-        # the bound is at least the floor, so a residual above it is above
-        # the floor too; only a residual at or below it needs the floor
-        return not history[-1] > _noise_floor_bound(problem, u, work) \
-            and history[-1] <= residual_noise_floor(problem, Profile(xi, u), work)
 
     def report() -> SolveReport:
         return SolveReport(converged=converged, iterations=iterations,
@@ -1025,35 +1018,21 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
         step = _linear_step(problem, u, r, work)
         if not np.all(np.isfinite(step)):
             raise LinearSolverError("banded solve singular or not finite", report=report())
-
-        lam = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            np.multiply(step, lam, out=trial)
-            trial += u
-            rt = residual(problem, Profile(xi, trial), work)
-            nt = _max_abs(rt)
-            if nt <= (1.0 - _ARMIJO * lam) * history[-1] or nt <= opts.newton_tol:
-                u, trial, r = trial, u, rt
-                history.append(nt)
-                accepted = True
-                at_floor = None
-                break
-            if lam == 1.0:
-                at_floor = residual_at_floor()
-                if at_floor:
-                    break
-            lam *= _DAMPING
+        trial = np.add(u, step, out=step)
+        rt = residual(problem, Profile(xi, trial), work)
+        nt = _max_abs(rt)
         iterations += 1
-        if not accepted:
+        if not (nt <= (1.0 - _ARMIJO) * history[-1] or nt <= opts.newton_tol):
             break
-        if history[-1] <= opts.newton_tol:
-            converged = True
+        u, r = trial, rt
+        history.append(nt)
+        converged = nt <= opts.newton_tol
 
     if not converged:
-        # a line search that took no step has judged u already
-        converged = floor_limited = at_floor if at_floor is not None \
-            else residual_at_floor()
+        # the bound is at least the floor, so a residual above it is above
+        # the floor too; only a residual at or below it needs the floor
+        converged = floor_limited = not history[-1] > _noise_floor_bound(problem, u, work) \
+            and history[-1] <= residual_noise_floor(problem, Profile(xi, u), work)
 
     if not converged:
         raise NonConvergenceError(
@@ -1109,6 +1088,7 @@ def solve_profile(problem: ProfileProblem,
     Newton from `initial_guess` and, if that raises NonConvergenceError or
     LinearSolverError, the Dafermos flow (`dafermos_flow`) from the same
     guess, then Newton from where it stops; a failure there is raised. The
+    flow is the only globalization: Newton never shortens a step. The
     profile carries its slope. The report is the last Newton solve's, with
     `stages` the phases that ran (1: Newton alone; 2: the flow, then Newton)
     and `iterations` summed over both Newton attempts."""

@@ -283,9 +283,9 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
 
     Guess centres and widths are drawn from per-guess child seeds, so the
     set of guesses depends only on `seed`. The flow carries a misplaced
-    layer to its place at rate 1 in tau = ln t for every eps, with no line
-    search, and hands Newton an iterate near a steady state; Newton alone
-    from a ramp whose layer sits far from its place mostly stalls.
+    layer to its place at rate 1 in tau = ln t for every eps and hands
+    Newton an iterate near a steady state; Newton alone from a ramp whose
+    layer sits far from its place mostly stalls at a rejected full step.
 
     Uniqueness is proved for bounded monotone profiles, and the paper
     builds an unbounded Burgers solution, so only runs that end in that

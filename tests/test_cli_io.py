@@ -394,9 +394,13 @@ def test_main_corner_and_riemann_csv_match_row_oracle(tmp_path):
                                                (grid, wf.eval_riemann(exact, grid)))
 
 
-def test_main_corner_invalid_range_is_runtime_error(capsys):
-    assert main(["corner", "--xi-min", "-2"]) == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["--xi-min", "-2"], ["--xi-min", "5"], ["--xi-min", "-31"],
+                                  ["--xi-max", "40"], ["--xi-max", "0"], ["--xi-min", "nan"]])
+def test_main_corner_out_of_range_is_a_rejected_invocation(argv, capsys):
+    # the ranges are solve_corner's; the CLI reports them with exit code 2
+    assert main(["corner"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi_m") and "must lie in" in err and argv[1] in err
 
 
 def test_main_riemann_describes_waves(tmp_path, capsys):
