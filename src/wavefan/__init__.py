@@ -12,7 +12,6 @@ from .errors import (
     DegenerateProfileError,
     InconclusiveProbeError,
     InvalidParameterError,
-    LinearSolverError,
     NonConvergenceError,
     ProfileFormatError,
     UnsupportedFluxError,

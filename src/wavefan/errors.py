@@ -2,7 +2,8 @@
 
 Every failure mode raised by the solvers and checks is a subclass of
 WavefanError, so callers can catch one base type at the CLI boundary and
-still discriminate programmatically everywhere else.
+still discriminate programmatically everywhere else. A solve that does not
+converge raises NonConvergenceError, whatever stopped it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ class _ReportedError(WavefanError, RuntimeError):
 
 
 class NonConvergenceError(_ReportedError):
-    """Newton (or the Dafermos flow before it) failed to converge."""
-
-
-class LinearSolverError(_ReportedError):
-    """The tridiagonal Newton system was singular or produced non-finite values."""
+    """Newton (or the Dafermos flow before it) failed to converge; a singular
+    or non-finite Newton system is a rejected step like any other."""
 
 
 class CoverageError(WavefanError, ValueError):

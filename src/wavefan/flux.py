@@ -181,11 +181,22 @@ def sup_derivative(flux: FluxSpec, lo: float, hi: float) -> float:
     return max(abs(mn), abs(mx))
 
 
-def chord_slope_Q(flux: FluxSpec, a: float, b: float) -> float:
-    """Chord slope of f': (f'(a) - f'(b)) / (a - b), extended by 0 at a == b.
+def divided_difference(coefficients, a, b):
+    """(p(b) - p(a))/(b - a) for the polynomial p with ascending coefficients
+    c_k, elementwise in a and b, as sum_{k>=1} c_k*h_(k-1)(a, b) with
+    h_m = h_(m-1)*b + a^m (powers by repeated products): it takes no
+    difference of nearby values, and is p'(a) at a == b."""
+    total, h, a_pow = 0.0, 0.0, 1.0
+    for c in coefficients[1:]:
+        h, a_pow = h * b + a_pow, a_pow * a
+        total += c * h
+    return total
 
-    Bounded in absolute value by any Lipschitz constant of f'.
+
+def chord_slope_Q(flux: FluxSpec, a, b):
+    """Chord slope of f': (f'(a) - f'(b)) / (a - b), extended by 0 at a == b;
+    elementwise. By `divided_difference`, so |Q| is within any Lipschitz
+    constant of f' on [a, b] up to the rounding of its terms however close
+    a and b are; the quotient would divide the rounding of f' by a - b.
     """
-    if a == b:
-        return 0.0
-    return float((derivative(flux, a) - derivative(flux, b)) / (a - b))
+    return np.where(a == b, 0.0, divided_difference(flux._d1, a, b))[()]

@@ -41,17 +41,17 @@ viscous and inviscid profiles have equal integrals); elsewhere the inviscid
 solution mollified over sqrt(eps). A shock whose g vanishes between its
 states has no travelling wave and keeps its mollified jump. Newton takes
 only full steps and stops at the first one that does not lower the
-residual. If the residual is then at its roundoff floor the solve has
-converged; otherwise the start was too far off, and the self-similar
-Dafermos flow (`dafermos_flow`) runs from the same guess on the same mesh
-until Newton can finish. Each Newton solve evaluates one residual per
-iteration, and its residuals and Jacobians on one workspace (mesh
-differences computed once, scratch arrays reused, the Jacobian built from
-the slopes its residual left there), so the iterations allocate almost no
-fresh memory. The roundoff floor is a pass over every node; Newton
-computes it only when the residual is at or below a bound of it made of
-maxima of the mesh and of u, which rules it out while the residual is
-large.
+residual. If the residual is then at its roundoff floor, at an iterate
+inside the flow's bound on the states, the solve has converged; otherwise
+the start was too far off, and the self-similar Dafermos flow
+(`dafermos_flow`) runs from the same guess on the same mesh until Newton
+can finish. Each Newton solve evaluates one residual per iteration, and
+its residuals and Jacobians on one workspace (mesh differences computed
+once, scratch arrays reused, the Jacobian built from the slopes its
+residual left there), so the iterations allocate almost no fresh memory.
+The roundoff floor is a pass over every node; Newton computes it only when
+the residual is at or below a bound of it made of maxima of the mesh and
+of u, which rules it out while the residual is large.
 
 Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
@@ -75,12 +75,11 @@ from scipy.linalg import solve_banded
 from .errors import (
     CoverageError,
     InvalidParameterError,
-    LinearSolverError,
     NonConvergenceError,
     WindowError,
 )
 from .flux import (FluxSpec, _interior_critical_points, derivative, derivative_range,
-                   second_derivative, sup_derivative)
+                   divided_difference, second_derivative, sup_derivative)
 from .riemann import RarefactionFan, Shock, eval_riemann, solve_exact, wave_speed_span
 
 _MAX_NODES = 400_000
@@ -580,15 +579,10 @@ def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
 def _chord_excess(flux: FluxSpec, a: float, b: float) -> np.ndarray:
     """Ascending coefficients, in u, of the second divided difference
     f[a, u, b], so that f(u) - f(a) - s*(u - a) = (u - a)*(u - b)*f[a, u, b]
-    with s the chord slope over [a, b]. The u^j coefficient is
-    sum_{k >= j+2} c_k h_{k-2-j}(a, b), h_m(a, b) = sum_{i<=m} a^i b^(m-i),
-    so no difference of nearby values is taken."""
+    with s the chord slope over [a, b]: the u^j coefficient is the
+    `divided_difference` over [a, b] of sum_{k > j} c_k u^(k-j-1)."""
     c = flux.coefficients
-    h = [1.0]
-    for m in range(1, len(c) - 2):
-        h.append(h[-1] * b + a ** m)
-    return np.array([sum(c[k] * h[k - 2 - j] for k in range(j + 2, len(c)))
-                     for j in range(max(len(c) - 2, 1))])
+    return np.array([divided_difference(c[j + 1:], a, b) for j in range(max(len(c) - 2, 1))])
 
 
 class _ShockLayer:
@@ -945,6 +939,14 @@ def _max_abs(r: np.ndarray) -> float:
     return abs(float(np.maximum(r.max(), -r.min())))
 
 
+def _in_reach(problem: ProfileProblem, u: np.ndarray) -> bool:
+    """True when every value of u is finite and inside the states' interval
+    widened by half its length on each side: the Dafermos flow rejects a
+    trial outside it, and Newton certifies no iterate outside it."""
+    lo, hi = problem.state_interval
+    return _max_abs(u - 0.5 * (lo + hi)) <= hi - lo      # NaN fails too
+
+
 def _check_guess(profile: Profile):
     xi = np.asarray(profile.xi, dtype=float)
     if len(xi) < 3 or len(xi) != len(profile.u):
@@ -976,21 +978,22 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
 
     Each iteration evaluates one residual, at the full step, and accepts it
     if the sup-norm residual falls by the factor 1 - `_ARMIJO` or reaches
-    the tolerance. A rejected step ends the iteration, as does `_MAX_ITER`.
-    If the residual is then at or below the floating-point noise floor of
+    the tolerance. A rejected step ends the iteration, as does `_MAX_ITER`;
+    a singular or non-finite system gives a NaN step, rejected like any
+    other. If the last iterate is then in reach (`_in_reach`) and its
+    residual at or below the floating-point noise floor of
     `residual_noise_floor`, no step can show a decrease that is not
     roundoff, and the solve is reported converged and `floor_limited`.
-    Otherwise NonConvergenceError is raised: the start is too far off, and
-    `solve_profile` hands it to the Dafermos flow. LinearSolverError is
-    raised if a Newton system cannot be solved or gives a non-finite step;
-    both errors carry the partial report.
+    Otherwise NonConvergenceError is raised with the partial report: the
+    start is too far off, and `solve_profile` hands it to the Dafermos flow.
 
-    The floor is judged once, at the last iterate. It first compares the
-    residual with `_noise_floor_bound`, an upper bound of the floor from the
-    mesh maxima (computed once per solve) and the range of u. A residual
-    above the bound is above the floor, so the floor is computed only for a
-    residual at or below the bound, and every decision, iterate and report
-    is the one the floor alone gives.
+    The floor is judged once, at the last iterate, and only in reach: it
+    scales with |u|*|f'(u)|. It first compares the residual with
+    `_noise_floor_bound`, an upper bound of the floor from the mesh maxima
+    (computed once per solve) and the range of u. A residual above the
+    bound is above the floor, so the floor is computed only for a residual
+    at or below the bound, and every decision, iterate and report is the
+    one the floor alone gives.
 
     Each Jacobian reuses the slopes and f'(u) - xi that the residual of the
     accepted step left in the workspace. The returned profile's slope is
@@ -1016,8 +1019,6 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
 
     while not converged and iterations < _MAX_ITER:
         step = _linear_step(problem, u, r, work)
-        if not np.all(np.isfinite(step)):
-            raise LinearSolverError("banded solve singular or not finite", report=report())
         trial = np.add(u, step, out=step)
         rt = residual(problem, Profile(xi, trial), work)
         nt = _max_abs(rt)
@@ -1031,7 +1032,8 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     if not converged:
         # the bound is at least the floor, so a residual above it is above
         # the floor too; only a residual at or below it needs the floor
-        converged = floor_limited = not history[-1] > _noise_floor_bound(problem, u, work) \
+        converged = floor_limited = _in_reach(problem, u) \
+            and not history[-1] > _noise_floor_bound(problem, u, work) \
             and history[-1] <= residual_noise_floor(problem, Profile(xi, u), work)
 
     if not converged:
@@ -1053,22 +1055,20 @@ def dafermos_flow(problem: ProfileProblem, guess: Profile) -> Profile:
     O(1/eps) meanwhile and cannot pace the steps, so dt grows from _FLOW_DT
     = 0.05 by _FLOW_GROWTH = 1.5 per accepted step: tau = 0.1*(1.5^n - 1)
     is 11.5 after 12 steps. A step that is not finite or leaves the states'
-    interval widened by half its length on each side overshoots the bounded
-    flow; it is rejected and dt cut by _FLOW_CUT = 4. At sup residual
-    _FLOW_HANDOVER = 1e-3 the layers are in place and the flow returns.
-    After _FLOW_STEPS steps, rejected ones included (several times the
-    12-18 it has taken), it raises NonConvergenceError.
+    interval widened by half its length on each side (`_in_reach`)
+    overshoots the bounded flow; it is rejected and dt cut by _FLOW_CUT =
+    4. At sup residual _FLOW_HANDOVER = 1e-3 the layers are in place and
+    the flow returns. After _FLOW_STEPS steps, rejected ones included
+    (several times the 12-18 it has taken), it raises NonConvergenceError.
     """
     xi, u = guess.xi, guess.u
     work = _Workspace(xi)
-    lo, hi = problem.state_interval
-    mid, reach = 0.5 * (lo + hi), hi - lo       # the interval widened by half its length
     r = residual(problem, guess, work)
     history = [_max_abs(r)]
     dt = _FLOW_DT
     for _ in range(_FLOW_STEPS):
         trial = u + _linear_step(problem, u, r, work, 1.0 / dt)
-        if not _max_abs(trial - mid) <= reach:      # NaN fails too
+        if not _in_reach(problem, trial):
             dt /= _FLOW_CUT
             continue
         u = trial
@@ -1085,9 +1085,9 @@ def dafermos_flow(problem: ProfileProblem, guess: Profile) -> Profile:
 def solve_profile(problem: ProfileProblem,
                   options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
     """Solve for the viscous profile at problem.epsilon on its own mesh:
-    Newton from `initial_guess` and, if that raises NonConvergenceError or
-    LinearSolverError, the Dafermos flow (`dafermos_flow`) from the same
-    guess, then Newton from where it stops; a failure there is raised. The
+    Newton from `initial_guess` and, if that raises NonConvergenceError,
+    the Dafermos flow (`dafermos_flow`) from the same guess, then Newton
+    from where it stops; a failure there, or in the flow, is raised. The
     flow is the only globalization: Newton never shortens a step. The
     profile carries its slope. The report is the last Newton solve's, with
     `stages` the phases that ran (1: Newton alone; 2: the flow, then Newton)
@@ -1096,7 +1096,7 @@ def solve_profile(problem: ProfileProblem,
     guess = initial_guess(problem, build_mesh(problem, opts))
     try:
         profile, report = newton_solve(problem, guess, opts)
-    except (NonConvergenceError, LinearSolverError) as exc:
+    except NonConvergenceError as exc:
         profile, report = newton_solve(problem, dafermos_flow(problem, guess), opts)
         report = replace(report, stages=2, iterations=exc.report.iterations + report.iterations)
     du = reconstruct_derivative(profile.xi, profile.u)

@@ -21,8 +21,8 @@ import numpy as np
 import numpy.polynomial.polynomial as _poly
 
 from .errors import InvalidParameterError
-from .flux import (FluxSpec, _interior_critical_points, derivative, evaluate,
-                   polynomial_flux, second_derivative)
+from .flux import (FluxSpec, _interior_critical_points, derivative, divided_difference,
+                   evaluate, polynomial_flux, second_derivative)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -85,16 +85,6 @@ def _reflected_flux(flux: FluxSpec) -> FluxSpec:
                                  for k, c in enumerate(flux.coefficients)))
 
 
-def _chord_slope(flux: FluxSpec, p: float, q: float) -> float:
-    """(f(q) - f(p))/(q - p) as sum_k c_k*(p^(k-1) + p^(k-2)*q + ... + q^(k-1)),
-    which takes no difference of nearby values and is symmetric in p, q."""
-    slope, h, p_pow = 0.0, 0.0, 1.0     # h = p^(k-1) + ... + q^(k-1)
-    for c in flux.coefficients[1:]:
-        h, p_pow = h * q + p_pow, p_pow * p
-        slope += c * h
-    return float(slope)
-
-
 def _next_vertex(flux: FluxSpec, p: float, u_right: float) -> tuple[float, bool]:
     """(q, fan): the farthest point q of (p, u_right] whose chord from p has
     the smallest slope up to roundoff, and whether f'(p) is below that slope,
@@ -147,7 +137,7 @@ def _solve_increasing(flux: FluxSpec, u_left: float, u_right: float) -> list:
     waves = []
 
     def add_shock(a, b):
-        speed = _chord_slope(flux, a, b)
+        speed = divided_difference(flux.coefficients, a, b)
         fan = waves.pop() if waves and isinstance(waves[-1], RarefactionFan) else None
         # a fan of zero width, or over two adjacent doubles, folds into the shock
         if fan and (fan.xi_lo >= speed or fan.u_hi == np.nextafter(fan.u_lo, b)):

@@ -28,7 +28,6 @@ from .errors import (
     CoverageError,
     InconclusiveProbeError,
     InvalidParameterError,
-    LinearSolverError,
     NonConvergenceError,
     UnsupportedFluxError,
     WindowError,
@@ -204,21 +203,21 @@ def _judge(defect: np.ndarray, noise: np.ndarray) -> tuple[float, int]:
 
 
 def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
-                                 lam: float) -> float:
-    """Margin of the slid translate u(xi + lam) for increasing data, by
-    `_judge`. Its samples are (xi_i - lam, u_i), so its defect at its own
-    interior nodes is minus the residual with f'(u) - xi raised by lam: for
-    lam > 0 a strict supersolution, positive wherever it exceeds its
-    roundoff."""
-    return _judge(*_translate_defect(profile, problem, lam))[0]
+                                 lam: float) -> tuple[float, int]:
+    """(value, undecided) of the slid translate u(xi + lam) for increasing
+    data, by `_judge`. Its samples are (xi_i - lam, u_i), so its defect at
+    its own interior nodes is minus the residual with f'(u) - xi raised by
+    lam: for lam > 0 a strict supersolution, positive wherever it exceeds
+    its roundoff."""
+    return _judge(*_translate_defect(profile, problem, lam))
 
 
 def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
-                                  lam: float, big_k: float) -> float:
-    """Margin of the sweeping translate u(xi - 2*K*lam) + lam for decreasing
-    data, by `_judge`; K must dominate the Lipschitz constant of f' on the
-    state interval or the construction is invalid."""
-    return _judge(*_translate_defect(profile, problem, lam, float(big_k)))[0]
+                                  lam: float, big_k: float) -> tuple[float, int]:
+    """(value, undecided) of the sweeping translate u(xi - 2*K*lam) + lam
+    for decreasing data, by `_judge`; K must dominate the Lipschitz constant
+    of f' on the state interval or the construction is invalid."""
+    return _judge(*_translate_defect(profile, problem, lam, float(big_k)))
 
 
 def sliding_constant_M(problem: ProfileProblem, profile: Profile) -> float:
@@ -236,7 +235,7 @@ def _barrier_ratio(problem: ProfileProblem, profile: Profile, lam: float,
     xs = profile.xi[mask]
     u_here = profile.u[mask]
     u_lam = np.interp(xs + lam, profile.xi, profile.u)
-    q = np.array([chord_slope_Q(problem.flux, a, b) for a, b in zip(u_lam, u_here)])
+    q = chord_slope_Q(problem.flux, u_lam, u_here)
     return (problem.epsilon - np.abs(xs) + np.sign(xs) * derivative(problem.flux, u_lam)
             - profile.du[mask] * q)
 
@@ -298,7 +297,8 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
     may be off by twice that, tol = 4*eps_mach*U; both tests use tol. Runs
     that fail the flow or Newton are counted, not raised; fewer than two
     in-class runs make the probe inconclusive, and the InconclusiveProbeError
-    carries the counts as its report."""
+    carries the counts as its report. Newton certifies no run at its
+    roundoff floor outside the flow's bound; such a run counts as failed."""
     if n_guesses < 2:
         raise InvalidParameterError("need at least 2 guesses to compare")
     opts = opts or SolveOptions()
@@ -319,7 +319,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
         u0[-1] = problem.u_right
         try:
             prof, _ = newton_solve(problem, dafermos_flow(problem, Profile(mesh, u0)), opts)
-        except (NonConvergenceError, LinearSolverError):
+        except NonConvergenceError:
             failed += 1
             continue
         u = prof.u
@@ -405,8 +405,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     entry adds its run counts n_converged (in class), n_out_of_class and
     n_failed; diagnostics records the constants the comparison-function
     checks used and, per translate margin, the number of nodes whose
-    defect is within its roundoff. The sliding and sweeping
-    margins are judged by `_judge` and pass when their value exceeds 0.
+    defect is within its roundoff. `sliding_supersolution_margin` and
+    `sweeping_supersolution_margin` pass when their value exceeds 0.
     `corner_remainder` is omitted where the corner profile, capped at
     xi = 30, cannot reach the rescaled half-mesh (`_corner_for`): for
     -1 -> 1 below eps = 1/900, about 1.1e-3. Below eps of about 0.004 it
@@ -484,8 +484,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
 
     if problem.u_left != problem.u_right:
         name = "sliding_margin" if increasing else "sweeping_margin"
-        value, undecided[name] = _judge(*_translate_defect(
-            profile, problem, lam, None if increasing else big_k))
+        value, undecided[name] = sliding_supersolution_margin(profile, problem, lam) \
+            if increasing else sweeping_supersolution_margin(profile, problem, lam, big_k)
         record(name, value, 0.0, value > 0.0)
         margins[name] = value
 

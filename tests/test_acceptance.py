@@ -154,12 +154,12 @@ def test_criterion_07_proof_device_margins(capsys):
     tol = wf.SolveOptions().newton_tol
     rare = wf.ProfileProblem(BURGERS, -1.0, 1.0, 0.05)
     rprof, _ = wf.solve_profile(rare)
-    slide = wf.sliding_supersolution_margin(rprof, rare, 0.1)
+    slide, _ = wf.sliding_supersolution_margin(rprof, rare, 0.1)
 
     shock = wf.ProfileProblem(BURGERS, 1.0, -1.0, 0.05)
     # tails resolved to 1e-6 of the jump: xi + xi^2/2 = eps*ln(1e6) at |xi| = 0.54
     narrow, _ = wf.solve_profile(shock, wf.SolveOptions(domain=(-0.55, 0.55)))
-    sweep = wf.sweeping_supersolution_margin(narrow, shock, 0.1, 1.0)
+    sweep, _ = wf.sweeping_supersolution_margin(narrow, shock, 0.1, 1.0)
 
     big_m = wf.sliding_constant_M(rare, rprof)
     wide, _ = wf.solve_profile(rare, wf.SolveOptions(domain=(-(big_m + 1.5), big_m + 1.5)))

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import wavefan as wf
 from wavefan.errors import InvalidParameterError
+from wavefan.flux import divided_difference
 
 BURGERS = wf.burgers_flux()
 CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
@@ -83,6 +84,55 @@ def test_chord_slope_pinned_values():
     assert wf.chord_slope_Q(BURGERS, 0.7, 0.2) == 1.0
     assert wf.chord_slope_Q(BURGERS, 0.5, 0.5) == 0.0
     assert wf.chord_slope_Q(CUBIC, 1.0, 0.0) == 3.0
+    # the quotient (f'(a) - f'(b))/(a - b) reads 8 here, against Lip(f') = 6
+    assert wf.chord_slope_Q(CUBIC, 1.0, np.nextafter(1.0, 2.0)) == 6.0
+
+
+def test_chord_slope_is_elementwise():
+    a = np.array([0.7, 0.5, 1.0, -0.3])
+    b = np.array([0.2, 0.5, 0.0, 1.9])
+    for flux in (BURGERS, CUBIC):
+        want = [wf.chord_slope_Q(flux, x, y) for x, y in zip(a, b)]
+        assert np.array_equal(wf.chord_slope_Q(flux, a, b), want)
+
+
+@pytest.mark.parametrize("token, slack", [("poly:0,0,0,1", 0.0), ("poly:0,0,-1,0,1", 2.0),
+                                          ("poly:0,0.3,0,-1,0,0.5", 2.0)])
+def test_chord_slope_on_nearby_doubles_stays_within_lipschitz(token, slack):
+    # b = a + 1 to 10 ulps: the quotient divides the rounding of f' by a - b
+    # and broke the cubic's bound on about half these pairs; the kernel
+    # meets it exactly there, and for higher degrees up to the rounding of
+    # its terms, `slack` eps_mach times the sum of |f''|'s terms
+    flux = wf.parse_flux_token(token)
+    a = np.random.default_rng(11).uniform(-2.0, 2.0, 300)
+    rounding = slack * np.finfo(float).eps * np.polynomial.polynomial.polyval(
+        np.abs(a), np.abs(flux._d2))
+    b = a
+    for k in range(1, 11):
+        b = np.nextafter(b, np.inf)
+        if k in (1, 2, 3, 5, 10):
+            bound = [wf.lipschitz_of_derivative(flux, x, y) for x, y in zip(a, b)]
+            assert np.all(np.abs(wf.chord_slope_Q(flux, a, b)) <= bound + rounding)
+
+
+def chord_slope_loop_oracle(coefficients, p, q):
+    """Oracle: the shock-speed loop of the Riemann solver that
+    `divided_difference` replaced, one pair at a time."""
+    slope, h, p_pow = 0.0, 0.0, 1.0
+    for c in coefficients[1:]:
+        h, p_pow = h * q + p_pow, p_pow * p
+        slope += c * h
+    return float(slope)
+
+
+def test_divided_difference_matches_the_loop_bitwise():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        coeffs = tuple(rng.uniform(-2.0, 2.0, rng.integers(3, 8)))
+        p, q = rng.uniform(-2.0, 2.0, (2, 8))
+        want = [chord_slope_loop_oracle(coeffs, x, y) for x, y in zip(p, q)]
+        assert [divided_difference(coeffs, float(x), float(y)) for x, y in zip(p, q)] == want
+        assert np.array_equal(divided_difference(coeffs, p, q), want)
 
 
 def test_chord_slope_equal_arguments_is_exactly_zero():

@@ -219,12 +219,12 @@ def test_windowed_by_slope_trims_saturated_tails(shock_profile):
 # comparison-function margins
 
 def test_sliding_margin_positive_for_positive_lam(rarefaction_profile, rarefaction_problem):
-    margin = wf.sliding_supersolution_margin(rarefaction_profile, rarefaction_problem, 0.1)
+    margin, _ = wf.sliding_supersolution_margin(rarefaction_profile, rarefaction_problem, 0.1)
     assert margin > 1e-10
 
 
 def test_sliding_margin_vanishes_at_zero_lam(rarefaction_profile, rarefaction_problem):
-    margin = wf.sliding_supersolution_margin(rarefaction_profile, rarefaction_problem, 0.0)
+    margin, _ = wf.sliding_supersolution_margin(rarefaction_profile, rarefaction_problem, 0.0)
     assert abs(margin) <= 1e-10  # just the converged residual
 
 
@@ -260,7 +260,7 @@ def test_margins_match_the_written_out_slope_oracle_bitwise(
         assert np.allclose(noise, node_noise_oracle(prof, prob, lam)[keep],
                            rtol=8.0 * EPS_MACH, atol=0.0)
         assert wf.sliding_supersolution_margin(prof, prob, lam) \
-            == margin_verdict_oracle(want, noise)[0]
+            == margin_verdict_oracle(want, noise)
     for prob, prof in ((shock_problem, shock_profile), cubic_profiles["decreasing"]):
         big_k = 1.5 * wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
         defect, noise = _translate_defect(prof, prob, lam, big_k)
@@ -269,7 +269,7 @@ def test_margins_match_the_written_out_slope_oracle_bitwise(
         assert np.allclose(noise, node_noise_oracle(prof, prob, shift),
                            rtol=8.0 * EPS_MACH, atol=0.0)
         assert wf.sweeping_supersolution_margin(prof, prob, lam, big_k) \
-            == margin_verdict_oracle(want, noise)[0]
+            == margin_verdict_oracle(want, noise)
 
 
 def test_margin_verdict_rule_matches_oracle():
@@ -297,10 +297,11 @@ def _solved_margin(flux, ul, ur, eps, bump=None):
         u[node] += size
         prof = wf.Profile(prof.xi, u)
     if ul < ur:
-        return _translate_defect(prof, prob, 0.1), wf.sliding_supersolution_margin(prof, prob, 0.1)
+        return (_translate_defect(prof, prob, 0.1),
+                wf.sliding_supersolution_margin(prof, prob, 0.1)[0])
     big_k = wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
     return (_translate_defect(prof, prob, 0.1, big_k),
-            wf.sweeping_supersolution_margin(prof, prob, 0.1, big_k))
+            wf.sweeping_supersolution_margin(prof, prob, 0.1, big_k)[0])
 
 
 @pytest.mark.parametrize("flux, ul, ur, eps", MARGIN_GRID)
@@ -382,9 +383,9 @@ def test_sweeping_margin_positive_on_resolved_tails(shock_problem):
     # the tails decay to 1e-6 of the jump at |xi| = 0.54 (where
     # xi*1 + xi^2/2 = eps*ln(1e6)), so no node's slope is roundoff
     narrow, _ = wf.solve_profile(shock_problem, wf.SolveOptions(domain=(-0.55, 0.55)))
-    margin = wf.sweeping_supersolution_margin(narrow, shock_problem, 0.1, 1.0)
+    margin, _ = wf.sweeping_supersolution_margin(narrow, shock_problem, 0.1, 1.0)
     assert margin > 1e-10
-    assert abs(wf.sweeping_supersolution_margin(narrow, shock_problem, 0.0, 1.0)) <= 1e-10
+    assert abs(wf.sweeping_supersolution_margin(narrow, shock_problem, 0.0, 1.0)[0]) <= 1e-10
 
 
 def test_sweeping_margin_preconditions(shock_profile, shock_problem,
