@@ -36,7 +36,8 @@ class NonConvergenceError(_ReportedError):
 
 
 class CoverageError(WavefanError, ValueError):
-    """A check needed samples outside the range the given data covers."""
+    """A check needed samples outside the range the given data covers, or a
+    weight outside the range of doubles."""
 
 
 class WindowError(WavefanError, ValueError):

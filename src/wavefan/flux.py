@@ -145,40 +145,36 @@ def _interior_critical_points(coeffs, lo: float, hi: float) -> list[float]:
     return out
 
 
-def lipschitz_of_derivative(flux: FluxSpec, lo: float, hi: float) -> float:
-    """The Lipschitz constant of f' on [lo, hi], i.e. sup |f''|.
+def _range(p, dp, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) of the polynomial with ascending coefficients p over
+    [lo, hi], lo <= hi, from its values at both ends and at the roots of its
+    derivative's coefficients dp inside: exact, since a polynomial's
+    extremes on an interval lie at an end or at a critical point."""
+    candidates = [lo, hi] + _interior_critical_points(dp, lo, hi)
+    vals = np.polynomial.polynomial.polyval(np.asarray(candidates), p)
+    return float(np.min(vals)), float(np.max(vals))
 
-    Exact: a polynomial's |f''| attains its sup at an endpoint or at an
-    interior root of f''', all of which are checked.
-    """
+
+def lipschitz_of_derivative(flux: FluxSpec, lo: float, hi: float) -> float:
+    """The Lipschitz constant of f' on [lo, hi], i.e. sup |f''| (`_range`)."""
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InvalidParameterError("interval endpoints must be finite")
     if lo > hi:
         raise InvalidParameterError("invalid interval: lo > hi")
-    candidates = [lo, hi] + _interior_critical_points(flux._d3, lo, hi)
-    vals = np.abs(np.polynomial.polynomial.polyval(np.asarray(candidates), flux._d2))
-    return float(np.max(vals))
+    return max(map(abs, _range(flux._d2, flux._d3, lo, hi)))
 
 
 def derivative_range(flux: FluxSpec, lo: float, hi: float) -> tuple[float, float]:
-    """(min, max) of f' over the closed interval between lo and hi.
-
-    Exact: evaluated at the endpoints and the interior roots of f''.
-    """
+    """(min, max) of f' over the closed interval between lo and hi
+    (`_range`); (f'(lo), f'(lo)) when lo == hi."""
     if lo > hi:
         lo, hi = hi, lo
-    if lo == hi:
-        v = float(derivative(flux, lo))
-        return v, v
-    candidates = [lo, hi] + _interior_critical_points(flux._d2, lo, hi)
-    vals = np.polynomial.polynomial.polyval(np.asarray(candidates), flux._d1)
-    return float(np.min(vals)), float(np.max(vals))
+    return _range(flux._d1, flux._d2, lo, hi)
 
 
 def sup_derivative(flux: FluxSpec, lo: float, hi: float) -> float:
     """sup |f'| over the closed interval between lo and hi."""
-    mn, mx = derivative_range(flux, lo, hi)
-    return max(abs(mn), abs(mx))
+    return max(map(abs, derivative_range(flux, lo, hi)))
 
 
 def divided_difference(coefficients, a, b):

@@ -57,9 +57,9 @@ Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
 slope that is far too large for the first-integral and comparison checks
 downstream. The stencil weights are the closed-form derivatives of the
-Lagrange basis; every node but the four at the ends has the same window
-shape, so its stencil columns are shifted slices of the mesh and profile
-arrays. Newton never reads a slope, so a Profile reconstructs it
+Lagrange basis, one kernel for all nodes; every node but the four at the
+ends has the same window shape, so its stencil columns are shifted slices
+of the mesh and profile arrays. Newton never reads a slope, so a Profile reconstructs it
 only when `du` is first read; `solve_profile` computes it once for the
 profile it returns.
 """
@@ -331,7 +331,7 @@ def _side_nodes(y: np.ndarray, rho: np.ndarray):
     step, to the side's end at L, holds [0.3, 1.3) nodes.
     """
     step = np.diff(y)
-    n_at = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * step)))
+    n_at = _cumulative_trapezoid(rho, step)
     slope = np.diff(rho) / step
     interior = np.maximum(np.floor(n_at[-1] - 0.3), 0.0)
 
@@ -496,83 +496,65 @@ def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
 
 
 def reconstruct_derivative(xi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Fourth-order slope reconstruction on a nonuniform mesh.
-
-    Each node x_i uses the five nearest nodes x_k (windows clipped at the
-    ends). Its slope is the derivative at x_i of their Lagrange interpolant,
-    whose weights are closed-form (Fornberg, Math. Comp. 51, 1988):
-
-        w_j = prod_{k != i,j} (x_i - x_k) / prod_{k != j} (x_j - x_k),  j != i
-        w_i = sum_{k != i} 1 / (x_i - x_k)
-
-    They are built one stencil column at a time, as arrays over the nodes.
-    The interior nodes 2..n-3 all have the window i-2..i+2 with the node in
-    column 2, so their columns are shifted slices of xi and u; only the four
-    end nodes gather clipped windows (`_window_slopes`). Both paths take the
-    same operations in the same order, except for the exact products with 1
-    and sums with 0 that the clipped windows' masks need, so the slopes do
-    not depend on which path computed them. The interior writes into a few
-    reused arrays: on large meshes, fresh temporaries cost more than the
-    arithmetic.
-    """
+    """Fourth-order slope reconstruction on a nonuniform mesh: each node's
+    slope is that of the Lagrange interpolant through the five nearest
+    nodes (windows clipped at the ends), by `_lagrange_slope`. The interior
+    nodes 2..n-3 all have the window i-2..i+2 with the node in column 2, so
+    one call on shifted slices of xi and u gives them all; each end node
+    passes its window as numpy scalars, which give NaN on repeated nodes as
+    the arrays do (Python floats would raise)."""
     xi = np.asarray(xi, dtype=float)
     u = np.asarray(u, dtype=float)
     n = len(xi)
     if n < 5:
         return np.gradient(u, xi, edge_order=2 if n >= 3 else 1)
     m = n - 4                                   # the interior nodes 2..n-3
-    x = [xi[k:m + k] for k in range(5)]         # column k holds x_{i-2+k}
-    d = {k: x[2] - x[k] for k in (0, 1, 3, 4)}  # x_i - x_k
-    t, den, term = np.empty(m), np.empty(m), np.empty(m)
-    w_own = 1.0 / d[0]
-    for k in (1, 3, 4):
-        w_own += np.divide(1.0, d[k], out=t)
     du = np.empty(n)
-    inner = du[2:-2]
+    du[2:-2] = _lagrange_slope([xi[k:m + k] for k in range(5)],
+                               [u[k:m + k] for k in range(5)], 2)
+    for node, own in ((0, 0), (1, 1), (n - 2, 3), (n - 1, 4)):
+        window = slice(node - own, node - own + 5)
+        du[node] = _lagrange_slope(xi[window], u[window], own)
+    return du
+
+
+def _lagrange_slope(x, u, own: int):
+    """The slope at x[own] of the Lagrange interpolant through the five
+    points (x[k], u[k]), elementwise if the columns are arrays, by the
+    closed-form weights (Fornberg, Math. Comp. 51, 1988), with i = own:
+
+        w_j = prod_{k != i,j} (x_i - x_k) / prod_{k != j} (x_j - x_k),  j != i
+        w_i = sum_{k != i} 1 / (x_i - x_k)
+
+    Every product and sum, the slope's sum of the w_j*u_j among them, runs
+    in increasing k or j, so a node's slope does not depend on the call."""
+    d = {k: x[own] - x[k] for k in range(5) if k != own}     # x_i - x_k
     for j in range(5):
-        # w_j * u_j, written into du for j = 0 and summed into it after
-        out = term if j else inner
-        if j == 2:
-            np.multiply(w_own, u[2:m + 2], out=out)
+        # w_j*u_j; the augmented operators work in place on arrays, each of
+        # them made here, and rebind scalars
+        rest = [k for k in range(5) if k != j]
+        if j == own:
+            w = 1.0 / d[rest[0]]
+            for k in rest[1:]:
+                w += 1.0 / d[k]
         else:
-            num = [d[k] for k in (0, 1, 3, 4) if k != j]
-            np.multiply(num[0], num[1], out=out)
-            out *= num[2]
-            others = [k for k in range(5) if k != j]
-            np.subtract(x[j], x[others[0]], out=den)
-            for k in others[1:]:
-                den *= np.subtract(x[j], x[k], out=t)
-            out /= den
-            out *= u[j:m + j]
-        if j:
-            inner += term
-    ends = np.array([0, 1, n - 2, n - 1])
-    du[ends] = _window_slopes(xi, u, ends)
-    return du
+            den = x[j] - x[rest[0]]
+            for k in rest[1:]:
+                den *= x[j] - x[k]
+            a, b, c = (d[k] for k in rest if k != own)
+            w = a * b * c / den
+        w *= u[j]
+        if j == 0:
+            slope = w
+        else:
+            slope += w
+    return slope
 
 
-def _window_slopes(xi: np.ndarray, u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """`reconstruct_derivative` at the given nodes from their gathered
-    (clipped) five-node windows; n >= 5."""
-    n = len(xi)
-    starts = np.clip(nodes - 2, 0, n - 5)
-    own = nodes - starts                       # the node's own stencil column
-    x = [xi[starts + k] for k in range(5)]
-    # x_i - x_k, set to 1 in the node's own column so that products skip it
-    d = [np.where(own == k, 1.0, xi[nodes] - x[k]) for k in range(5)]
-    w_own = sum(np.where(own == k, 0.0, 1.0 / d[k]) for k in range(5))
-    du = np.zeros(len(nodes))
-    for j in range(5):
-        others = [k for k in range(5) if k != j]
-        num = math.prod(d[k] for k in others)
-        den = math.prod(x[j] - x[k] for k in others)
-        du += np.where(own == j, w_own, num / den) * u[starts + j]
-    return du
-
-
-def _cumulative_trapezoid(y: np.ndarray, step: float) -> np.ndarray:
+def _cumulative_trapezoid(y: np.ndarray, step) -> np.ndarray:
     """Integrals of y from its first sample to each sample, by the
-    trapezoid rule on samples `step` apart."""
+    trapezoid rule; `step` holds the spacings between neighbouring samples,
+    one number for all of them or an array of len(y) - 1."""
     return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * step)])
 
 

@@ -57,6 +57,7 @@ from .riemann import eval_riemann, solve_exact, wave_speed_span
 
 DEFAULT_PROBE_SEED = 20240817
 _EPS_MACH = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max)    # e^x overflows exactly for x above it
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,18 @@ class ProbeResult:
 
 
 def check_monotone(profile: Profile, u_left: float, u_right: float) -> float:
-    """Minimum signed difference quotient; >= 0 means monotone the right way.
-
-    Returns min over adjacent node pairs of sign(uR-uL)*(u_{i+1}-u_i)/dxi;
-    0 by convention when uL = uR."""
+    """Smallest signed neighbour difference, min_i sign(uR-uL)*(u_{i+1}-u_i);
+    >= 0 means monotone the right way; 0 by convention when uL = uR."""
     s = float(np.sign(u_right - u_left))
     if s == 0.0:
         return 0.0
-    d = np.diff(profile.u) / np.diff(profile.xi)
-    return float(np.min(s * d))
+    return float(np.min(s * np.diff(profile.u)))
+
+
+def _rounding_tol(problem: ProfileProblem) -> float:
+    """4*eps_mach*max(|uL|, |uR|), the rounding a converged profile may carry
+    past the state interval and below monotone (`uniqueness_probe`)."""
+    return 4.0 * _EPS_MACH * max(abs(problem.u_left), abs(problem.u_right))
 
 
 def check_symmetry(profile: Profile, u_left: float, u_right: float,
@@ -127,10 +131,13 @@ def check_corner_expansion(profile: Profile, corner: CornerProfile,
         |u_eps(xi) - sqrt(eps)*U((xi-uL)/sqrt(eps)) - uL| * e^{1/sqrt(eps)} / sqrt(eps).
 
     The exponential weight makes boundedness of the result a sharp statement
-    about the expansion's error term."""
+    about the expansion's error term; below eps = 1.985e-6, where it
+    overflows (1/sqrt(eps) > ln(DBL_MAX)), the check raises CoverageError."""
     if not problem.u_left < problem.u_right:
         raise InvalidParameterError("corner expansion applies to increasing data")
     root = math.sqrt(problem.epsilon)
+    if 1.0 / root > _LOG_MAX:
+        raise CoverageError("the weight e^(1/sqrt(eps)) overflows below eps = 1.985e-6")
     mid = 0.5 * (problem.u_left + problem.u_right)
     mask = profile.xi <= mid
     s = (profile.xi[mask] - problem.u_left) / root
@@ -294,7 +301,8 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
     roundings of a number no larger than U = max(|uL|, |uR|), each at most
     eps_mach*U/2. Granting 4 of them, 2*eps_mach*U per node, a value may
     lie that far outside the interval and a difference of two neighbours
-    may be off by twice that, tol = 4*eps_mach*U; both tests use tol. Runs
+    may be off by twice that, tol = 4*eps_mach*U; both tests use tol, the
+    second on `check_monotone`. Runs
     that fail the flow or Newton are counted, not raised; fewer than two
     in-class runs make the probe inconclusive, and the InconclusiveProbeError
     carries the counts as its report. Newton certifies no run at its
@@ -306,7 +314,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
     span = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
     jump = problem.u_right - problem.u_left
     lo, hi = problem.state_interval
-    tol = 4.0 * _EPS_MACH * max(abs(problem.u_left), abs(problem.u_right))
+    tol = _rounding_tol(problem)
 
     in_class = []
     out_of_class = failed = 0
@@ -324,7 +332,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
             continue
         u = prof.u
         if np.min(u) >= lo - tol and np.max(u) <= hi + tol \
-                and np.min(np.sign(jump) * np.diff(u)) >= -tol:
+                and check_monotone(prof, problem.u_left, problem.u_right) >= -tol:
             in_class.append(u)
         else:
             out_of_class += 1
@@ -405,14 +413,21 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     entry adds its run counts n_converged (in class), n_out_of_class and
     n_failed; diagnostics records the constants the comparison-function
     checks used and, per translate margin, the number of nodes whose
-    defect is within its roundoff. `sliding_supersolution_margin` and
-    `sweeping_supersolution_margin` pass when their value exceeds 0.
-    `corner_remainder` is omitted where the corner profile, capped at
-    xi = 30, cannot reach the rescaled half-mesh (`_corner_for`): for
-    -1 -> 1 below eps = 1/900, about 1.1e-3. Below eps of about 0.004 it
-    is reported but measures the mesh's error, not the expansion's: its
-    weight e^(1/sqrt(eps))/sqrt(eps) magnifies the profile's O(h^2) error.
-    Burgers -1 -> 1 at the default nodes_per_layer (at 480, in brackets):
+    defect is within its roundoff. `monotone` passes down to minus the
+    probe's rounding bound (`_rounding_tol`); `sliding_supersolution_margin`
+    and `sweeping_supersolution_margin` pass when their value exceeds 0.
+    The margins' lam, 0.1, and the translation check's shift, 0.7, are
+    capped at half the domain's width so the translates overlap it (for
+    Burgers +-1 the domain is over 2 wide; for +-0.1 at eps 1e-3, 0.57).
+    `corner_remainder` is omitted below eps = 1.985e-6, where its
+    weight overflows (`check_corner_expansion`), and where the corner
+    profile, capped at xi = 30, cannot reach the rescaled half-mesh
+    (`_corner_for`): for -1 -> 1 below eps = 1/900, about 1.1e-3. A
+    non-finite value fails and is left out of the margins. Below eps of
+    about 0.004 it is reported but measures the mesh's error, not the
+    expansion's: its weight e^(1/sqrt(eps))/sqrt(eps) magnifies the
+    profile's O(h^2) error. Burgers -1 -> 1 at the default nodes_per_layer
+    (at 480, in brackets):
 
         eps     corner_remainder
         5e-3    0.662 (0.662)
@@ -428,11 +443,12 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     """
     opts = options or SolveOptions()
     seed = DEFAULT_PROBE_SEED if seed is None else int(seed)
-    lam = 0.1
     increasing = problem.u_left < problem.u_right
     quadratic = has_identity_derivative(problem.flux)
 
     profile, _ = solve_profile(problem, opts)
+    half_width = 0.5 * float(profile.xi[-1] - profile.xi[0])
+    lam = min(0.1, half_width)
     exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
     big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
     big_m = sliding_constant_M(problem, profile)
@@ -446,7 +462,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
                         "pass": bool(ok)}
 
     mono = check_monotone(profile, problem.u_left, problem.u_right)
-    record("monotone", mono, 0.0, mono >= 0.0)
+    tol = _rounding_tol(problem)
+    record("monotone", mono, -tol, mono >= -tol)
 
     span = wave_speed_span(exact)
     wlo = max(span[0] - 0.5, profile.xi[0])
@@ -467,7 +484,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         record("first_integral_spread", spread, h_threshold, spread <= h_threshold)
 
         t0 = translation_invariance_check(profile, problem.epsilon, 0.0, problem.flux)
-        t1 = translation_invariance_check(profile, problem.epsilon, 0.7, problem.flux)
+        t1 = translation_invariance_check(profile, problem.epsilon, min(0.7, half_width),
+                                          problem.flux)
         t_threshold = max(2.0 * t0, 10.0 * opts.newton_tol)
         record("translation_invariance", t1, t_threshold, t1 <= t_threshold)
 
@@ -478,7 +496,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         try:
             rem = check_corner_expansion(profile, _corner_for(problem), problem)
             record("corner_remainder", rem, math.inf, np.isfinite(rem))
-            margins["corner_remainder"] = rem
+            if np.isfinite(rem):
+                margins["corner_remainder"] = rem
         except CoverageError:
             pass
 

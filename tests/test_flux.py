@@ -80,6 +80,20 @@ def test_derivative_range_matches_dense_scan():
         assert M <= vals.max() + 1e-6 * (1 + abs(vals.max()))
 
 
+def test_derivative_range_of_a_point_is_the_derivative_there():
+    # the range scan on [a, a] gives f'(a) itself, bit for bit
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        coeffs = rng.standard_normal(rng.integers(2, 8)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        try:
+            flux = wf.polynomial_flux(coeffs)
+        except InvalidParameterError:
+            continue
+        a = float(rng.uniform(-3.0, 3.0))
+        v = float(wf.derivative(flux, a)).hex()
+        assert [m.hex() for m in wf.derivative_range(flux, a, a)] == [v, v]
+
+
 def test_chord_slope_pinned_values():
     assert wf.chord_slope_Q(BURGERS, 0.7, 0.2) == 1.0
     assert wf.chord_slope_Q(BURGERS, 0.5, 0.5) == 0.0

@@ -137,6 +137,28 @@ def test_monotone_constant_data_is_zero(shock_profile):
     assert wf.check_monotone(shock_profile, 0.5, 0.5) == 0.0
 
 
+def test_monotone_forgives_a_tail_below_the_data_rounding(monkeypatch):
+    # the cubic 1 -> 0's right tail decays to 1e-55 and steps the wrong way
+    # by far less than a rounding of the data; the battery and the probe
+    # judge it by the same bound, through check_monotone
+    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), 1.0, 0.0, 0.01)
+    checks, _ = wf.run_battery(prob)
+    assert checks["monotone"]["threshold"] == -4.0 * EPS_MACH
+    assert -4.0 * EPS_MACH <= checks["monotone"]["value"] < 0.0
+    assert checks["monotone"]["pass"]
+
+    calls = []
+    real = verification.check_monotone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verification, "check_monotone", counting)
+    result = wf.uniqueness_probe(prob, n_guesses=6)
+    assert len(calls) >= result.n_converged >= 2
+
+
 def test_symmetry_zero_for_symmetric_solve(shock_profile, rarefaction_profile):
     assert wf.check_symmetry(shock_profile, 1.0, -1.0, BURGERS) <= 1e-12
     assert wf.check_symmetry(rarefaction_profile, -1.0, 1.0, BURGERS) <= 1e-12
@@ -683,6 +705,23 @@ def test_corner_expansion_errors(rarefaction_problem, rarefaction_profile,
         wf.check_corner_expansion(rarefaction_profile, short, rarefaction_problem)
 
 
+def test_corner_expansion_weight_overflow_is_a_coverage_error(corner):
+    # e^(1/sqrt(eps)) is e^1000 at eps 1e-6, past the largest double
+    prob = wf.ProfileProblem(BURGERS, -0.01, 0.01, 1e-6)
+    with pytest.raises(CoverageError, match="overflows"):
+        wf.check_corner_expansion(wf.solve_profile(prob)[0], corner, prob)
+
+
+def test_battery_fails_a_non_finite_corner_remainder(monkeypatch, rarefaction_problem):
+    # a value that overflows where the weight does not is a failing verdict,
+    # kept out of the diagnostics' (finite) margins
+    monkeypatch.setattr(verification, "check_corner_expansion", lambda *args: math.inf)
+    checks, diag = wf.run_battery(rarefaction_problem)
+    assert checks["corner_remainder"] == {"value": math.inf, "threshold": math.inf,
+                                          "pass": False}
+    assert "corner_remainder" not in diag.margins
+
+
 def test_corner_remainder_is_flat_where_the_mesh_resolves_it():
     # the normalized remainder is bounded in eps; down to eps = 0.005 the
     # mesh resolves it and it reads 0.661-0.663 (below about 0.004 it reads
@@ -716,6 +755,29 @@ def test_battery_on_rarefaction(rarefaction_problem):
     assert diag.margins["sliding_margin"] > 0.0
     assert diag.margins["barrier_margin"] < 0.0
     assert np.isfinite(diag.margins["corner_remainder"])
+
+
+@pytest.mark.parametrize("ul, eps", [(-0.1, 1e-3), (0.1, 1e-3), (-0.01, 1e-6), (0.01, 1e-6)])
+def test_battery_sizes_its_translates_to_narrow_domains(ul, eps):
+    # the domains are about 0.57 and 0.03 wide, less than the translation
+    # check's 0.7 and, at 1e-6, the margins' 0.1; below eps 1.985e-6 the
+    # corner's weight overflows and corner_remainder is left out
+    prob = wf.ProfileProblem(BURGERS, ul, -ul, eps)
+    checks, diag = wf.run_battery(prob)
+    applicable = {"monotone", "l1_window", "first_integral_spread",
+                  "translation_invariance", "uniqueness_probe"}
+    if ul < 0.0:
+        applicable |= {"symmetry", "sliding_margin", "barrier_margin"}
+        if eps > 1.985e-6:
+            applicable.add("corner_remainder")
+    else:
+        applicable.add("sweeping_margin")
+    assert set(checks) == applicable
+    for entry in checks.values():
+        assert set(entry) == {"value", "threshold", "pass"}
+    assert checks["translation_invariance"]["pass"]
+    xi = wf.solve_profile(prob)[0].xi
+    assert diag.lam == min(0.1, 0.5 * (xi[-1] - xi[0]))
 
 
 def test_battery_judges_margins_at_their_roundoff():
