@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import CoverageError, InvalidParameterError
 
 _QUADRATIC = (0.0, 0.0, 0.5)  # f(u) = u^2/2, token alias "burgers"
 _EPS = float(np.finfo(float).eps)
@@ -127,7 +127,9 @@ def _interior_critical_points(coeffs, lo: float, hi: float) -> list[float]:
     q, so it is a root of q up to a change of q's coefficients by one
     rounding, which is all the accuracy any root finder has from them. The
     trim keeps `polyroots` from dividing by a negligible (say subnormal)
-    c_n, which overflows.
+    c_n, which overflows. Where a ratio c_k/c_n still overflows, or a
+    coefficient is not finite, the companion matrix whose eigenvalues are
+    the roots is not finite, and CoverageError is raised.
     """
     c = np.asarray(coeffs, dtype=float)
     r = 1.0 / max(1.0, abs(lo), abs(hi))
@@ -137,6 +139,11 @@ def _interior_critical_points(coeffs, lo: float, hi: float) -> list[float]:
         c = c[:-1]
     if len(c) < 2:
         return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        companion = np.polynomial.polynomial.polycompanion(c)
+    if not np.all(np.isfinite(companion)):
+        raise CoverageError("the roots of a polynomial with coefficients %r are "
+                            "out of the range of doubles" % (tuple(c.tolist()),))
     roots = np.polynomial.polynomial.polyroots(c)
     out = []
     for r in roots:

@@ -465,6 +465,9 @@ def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
     dom = opts.domain if opts.domain is not None \
         else _padded((m, big_m), problem.epsilon, opts.tail_tol)
     lo, hi = float(dom[0]), float(dom[1])
+    if opts.domain is None and not (np.isfinite(lo) and np.isfinite(hi)):
+        raise CoverageError("the domain truncated at tail_tol = %g for eps = %g is "
+                            "(%g, %g), not finite" % (opts.tail_tol, problem.epsilon, lo, hi))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidParameterError("domain must be a finite increasing pair")
     if not opts.nodes_per_layer > 0:
@@ -639,17 +642,14 @@ class _ShockLayer:
         zero (see `initial_guess`). The window's mass mu(d) grows with d at
         the rate of the jump's share inside the window, so Newton steps
         safeguarded by bisection find the root; mu is exactly zero at d = 0
-        when both sides of the table are equal, as for a symmetric shock."""
+        when both sides of the table are equal, as for a symmetric shock.
+        The root lies in (-half, half): past the centre the share's tail is
+        below 1/2, so each side's mass over a width y is below y/2, and
+        mu(-half) < 0 < mu(half)."""
         def mu(d):
             return self._mass(half - d) - self._mass(-half - d) + min(max(d, -half), half)
 
-        # mu runs from -half to +half; the bracket is doubled until it holds
-        # the root, so bisection starts at the root's own scale
         lo, hi = -half, half
-        while mu(lo) > 0.0:
-            lo *= 2.0
-        while mu(hi) < 0.0:
-            hi *= 2.0
         d, last = 0.0, hi - lo
         for _ in range(100):
             m = mu(d)

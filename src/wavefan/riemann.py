@@ -15,14 +15,15 @@ The solution is self-similar: u depends on xi = x/t only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as _poly
 
-from .errors import InvalidParameterError
+from .errors import CoverageError, InvalidParameterError
 from .flux import (FluxSpec, _interior_critical_points, derivative, divided_difference,
-                   evaluate, polynomial_flux, second_derivative)
+                   polynomial_flux, second_derivative)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -88,7 +89,23 @@ def _reflected_flux(flux: FluxSpec) -> FluxSpec:
 def _next_vertex(flux: FluxSpec, p: float, u_right: float) -> tuple[float, bool]:
     """(q, fan): the farthest point q of (p, u_right] whose chord from p has
     the smallest slope up to roundoff, and whether f'(p) is below that slope,
-    in which case a fan starts at p."""
+    in which case a fan starts at p.
+
+    Each slope is `divided_difference`, the formula of the shock speed. For
+    a flux with n + 1 coefficients c_0..c_n, its term c_k*h_(k-1)(p, q)
+    carries at most 2n roundings: at most 2(k - 1) in each monomial of
+    h_(k-1) (a product and a sum per step, the powers of p included), one
+    in the product with c_k and at most n - k + 1 in the running sum. So
+    the computed slope is within gamma_2n*B of the exact one, where
+    B = divided_difference(|c|, |p|, |q|) and
+    gamma_2n = n*eps_mach/(1 - n*eps_mach) (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, SIAM 2002, Lemma 3.1 and ch. 5). B has only
+    nonnegative terms, so its computed value is at least (1 - gamma_2n)
+    times the exact one, and the bound c*eps_mach*B with c = n + 1 covers
+    both factors and the rounding of its own product while n^2*eps_mach
+    is far below 1/2. Two slopes tie when they differ by at most the sum of
+    their bounds. A slope or bound that is not finite raises CoverageError.
+    """
     a = list(flux.coefficients)  # becomes a_j with f(p + t) = sum_j a_j t^j
     for i in range(len(a) - 1):
         for k in range(len(a) - 2, i - 1, -1):
@@ -101,17 +118,17 @@ def _next_vertex(flux: FluxSpec, p: float, u_right: float) -> tuple[float, bool]
         with np.errstate(divide="ignore", invalid="ignore"):
             polished = t - _poly.polyval(t, g) / _poly.polyval(t, _poly.polyder(g))
         t = np.where((polished > 0.0) & (polished < u_right - p), polished, t)
-    q = np.array([u_right] + [p + x for x in t if p < p + x < u_right])
-    fp = evaluate(flux, p)
-    slopes = (evaluate(flux, q) - fp) / (q - p)
-    # slopes that agree within the rounding of f tie (over a few ulps of u,
-    # the slack overflows and everything ties)
-    size = _poly.polyval(np.abs(np.append(q, p)), np.abs(flux.coefficients))
-    k = int(np.argmin(slopes))
-    with np.errstate(over="ignore"):
-        slack = 8.0 * _EPS * (size[:-1] + size[-1]) / (q - p)
-        far = q[slopes <= slopes[k] + slack[k] + slack].max()
-    return float(far), float(derivative(flux, p)) < slopes[k]
+    q = [u_right] + [float(p + x) for x in t if p < p + x < u_right]
+    c = [abs(x) for x in flux.coefficients]
+    # Python floats: the same roundings as numpy's, overflow without a warning
+    slopes = [divided_difference(flux.coefficients, p, x) for x in q]
+    bound = [len(c) * _EPS * divided_difference(c, abs(p), abs(x)) for x in q]
+    if not all(map(math.isfinite, slopes + bound)):
+        raise CoverageError("chord slopes of the flux overflow doubles on states of "
+                            "magnitude up to %g" % max(abs(p), abs(u_right)))
+    k = slopes.index(min(slopes))
+    far = max(x for x, s, e in zip(q, slopes, bound) if s <= slopes[k] + bound[k] + e)
+    return far, float(derivative(flux, p)) < slopes[k]
 
 
 def _fan_end(flux: FluxSpec, p: float, u_right: float) -> float:
@@ -196,7 +213,8 @@ def solve_exact(flux: FluxSpec, u_left: float, u_right: float) -> RiemannSolutio
     Rankine-Hugoniot relation by construction, and the xi-intervals of the
     waves partition the line exactly: each wave starts where the one before
     it ends, a fan next to a shock shares the shock's speed as its edge, and
-    constant states between waves have positive width.
+    constant states between waves have positive width. Data whose wave
+    speeds do not fit in doubles raise CoverageError.
     """
     u_left = float(u_left)
     u_right = float(u_right)
@@ -213,6 +231,12 @@ def solve_exact(flux: FluxSpec, u_left: float, u_right: float) -> RiemannSolutio
                  for w in _solve_increasing(_reflected_flux(flux), -u_left, -u_right)]
     else:
         waves = []
+    # f' may overflow where no chord slope does, by up to a factor of the degree
+    edges = [e for w in waves
+             for e in ((w.speed,) if isinstance(w, Shock) else (w.xi_lo, w.xi_hi))]
+    if not np.all(np.isfinite(edges)):
+        raise CoverageError("wave speeds of the flux overflow doubles on states of "
+                            "magnitude up to %g" % max(abs(u_left), abs(u_right)))
     return RiemannSolution(flux, u_left, u_right, _with_constants(waves, u_left))
 
 

@@ -215,7 +215,13 @@ def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
     data, by `_judge`. Its samples are (xi_i - lam, u_i), so its defect at
     its own interior nodes is minus the residual with f'(u) - xi raised by
     lam: for lam > 0 a strict supersolution, positive wherever it exceeds
-    its roundoff."""
+    its roundoff.
+
+    By `residual`'s definition that defect is -R(u) + a*D1(u) with a = lam,
+    R(u) the profile's own residual and D1(u) its central slope. With R(u)
+    at its roundoff floor the margin tests the sign of D1(u), the sign that
+    `check_monotone` tests on neighbour differences, at a tolerance of
+    about `residual_noise`/|a| in place of that check's."""
     return _judge(*_translate_defect(profile, problem, lam))
 
 
@@ -223,7 +229,12 @@ def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
                                   lam: float, big_k: float) -> tuple[float, int]:
     """(value, undecided) of the sweeping translate u(xi - 2*K*lam) + lam
     for decreasing data, by `_judge`; K must dominate the Lipschitz constant
-    of f' on the state interval or the construction is invalid."""
+    of f' on the state interval or the construction is invalid.
+
+    Its defect is -R(u) + a*D1(u) as for `sliding_supersolution_margin`,
+    with a = f'(u + lam) - f'(u) - 2*K*lam, which lies between about
+    -3*K*lam and -K*lam, so it too tests the sign of D1(u) once R(u) is at
+    its roundoff floor."""
     return _judge(*_translate_defect(profile, problem, lam, float(big_k)))
 
 
@@ -344,10 +355,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
             % (len(in_class), n_guesses, out_of_class, failed),
             report=ProbeResult(max_distance=math.inf, n_converged=len(in_class),
                                n_failed=failed, n_out_of_class=out_of_class))
-    dist = 0.0
-    for j in range(len(in_class)):
-        for k in range(j + 1, len(in_class)):
-            dist = max(dist, float(np.max(np.abs(in_class[j] - in_class[k]))))
+    dist = float(np.max(np.ptp(np.stack(in_class), axis=0)))
     return ProbeResult(max_distance=dist, n_converged=len(in_class), n_failed=failed,
                        n_out_of_class=out_of_class)
 
@@ -361,7 +369,14 @@ def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
     differenced on the original spacings, its own in exact arithmetic; the
     rounded nodes xi + lam would add their rounding, magnified about 4x per
     halving of eps, to the residual's roundoff floor, where the result sits.
-    Passing a flux whose derivative is not f'(u) = u is an error."""
+    Passing a flux whose derivative is not f'(u) = u is an error.
+
+    The defect is the profile's own residual up to the rounding of u + lam:
+    in exact arithmetic the translate's f'(u) - xi is (u + lam) - (xi + lam)
+    = u - xi, and its differences on the original spacings are those of u. So the
+    value is max |R(u)| over the nodes the translate keeps, for any
+    profile, solved or not: it tests the residual, not the solver's
+    translation invariance."""
     if not has_identity_derivative(flux):
         raise UnsupportedFluxError("translation family needs f'(u) = u")
     lam = float(lam)

@@ -301,8 +301,18 @@ def test_mesh_rejects_domain_missing_the_fan():
 
 def test_mesh_rejects_malformed_domain():
     for dom in ((1.0, -1.0), (0.0, 0.0), (-np.inf, 2.0), (np.nan, 1.0)):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="finite increasing pair"):
             wf.build_mesh(make_problem(), wf.SolveOptions(domain=dom))
+
+
+def test_a_truncated_domain_out_of_doubles_is_a_coverage_error():
+    # the pad sqrt(2*eps*ln(1/tail_tol)) overflows, or the range of f' does;
+    # the message names what the domain was computed from, not a given one
+    with np.errstate(over="ignore"):
+        steep = wf.parse_flux_token("poly:0,0,1e308")
+    for prob in (make_problem(-1.0, 1.0, 1e308), make_problem(-2.0, 2.0, 0.01, flux=steep)):
+        with pytest.raises(CoverageError, match="tail_tol = 1e-05 for eps = .*not finite"):
+            wf.build_mesh(prob)
 
 
 def test_mesh_rejects_nonpositive_spacing():
@@ -541,9 +551,12 @@ def test_shock_layer_centre_balances_the_window_mass(coeffs, a, b, eps):
     layer = profile_bvp._shock_layer(flux, wf.Shock(speed, lo, q))
     assume(layer is not None)
     half = 1.0 / math.sqrt(eps)
+    def mu(d):
+        return layer._mass(half - d) - layer._mass(-half - d) + min(max(d, -half), half)
+
+    assert mu(-half) < 0.0 < mu(half)       # the bracket the root search starts from
     d = layer.centre_offset(half)
-    mass = layer._mass(half - d) - layer._mass(-half - d) + min(max(d, -half), half)
-    assert abs(mass) <= 1e-12 * half
+    assert abs(mu(d)) <= 1e-12 * half
     w = layer.share(np.linspace(-4.0 * half, 4.0 * half, 401))
     assert np.all(np.diff(w) >= 0.0) and w[0] >= 0.0 and w[-1] <= 1.0
 
@@ -1120,6 +1133,27 @@ def test_flow_past_its_step_cap_raises_with_a_report(monkeypatch):
     assert not report.converged and report.iterations == 0
     assert len(report.residual_history) == 3 and report.residual_norm > 1e-3
     assert report.mesh_size == len(wf.build_mesh(prob))
+
+
+def test_a_singular_band_gives_a_nan_step_and_ends_newton(monkeypatch):
+    # the banded solver's LinAlgError is a NaN step with the exact boundary
+    # entries, which Newton rejects like any other after one iteration
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(profile_bvp, "solve_banded", singular)
+    prob = make_problem(1.0, -1.0, 0.05)
+    guess = wf.initial_guess(prob, wf.build_mesh(prob))
+    u = guess.u.copy()
+    u[0] += 0.25
+    work = profile_bvp._Workspace(guess.xi)
+    r = wf.residual(prob, wf.Profile(guess.xi, u), work)
+    step = profile_bvp._linear_step(prob, u, r, work)
+    assert np.all(np.isnan(step[1:-1]))
+    assert (step[0], step[-1]) == (-r[0], -r[-1])
+    with pytest.raises(NonConvergenceError) as info:
+        wf.newton_solve(prob, guess)
+    assert info.value.report.iterations == 1 and not info.value.report.converged
 
 
 @pytest.mark.parametrize("spoil", [lambda d: d * np.nan, lambda d: d + 10.0])

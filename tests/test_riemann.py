@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import wavefan as wf
 from grid_envelope import GridFan, grid_waves
+from wavefan.errors import CoverageError
 from wavefan.flux import evaluate
 from wavefan.riemann import ConstantState, RarefactionFan, Shock
 
@@ -344,3 +345,33 @@ def test_waves_match_grid_oracle():
         for g, o in zip(got, want):
             for x, y in zip(_states(g) + _xi_edges(g), _states(o) + _xi_edges(o)):
                 assert abs(x - y) <= 1e-13 * max(1.0, abs(y)), (flux, ul, ur, g, o)
+
+
+def test_data_whose_chords_overflow_f_are_solved_by_their_slopes():
+    # f(u) overflows at these states, and its difference quotient was NaN:
+    # the walk raised a numpy ValueError on the first two and returned one
+    # shock at xi = 1e300 on the cubic; their chord slopes are finite
+    for flux, ul, ur in ((BURGERS, 1e200, -1e200), (QUARTIC, 1e100, -1e100)):
+        sol = wf.solve_exact(flux, ul, ur)
+        assert [type(w) for w in sol.waves] == [ConstantState, Shock, ConstantState]
+        assert sol.waves[1] == Shock(0.0, ul, ur)
+    sol = wf.solve_exact(CUBIC, -1e150, 1e150)
+    assert [type(w) for w in sol.waves] == [ConstantState, Shock, RarefactionFan,
+                                            ConstantState]
+    shock, fan = sol.waves[1:3]
+    assert shock.speed == pytest.approx(7.5e299, rel=1e-14)
+    assert shock.u_right == fan.u_lo == pytest.approx(5e149, rel=1e-14)
+    assert fan.xi_lo == shock.speed and fan.xi_hi == pytest.approx(3e300, rel=1e-14)
+
+
+@pytest.mark.parametrize("token, ul, ur", [
+    # chord slopes past the largest double
+    ("poly:0,0,0,1", -1e200, 1e200),
+    # the trimmed tangency polynomial's companion matrix overflows
+    ("poly:1.1377936137343168e+55,-5.502009174623611e+176,-2.2117348121533902e-58,"
+     "-8.760681336070306e+80,-9.694248646073712e-179,1.1788084130278703e-161,0",
+     -3.2810155285107196e+117, 4.840501826291593e+117),
+])
+def test_data_out_of_the_range_of_doubles_is_a_coverage_error(token, ul, ur):
+    with pytest.raises(CoverageError):
+        wf.solve_exact(wf.parse_flux_token(token), ul, ur)

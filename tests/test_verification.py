@@ -508,6 +508,23 @@ def test_translation_defect_independent_of_shift(shock_profile, rarefaction_prof
         assert t1 <= max(2.0 * t0, 1e-10)
 
 
+def test_translation_defect_is_the_residual_of_any_profile():
+    # the translate's u - xi and differences are those of u, so a profile
+    # bumped by 1e-2 gives the same value at every shift: its own residual.
+    # At xi = 0.2, u is in [-1, -0.5) and u + 0.7 is exact (both are
+    # multiples of 2^-53 below 1), so the identity holds bitwise there
+    problem = wf.ProfileProblem(BURGERS, 1.0, -1.0, 0.01)
+    profile, _ = wf.solve_profile(problem)
+    i = int(np.argmin(np.abs(profile.xi - 0.2)))
+    u = profile.u.copy()
+    u[i] += 1e-2
+    bumped = wf.Profile(profile.xi, u)
+    assert profile.xi[i] + 0.7 < profile.xi[-1]
+    t0 = wf.translation_invariance_check(bumped, 0.01, 0.0, BURGERS)
+    assert t0 == np.max(np.abs(wf.residual(problem, bumped)[1:-1])) > 1.0
+    assert wf.translation_invariance_check(bumped, 0.01, 0.7, BURGERS) == t0
+
+
 @pytest.mark.parametrize("eps", [0.01, 0.005])
 def test_translation_defect_stays_at_the_floor_as_viscosity_falls(eps):
     # differenced on the shifted nodes xi + 0.7, their rounding read
