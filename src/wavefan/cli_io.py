@@ -5,7 +5,11 @@ profile), ``corner`` (the unbounded similarity profile), ``riemann`` (exact
 wave structure), ``verify`` (check battery), ``sweep`` (one ``solve_profile``
 per viscosity of a strictly decreasing schedule, written as plot data).
 Everything numeric is written as 17-significant-digit decimal text so files
-diff cleanly and parse back to the exact same doubles.
+diff cleanly and parse back to the exact same doubles: the bytes of
+``'%.17g' % x``, made by a numpy kernel (`_digits17`, `_format_block`) a
+block of rows at a time.  It takes the digits from a double-double scaling
+by a power of ten where a proved error bound decides them, and leaves every
+other value (near-ties, decade edges, zeros, subnormals, inf, nan) to ``%``.
 
 A config file is flat ``key=value`` text mirroring the long flags; values
 given on the command line win.  Runs are deterministic: the same RunConfig
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -36,7 +41,11 @@ from .profile_bvp import Profile, ProfileProblem, SolveOptions, solve_profile
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
 from .verification import run_battery
 
-_FMT = "%.17g"  # 17 significant digits: round-trips every double, byte-stable files
+_FMT = b"%.17g"  # every CSV number: 17 significant digits round-trip every double
+_DECADES = (-308, 308)      # floor(log10|x|) of the normal doubles
+_TIE_SLACK = 2.0 ** -32     # 2^10 times the bound on the scaled value's error
+_SPLIT = 134217729.0        # 2^27 + 1: Dekker's splitter into 26-bit halves
+_BLOCK_VALUES = 3072        # numbers per pass of _format_block (1,024 profile rows)
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b", "#17becf", "#7f7f7f")
@@ -257,19 +266,170 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def _rows_text(field, columns, end) -> str:
-    """One row per index of the equal-length `columns`: each value formatted
-    by `field`, comma-separated, every row followed by `end`.  The whole text
-    is one ``%`` over one repeated row template."""
-    table = np.column_stack(columns)
-    row = ",".join([field] * table.shape[1]) + end
-    return (row * len(table)) % tuple(table.ravel().tolist())
+def _points_text(x, y) -> str:
+    """SVG polyline points: 'x,y' for each index of the equal-length `x` and
+    `y`, both ``%.2f``, space-separated; one ``%`` over a repeated template."""
+    template = " ".join(["%.2f,%.2f"] * len(x))
+    return template % tuple(np.column_stack((x, y)).ravel().tolist())
+
+
+def _word(text: bytes) -> int:
+    """The little-endian integer whose bytes are `text`."""
+    return int.from_bytes(text, "little")
+
+
+def _read_only(*tables):
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _powers_of_ten():
+    """10^(16 - e) for each decade e of a normal double, built at first use,
+    as (b_hi + b_lo)*2^t with b_hi in [1/2, 1]: q = floor(10^(16 - e)*2^s)
+    is an exact integer of 110 or 111 bits, b_hi is q rounded to a double
+    and b_lo the rest rounded, both scaled by 2^-bits(q); the relative error
+    is below 2^-105.  b_hi comes split into halves for Dekker's product."""
+    b_hi, b_lo, t = [], [], []
+    for k in range(16 - _DECADES[1], 17 - _DECADES[0]):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        shift = 110 - num.bit_length() + den.bit_length()
+        q = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        scale = 2.0 ** -q.bit_length()
+        b_hi.append(float(q) * scale)
+        b_lo.append(float(q - int(float(q))) * scale)
+        t.append(q.bit_length() - shift)
+    b_hi = np.array(b_hi)
+    split = b_hi * _SPLIT
+    b_hh = split - (split - b_hi)
+    return _read_only(b_hh, b_hi - b_hh, np.array(b_lo), np.array(t, np.int32))
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_tables():
+    """The little-endian words `_format_block` assembles, built at first use:
+    four ASCII digits per integer below 10^4; per decade the prefix '0.0..',
+    how many of the 16 digits after the leading one precede the point, how
+    many are written whatever their value, and the exponent; the sign with
+    the leading digit; byte masks, and the point at each byte."""
+    n = np.arange(10000)
+    quads = (_word(b"0000") + n // 1000 + (n // 100 % 10 << 8)
+             + (n // 10 % 10 << 16) + (n % 10 << 24)).astype(np.uint64)
+    prefix, point, mandatory, exponent = [], [], [], []
+    for e in range(_DECADES[0], _DECADES[1] + 1):
+        fixed, below_one = -4 <= e < 17, -4 <= e < 0
+        prefix.append(_word(b"\0" + b"0." + b"0" * (-e - 1)) if below_one else 0)
+        point.append(16 if below_one else e if fixed else 0)
+        mandatory.append(e if fixed and not below_one else 0)
+        exponent.append(0 if fixed else _word(b"\0\0" + b"e%+03d" % e))
+    lead = [_word(sign + b"\0" * 6 + bytes([48 + j])) for sign in (b"\0", b"-")
+            for j in range(10)]
+    low = [[(1 << 8 * min(max(j - w, 0), 8)) - 1 for j in range(18)] for w in (0, 8, 16)]
+    dots = [[(hi ^ lo) & _word(b"." * 8) for lo, hi in zip(row, row[1:])] for row in low[:2]]
+    u64 = functools.partial(np.array, dtype=np.uint64)
+    return _read_only(quads, u64(prefix), np.array(point), np.array(mandatory),
+                      u64(exponent), u64(lead), u64(low), u64(dots))
+
+
+def _digits17(values):
+    """For the 1-D float array `values`: the mask of the values whose 17
+    significant digits are decided here, their decade index (floor(log10|x|)
+    less _DECADES[0]) and their digits as an integer d in (10^16, 10^17);
+    d is 10^16 where the mask is false, so any layout of it stays in range.
+
+    With |x| = m*2^q (frexp) and e = floor(log10|x|), d = round(y) for
+    y = |x|*10^(16 - e) = m*(b_hi + b_lo)*2^(q + t).  Dekker's two-product
+    makes m*b_hi = p + err exactly; err gains m*b_lo, and both scale by
+    2^(q + t) exactly to hi + lo.  Against y the table's error is below
+    2^-105 of m*b, the product's and the sum's roundings below 2^-108 and
+    2^-106 absolute: below 2^-104 in all, of m*b >= 1/4, so below 2^-42
+    absolute, since y < 10^18 < 2^60 even where log10 is an ulp off.  Then
+    hi > 2^53 is an integer, and d = hi + rint(lo) unless lo lies within
+    _TIE_SLACK of a half-integer.  A value is decided when that rounding is
+    and 10^16 < d < 10^17, which proves e the decade of the rounded value
+    too; the rest are near-ties, decade edges, zeros, subnormals, inf and
+    nan."""
+    b_hh, b_hl, b_lo, t = _powers_of_ten()
+    a = np.abs(values)
+    ok = (a >= np.finfo(float).tiny) & (a <= np.finfo(float).max)
+    a = np.where(ok, a, 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) - _DECADES[0]
+    k = (_DECADES[1] - _DECADES[0]) - i              # index of 10^(16 - e)
+    m, q = np.frexp(a)
+    split = m * _SPLIT
+    mh = split - (split - m)
+    ml = m - mh
+    bh, bl = b_hh[k], b_hl[k]
+    p = m * (bh + bl)
+    err = ((mh * bh - p) + mh * bl + ml * bh) + ml * bl + m * b_lo[k]
+    s = q + t[k]                                     # int32: ldexp is slow on int64
+    hi, lo = np.ldexp(p, s), np.ldexp(err, s)
+    r = np.rint(lo)
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    ok &= (np.abs(lo - r) < 0.5 - _TIE_SLACK) & (d > 10 ** 16) & (d < 10 ** 17)
+    return ok, i, np.where(ok, d, 10 ** 16)
+
+
+def _format_block(values, separators) -> bytes:
+    """``'%.17g' % x`` for every x of the 1-D float array `values`, each
+    followed by its byte of `separators` (in the top byte of a word), as one
+    ASCII bytes object: `_digits17`'s digits where it decides them, ``%``
+    itself for the rest.
+
+    Every value fills a 32-byte slot of four words, NUL-padded: the sign, a
+    '0.' prefix with zeros for a fixed value below 1, and the leading digit;
+    then the 16 further digits with the point inserted after the integer
+    digits and the fraction's trailing zeros cleared; then the digit carried
+    out of them, the exponent and the separator.  ``bytes.translate`` drops
+    the NULs."""
+    (quads, prefix, point, mandatory, exponent, lead, (low0, low1, low2),
+     (dot0, dot1)) = _layout_tables()
+    ok, i, d = _digits17(values)
+    top = d // 10 ** 16
+    d -= top * 10 ** 16
+    halves = np.empty((len(d), 2), np.int64)
+    halves[:, 0] = d // 10 ** 8
+    halves[:, 1] = d - halves[:, 0] * 10 ** 8
+    g = halves // 10 ** 4
+    words = quads[g] | quads[halves - g * 10 ** 4] << np.uint64(32)
+    # the last nonzero one of the 16 digits (-1: none), from the highest set
+    # bit of the words with their '0' bytes cleared
+    z = np.frexp((words ^ quads[0] * np.uint64(0x100000001)).astype(float))[1]
+    last = (np.maximum(z[:, 0], (z[:, 1] + 64) * (z[:, 1] > 0)) - 1) // 8
+    # pt of the 16 digits precede the point (16: no point); of the 17 bytes
+    # (16 digits and the point) the first `keep` are written
+    pt = point[i]
+    keep = np.maximum(last + 1 + (last >= pt), mandatory[i])
+
+    slot = np.empty((len(d), 4), "<u8")   # little-endian on any host: bytes in text order
+    slot[:, 0] = prefix[i] | lead[10 * np.signbit(values) + top]
+    wa, wb = words[:, 0], words[:, 1]
+    ha, hb = wa & ~low0[pt], wb & ~low1[pt]         # the digits after the point
+    u8, u56 = np.uint64(8), np.uint64(56)
+    slot[:, 1] = (wa ^ ha | ha << u8 | dot0[pt]) & low0[keep]
+    slot[:, 2] = (wb ^ hb | hb << u8 | ha >> u56 | dot1[pt]) & low1[keep]
+    slot[:, 3] = (hb >> u56) & low2[keep] | exponent[i] | separators
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = b"".join((_FMT % x).ljust(31, b"\0") for x in values[bad].tolist())
+        slot.view(np.uint8).reshape(-1, 32)[bad, :31] = \
+            np.frombuffer(text, np.uint8).reshape(-1, 31)
+    return slot.tobytes().translate(None, b"\0")
 
 
 def _csv_text(names, columns) -> str:
     """CSV with a header of `names` and one row per index of the equal-length
-    `columns`, every number at full double precision."""
-    return ",".join(names) + "\n" + _rows_text(_FMT, columns, "\n")
+    `columns`, every number as ``'%.17g'`` formats it (`_format_block`), a
+    block of rows at a time: that keeps the temporaries small."""
+    table = np.column_stack(columns).astype(float, copy=False)
+    separators = np.full(table.shape[1], ord(","), np.uint64)
+    separators[-1] = ord("\n")
+    rows = max(1, _BLOCK_VALUES // table.shape[1])
+    separators = np.tile(separators << np.uint64(56), rows)
+    blocks = (table[j:j + rows].ravel() for j in range(0, len(table), rows))
+    body = b"".join(_format_block(block, separators[:block.size]) for block in blocks)
+    return ",".join(names) + "\n" + body.decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +459,8 @@ def read_profile(path) -> Profile:
         except ValueError:
             raise ProfileFormatError("%s:%d: non-numeric field in %r"
                                      % (path, lineno, line)) from None
+        if not math.isfinite(x):
+            raise ProfileFormatError("%s:%d: xi not finite" % (path, lineno))
         if xi and x <= xi[-1]:
             raise ProfileFormatError("%s:%d: xi not strictly increasing"
                                      % (path, lineno))
@@ -365,7 +527,7 @@ def _render_svg(grid, columns, width=640, height=420, pad=56):
 
     px = sx(grid)
     for k, (name, col) in enumerate(columns):
-        pts = _rows_text("%.2f", (px, sy(col)), " ")[:-1]
+        pts = _points_text(px, sy(col))
         color = _SVG_PALETTE[k % len(_SVG_PALETTE)]
         body.append('<polyline fill="none" stroke="%s" stroke-width="1.5" '
                     'points="%s"/>' % (color, pts))

@@ -24,7 +24,8 @@ class FluxSpec:
 
     coefficients: ascending polynomial coefficients, degree >= 1.
     The coefficients of the first three derivatives are derived once, at
-    construction, and kept out of equality and hashing.
+    construction (where one overflows, the flux is rejected), and kept out
+    of equality and hashing.
     """
 
     coefficients: tuple[float, ...]
@@ -41,8 +42,12 @@ class FluxSpec:
             )
         if not all(np.isfinite(coeffs)):
             raise InvalidParameterError("polynomial coefficients must be finite")
-        for m in (1, 2, 3):
-            d = np.polynomial.polynomial.polyder(coeffs, m)
+        with np.errstate(over="ignore"):
+            ders = [np.polynomial.polynomial.polyder(coeffs, m) for m in (1, 2, 3)]
+        if not all(np.all(np.isfinite(d)) for d in ders):
+            raise InvalidParameterError(
+                "the derivatives' coefficients overflow doubles (got %r)" % (coeffs,))
+        for m, d in enumerate(ders, start=1):
             d.setflags(write=False)
             object.__setattr__(self, "_d%d" % m, d)
 
@@ -156,9 +161,11 @@ def _range(p, dp, lo: float, hi: float) -> tuple[float, float]:
     """(min, max) of the polynomial with ascending coefficients p over
     [lo, hi], lo <= hi, from its values at both ends and at the roots of its
     derivative's coefficients dp inside: exact, since a polynomial's
-    extremes on an interval lie at an end or at a critical point."""
+    extremes on an interval lie at an end or at a critical point.  A value
+    out of the range of doubles comes back infinite, without a warning."""
     candidates = [lo, hi] + _interior_critical_points(dp, lo, hi)
-    vals = np.polynomial.polynomial.polyval(np.asarray(candidates), p)
+    with np.errstate(over="ignore"):
+        vals = np.polynomial.polynomial.polyval(np.asarray(candidates), p)
     return float(np.min(vals)), float(np.max(vals))
 
 

@@ -1,16 +1,21 @@
 """Command-line parsing, file formats, plot export, and exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import wavefan as wf
+from wavefan import cli_io
 from wavefan.cli_io import (
+    _BLOCK_VALUES,
     _csv_text,
     _render_svg,
     emit_plotdata,
@@ -185,10 +190,12 @@ def csv_rows_oracle(header, columns):
     return ("\n".join(rows) + "\n").encode("utf-8")
 
 
-# nan, infinities, signed zero, the smallest subnormal, and the magnitudes
-# where %g switches between fixed and exponent form
+# nan, infinities, signed zero, the smallest subnormal, the magnitudes where
+# %g switches between fixed and exponent form, a value whose log10 rounds up
+# a decade (1e23 is 9.99...92e22) and one whose 17 digits cross a decade edge
 AWKWARD = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17,
-                    -1e17, 1e-4, 1e-5, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -1e300])
+                    -1e17, 1e-4, 1e-5, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -1e300,
+                    1e23, 9.9999999999999995e-08])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])   # riemann has 2 columns, profile 3, corner 5
@@ -198,6 +205,73 @@ def test_csv_text_matches_row_oracle_on_awkward_values(k, rows):
     columns = [np.roll(AWKWARD, j)[:rows] for j in range(k)]
     assert _csv_text(names, columns).encode("utf-8") == csv_rows_oracle(",".join(names),
                                                                          columns)
+
+
+@given(st.integers(1, 5), st.data())
+def test_csv_text_matches_row_oracle_on_bit_patterns(k, data):
+    # arbitrary bit patterns (every NaN payload and sign too), with drawn
+    # floats, which favour nan, infinities, signed zeros and subnormals,
+    # scattered over 0-3 blocks of rows
+    rows = data.draw(st.integers(0, 3 * (_BLOCK_VALUES // k)), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    table = rng.integers(0, 2 ** 64, (rows, k), dtype=np.uint64, endpoint=False).view(float)
+    if rows:
+        for x in data.draw(st.lists(st.floats(), max_size=30), label="floats"):
+            table[rng.integers(rows), rng.integers(k)] = x
+    names = ["c%d" % j for j in range(k)]
+    columns = list(table.T)
+    assert _csv_text(names, columns).encode("utf-8") == csv_rows_oracle(",".join(names),
+                                                                         columns)
+
+
+def test_csv_text_matches_row_oracle_on_powers_of_ten_and_random_bits():
+    powers = np.array([float("1e%d" % j) for j in range(-323, 309)])
+    sweep = np.concatenate([powers, np.nextafter(powers, 0.0),
+                            np.nextafter(powers, np.inf)])
+    bits = np.random.default_rng(2032).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64,
+                                                endpoint=False).view(float)
+    for column in (sweep, -sweep, bits):
+        assert _csv_text(["x"], [column]).encode("utf-8") == csv_rows_oracle("x", [column])
+
+
+# doubles whose scaled value |x|*10^(16-e), e = floor(log10|x|), lies within
+# 2^-44 above a half-integer, found by a modular search over the significands
+NEAR_TIES = [1.0019038333442954e-05, 1.00041260572505e-20, 1.0007985218970517e-100,
+             1.0021268126263753e-250, 1.006838268778708e-300, 1.0019999468942855e+100,
+             1.0012940269853538e+300]
+
+
+def test_near_ties_are_left_to_percent(monkeypatch):
+    for x in NEAR_TIES:
+        e = math.floor(math.log10(x))
+        y = Fraction(x) * Fraction(10) ** (16 - e)
+        assert 0 < y - math.floor(y) - Fraction(1, 2) < Fraction(1, 2 ** 44)
+    column = np.array(NEAR_TIES + [-x for x in NEAR_TIES] + [0.1, -2.5e-300])
+    assert _csv_text(["x"], [column]).encode("utf-8") == csv_rows_oracle("x", [column])
+    # the kernel's error bound cannot decide their last digit: a marked
+    # fallback format shows that '%' wrote them, and only them
+    monkeypatch.setattr(cli_io, "_FMT", b"<%.17g>")
+    marked = [row.startswith("<") for row in _csv_text(["x"], [column]).splitlines()[1:]]
+    assert marked == [True] * (2 * len(NEAR_TIES)) + [False, False]
+
+
+@pytest.mark.parametrize("way", [-np.inf, np.inf])
+def test_a_log10_an_ulp_off_leaves_the_decade_to_percent(monkeypatch, way):
+    # numpy's log10 is not correctly rounded on every CPU: an ulp low at a
+    # power of ten (or high just below one) puts the decade one off, so the
+    # digits reach 10^17 (or stay below 10^16), and '%' writes the value,
+    # negative ones too
+    exact = 10.0 ** np.arange(23)                  # 1 to 1e22, every one a double
+    powers = np.concatenate([exact, [1e-300, 1e-5, 1e23, 1e300]])
+    below = np.nextafter(powers, 0.0)
+    column = np.concatenate([powers, -powers, below, -below])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), way))
+    assert _csv_text(["x"], [column]).encode("utf-8") == csv_rows_oracle("x", [column])
+    if way < 0:
+        monkeypatch.setattr(cli_io, "_FMT", b"<%.17g>")
+        rows = _csv_text(["x"], [np.concatenate([exact, -exact])]).splitlines()[1:]
+        assert all(row.startswith("<") for row in rows)
 
 
 def test_write_profile_matches_row_oracle(tmp_path, shock_profile):
@@ -233,6 +307,9 @@ def test_read_profile_error_positions(tmp_path):
         ("xi,u,du\n0,abc,2\n", ":2:"),
         ("xi,u,du\n0,1,2\n0,1,2\n", ":3:"),
         ("xi,u,du\n", ":2:"),
+        ("xi,u,du\n0,0,0\nnan,0,0\n1,0,0\n", ":3:"),
+        ("xi,u,du\ninf,0,0\n", ":2:"),
+        ("xi,u,du\n0,0,0\n-inf,0,0\n", ":3:"),
     ]
     for text, where in cases:
         path = tmp_path / "bad.csv"

@@ -229,3 +229,21 @@ def test_constant_polynomial_rejected():
         wf.polynomial_flux((1.0,))
     with pytest.raises(InvalidParameterError):
         wf.polynomial_flux((1.0, 0.0))
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1e308), (0.0, 0.0, 0.0, 1e308),
+                                    (1.0, 0.0, 0.0, -7e307)])
+def test_coefficients_whose_derivatives_overflow_are_rejected(coeffs):
+    # the suite turns numpy's overflow RuntimeWarning into an error, so only a
+    # clean InvalidParameterError passes
+    with pytest.raises(InvalidParameterError, match="overflow"):
+        wf.polynomial_flux(coeffs)
+    flux = wf.polynomial_flux((0.0, 0.0, 5e307))    # 2*c fits: accepted
+    assert wf.derivative(flux, 1.0) == 1e308
+
+
+def test_cli_rejects_a_flux_whose_derivatives_overflow(capsys):
+    from wavefan.cli_io import main
+    assert main(["solve", "--flux", "poly:0,0,1e308", "--ul", "-2", "--ur", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "overflow" in err[0]

@@ -306,10 +306,10 @@ def test_mesh_rejects_malformed_domain():
 
 
 def test_a_truncated_domain_out_of_doubles_is_a_coverage_error():
-    # the pad sqrt(2*eps*ln(1/tail_tol)) overflows, or the range of f' does;
-    # the message names what the domain was computed from, not a given one
-    with np.errstate(over="ignore"):
-        steep = wf.parse_flux_token("poly:0,0,1e308")
+    # the pad sqrt(2*eps*ln(1/tail_tol)) overflows, or the range of f' does
+    # (f' = 1e308*u on [-2, 2]), neither with a warning; the message names
+    # what the domain was computed from, not a given one
+    steep = wf.parse_flux_token("poly:0,0,5e307")
     for prob in (make_problem(-1.0, 1.0, 1e308), make_problem(-2.0, 2.0, 0.01, flux=steep)):
         with pytest.raises(CoverageError, match="tail_tol = 1e-05 for eps = .*not finite"):
             wf.build_mesh(prob)
