@@ -10,7 +10,6 @@ from .errors import (
     ConfigError,
     CoverageError,
     DegenerateProfileError,
-    InconclusiveProbeError,
     InvalidParameterError,
     NonConvergenceError,
     ProfileFormatError,

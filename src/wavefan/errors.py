@@ -3,7 +3,8 @@
 Every failure mode raised by the solvers and checks is a subclass of
 WavefanError, so callers can catch one base type at the CLI boundary and
 still discriminate programmatically everywhere else. A solve that does not
-converge raises NonConvergenceError, whatever stopped it.
+converge raises NonConvergenceError, whatever stopped it. A verdict is not
+an error: a uniqueness probe with too few runs in class returns its counts.
 """
 
 from __future__ import annotations
@@ -21,18 +22,14 @@ class UnsupportedFluxError(WavefanError, ValueError):
     """An operation that only makes sense for the quadratic flux got another one."""
 
 
-class _ReportedError(WavefanError, RuntimeError):
-    """A failure that carries a report of what ran: a solver's partial
-    solve report (its residual history), a probe's run counts."""
+class NonConvergenceError(WavefanError, RuntimeError):
+    """Newton (or the Dafermos flow before it) failed to converge; a singular
+    or non-finite Newton system is a rejected step like any other. The
+    report, when given, is the partial solve report (its residual history)."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class NonConvergenceError(_ReportedError):
-    """Newton (or the Dafermos flow before it) failed to converge; a singular
-    or non-finite Newton system is a rejected step like any other."""
 
 
 class CoverageError(WavefanError, ValueError):
@@ -47,12 +44,6 @@ class WindowError(WavefanError, ValueError):
 class DegenerateProfileError(WavefanError, ValueError):
     """A profile violates a structural assumption (e.g. a zero slope where
     a logarithm of the slope is required)."""
-
-
-class InconclusiveProbeError(_ReportedError):
-    """Too few probe runs converged to say anything about uniqueness; the
-    report is a ProbeResult with the in-class, out-of-class and failed
-    counts and an infinite max_distance."""
 
 
 class ProfileFormatError(WavefanError, ValueError):

@@ -101,7 +101,7 @@ _FLOW_CUT = 4.0
 _FLOW_HANDOVER = 1e-3
 _FLOW_STEPS = 100
 _LAYER_DT = 1.0 / 16.0   # see _ShockLayer
-_LAYER_T = 20.0
+_LAYER_T = _SHOCK_EFOLDS / 2.0
 _CENTRE_WINDOW = 1.0     # see initial_guess
 
 
@@ -588,9 +588,12 @@ class _ShockLayer:
     grows like exp(2|t|) where g has a double one, at a sonic state next to
     a fan (an algebraic tail, U - u_R ~ eps/xi). Each side of t = 0 is
     integrated outward by the trapezoid rule in steps `_LAYER_DT` to
-    |t| = `_LAYER_T`, where w is within e^-40 of 0 or 1, so xi(t) carries an
-    O(_LAYER_DT^2) relative error; it is exact when f is quadratic, where P
-    is constant and U = u_L + (u_R - u_L)/(1 + exp(-(f'(u_L) - s)*xi/eps)),
+    |t| = `_LAYER_T` = `_SHOCK_EFOLDS`/2 = 20, where w, about e^(-2|t|)
+    from its end, is within e^-40 of 0 or 1: the depth at which
+    `build_mesh`'s shock zone ends too, since below it the layer is under
+    the jump's rounding. xi(t) carries an O(_LAYER_DT^2) relative error; it
+    is exact when f is quadratic, where P is constant and
+    U = u_L + (u_R - u_L)/(1 + exp(-(f'(u_L) - s)*xi/eps)),
     -tanh(xi/(2 eps)) for the Burgers shock 1 -> -1. A side stops early
     where P, computed next to a sonic root, is no longer positive, or where
     the distance overflows.

@@ -259,7 +259,8 @@ def _invert_fan(flux: FluxSpec, fan: RarefactionFan, xi: np.ndarray) -> np.ndarr
         hi = np.where(below, hi, u)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = u - gap / second_derivative(flux, u)
-        inside = (newton - lo) * (newton - hi) <= 0.0
+        # lo > hi on a decreasing fan; comparisons cannot overflow as a product can
+        inside = (newton >= np.minimum(lo, hi)) & (newton <= np.maximum(lo, hi))
         new = np.where(inside, newton, 0.5 * (lo + hi))
         done = (np.abs(new - u) <= tol) | (np.abs(gap) <= noise)
         u = new

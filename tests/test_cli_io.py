@@ -497,7 +497,9 @@ def test_main_verify_json_and_exit(tmp_path, capsys):
     assert code == 0
     checks = json.loads(out.read_text())
     assert "monotone" in checks and "sweeping_margin" in checks
-    assert all({"value", "threshold", "pass"} == set(v) for v in checks.values())
+    counts = {"n_converged", "n_out_of_class", "n_failed"}
+    assert all(set(v) == {"value", "threshold", "pass"}
+               | (counts if k == "uniqueness_probe" else set()) for k, v in checks.items())
     capsys.readouterr()
     # filtering to one known check
     assert main(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05",

@@ -364,6 +364,14 @@ def test_data_whose_chords_overflow_f_are_solved_by_their_slopes():
     assert fan.xi_lo == shock.speed and fan.xi_hi == pytest.approx(3e300, rel=1e-14)
 
 
+def test_a_fan_near_the_range_of_doubles_inverts_without_overflow():
+    # the grid `wavefan riemann` samples; the fan inversion's bracket test
+    # multiplied two distances of about 1e200 and overflowed
+    sol = wf.solve_exact(BURGERS, -1e200, 1e200)
+    xi = np.linspace(-1e200 - 1.0, 1e200 + 1.0, 401)
+    assert np.array_equal(wf.eval_riemann(sol, xi), np.clip(xi, -1e200, 1e200))
+
+
 @pytest.mark.parametrize("token, ul, ur", [
     # chord slopes past the largest double
     ("poly:0,0,0,1", -1e200, 1e200),

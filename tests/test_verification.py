@@ -11,7 +11,6 @@ import pytest
 import wavefan as wf
 from wavefan.errors import (
     CoverageError,
-    InconclusiveProbeError,
     InvalidParameterError,
     UnsupportedFluxError,
     WindowError,
@@ -584,21 +583,19 @@ def test_uniqueness_probe_validation_and_inconclusive(shock_problem, monkeypatch
 
     monkeypatch.setattr(verification, "newton_solve", newton)
     monkeypatch.setattr(profile_bvp, "_FLOW_STEPS", 1)
-    with pytest.raises(InconclusiveProbeError,
-                       match="only 0 of 2 .* class; 0 converged out of it and 2 failed") as exc:
-        wf.uniqueness_probe(shock_problem, n_guesses=2)
+    result = wf.uniqueness_probe(shock_problem, n_guesses=2)
     assert newtons == []
-    assert exc.value.report == wf.ProbeResult(math.inf, 0, 2, 0)
+    assert result == wf.ProbeResult(max_distance=math.inf, n_converged=0, n_failed=2,
+                                    n_out_of_class=0)
 
 
 def test_inconclusive_probe_reports_its_counts():
     # the cubic's six default ramps at 0.005: one run ends in the class, one
     # in an unresolved steady state out of it, and four flows stall
     problem = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), -1.0, 1.0, 0.005)
-    with pytest.raises(InconclusiveProbeError) as exc:
-        wf.uniqueness_probe(problem, n_guesses=6)
-    assert exc.value.report == wf.ProbeResult(max_distance=math.inf, n_converged=1,
-                                              n_failed=4, n_out_of_class=1)
+    result = wf.uniqueness_probe(problem, n_guesses=6)
+    assert result == wf.ProbeResult(max_distance=math.inf, n_converged=1, n_failed=4,
+                                    n_out_of_class=1)
 
 
 def test_verification_imports_no_private_profile_bvp_name_but_the_workspace():
@@ -654,9 +651,9 @@ def test_uniqueness_probe_leaves_out_of_class_runs_out(shock_problem, monkeypatc
 def test_uniqueness_probe_is_inconclusive_with_one_run_in_class(shock_problem,
                                                                 monkeypatch, spoiler):
     _spoil_runs(monkeypatch, [spoiler])
-    with pytest.raises(InconclusiveProbeError,
-                       match="only 1 of 2 .* class; 1 converged out of it and 0 failed"):
-        wf.uniqueness_probe(shock_problem, n_guesses=2)
+    result = wf.uniqueness_probe(shock_problem, n_guesses=2)
+    assert result == wf.ProbeResult(max_distance=math.inf, n_converged=1, n_failed=0,
+                                    n_out_of_class=1)
 
 
 @pytest.mark.parametrize("units, in_class", [(4, True), (8, False)])
@@ -763,6 +760,18 @@ def test_battery_on_shock(shock_problem):
     assert diag.margins["sweeping_margin"] > 0.0
 
 
+def test_a_passing_probe_entry_carries_its_run_counts(shock_problem):
+    entry = wf.run_battery(shock_problem)[0]["uniqueness_probe"]
+    probe = wf.uniqueness_probe(shock_problem, seed=verification.DEFAULT_PROBE_SEED)
+    assert entry["pass"]
+    assert list(entry) == ["value", "threshold", "pass",
+                           "n_converged", "n_out_of_class", "n_failed"]
+    assert (entry["value"], entry["n_converged"], entry["n_out_of_class"],
+            entry["n_failed"]) == (probe.max_distance, probe.n_converged,
+                                   probe.n_out_of_class, probe.n_failed)
+    assert probe.n_converged + probe.n_out_of_class + probe.n_failed == 6
+
+
 def test_battery_on_rarefaction(rarefaction_problem):
     checks, diag = wf.run_battery(rarefaction_problem)
     assert set(checks) == {"monotone", "l1_window", "first_integral_spread",
@@ -790,8 +799,10 @@ def test_battery_sizes_its_translates_to_narrow_domains(ul, eps):
     else:
         applicable.add("sweeping_margin")
     assert set(checks) == applicable
-    for entry in checks.values():
-        assert set(entry) == {"value", "threshold", "pass"}
+    counts = {"n_converged", "n_out_of_class", "n_failed"}
+    for name, entry in checks.items():
+        assert set(entry) == {"value", "threshold", "pass"} \
+            | (counts if name == "uniqueness_probe" else set())
     assert checks["translation_invariance"]["pass"]
     xi = wf.solve_profile(prob)[0].xi
     assert diag.lam == min(0.1, 0.5 * (xi[-1] - xi[0]))
