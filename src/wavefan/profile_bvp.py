@@ -90,7 +90,6 @@ _H_BASE = 0.05           # coarsest mesh spacing
 _SHOCK_EFOLDS = 40.0     # mesh density terms, see build_mesh
 _PECLET = 0.5
 _FAN_SPACING = 0.035
-_FAN_REACH = 28.0
 _CORNER_DEPTH = 4.0
 _CORNER_HALVING = 2.0 * math.log(2.0)
 _FAN_FLOOR = 0.004
@@ -216,15 +215,24 @@ def _taper(zone_lo: float, zone_hi: float, top: float):
             np.concatenate((fall[::-1], fall)))
 
 
-def _corner(width: float, top: float, root: float):
+def _reach(g: float, eps: float) -> float:
+    """The distance d past a layer's edge at which its decay count
+    (g*d + d^2/2)/eps reaches _SHOCK_EFOLDS, g >= 0 the gap of the
+    characteristic speed there: the root in the form that does not cancel.
+    The sonic case g = 0 gives sqrt(2*_SHOCK_EFOLDS*eps)."""
+    return 2.0 * _SHOCK_EFOLDS * eps / (g + math.sqrt(g * g + 2.0 * _SHOCK_EFOLDS * eps))
+
+
+def _corner(width: float, top: float, eps: float):
     """Knots (d, rho) of the density term of the corner layer at a fan edge,
-    d the distance from the edge outward, width the fan's width and root =
-    sqrt(eps). It is `top` on [-_CORNER_DEPTH*root, _FAN_REACH*root], falls
-    off outside by `_falloff`, and inside halves every _CORNER_HALVING*root
-    (as chords between the halvings) down to min(top, 1/_FAN_FLOOR), which
-    it keeps to the fan's far edge, d = -width. Both edges of a fan have the
-    same knots in d."""
-    reach, fall = _falloff(top)
+    d the distance from the edge outward and width the fan's width. With
+    root = sqrt(eps) it is `top` on [-_CORNER_DEPTH*root, _reach(0, eps)],
+    falls off outside by `_falloff`, and inside halves every
+    _CORNER_HALVING*root (as chords between the halvings) down to
+    min(top, 1/_FAN_FLOOR), which it keeps to the fan's far edge, d =
+    -width. Both edges of a fan have the same knots in d."""
+    root = math.sqrt(eps)
+    t, fall = _falloff(top)
     # the halvings s = H, ceil(H) - 1, ..., 1, 0 inside, H down to the floor;
     # every double is below 2^1024, so only an infinite top (c*sqrt(eps)
     # underflowed, and the node count rejects the mesh) is clipped
@@ -232,7 +240,7 @@ def _corner(width: float, top: float, root: float):
     steps = np.arange(math.ceil(halvings), -1.0, -1.0)
     steps[0] = halvings
     d = np.concatenate((steps * (-_CORNER_HALVING * root) - _CORNER_DEPTH * root,
-                        reach + _FAN_REACH * root))
+                        t + _reach(0.0, eps)))
     rho = np.concatenate((top * 0.5 ** steps, fall))
     keep = d > -width
     return (np.concatenate(([-width], d[keep])),
@@ -256,19 +264,16 @@ def _density_terms(problem: ProfileProblem, exact, c: float, lo: float, hi: floa
     for wave in exact.waves:
         if isinstance(wave, Shock):
             s = wave.speed
-            # (g*d + d^2/2)/eps = _SHOCK_EFOLDS, in the form that does not cancel
-            reach = [2.0 * _SHOCK_EFOLDS * eps
-                     / (g + math.sqrt(g * g + 2.0 * _SHOCK_EFOLDS * eps))
-                     for g in (max(float(derivative(problem.flux, wave.u_left)) - s, 0.0),
-                               max(s - float(derivative(problem.flux, wave.u_right)), 0.0))]
-            zone = (s - reach[0], s + reach[1])
+            g_left = max(float(derivative(problem.flux, wave.u_left)) - s, 0.0)
+            g_right = max(s - float(derivative(problem.flux, wave.u_right)), 0.0)
+            zone = (s - _reach(g_left, eps), s + _reach(g_right, eps))
             x, rho = _taper(*zone, float(max(today(np.array(zone)))))
             terms.append((x, rho, rho[0], rho[-1]))
         elif isinstance(wave, RarefactionFan):
             # one term per edge; past the far edge each is 0, under the
             # other edge's top there
-            root = math.sqrt(eps)
-            d, rho = _corner(wave.xi_hi - wave.xi_lo, 1.0 / (_FAN_SPACING * c * root), root)
+            top = 1.0 / (_FAN_SPACING * c * math.sqrt(eps))
+            d, rho = _corner(wave.xi_hi - wave.xi_lo, top, eps)
             terms.append((wave.xi_lo - d[::-1], rho[::-1], rho[-1], 0.0))
             terms.append((wave.xi_hi + d, rho, 0.0, rho[-1]))
     return terms
@@ -385,22 +390,22 @@ def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> 
       sqrt(80*eps).
     - A fan: one term per edge xi_e, its corner layer. With X the distance
       from the edge in units of sqrt(eps), the term is the density top of
-      the spacing _FAN_SPACING*c*sqrt(eps) from _FAN_REACH*sqrt(eps)
-      outside the edge to X = _CORNER_DEPTH = 4 inside it.
+      the spacing _FAN_SPACING*c*sqrt(eps) from X = sqrt(2*_SHOCK_EFOLDS)
+      = 8.9 outside the edge to X = _CORNER_DEPTH = 4 inside it.
       _FAN_SPACING = 0.035 is sqrt(0.005)/2: at eps = 0.005, the smallest
       viscosity at which `corner_remainder` still measures the expansion
       and not mesh error (`run_battery`), it is today's spacing on the
       Burgers rarefaction (S = 2), and the coarsest uniform fan spacing
       found to leave that value unchanged. Outside the fan the corner
-      decays like the Gaussian e^(-X^2/2), at the rate r = X*sqrt(eps); its
-      layer spacing c*eps/r = c*sqrt(eps)/X is coarser than top's
-      _FAN_SPACING*c*sqrt(eps) for every X below 1/_FAN_SPACING = 28.6, so
-      top is finer than the corner needs all the way out to _FAN_REACH = 28,
-      where the corner is below e^-392 and the first term takes over. By
-      the shock term's rounding argument the corner needs no layer spacing
-      past X = sqrt(2*_SHOCK_EFOLDS) = 8.9, where it falls below e^-40;
-      _FAN_REACH is kept at 28 all the same, because a shorter reach changes
-      the mesh, and with it the profile, of every fan.
+      decays like the Gaussian e^(-X^2/2) = exp(-d^2/(2*eps)): the shock
+      term's count of e-folds with gap g = 0, since the constant state's
+      characteristic runs along the edge. So its reach is the shock term's
+      sonic one (`_reach`), sqrt(80*eps), where the corner falls below
+      e^-40 and under the rounding of its states. Up to there its own
+      layer spacing c*eps/r, at the rate r = X*sqrt(eps), is
+      c*sqrt(eps)/X, coarser than top's _FAN_SPACING*c*sqrt(eps) for every
+      X below 1/_FAN_SPACING = 28.6. A corner that faces a domain end is
+      cut off before its reach, by the truncation pad of 5.8*sqrt(eps).
       Inside the fan the corner's remainder decays like e^-X, and so does
       the truncation error of the central differences on it, times h^2.
       Holding h^2*e^-X at its value at X = _CORNER_DEPTH makes h grow like

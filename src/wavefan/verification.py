@@ -19,11 +19,11 @@ would bury the margins under O(h^2) interpolation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corner_layer import CornerProfile, first_integral_H, solve_corner
+from .corner_layer import first_integral_H, solve_corner
 from .errors import (
     CoverageError,
     InvalidParameterError,
@@ -67,7 +67,6 @@ class DiagnosticsRecord:
     M: float            # threshold beyond which the barrier argument applies
     lam: float          # translate amount used for the margin checks
     margins: dict       # check-name -> reported margin
-    undecided: dict = field(default_factory=dict)  # margin check -> nodes inside roundoff
 
     def __post_init__(self):
         if not (np.isfinite(self.K) and self.K >= 0.0):
@@ -123,8 +122,7 @@ def check_symmetry(profile: Profile, u_left: float, u_right: float,
     return float(np.max(np.abs(mirrored_u + u[mask] - total)))
 
 
-def check_corner_expansion(profile: Profile, corner: CornerProfile,
-                           problem: ProfileProblem) -> float:
+def check_corner_expansion(profile: Profile, problem: ProfileProblem) -> float:
     """Normalized remainder of the corner-layer expansion at the fan's left
     edge: sup over nodes with xi <= (uL+uR)/2 of
 
@@ -132,13 +130,22 @@ def check_corner_expansion(profile: Profile, corner: CornerProfile,
 
     The exponential weight makes boundedness of the result a sharp statement
     about the expansion's error term; below eps = 1.985e-6, where it
-    overflows (1/sqrt(eps) > ln(DBL_MAX)), the check raises CoverageError."""
+    overflows (1/sqrt(eps) > ln(DBL_MAX)), the check raises CoverageError.
+
+    U is `solve_corner`'s profile on [-8, xi_max], xi_max = max(10,
+    ceil((mid - uL)/sqrt(eps))) capped at its 30, where (mid - uL)/sqrt(eps)
+    is the rescaled half-mesh's right end, with nodes no farther apart than
+    the default 2,001 on [-8, 10]. A rescaled mesh that it does not cover,
+    for -1 -> 1 below eps = 1/900, about 1.1e-3, raises CoverageError."""
     if not problem.u_left < problem.u_right:
         raise InvalidParameterError("corner expansion applies to increasing data")
     root = math.sqrt(problem.epsilon)
     if 1.0 / root > _LOG_MAX:
         raise CoverageError("the weight e^(1/sqrt(eps)) overflows below eps = 1.985e-6")
     mid = 0.5 * (problem.u_left + problem.u_right)
+    xi_max = min(max(10, math.ceil((mid - problem.u_left) / root)), 30)
+    corner = solve_corner(xi_max=float(xi_max),
+                          n_points=1 + math.ceil(2000 * (xi_max + 8) / 18))
     mask = profile.xi <= mid
     s = (profile.xi[mask] - problem.u_left) / root
     if s[0] < corner.xi[0] or s[-1] > corner.xi[-1]:
@@ -401,39 +408,26 @@ def windowed_by_slope(profile: Profile, ratio: float = 1e-6) -> Profile:
     return Profile(xi=profile.xi[lo:hi], u=profile.u[lo:hi], du=profile.du[lo:hi])
 
 
-def _corner_for(problem: ProfileProblem) -> CornerProfile:
-    """The corner profile that `check_corner_expansion` needs for `problem`:
-    on [-8, xi_max], xi_max = max(10, ceil((mid - uL)/sqrt(eps))) capped at
-    `solve_corner`'s 30, where (mid - uL)/sqrt(eps) is the rescaled
-    half-mesh's right end computed as the check computes it; its nodes are
-    no farther apart than the default 2,001 on [-8, 10]."""
-    reach = math.ceil((0.5 * (problem.u_left + problem.u_right) - problem.u_left)
-                      / math.sqrt(problem.epsilon))
-    xi_max = min(max(10, reach), 30)
-    return solve_corner(xi_max=float(xi_max),
-                        n_points=1 + math.ceil(2000 * (xi_max + 8) / 18))
-
-
 def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
                 seed: int | None = None):
     """Run every check that applies to the problem.
 
     Returns (checks, diagnostics): checks maps check-name to
-    {"value", "threshold", "pass"}, and the uniqueness probe's entry,
+    {"value", "threshold", "pass"}. The uniqueness probe's entry,
     inconclusive or not, adds its run counts n_converged (in class),
-    n_out_of_class and n_failed; diagnostics records the constants the
-    comparison-function checks used and, per translate margin, the number
-    of nodes whose defect is within its roundoff. `monotone` passes down to
-    minus the probe's rounding bound (`_rounding_tol`);
-    `sliding_supersolution_margin` and `sweeping_supersolution_margin` pass
-    when their value exceeds 0.
+    n_out_of_class and n_failed, and the translate margin's entry adds
+    `undecided`, the number of nodes whose defect is within its roundoff;
+    diagnostics records the constants the comparison-function checks used
+    and the margins. `monotone` passes down to minus the probe's rounding
+    bound (`_rounding_tol`); `sliding_supersolution_margin` and
+    `sweeping_supersolution_margin` pass when their value exceeds 0.
     The margins' lam, 0.1, and the translation check's shift, 0.7, are
     capped at half the domain's width so the translates overlap it (for
     Burgers +-1 the domain is over 2 wide; for +-0.1 at eps 1e-3, 0.57).
-    `corner_remainder` is omitted below eps = 1.985e-6, where its
-    weight overflows (`check_corner_expansion`), and where the corner
-    profile, capped at xi = 30, cannot reach the rescaled half-mesh
-    (`_corner_for`): for -1 -> 1 below eps = 1/900, about 1.1e-3. A
+    `corner_remainder` is omitted where `check_corner_expansion` raises
+    CoverageError: below eps = 1.985e-6, where its weight overflows, and
+    where the corner profile, capped at xi = 30, cannot reach the rescaled
+    half-mesh, for -1 -> 1 below eps = 1/900, about 1.1e-3. A
     non-finite value fails and is left out of the margins. Below eps of
     about 0.004 it is reported but measures the mesh's error, not the
     expansion's: its weight e^(1/sqrt(eps))/sqrt(eps) magnifies the
@@ -467,11 +461,10 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
 
     checks = {}
     margins = {}
-    undecided = {}
 
-    def record(name, value, threshold, ok):
+    def record(name, value, threshold, ok, **counts):
         checks[name] = {"value": float(value), "threshold": float(threshold),
-                        "pass": bool(ok)}
+                        "pass": bool(ok), **counts}
 
     mono = check_monotone(profile, problem.u_left, problem.u_right)
     tol = _rounding_tol(problem)
@@ -506,7 +499,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         record("symmetry", sym, 1e-6, sym <= 1e-6)
 
         try:
-            rem = check_corner_expansion(profile, _corner_for(problem), problem)
+            rem = check_corner_expansion(profile, problem)
             record("corner_remainder", rem, math.inf, np.isfinite(rem))
             if np.isfinite(rem):
                 margins["corner_remainder"] = rem
@@ -515,9 +508,9 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
 
     if problem.u_left != problem.u_right:
         name = "sliding_margin" if increasing else "sweeping_margin"
-        value, undecided[name] = sliding_supersolution_margin(profile, problem, lam) \
+        value, undecided = sliding_supersolution_margin(profile, problem, lam) \
             if increasing else sweeping_supersolution_margin(profile, problem, lam, big_k)
-        record(name, value, 0.0, value > 0.0)
+        record(name, value, 0.0, value > 0.0, undecided=undecided)
         margins[name] = value
 
     if increasing:
@@ -526,10 +519,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         margins["barrier_margin"] = barrier
 
     probe = uniqueness_probe(problem, opts, seed=seed)
-    record("uniqueness_probe", probe.max_distance, 1e-6, probe.max_distance <= 1e-6)
-    checks["uniqueness_probe"].update(
-        (k, getattr(probe, k)) for k in ("n_converged", "n_out_of_class", "n_failed"))
+    record("uniqueness_probe", probe.max_distance, 1e-6, probe.max_distance <= 1e-6,
+           n_converged=probe.n_converged, n_out_of_class=probe.n_out_of_class,
+           n_failed=probe.n_failed)
 
-    diagnostics = DiagnosticsRecord(K=big_k, M=big_m, lam=lam, margins=margins,
-                                    undecided=undecided)
-    return checks, diagnostics
+    return checks, DiagnosticsRecord(K=big_k, M=big_m, lam=lam, margins=margins)

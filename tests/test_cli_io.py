@@ -497,9 +497,10 @@ def test_main_verify_json_and_exit(tmp_path, capsys):
     assert code == 0
     checks = json.loads(out.read_text())
     assert "monotone" in checks and "sweeping_margin" in checks
-    counts = {"n_converged", "n_out_of_class", "n_failed"}
-    assert all(set(v) == {"value", "threshold", "pass"}
-               | (counts if k == "uniqueness_probe" else set()) for k, v in checks.items())
+    counts = {"uniqueness_probe": {"n_converged", "n_out_of_class", "n_failed"},
+              "sweeping_margin": {"undecided"}}
+    assert all(set(v) == {"value", "threshold", "pass"} | counts.get(k, set())
+               for k, v in checks.items())
     capsys.readouterr()
     # filtering to one known check
     assert main(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05",
@@ -533,6 +534,19 @@ def test_main_verify_says_why_the_probe_failed(tmp_path, capsys):
                      "n_converged": 1, "n_out_of_class": 1, "n_failed": 4}
     assert ("FAIL uniqueness_probe: value=inf threshold=1.000000e-06 "
             "n_converged=1 n_out_of_class=1 n_failed=4\n") in capsys.readouterr().err
+
+
+def test_main_verify_says_how_many_margin_nodes_were_undecided(tmp_path, capsys):
+    # the cubic 1 -> 0 at 0.01 fails its sweeping margin by a value far
+    # below its roundoff everywhere but on a few nodes
+    out = tmp_path / "checks.json"
+    code = main(["verify", "--flux", "poly:0,0,0,1", "--ul", "1", "--ur", "0",
+                 "--eps", "0.01", "--out", str(out)])
+    assert code == 1
+    entry = json.loads(out.read_text())["sweeping_margin"]
+    assert not entry["pass"] and entry["undecided"] > 0
+    assert ("FAIL sweeping_margin: value=%.6e threshold=0.000000e+00 undecided=%d\n"
+            % (entry["value"], entry["undecided"])) in capsys.readouterr().err
 
 
 def test_main_verify_unknown_check(capsys):

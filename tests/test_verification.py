@@ -690,9 +690,8 @@ def test_uniqueness_probe_relaxed_along_the_flow_agrees(flux, ul, eps):
 # ---------------------------------------------------------------------------
 # corner expansion hook
 
-def test_corner_expansion_remainder_is_small(rarefaction_problem, rarefaction_profile,
-                                             corner):
-    rem = wf.check_corner_expansion(rarefaction_profile, corner, rarefaction_problem)
+def test_corner_expansion_remainder_is_small(rarefaction_problem, rarefaction_profile):
+    rem = wf.check_corner_expansion(rarefaction_profile, rarefaction_problem)
     assert np.isfinite(rem)
     assert 0.0 < rem < 10.0
 
@@ -700,30 +699,31 @@ def test_corner_expansion_remainder_is_small(rarefaction_problem, rarefaction_pr
 def test_corner_expansion_reads_the_interpolation_error_on_the_expansion_itself(
         rarefaction_problem, corner):
     # a profile that is the expansion, sampled at the midpoints of the
-    # corner's nodes, leaves only the interpolation error, O(h^4) with
-    # h = 0.009, times the weight e^{1/sqrt(eps)}/sqrt(eps) ~ 390
+    # nodes of the check's corner (the default one at eps 0.05), leaves only
+    # the interpolation error, O(h^4) with h = 0.009, times the weight
+    # e^{1/sqrt(eps)}/sqrt(eps) ~ 390
     fine = wf.solve_corner(n_points=2 * len(corner.xi) - 1)
     root = math.sqrt(rarefaction_problem.epsilon)
     ul = rarefaction_problem.u_left
     expansion = wf.Profile(ul + root * fine.xi, ul + root * fine.u)
-    rem = wf.check_corner_expansion(expansion, corner, rarefaction_problem)
+    rem = wf.check_corner_expansion(expansion, rarefaction_problem)
     assert rem <= 1e-8
 
 
-def test_corner_expansion_errors(rarefaction_problem, rarefaction_profile,
-                                 shock_problem, shock_profile, corner):
+def test_corner_expansion_errors(shock_problem, shock_profile):
     with pytest.raises(InvalidParameterError):
-        wf.check_corner_expansion(shock_profile, corner, shock_problem)
-    short = wf.solve_corner(xi_max=2.0)
-    with pytest.raises(CoverageError):
-        wf.check_corner_expansion(rarefaction_profile, short, rarefaction_problem)
+        wf.check_corner_expansion(shock_profile, shock_problem)
+    # the rescaled half-mesh reaches 1/sqrt(1e-3) = 31.6, past the corner's cap of 30
+    prob = wf.ProfileProblem(BURGERS, -1.0, 1.0, 1e-3)
+    with pytest.raises(CoverageError, match="corner profile covers"):
+        wf.check_corner_expansion(wf.solve_profile(prob)[0], prob)
 
 
-def test_corner_expansion_weight_overflow_is_a_coverage_error(corner):
+def test_corner_expansion_weight_overflow_is_a_coverage_error():
     # e^(1/sqrt(eps)) is e^1000 at eps 1e-6, past the largest double
     prob = wf.ProfileProblem(BURGERS, -0.01, 0.01, 1e-6)
     with pytest.raises(CoverageError, match="overflows"):
-        wf.check_corner_expansion(wf.solve_profile(prob)[0], corner, prob)
+        wf.check_corner_expansion(wf.solve_profile(prob)[0], prob)
 
 
 def test_battery_fails_a_non_finite_corner_remainder(monkeypatch, rarefaction_problem):
@@ -799,10 +799,10 @@ def test_battery_sizes_its_translates_to_narrow_domains(ul, eps):
     else:
         applicable.add("sweeping_margin")
     assert set(checks) == applicable
-    counts = {"n_converged", "n_out_of_class", "n_failed"}
+    counts = {"uniqueness_probe": {"n_converged", "n_out_of_class", "n_failed"},
+              "sliding_margin": {"undecided"}, "sweeping_margin": {"undecided"}}
     for name, entry in checks.items():
-        assert set(entry) == {"value", "threshold", "pass"} \
-            | (counts if name == "uniqueness_probe" else set())
+        assert set(entry) == {"value", "threshold", "pass"} | counts.get(name, set())
     assert checks["translation_invariance"]["pass"]
     xi = wf.solve_profile(prob)[0].xi
     assert diag.lam == min(0.1, 0.5 * (xi[-1] - xi[0]))
@@ -815,10 +815,11 @@ def test_battery_judges_margins_at_their_roundoff():
     checks, diag = wf.run_battery(prob)
     defect, noise = _translate_defect(wf.solve_profile(prob)[0], prob, diag.lam)
     value, undecided = margin_verdict_oracle(defect, noise)
-    assert checks["sliding_margin"] == {"value": value, "threshold": 0.0, "pass": True}
+    assert checks["sliding_margin"] == {"value": value, "threshold": 0.0, "pass": True,
+                                        "undecided": undecided}
+    assert list(checks["sliding_margin"]) == ["value", "threshold", "pass", "undecided"]
     assert 0.0 < value < 1e-10
     assert diag.margins["sliding_margin"] == value
-    assert diag.undecided == {"sliding_margin": undecided}
     assert undecided > 0
 
 
