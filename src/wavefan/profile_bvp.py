@@ -66,11 +66,14 @@ profile it returns.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     CoverageError,
@@ -219,8 +222,14 @@ def _reach(g: float, eps: float) -> float:
     """The distance d past a layer's edge at which its decay count
     (g*d + d^2/2)/eps reaches _SHOCK_EFOLDS, g >= 0 the gap of the
     characteristic speed there: the root in the form that does not cancel.
-    The sonic case g = 0 gives sqrt(2*_SHOCK_EFOLDS*eps)."""
-    return 2.0 * _SHOCK_EFOLDS * eps / (g + math.sqrt(g * g + 2.0 * _SHOCK_EFOLDS * eps))
+    The sonic case g = 0 gives sqrt(2*_SHOCK_EFOLDS*eps). Where
+    2*_SHOCK_EFOLDS*eps overflows (eps above about 2.2e306) the root would
+    be inf/inf, and CoverageError is raised."""
+    depth = 2.0 * _SHOCK_EFOLDS * eps
+    if not math.isfinite(depth):
+        raise CoverageError("the layer reach of viscosity eps = %g overflows doubles "
+                            "(2*%g*eps)" % (eps, _SHOCK_EFOLDS))
+    return depth / (g + math.sqrt(g * g + depth))
 
 
 def _corner(width: float, top: float, eps: float):
@@ -879,10 +888,11 @@ def _noise_floor_bound(problem: ProfileProblem, u: np.ndarray, work: _Workspace)
 
 def jacobian(problem: ProfileProblem, profile: Profile,
              work: _Workspace | None = None) -> np.ndarray:
-    """Analytic tridiagonal Jacobian of `residual`, in banded (3, n) storage
-    for scipy.linalg.solve_banded; the boundary rows are identity. With a
-    workspace `work` the band array is the workspace's own, overwritten by
-    the next call."""
+    """Analytic tridiagonal Jacobian of `residual`, in the banded (3, n)
+    storage of `solve_banded` (ab[0, 1:] the superdiagonal, ab[1] the
+    diagonal, ab[2, :-1] the subdiagonal); the boundary rows are identity.
+    With a workspace `work` the band array is the workspace's own,
+    overwritten by the next call."""
     w = work if work is not None else _Workspace(profile.xi)
     w.slopes(profile.u)
     w.speed_offset(problem.flux, profile)
@@ -945,6 +955,47 @@ def _check_guess(profile: Profile):
         raise InvalidParameterError("mesh nodes must be strictly increasing")
 
 
+def _load_dgtsv():
+    """scipy's f2py wrapper of LAPACK's dgtsv, loaded straight from the
+    compiled extension scipy/linalg/_flapack: running scipy.linalg's package
+    init costs more than half of `import wavefan`, mostly in array-API and
+    testing modules that have nothing to do with LAPACK. When scipy.linalg
+    is already loaded, or the file cannot be loaded on its own (missing, or
+    needing a DLL search path that only scipy's init sets), it comes from
+    scipy.linalg.lapack instead: the same function object either way."""
+    if "scipy.linalg" not in sys.modules:
+        try:
+            scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+                if os.path.isfile(path):
+                    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                    module = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                    return module.dgtsv
+        except Exception:       # any failure here leaves the package's own route
+            pass
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
+
+
+_DGTSV = _load_dgtsv()
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b, A tridiagonal in the banded (3, n) storage of
+    `jacobian`, by LAPACK's dgtsv (Gaussian elimination with partial
+    pivoting; Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999):
+    the routine and the call of scipy.linalg.solve_banded((1, 1), ab, b,
+    overwrite_ab=True, overwrite_b=True), so the same x to the bit. ab and
+    b are overwritten; x is b's storage when b is a contiguous float array.
+    A singular A raises np.linalg.LinAlgError."""
+    *_, x, info = _DGTSV(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def _linear_step(problem: ProfileProblem, u: np.ndarray, r: np.ndarray,
                  work: _Workspace, shift: float = 0.0) -> np.ndarray:
     """The d with (J - shift*I) d = -r, J the Jacobian at u from the slopes
@@ -953,8 +1004,7 @@ def _linear_step(problem: ProfileProblem, u: np.ndarray, r: np.ndarray,
     ab = _jacobian_band(problem, u, work)
     ab[1, 1:-1] -= shift
     try:
-        step = solve_banded((1, 1), ab, -r, overwrite_ab=True, overwrite_b=True,
-                            check_finite=False)      # ab and -r are scratch
+        step = solve_banded(ab, -r)      # ab and -r are scratch
     except np.linalg.LinAlgError:
         step = np.full(len(u), np.nan)
     step[0], step[-1] = -r[0], -r[-1]

@@ -135,7 +135,10 @@ def _fan_end(flux: FluxSpec, p: float, u_right: float) -> float:
     """End of the fan from p: u_right if f'' stays >= 0 up to it. Otherwise
     the fan ends before the first point c where f turns concave, where the
     tangent stops supporting f; being monotone on the convex [p, c], that
-    test is bisected to one ulp, and the first state past it is returned."""
+    test is bisected to one ulp, and the first state past it is returned.
+    Where f' is at or above the chord to u_right, `_next_vertex`'s first
+    slope, it is at or above the least slope too: no fan, and the tangency
+    roots are not needed."""
     edges = [p] + sorted(_interior_critical_points(flux._d2, p, u_right)) + [u_right]
     concave = [lo for lo, hi in zip(edges, edges[1:])
                if second_derivative(flux, 0.5 * (lo + hi)) < 0.0]
@@ -145,7 +148,9 @@ def _fan_end(flux: FluxSpec, p: float, u_right: float) -> float:
     ulp = np.spacing(max(abs(lo), abs(hi)))
     while hi - lo > ulp:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _next_vertex(flux, mid, u_right)[1] else (lo, mid)
+        chord = divided_difference(flux.coefficients, mid, u_right)
+        fan = not float(derivative(flux, mid)) >= chord and _next_vertex(flux, mid, u_right)[1]
+        lo, hi = (mid, hi) if fan else (lo, mid)
     return hi
 
 

@@ -614,18 +614,26 @@ def test_main_output_path_is_directory(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_import_leaves_the_ode_and_spline_modules_unloaded():
+def test_import_leaves_the_ode_and_spline_modules_unloaded(tmp_path):
     # the corner is a quadrature and the checks interpolate by hand, so no
-    # command needs scipy's ODE, spline or special-function modules
+    # command needs scipy's ODE, spline or special-function modules; and the
+    # banded solve loads scipy's LAPACK extension alone, so neither scipy's
+    # package nor scipy.linalg is imported
+    out_csv = tmp_path / "shock.csv"
     code = ("import sys, wavefan as wf\n"
-            "heavy = ('scipy.integrate', 'scipy.interpolate', 'scipy.special')\n"
-            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "from wavefan import cli_io\n"
+            "heavy = ('scipy', 'scipy.linalg', 'scipy.integrate', 'scipy.interpolate', "
+            "'scipy.special')\n"
+            "loaded = lambda: sorted(m for m in heavy if m in sys.modules)\n"
+            "print(loaded())\n"
             "wf.solve_corner()\n"
             "checks, _ = wf.run_battery(wf.ProfileProblem(wf.burgers_flux(), -1.0, 1.0, 0.05))\n"
-            "print('corner_remainder' in checks, "
-            "sorted(m for m in heavy if m in sys.modules))")
+            "print('corner_remainder' in checks, loaded())\n"
+            "args = ['solve', '--ul', '1', '--ur', '-1', '--eps', '0.05', '--out', %r]\n"
+            "print(cli_io.main(args), loaded())" % str(out_csv))
     src = os.path.dirname(os.path.dirname(wf.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.splitlines() == ["[]", "True []"]
+    lines = out.splitlines()      # the solve's summary line comes before the last
+    assert lines[:2] + lines[-1:] == ["[]", "True []", "0 []"]

@@ -1,8 +1,12 @@
 """Discretization, Newton solver, and the Dafermos-flow fallback for viscous profiles."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -436,6 +440,18 @@ def test_mesh_rejects_underflowing_spacing(eps):
     # about 1e302, and no node is placed
     with pytest.raises(CoverageError, match="mesh exceeds"):
         wf.build_mesh(make_problem(1.0, -1.0, eps))
+
+
+@pytest.mark.parametrize("ul, ur, flux", [(1.0, -1.0, None), (-1.0, 1.0, None),
+                                          (-1.0, 1.0, CUBIC)])
+def test_a_layer_reach_out_of_doubles_names_the_viscosity(ul, ur, flux):
+    # 2*40*eps overflows above eps = 2.2e306, so the shock zone's and the
+    # corner's reach would be inf/inf; just below, the mesh is the coarse one
+    opts = wf.SolveOptions(domain=(-5.0, 5.0))
+    with pytest.raises(CoverageError, match=r"reach of viscosity eps = 3e\+306 overflows"):
+        wf.build_mesh(make_problem(ul, ur, 3e306, flux=flux), opts)
+    mesh = wf.build_mesh(make_problem(ul, ur, 2e306, flux=flux), opts)
+    assert len(mesh) == 201 and np.all(np.isfinite(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -1168,6 +1184,67 @@ def test_a_singular_band_gives_a_nan_step_and_ends_newton(monkeypatch):
     with pytest.raises(NonConvergenceError) as info:
         wf.newton_solve(prob, guess)
     assert info.value.report.iterations == 1 and not info.value.report.converged
+
+
+@pytest.mark.parametrize("ul, ur, eps, flux", [(1.0, -1.0, 0.01, None), (-1.0, 1.0, 0.01, None),
+                                               (-1.0, 1.0, 5e-3, CUBIC)])
+def test_solve_banded_is_scipys_tridiagonal_solve_bitwise(ul, ur, eps, flux):
+    # the Newton band at the guess and after one step, and the flow's band
+    # shifted by 1/dt: the same dgtsv call as scipy's solve_banded((1, 1))
+    prob = make_problem(ul, ur, eps, flux=flux)
+    guess = wf.initial_guess(prob, wf.build_mesh(prob))
+    work = profile_bvp._Workspace(guess.xi)
+    u = guess.u
+    for shift in (0.0, 0.0, 1.0 / profile_bvp._FLOW_DT):
+        r = wf.residual(prob, wf.Profile(guess.xi, u), work)
+        ab = profile_bvp._jacobian_band(prob, u, work)
+        ab[1, 1:-1] -= shift
+        expect = solve_banded((1, 1), ab, -r)
+        x = profile_bvp.solve_banded(ab.copy(), -r)
+        assert np.array_equal(x, expect)
+        u = u + x
+
+
+def test_solve_banded_raises_on_a_singular_band():
+    # an identity band with its row 2 zeroed; scipy raises the same error
+    ab = np.zeros((3, 6))
+    ab[1] = 1.0
+    ab[1, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded((1, 1), ab, np.ones(6))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        profile_bvp.solve_banded(ab, np.ones(6))
+
+
+_ROUTE = """
+import hashlib, importlib.machinery, sys
+{before}
+import wavefan as wf
+loaded = 'scipy.linalg' in sys.modules
+{after}
+from wavefan import profile_bvp
+from scipy.linalg.lapack import dgtsv
+assert profile_bvp._DGTSV is dgtsv
+profile, _ = wf.solve_profile(wf.ProfileProblem(wf.burgers_flux(), 1.0, -1.0, 0.01))
+print(loaded, hashlib.sha256(profile.u.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("before, after, loaded", [
+    ("", "import scipy.linalg", False),                   # the extension on its own
+    ("import scipy.linalg", "", True),                    # scipy.linalg already there
+    ("importlib.machinery.EXTENSION_SUFFIXES = ['.missing']", "", True),   # file not found
+])
+def test_both_routes_to_dgtsv_give_the_same_solve(before, after, loaded):
+    # in a fresh interpreter, wavefan loads scipy's dgtsv without scipy.linalg,
+    # or takes it from scipy.linalg.lapack: the same function, so the same
+    # profile to the bit, whichever module is imported first
+    profile, _ = wf.solve_profile(make_problem(1.0, -1.0, 0.01))
+    src = os.path.dirname(os.path.dirname(wf.__file__))
+    out = subprocess.run([sys.executable, "-c", _ROUTE.format(before=before, after=after)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == [str(loaded), hashlib.sha256(profile.u.tobytes()).hexdigest()]
 
 
 @pytest.mark.parametrize("spoil", [lambda d: d * np.nan, lambda d: d + 10.0])

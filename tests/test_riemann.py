@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import wavefan as wf
 from grid_envelope import GridFan, grid_waves
+from wavefan import riemann
 from wavefan.errors import CoverageError
 from wavefan.flux import evaluate
 from wavefan.riemann import ConstantState, RarefactionFan, Shock
@@ -209,6 +210,30 @@ def test_quartic_decreasing_is_one_stationary_shock():
     assert (shock.u_left, shock.u_right) == (1.0, -1.0)
     assert abs(shock.speed) <= 1e-15
     assert wf.eval_riemann(sol, shock.speed) == 1.0
+
+
+@pytest.mark.parametrize("p, ur", [(-0.9, 0.88), (-1.0, 0.2), (-1.0, 0.0), (-1.5, 0.3)])
+def test_fan_end_asks_for_roots_only_where_the_chord_does_not_decide(monkeypatch, p, ur):
+    # the bisection that asks `_next_vertex` at every step ends on the same
+    # state; where f' is at or above the chord to ur there is no fan, and
+    # the tangency roots are skipped. The fan from p ends before the
+    # quartic's concave middle, on a tangent to ur or (-0.9 -> 0.88) to
+    # the other well
+    real = riemann._next_vertex
+    assert real(QUARTIC, p, ur)[1]
+    edges = [p] + sorted(riemann._interior_critical_points(QUARTIC._d2, p, ur)) + [ur]
+    lo, hi = p, next(a for a, b in zip(edges, edges[1:])
+                     if riemann.second_derivative(QUARTIC, 0.5 * (a + b)) < 0.0)
+    ulp, steps = np.spacing(max(abs(lo), abs(hi))), 0
+    while hi - lo > ulp:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if real(QUARTIC, mid, ur)[1] else (lo, mid)
+        steps += 1
+    calls = []
+    monkeypatch.setattr(riemann, "_next_vertex",
+                        lambda *args: calls.append(args) or real(*args))
+    assert riemann._fan_end(QUARTIC, p, ur) == hi
+    assert len(calls) < steps
 
 
 def test_roundoff_slivers_fold_into_one_shock():
