@@ -38,19 +38,12 @@ from .riemann import (
     Shock,
     describe_waves,
     eval_riemann,
-    shock_speeds,
     solve_exact,
     wave_speed_span,
 )
 from .corner_layer import (
-    BarrierUpper,
     CornerProfile,
-    barrier_lower,
-    barrier_upper,
     first_integral_H,
-    fit_tail_rate,
-    gaussian_left_mass,
-    invert_first_integral,
     solve_corner,
 )
 from .profile_bvp import (

@@ -49,6 +49,7 @@ _BLOCK_VALUES = 3072        # numbers per pass of _format_block (1,024 profile r
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b", "#17becf", "#7f7f7f")
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_PAD = 640, 420, 56   # chart size and axis margin, px
 
 
 @dataclass(frozen=True)
@@ -499,14 +500,14 @@ def emit_plotdata(profiles, reference, path, labels, svg_path=None) -> None:
         _write_text(svg_path, _render_svg(grid, columns))
 
 
-def _render_svg(grid, columns, width=640, height=420, pad=56):
+def _render_svg(grid, columns):
     """Hand-rolled SVG line chart: axes, one polyline per column, legend."""
     body = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
             'viewBox="0 0 %d %d" font-family="monospace" font-size="12">'
-            % (width, height, width, height),
-            '<rect width="%d" height="%d" fill="white"/>' % (width, height)]
-    x0, x1 = pad, width - pad
-    y0, y1 = height - pad, pad
+            % (_SVG_WIDTH, _SVG_HEIGHT, _SVG_WIDTH, _SVG_HEIGHT),
+            '<rect width="%d" height="%d" fill="white"/>' % (_SVG_WIDTH, _SVG_HEIGHT)]
+    x0, x1 = _SVG_PAD, _SVG_WIDTH - _SVG_PAD
+    y0, y1 = _SVG_HEIGHT - _SVG_PAD, _SVG_PAD
     gx_lo, gx_hi = float(grid[0]), float(grid[-1])
     values = np.concatenate([col for _, col in columns])
     gy_lo, gy_hi = float(np.min(values)), float(np.max(values))
@@ -547,7 +548,7 @@ def _render_svg(grid, columns, width=640, height=420, pad=56):
     body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
                 % (x0, y0, x0, y1))
     body.append('<text x="%d" y="%d" text-anchor="middle">xi</text>'
-                % ((x0 + x1) // 2, height - 12))
+                % ((x0 + x1) // 2, _SVG_HEIGHT - 12))
     body.append("</svg>")
     return "\n".join(body) + "\n"
 

@@ -27,10 +27,10 @@ relative, shrinks by exp(-(w0^2 - xi_min^2)/2) <= e^-24 by xi_min. Newton
 in t (dxi/dt = -q/w) lands on the requested nodes, each U being the nearest
 table value plus one partial Gauss-Legendre segment.
 
-The profile is pinned by comparison functions: it stays strictly between
-`barrier_lower` and `barrier_upper` everywhere. On the right the deviation
-w decays like A*exp(-xi) (rate one, not Gaussian), which `fit_tail_rate`
-estimates from the computed profile.
+The profile stays strictly between the comparison functions max(0, xi)
+and the Gaussian/fan upper barrier, and on the right the deviation w decays
+like A*exp(-xi) (rate one, not Gaussian); the test suite checks both on the
+computed profile.
 """
 
 from __future__ import annotations
@@ -42,45 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProfileError, InvalidParameterError, WindowError
-
-# int_{-inf}^0 exp(-t^2/2) dt; the test suite checks this closed form
-# against adaptive quadrature
-GAUSS_HALF_MASS = math.sqrt(math.pi / 2.0)
+from .errors import DegenerateProfileError, InvalidParameterError
 
 # 8-point Gauss-Legendre nodes and weights, mapped to [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
-def invert_first_integral(w: float) -> float:
-    """The slope branch p in (0, 1] solving p - 1 - ln p = w^2 / 2, w >= 0.
-
-    Bisection on q = ln p: psi(q) = expm1(q) - q is strictly decreasing on
-    q <= 0, from +inf down to 0, so the root is bracketed by
-    [-(w^2/2 + 2), 0]. Working in q makes the error bound |dq| <= 1e-14 a
-    *relative* bound on p, which is far below the contractual 1e-14 absolute
-    tolerance and, more importantly, keeps the defining identity satisfied
-    to ~1e-14 even when p underflows toward exp(-450).
-    """
-    w = float(w)
-    if not np.isfinite(w) or w < 0.0:
-        raise InvalidParameterError("invert_first_integral needs finite w >= 0")
-    if w == 0.0:
-        return 1.0
-    s = 0.5 * w * w
-    lo = -(s + 2.0)
-    hi = 0.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket is down to one ulp of q; as good as it gets
-        if math.expm1(mid) - mid > s:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -91,52 +58,6 @@ class CornerProfile:
     u: np.ndarray
     p: np.ndarray
     w: np.ndarray
-
-
-@dataclass(frozen=True)
-class BarrierUpper:
-    """Upper comparison function parameters.
-
-    The right-tail piece xi + I*exp(-(xi-1)/L) is a supersolution exactly
-    when 1 - 1/L^2 - I/L > 0, which the constructor enforces.
-    """
-
-    L: float = 10.0
-    I: float = GAUSS_HALF_MASS
-
-    def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 0.0):
-            raise InvalidParameterError("barrier stretch L must be positive")
-        if 1.0 - 1.0 / self.L**2 - self.I / self.L <= 0.0:
-            raise InvalidParameterError(
-                "barrier requires 1 - 1/L^2 - I/L > 0 (L too small)")
-
-
-def gaussian_left_mass(xi):
-    """int_{-inf}^{xi} exp(-t^2/2) dt, stable in the far left tail."""
-    xi = np.asarray(xi, dtype=float)
-    out = GAUSS_HALF_MASS * np.vectorize(math.erfc, otypes=[float])(-xi / math.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def barrier_lower(xi):
-    """Strict lower comparison function max{0, xi}."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.maximum(xi, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def barrier_upper(xi, barrier: BarrierUpper | None = None):
-    """Strict upper comparison function: Gaussian mass for xi <= 0, the
-    shifted fan line xi + I on (0, 1], and an exponentially relaxing excess
-    xi + I*exp(-(xi-1)/L) beyond."""
-    b = barrier or BarrierUpper()
-    xi = np.asarray(xi, dtype=float)
-    left = gaussian_left_mass(xi)
-    mid = xi + b.I
-    right = xi + b.I * np.exp(-(xi - 1.0) / b.L)
-    out = np.where(xi <= 0.0, left, np.where(xi <= 1.0, mid, right))
-    return float(out) if out.ndim == 0 else out
 
 
 def _branch(t):
@@ -232,23 +153,3 @@ def first_integral_H(profile, epsilon: float):
         w = np.asarray(profile.u, dtype=float) - np.asarray(profile.xi, dtype=float)
     w = np.asarray(w, dtype=float)
     return w * w / (2.0 * epsilon) - (slope - 1.0) + np.log(np.abs(slope))
-
-
-def fit_tail_rate(corner: CornerProfile, window: tuple[float, float]) -> float:
-    """Least-squares exponential decay rate of the deviation w = U - xi.
-
-    Fits -ln w against xi over the window and returns the slope (the decay
-    rate)."""
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise WindowError("empty tail window")
-    if lo < corner.xi[0] or hi > corner.xi[-1]:
-        raise WindowError("tail window outside the computed range")
-    mask = (corner.xi >= lo) & (corner.xi <= hi)
-    if int(mask.sum()) < 5:
-        raise WindowError("tail window contains fewer than 5 nodes")
-    w = corner.w[mask]
-    if np.any(w <= 0.0):
-        raise DegenerateProfileError("deviation must stay positive in the window")
-    coeffs = np.polyfit(corner.xi[mask], np.log(w), 1)
-    return float(-coeffs[0])

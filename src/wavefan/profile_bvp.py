@@ -160,6 +160,16 @@ class SolveOptions:
     nodes_per_layer: int = 120
     domain: tuple | None = None          # override truncate_domain
 
+    def __post_init__(self):
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise InvalidParameterError("newton_tol must be finite and positive")
+        if not (math.isfinite(self.nodes_per_layer) and self.nodes_per_layer > 0):
+            raise InvalidParameterError("nodes_per_layer must be positive")
+        if self.domain is not None and not (
+                len(self.domain) == 2 and np.all(np.isfinite(self.domain))
+                and self.domain[0] < self.domain[1]):
+            raise InvalidParameterError("domain must be a finite increasing pair")
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -458,9 +468,11 @@ def build_mesh(problem: ProfileProblem, options: SolveOptions | None = None) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         left_count, left = _side_nodes(*left_density)
         right_count, right = _side_nodes(*right_density)
-    if not 3.0 + left_count + right_count <= _MAX_NODES:
-        raise CoverageError("mesh exceeds %d nodes; enlarge spacing or "
-                            "shrink the domain" % _MAX_NODES)
+    count = 3.0 + left_count + right_count
+    if not count <= _MAX_NODES:
+        raise CoverageError("mesh exceeds %d nodes: viscosity eps = %g asks for %.6g; "
+                            "change eps, tail_tol (--tail-tol) or nodes_per_layer"
+                            % (_MAX_NODES, problem.epsilon, count))
     j = int(left_count)
     mesh = np.empty(3 + j + int(right_count))
     mesh[0], mesh[j + 1], mesh[-1] = lo, centre, hi
@@ -479,13 +491,9 @@ def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
     dom = opts.domain if opts.domain is not None \
         else _padded((m, big_m), problem.epsilon, opts.tail_tol)
     lo, hi = float(dom[0]), float(dom[1])
-    if opts.domain is None and not (np.isfinite(lo) and np.isfinite(hi)):
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise CoverageError("the domain truncated at tail_tol = %g for eps = %g is "
                             "(%g, %g), not finite" % (opts.tail_tol, problem.epsilon, lo, hi))
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise InvalidParameterError("domain must be a finite increasing pair")
-    if not opts.nodes_per_layer > 0:
-        raise InvalidParameterError("nodes_per_layer must be positive")
 
     exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
     slo, shi = wave_speed_span(exact)

