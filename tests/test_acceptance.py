@@ -13,6 +13,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 import wavefan as wf
+from corner_oracles import BarrierUpper, barrier_lower, barrier_upper, fit_tail_rate
 from wavefan.flux import evaluate
 
 BURGERS = wf.burgers_flux()
@@ -92,22 +93,14 @@ def test_criterion_03_rarefaction_convergence(capsys):
 def test_criterion_04_corner_profile(capsys):
     t0 = perf_counter()
     corner = wf.solve_corner()  # [-8, 10]
-    xi = corner.xi
-    # the comparison functions: max(xi, 0) below; above, the Gaussian mass
-    # for xi <= 0, then xi + I and an excess relaxing over L, I = sqrt(pi/2),
-    # a supersolution when 1 - 1/L^2 - I/L > 0
-    L, I = 10.0, math.sqrt(math.pi / 2.0)
-    gauss = I * np.array([math.erfc(-x / math.sqrt(2.0)) for x in xi])
-    above = np.where(xi <= 0.0, gauss,
-                     np.where(xi <= 1.0, xi + I, xi + I * np.exp(-(xi - 1.0) / L)))
+    below = barrier_lower(corner.xi)
+    above = barrier_upper(corner.xi, BarrierUpper(L=10.0))
     max_h = float(np.max(np.abs(wf.first_integral_H(corner, 1.0))))
-    tail = (xi >= 4.0) & (xi <= 8.0)
-    rate = float(-np.polyfit(xi[tail], np.log(corner.w[tail]), 1)[0])
-    u_m4 = float(np.interp(-4.0, xi, corner.u))
+    rate = fit_tail_rate(corner, (4.0, 8.0))
+    u_m4 = float(np.interp(-4.0, corner.xi, corner.u))
     dt = perf_counter() - t0
     conds = {
-        "supersolution": 1.0 - 1.0 / L**2 - I / L > 0.0,
-        "bracket_below": bool(np.all(corner.u > np.maximum(xi, 0.0))),
+        "bracket_below": bool(np.all(corner.u > below)),
         "bracket_above": bool(np.all(corner.u < above)),
         "first_integral": max_h <= 1e-8,
         "tail_rate": 0.9 <= rate <= 1.1,
