@@ -61,7 +61,6 @@ from .profile_bvp import (
     residual_noise,
     residual_noise_floor,
     solve_profile,
-    truncate_domain,
 )
 from .verification import (
     DiagnosticsRecord,
@@ -79,7 +78,7 @@ from .verification import (
     uniqueness_probe,
     windowed_by_slope,
 )
-from .cli_io import RunConfig, emit_plotdata, parse_config, read_profile, write_profile
+from .cli_io import emit_plotdata, parse_config, read_profile, write_profile
 
 __version__ = "0.1.0"
 

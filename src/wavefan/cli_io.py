@@ -12,10 +12,11 @@ by a power of ten where a proved error bound decides them, and leaves every
 other value (near-ties, decade edges, zeros, subnormals, inf, nan) to ``%``.
 
 A config file is flat ``key=value`` text mirroring the long flags; values
-given on the command line win.  Runs are deterministic: the same RunConfig
-(including the probe seed, set by ``--seed`` or ``seed=``) produces
-byte-identical output files.  The solver defaults (``--tol``,
-``--tail-tol``) are those of ``SolveOptions``.
+given on the command line win, and each value, from either, passes its flag's
+one check in the parser.  Runs are deterministic: the same parsed settings
+(including the probe seed, set by ``--seed`` or ``seed=``) produce
+byte-identical output files.  ``--tol`` and ``--tail-tol`` take their
+defaults and checks from ``SolveOptions``.
 
 Exit codes: 0 success, 1 a check or solve failed, 2 the invocation itself
 was rejected.
@@ -30,13 +31,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .corner_layer import first_integral_H, solve_corner
 from .errors import ConfigError, InvalidParameterError, ProfileFormatError, WavefanError
-from .flux import FluxSpec, burgers_flux, format_flux_token, parse_flux_token
+from .flux import burgers_flux, format_flux_token, parse_flux_token
 from .profile_bvp import Profile, ProfileProblem, SolveOptions, solve_profile
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
 from .verification import run_battery
@@ -50,27 +51,6 @@ _BLOCK_VALUES = 3072        # numbers per pass of _format_block (1,024 profile r
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                 "#8c564b", "#17becf", "#7f7f7f")
 _SVG_WIDTH, _SVG_HEIGHT, _SVG_PAD = 640, 420, 56   # chart size and axis margin, px
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated invocation; one instance describes one run."""
-
-    command: str
-    flux: FluxSpec
-    u_left: float = 0.0
-    u_right: float = 0.0
-    eps: tuple[float, ...] = (0.05,)
-    newton_tol: float = SolveOptions.newton_tol
-    tail_tol: float = SolveOptions.tail_tol
-    xi_min: float = -8.0
-    xi_max: float = 10.0
-    samples: int = 401
-    seed: int | None = None          # None: the probe's own default seed
-    check: str | None = None
-    out: str | None = None
-    report: str | None = None
-    svg: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +74,31 @@ def _flux_arg(token):
         return parse_flux_token(token)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _checked(convert, check):
+    """An argparse ``type=``: `convert` the token, then `check` the value,
+    which raises InvalidParameterError naming the rule it breaks. A token
+    `convert` rejects reads as argparse's 'invalid float value' (or int)."""
+    def parse(token):
+        value = convert(token)
+        try:
+            check(value)
+        except InvalidParameterError as exc:
+            raise argparse.ArgumentTypeError("%s, got %r" % (exc, value)) from None
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _finite(value):
+    if not math.isfinite(value):
+        raise InvalidParameterError("must be finite")
+
+
+def _at_least_two(count):
+    if count < 2:
+        raise InvalidParameterError("must be at least 2")
 
 
 def _schedule_arg(text):
@@ -170,43 +175,52 @@ def _build_parser():
                                  "conservation laws: solve, check, export.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps_default="0.05", eps_help="viscosity"):
-        p.add_argument("--flux", type=_flux_arg, default=burgers_flux(),
-                       help="burgers or poly:c0,c1,...,cn (default burgers)")
-        p.add_argument("--ul", type=float, required=True, help="left state")
-        p.add_argument("--ur", type=float, required=True, help="right state")
+    def states(p, flux_help=None, ul_help=None, ur_help=None):
+        p.add_argument("--flux", type=_flux_arg, default=burgers_flux(), help=flux_help)
+        p.add_argument("--ul", dest="u_left", metavar="UL", type=_checked(float, _finite),
+                       required=True, help=ul_help)
+        p.add_argument("--ur", dest="u_right", metavar="UR", type=_checked(float, _finite),
+                       required=True, help=ur_help)
+
+    def common(p, run, eps_default="0.05", eps_help="viscosity"):
+        p.set_defaults(run=run)
+        states(p, "burgers or poly:c0,c1,...,cn (default burgers)", "left state",
+               "right state")
         p.add_argument("--eps", type=_schedule_arg, default=_schedule_arg(eps_default),
                        help=eps_help)
-        p.add_argument("--tol", type=float, default=SolveOptions.newton_tol,
-                       help="Newton residual tolerance")
-        p.add_argument("--tail-tol", type=float, default=SolveOptions.tail_tol,
+        p.add_argument("--tol", dest="newton_tol", metavar="TOL",
+                       type=_checked(float, lambda v: SolveOptions(newton_tol=v)),
+                       default=SolveOptions.newton_tol, help="Newton residual tolerance")
+        p.add_argument("--tail-tol", dest="tail_tol", metavar="TAIL_TOL",
+                       type=_checked(float, lambda v: SolveOptions(tail_tol=v)),
+                       default=SolveOptions.tail_tol,
                        help="committed boundary truncation error")
 
     p_solve = sub.add_parser("solve", help="solve one viscous profile")
-    common(p_solve)
+    common(p_solve, _cmd_solve)
     p_solve.add_argument("--out", type=_writable_path, default=None,
                          help="profile CSV (xi,u,du)")
     p_solve.add_argument("--report", type=_writable_path, default=None,
                          help="solve report JSON")
 
     p_corner = sub.add_parser("corner", help="integrate the corner profile")
+    p_corner.set_defaults(run=_cmd_corner)
     p_corner.add_argument("--xi-min", type=float, default=-8.0)
     p_corner.add_argument("--xi-max", type=float, default=10.0)
-    p_corner.add_argument("--samples", type=int, default=2001,
+    p_corner.add_argument("--samples", type=_checked(int, _at_least_two), default=2001,
                           help="number of equispaced output nodes")
     p_corner.add_argument("--out", type=_writable_path, default=None,
                           help="CSV (xi,U,p,w,H); stdout when omitted")
 
     p_riemann = sub.add_parser("riemann", help="exact entropy solution")
-    p_riemann.add_argument("--flux", type=_flux_arg, default=burgers_flux())
-    p_riemann.add_argument("--ul", type=float, required=True)
-    p_riemann.add_argument("--ur", type=float, required=True)
-    p_riemann.add_argument("--samples", type=int, default=401)
+    p_riemann.set_defaults(run=_cmd_riemann)
+    states(p_riemann)
+    p_riemann.add_argument("--samples", type=_checked(int, _at_least_two), default=401)
     p_riemann.add_argument("--out", type=_writable_path, default=None,
                            help="sampled (xi,u) CSV")
 
     p_verify = sub.add_parser("verify", help="run the check battery")
-    common(p_verify)
+    common(p_verify, _cmd_verify)
     p_verify.add_argument("--check", default=None,
                           help="single check name (default: every applicable check)")
     p_verify.add_argument("--seed", type=int, default=None,
@@ -215,7 +229,7 @@ def _build_parser():
                           help="JSON report; stdout when omitted")
 
     p_sweep = sub.add_parser("sweep", help="profiles across a viscosity schedule")
-    common(p_sweep, eps_default="0.1,0.05,0.025",
+    common(p_sweep, _cmd_sweep, eps_default="0.1,0.05,0.025",
            eps_help="comma-separated decreasing viscosity schedule")
     p_sweep.add_argument("--out", type=_writable_path, default=None,
                          help="multi-column plot CSV (xi, one column per eps, exact)")
@@ -224,39 +238,19 @@ def _build_parser():
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    """Parse a command line (plus optional ``--config`` file) into a RunConfig.
+def parse_config(argv) -> argparse.Namespace:
+    """Parse a command line (plus optional ``--config`` file) into the run's
+    settings: a Namespace of the library's names (``flux``, ``u_left``,
+    ``u_right``, ``eps``, ``newton_tol``, ``tail_tol``, ...), the command,
+    and ``run``, the function that runs it on them.
 
     Raises ConfigError with the offending token for anything malformed.
     """
-    argv = _expand_config_file(argv)
-    ns = _build_parser().parse_args(argv)
-    kwargs = {"command": ns.command, "flux": getattr(ns, "flux", burgers_flux())}
-    if ns.command in ("solve", "verify", "sweep", "riemann"):
-        kwargs.update(u_left=ns.ul, u_right=ns.ur)
-        if not np.isfinite(ns.ul) or not np.isfinite(ns.ur):
-            raise ConfigError("states must be finite, got --ul %r --ur %r"
-                              % (ns.ul, ns.ur))
-    if ns.command in ("solve", "verify", "sweep"):
-        kwargs.update(eps=ns.eps, newton_tol=ns.tol, tail_tol=ns.tail_tol)
-        if not (np.isfinite(ns.tol) and ns.tol > 0.0):
-            raise ConfigError("--tol must be finite and positive, got %r" % (ns.tol,))
-        if not 0.0 < ns.tail_tol < 1.0:
-            raise ConfigError("--tail-tol must lie in (0, 1), got %r" % (ns.tail_tol,))
-    if ns.command in ("riemann", "corner"):
-        kwargs["samples"] = ns.samples
-        if ns.samples < 2:
-            raise ConfigError("--samples must be at least 2, got %r" % (ns.samples,))
-    if ns.command == "corner":
-        kwargs.update(xi_min=ns.xi_min, xi_max=ns.xi_max)
+    ns = _build_parser().parse_args(_expand_config_file(argv))
     if ns.command in ("solve", "verify") and len(ns.eps) != 1:
         raise ConfigError("%s takes a single --eps, got schedule %r; sweep solves "
                           "a schedule" % (ns.command, ",".join(map(repr, ns.eps))))
-    if ns.command == "verify":
-        kwargs.update(check=ns.check, seed=ns.seed)
-    for field in ("out", "report", "svg"):
-        kwargs[field] = getattr(ns, field, None)
-    return RunConfig(**kwargs)
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +550,11 @@ def _render_svg(grid, columns):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _options_from(config: RunConfig) -> SolveOptions:
+def _options_from(config: argparse.Namespace) -> SolveOptions:
     return SolveOptions(newton_tol=config.newton_tol, tail_tol=config.tail_tol)
 
 
-def _problem_from(config: RunConfig) -> ProfileProblem:
+def _problem_from(config: argparse.Namespace) -> ProfileProblem:
     return ProfileProblem(flux=config.flux, u_left=config.u_left,
                           u_right=config.u_right, epsilon=config.eps[-1])
 
@@ -573,7 +567,7 @@ def _write_json(payload, path):
         _write_text(path, text)
 
 
-def _cmd_solve(config: RunConfig) -> int:
+def _cmd_solve(config: argparse.Namespace) -> int:
     problem = _problem_from(config)
     profile, report = solve_profile(problem, _options_from(config))
     if config.out:
@@ -588,7 +582,7 @@ def _cmd_solve(config: RunConfig) -> int:
     return 0 if report.converged else 1
 
 
-def _cmd_corner(config: RunConfig) -> int:
+def _cmd_corner(config: argparse.Namespace) -> int:
     try:        # solve_corner owns the ranges; outside them the invocation is wrong
         corner = solve_corner(xi_min=config.xi_min, xi_max=config.xi_max,
                               n_points=config.samples)
@@ -608,7 +602,7 @@ def _cmd_corner(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_riemann(config: RunConfig) -> int:
+def _cmd_riemann(config: argparse.Namespace) -> int:
     solution = solve_exact(config.flux, config.u_left, config.u_right)
     print("\n".join(describe_waves(solution)))
     if config.out:
@@ -619,7 +613,7 @@ def _cmd_riemann(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     checks, _ = run_battery(_problem_from(config), _options_from(config),
                             seed=config.seed)
     if config.check is not None:
@@ -638,7 +632,7 @@ def _cmd_verify(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: argparse.Namespace) -> int:
     problem, options = _problem_from(config), _options_from(config)
     profiles = [solve_profile(replace(problem, epsilon=eps), options)[0]
                 for eps in config.eps]
@@ -651,31 +645,14 @@ def _cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "corner": _cmd_corner,
-    "riemann": _cmd_riemann,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config = parse_config(argv)
+        config = parse_config(sys.argv[1:] if argv is None else argv)
+        return config.run(config)
     except ConfigError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[config.command](config)
-    except ConfigError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
-    except WavefanError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WavefanError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
 

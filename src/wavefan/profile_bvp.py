@@ -158,17 +158,25 @@ class SolveOptions:
     newton_tol: float = 1e-11
     tail_tol: float = 1e-5
     nodes_per_layer: int = 120
-    domain: tuple | None = None          # override truncate_domain
+    domain: tuple | None = None          # None: the range of f' padded (`_node_density`)
 
     def __post_init__(self):
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
             raise InvalidParameterError("newton_tol must be finite and positive")
+        if not 0.0 < self.tail_tol < 1.0:
+            raise InvalidParameterError("tail_tol must lie in (0, 1)")
         if not (math.isfinite(self.nodes_per_layer) and self.nodes_per_layer > 0):
             raise InvalidParameterError("nodes_per_layer must be positive")
         if self.domain is not None and not (
                 len(self.domain) == 2 and np.all(np.isfinite(self.domain))
                 and self.domain[0] < self.domain[1]):
             raise InvalidParameterError("domain must be a finite increasing pair")
+
+    @property
+    def layer_factor(self) -> float:
+        """c = 12/nodes_per_layer: spacing c*eps/S puts nodes_per_layer nodes
+        across a viscous layer (`build_mesh`)."""
+        return 12.0 / float(self.nodes_per_layer)
 
 
 @dataclass(frozen=True)
@@ -184,25 +192,6 @@ class SolveReport:
     @property
     def residual_norm(self) -> float:
         return self.residual_history[-1]
-
-
-def truncate_domain(problem: ProfileProblem, tail_tol: float = 1e-5) -> tuple[float, float]:
-    """Finite interval outside which the profile is flat to within tail_tol.
-
-    The wave fan occupies the range of f' over the state interval; beyond it
-    the profile relaxes like a Gaussian-in-distance factor, so a pad of
-    sqrt(2 eps ln(1/tail_tol)) + sqrt(eps) suffices on each side.
-    """
-    return _padded(derivative_range(problem.flux, *problem.state_interval),
-                   problem.epsilon, tail_tol)
-
-
-def _padded(span: tuple[float, float], eps: float, tail_tol: float) -> tuple[float, float]:
-    """`truncate_domain` from the range of f' over the states."""
-    if not (0.0 < tail_tol < 1.0):
-        raise InvalidParameterError("tail_tol must lie in (0, 1)")
-    pad = math.sqrt(2.0 * eps * math.log(1.0 / tail_tol)) + math.sqrt(eps)
-    return (span[0] - pad, span[1] + pad)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -488,21 +477,29 @@ def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
     overflow to inf or NaN, without a warning raised, when c*eps underflows."""
     opts = options or SolveOptions()
     m, big_m = derivative_range(problem.flux, *problem.state_interval)
-    dom = opts.domain if opts.domain is not None \
-        else _padded((m, big_m), problem.epsilon, opts.tail_tol)
+    eps = problem.epsilon
+    dom = opts.domain
+    if dom is None:
+        # past the range of f' over the states the profile relaxes like a
+        # Gaussian in the distance: flat to within tail_tol beyond this pad
+        pad = math.sqrt(2.0 * eps * math.log(1.0 / opts.tail_tol)) + math.sqrt(eps)
+        dom = (m - pad, big_m + pad)
     lo, hi = float(dom[0]), float(dom[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise CoverageError("the domain truncated at tail_tol = %g for eps = %g is "
-                            "(%g, %g), not finite" % (opts.tail_tol, problem.epsilon, lo, hi))
-
-    exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
-    slo, shi = wave_speed_span(exact)
-    if not (lo < slo and shi < hi):
+    covered = math.isfinite(lo) and math.isfinite(hi)
+    if covered:
+        exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
+        slo, shi = wave_speed_span(exact)
+        covered = lo < slo and shi < hi
+    if not covered and opts.domain is not None:
         raise WindowError("domain (%g, %g) does not contain the wave fan (%g, %g)"
                           % (lo, hi, slo, shi))
+    if not covered:     # the pad overflowed, or rounded away against the fan
+        raise CoverageError("the domain truncated at tail_tol = %g for eps = %g is "
+                            "(%g, %g), not finite or not strictly around the wave fan"
+                            % (opts.tail_tol, eps, lo, hi))
 
-    c = 12.0 / float(opts.nodes_per_layer)
-    fine = c * problem.epsilon
+    c = opts.layer_factor
+    fine = c * eps
     s0 = max(fine / _H_BASE, big_m - m)
 
     def today(x):

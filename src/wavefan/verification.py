@@ -485,7 +485,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         # the scheme's own O(h^2) drift dominates the spread; the threshold
         # follows the layer-resolution knob so it measures brokenness, not
         # the chosen mesh density
-        h_threshold = max(1e-5, 2.0 * (12.0 / opts.nodes_per_layer) ** 2)
+        h_threshold = max(1e-5, 2.0 * opts.layer_factor ** 2)
         record("first_integral_spread", spread, h_threshold, spread <= h_threshold)
 
         t0 = translation_invariance_check(profile, problem.epsilon, 0.0, problem.flux)

@@ -179,6 +179,33 @@ def test_config_file_errors(tmp_path):
         parse_config(["solve", "--config", str(unknown)])
 
 
+@pytest.mark.parametrize("argv, line, flag", [
+    (["solve", "--ul", "1", "--ur", "-1", "--tol", "1e-9"], "tol=inf", "--tol"),
+    (["solve", "--ul", "1", "--ur", "-1"], "ul=nan", "--ul"),
+    (["corner", "--samples", "11"], "samples=1", "--samples"),
+    (["solve", "--ul", "1", "--ur", "-1", "--eps", "0.05"], "eps=0.05,0.1", "--eps"),
+], ids=["tol-inf", "ul-nan", "samples-one", "eps-increasing"])
+def test_a_file_value_is_checked_even_when_overridden(tmp_path, capsys, argv, line, flag):
+    # each flag has one check, run on every occurrence: the file's value is
+    # an occurrence even when the command line that follows replaces it
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(line + "\n")
+    argv = argv[:1] + ["--config", str(cfg_file)] + argv[1:]
+    with pytest.raises(ConfigError, match=flag):
+        parse_config(argv)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+def test_solve_help_names_each_value_as_before(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    out = capsys.readouterr().out
+    for shown in ("--ul UL", "--ur UR", "--tol TOL", "--tail-tol TAIL_TOL"):
+        assert shown in out
+
+
 # ---------------------------------------------------------------------------
 # profile round trip
 

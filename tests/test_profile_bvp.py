@@ -54,11 +54,18 @@ def make_problem(ul=1.0, ur=-1.0, eps=0.05, flux=None):
     return wf.ProfileProblem(flux or wf.burgers_flux(), ul, ur, eps)
 
 
+def domain_of(problem, options=None):
+    """The truncated domain (lo, hi): `build_mesh`'s end nodes are exactly lo
+    and hi."""
+    mesh = wf.build_mesh(problem, options)
+    return mesh[0], mesh[-1]
+
+
 def scalar_mesh_oracle(problem, options=None):
     """Oracle: the graded mesh marched outward from the centre one node at a
     time, with spacing min(h_base, c*eps/S(xi)) at the current node."""
     opts = options or wf.SolveOptions()
-    lo, hi = opts.domain or wf.truncate_domain(problem, opts.tail_tol)
+    lo, hi = opts.domain or domain_of(problem, opts)
     m, big_m = wf.derivative_range(problem.flux, *problem.state_interval)
     fine = 12.0 / float(opts.nodes_per_layer) * problem.epsilon
     h_base = profile_bvp._H_BASE
@@ -244,29 +251,29 @@ def slope_calls(monkeypatch):
 
 def test_truncate_domain_pinned_example():
     prob = make_problem(-1.0, 1.0, 0.1)
-    lo, hi = wf.truncate_domain(prob, tail_tol=1e-12)
+    lo, hi = domain_of(prob, wf.SolveOptions(tail_tol=1e-12))
     assert lo == pytest.approx(-3.667, abs=5e-3)
     assert hi == pytest.approx(3.667, abs=5e-3)
     assert lo == -hi
 
 
 def test_truncate_domain_shrinks_with_viscosity():
-    wide = wf.truncate_domain(make_problem(eps=0.2))
-    tight = wf.truncate_domain(make_problem(eps=0.05))
+    wide = domain_of(make_problem(eps=0.2))
+    tight = domain_of(make_problem(eps=0.05))
     assert wide[0] < tight[0] < tight[1] < wide[1]
 
 
 def test_truncate_domain_constant_data_centres_on_speed():
     prob = make_problem(0.3, 0.3, 0.2)
-    lo, hi = wf.truncate_domain(prob)
+    lo, hi = domain_of(prob)
     assert lo < 0.3 < hi
     assert (0.3 - lo) == pytest.approx(hi - 0.3, rel=1e-12)
 
 
 def test_truncate_domain_rejects_bad_tolerance():
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(InvalidParameterError):
-            wf.truncate_domain(make_problem(), tail_tol=bad)
+    for bad in (0.0, 1.0, -0.5, 2.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="tail_tol"):
+            wf.SolveOptions(tail_tol=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +319,13 @@ def test_mesh_rejects_malformed_domain():
 
 def test_a_truncated_domain_out_of_doubles_is_a_coverage_error():
     # the pad sqrt(2*eps*ln(1/tail_tol)) overflows, or the range of f' does
-    # (f' = 1e308*u on [-2, 2]), neither with a warning; the message names
-    # what the domain was computed from, not a given one
+    # (f' = 1e308*u on [-2, 2]), neither with a warning, or the pad rounds
+    # away against the states, leaving a domain no wider than the fan; the
+    # message names what the domain was computed from, not a given one
     steep = wf.parse_flux_token("poly:0,0,5e307")
-    for prob in (make_problem(-1.0, 1.0, 1e308), make_problem(-2.0, 2.0, 0.01, flux=steep)):
+    for prob in (make_problem(-1.0, 1.0, 1e308), make_problem(-2.0, 2.0, 0.01, flux=steep),
+                 make_problem(1.0, 1.0, 5e-324), make_problem(1.0, 1.0, 1e-300),
+                 make_problem(-1.0, 1.0, 1e-300)):
         with pytest.raises(CoverageError, match="tail_tol = 1e-05 for eps = .*not finite"):
             wf.build_mesh(prob)
 
