@@ -9,13 +9,10 @@ problem, and run the quantitative checks that tie the three together.
 from .errors import (
     ConfigError,
     CoverageError,
-    DegenerateProfileError,
     InvalidParameterError,
     NonConvergenceError,
     ProfileFormatError,
-    UnsupportedFluxError,
     WavefanError,
-    WindowError,
 )
 from .flux import (
     FluxSpec,

@@ -12,11 +12,12 @@ by a power of ten where a proved error bound decides them, and leaves every
 other value (near-ties, decade edges, zeros, subnormals, inf, nan) to ``%``.
 
 A config file is flat ``key=value`` text mirroring the long flags; values
-given on the command line win, and each value, from either, passes its flag's
-one check in the parser.  Runs are deterministic: the same parsed settings
-(including the probe seed, set by ``--seed`` or ``seed=``) produce
-byte-identical output files.  ``--tol`` and ``--tail-tol`` take their
-defaults and checks from ``SolveOptions``.
+given on the command line win wherever ``--config`` stands, and each value,
+from either, passes its flag's one check in the parser.  Runs are
+deterministic: the same parsed settings (including the probe seed, set by
+``--seed`` or ``seed=``) produce byte-identical output files.  ``--tol``
+and ``--tail-tol`` take their defaults and checks from ``SolveOptions``,
+``--seed`` its check from the probe's.
 
 Exit codes: 0 success, 1 a check or solve failed, 2 the invocation itself
 was rejected.
@@ -40,7 +41,7 @@ from .errors import ConfigError, InvalidParameterError, ProfileFormatError, Wave
 from .flux import burgers_flux, format_flux_token, parse_flux_token
 from .profile_bvp import Profile, ProfileProblem, SolveOptions, solve_profile
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
-from .verification import run_battery
+from .verification import probe_seed, run_battery
 
 _FMT = b"%.17g"  # every CSV number: 17 significant digits round-trip every double
 _DECADES = (-308, 308)      # floor(log10|x|) of the normal doubles
@@ -131,18 +132,19 @@ def _writable_path(path):
 def _expand_config_file(argv):
     """Replace ``--config FILE`` with the file's key=value pairs as flags.
 
-    The expansion is inserted where --config stood and the explicit command
-    line follows it, so later (explicit) flags override file values.
+    The expansion goes right after the subcommand, ahead of the explicit
+    command line wherever --config stood; argparse keeps a flag's last
+    occurrence, so explicit flags override file values.
     """
     argv = list(argv)
     for i, token in enumerate(argv):
         if token == "--config":
             if i + 1 >= len(argv):
                 raise ConfigError("--config needs a file path")
-            path, rest = argv[i + 1], argv[i + 2:]
+            path, end = argv[i + 1], i + 2
             break
         if token.startswith("--config="):
-            path, rest = token.split("=", 1)[1], argv[i + 1:]
+            path, end = token.split("=", 1)[1], i + 1
             break
     else:
         return argv
@@ -163,7 +165,8 @@ def _expand_config_file(argv):
         if not key:
             raise ConfigError("%s:%d: empty key" % (path, lineno))
         flags.extend(["--" + key, value])
-    return argv[:i] + flags + rest
+    del argv[i:end]
+    return argv[:1] + flags + argv[1:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,7 +226,7 @@ def _build_parser():
     common(p_verify, _cmd_verify)
     p_verify.add_argument("--check", default=None,
                           help="single check name (default: every applicable check)")
-    p_verify.add_argument("--seed", type=int, default=None,
+    p_verify.add_argument("--seed", type=_checked(int, probe_seed), default=None,
                           help="probe seed (default: the builtin probe seed)")
     p_verify.add_argument("--out", type=_writable_path, default=None,
                           help="JSON report; stdout when omitted")
@@ -589,7 +592,7 @@ def _cmd_corner(config: argparse.Namespace) -> int:
     except InvalidParameterError as exc:
         raise ConfigError("%s, got --xi-min %r --xi-max %r"
                           % (exc, config.xi_min, config.xi_max)) from None
-    h_vals = first_integral_H(corner, 1.0)
+    h_vals = first_integral_H(corner.w, corner.p, 1.0)
     text = _csv_text(("xi", "U", "p", "w", "H"),
                      (corner.xi, corner.u, corner.p, corner.w, h_vals))
     if config.out:

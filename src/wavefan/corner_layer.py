@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProfileError, InvalidParameterError
+from .errors import InvalidParameterError
 
 # 8-point Gauss-Legendre nodes and weights, mapped to [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -128,28 +128,22 @@ def _corner_profile(xi_min: float, xi_max: float, n_points: int) -> CornerProfil
     return CornerProfile(xi=xi, u=u, p=p, w=w)
 
 
-def first_integral_H(profile, epsilon: float):
-    """Per-node first-integral values H = (u-xi)^2/(2 eps) - (u_xi - 1) + ln|u_xi|.
+def first_integral_H(w, slope, epsilon: float):
+    """Per-node first-integral values H = w^2/(2 eps) - (slope - 1) + ln|slope|
+    of a profile with deviation w = u - xi and slope u_xi.
 
-    Accepts either a corner profile (slope field p) or a viscous-profile
-    record (slope field du). For the corner profile with epsilon = 1 this is
-    the invariant that the construction holds at exactly 0; along a viscous
-    quadratic-flux profile the generalized form is constant. (Its derivative
-    along eps*u'' = (u - xi) u' vanishes identically: differentiating gives
+    For the corner profile (w, p) with epsilon = 1 this is the invariant
+    that the construction holds at exactly 0; along a viscous quadratic-flux
+    profile the generalized form is constant. (Its derivative along
+    eps*u'' = (u - xi) u' vanishes identically: differentiating gives
     (u-xi)(u'-1)/eps - u'' + u''/u', and substituting u'' = (u-xi)u'/eps
     cancels everything.)
     """
     epsilon = float(epsilon)
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise InvalidParameterError("epsilon must be positive")
-    slope = getattr(profile, "p", None)
-    if slope is None:
-        slope = profile.du
     slope = np.asarray(slope, dtype=float)
     if np.any(slope == 0.0):
-        raise DegenerateProfileError("zero slope: first integral is undefined")
-    w = getattr(profile, "w", None)
-    if w is None:
-        w = np.asarray(profile.u, dtype=float) - np.asarray(profile.xi, dtype=float)
+        raise InvalidParameterError("zero slope: first integral is undefined")
     w = np.asarray(w, dtype=float)
     return w * w / (2.0 * epsilon) - (slope - 1.0) + np.log(np.abs(slope))

@@ -2,9 +2,13 @@
 
 Every failure mode raised by the solvers and checks is a subclass of
 WavefanError, so callers can catch one base type at the CLI boundary and
-still discriminate programmatically everywhere else. A solve that does not
-converge raises NonConvergenceError, whatever stopped it. A verdict is not
-an error: a uniqueness probe with too few runs in class returns its counts.
+still discriminate programmatically everywhere else. There are six classes,
+and each one is caught by a program: InvalidParameterError by the command
+line, NonConvergenceError by `solve_profile` and the uniqueness probe,
+CoverageError by the check battery, ProfileFormatError by the benchmark's
+worker and ConfigError by `main`. A solve that does not converge raises
+NonConvergenceError, whatever stopped it. A verdict is not an error: a
+uniqueness probe with too few runs in class returns its counts.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ class WavefanError(Exception):
 
 class InvalidParameterError(WavefanError, ValueError):
     """A scalar argument or option is outside its documented range."""
-
-
-class UnsupportedFluxError(WavefanError, ValueError):
-    """An operation that only makes sense for the quadratic flux got another one."""
 
 
 class NonConvergenceError(WavefanError, RuntimeError):
@@ -37,17 +37,8 @@ class CoverageError(WavefanError, ValueError):
     weight outside the range of doubles."""
 
 
-class WindowError(WavefanError, ValueError):
-    """A fit or integration window is empty, reversed, or has too few nodes."""
-
-
-class DegenerateProfileError(WavefanError, ValueError):
-    """A profile violates a structural assumption (e.g. a zero slope where
-    a logarithm of the slope is required)."""
-
-
 class ProfileFormatError(WavefanError, ValueError):
-    """A profile CSV (or config file) failed to parse; message carries the line number."""
+    """A profile CSV failed to parse; message carries the line number."""
 
 
 class ConfigError(WavefanError, ValueError):

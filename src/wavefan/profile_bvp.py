@@ -59,9 +59,8 @@ slope that is far too large for the first-integral and comparison checks
 downstream. The stencil weights are the closed-form derivatives of the
 Lagrange basis, one kernel for all nodes; every node but the four at the
 ends has the same window shape, so its stencil columns are shifted slices
-of the mesh and profile arrays. Newton never reads a slope, so a Profile reconstructs it
-only when `du` is first read; `solve_profile` computes it once for the
-profile it returns.
+of the mesh and profile arrays. Newton never reads a slope, so its iterates
+carry none; `solve_profile` computes it once for the profile it returns.
 """
 
 from __future__ import annotations
@@ -71,16 +70,11 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    InvalidParameterError,
-    NonConvergenceError,
-    WindowError,
-)
+from .errors import CoverageError, InvalidParameterError, NonConvergenceError
 from .flux import (FluxSpec, _interior_critical_points, derivative, derivative_range,
                    divided_difference, second_derivative, sup_derivative)
 from .riemann import RarefactionFan, Shock, eval_riemann, solve_exact, wave_speed_span
@@ -125,32 +119,13 @@ class ProfileProblem:
         return (min(self.u_left, self.u_right), max(self.u_left, self.u_right))
 
 
+@dataclass(frozen=True, eq=False)
 class Profile:
-    """Mesh nodes xi, profile values u, and slope du. Immutable.
+    """Mesh nodes xi, profile values u, and slope du: as given, else None."""
 
-    A slope passed to the constructor is kept as given. Without one, `du`
-    is reconstructed by `reconstruct_derivative` when first read and cached.
-    """
-
-    def __init__(self, xi: np.ndarray, u: np.ndarray, du: np.ndarray | None = None):
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "_du", du)
-
-    @property
-    def du(self) -> np.ndarray:
-        if self._du is None:
-            object.__setattr__(self, "_du", reconstruct_derivative(self.xi, self.u))
-        return self._du
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-    def __repr__(self):
-        return "Profile(xi=%r, u=%r, du=%r)" % (self.xi, self.u, self._du)
+    xi: np.ndarray
+    u: np.ndarray
+    du: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -491,8 +466,8 @@ def _node_density(problem: ProfileProblem, options: SolveOptions | None = None):
         slo, shi = wave_speed_span(exact)
         covered = lo < slo and shi < hi
     if not covered and opts.domain is not None:
-        raise WindowError("domain (%g, %g) does not contain the wave fan (%g, %g)"
-                          % (lo, hi, slo, shi))
+        raise InvalidParameterError("domain (%g, %g) does not contain the wave fan (%g, %g)"
+                                    % (lo, hi, slo, shi))
     if not covered:     # the pad overflowed, or rounded away against the fan
         raise CoverageError("the domain truncated at tail_tol = %g for eps = %g is "
                             "(%g, %g), not finite or not strictly around the wave fan"
@@ -1041,8 +1016,8 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     one the floor alone gives.
 
     Each Jacobian reuses the slopes and f'(u) - xi that the residual of the
-    accepted step left in the workspace. The returned profile's slope is
-    reconstructed only when read.
+    accepted step left in the workspace. The returned profile carries no
+    slope.
     """
     opts = options or SolveOptions()
     _check_guess(guess)

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corner_layer import first_integral_H, solve_corner
-from .errors import (
-    CoverageError,
-    InvalidParameterError,
-    NonConvergenceError,
-    UnsupportedFluxError,
-    WindowError,
-)
+from .errors import CoverageError, InvalidParameterError, NonConvergenceError
 from .flux import (
     FluxSpec,
     burgers_flux,
@@ -113,7 +107,7 @@ def check_symmetry(profile: Profile, u_left: float, u_right: float,
     The symmetry holds when f'(u) = u (the quadratic flux u^2/2, up to a
     constant), so passing a flux without that derivative is an error."""
     if not has_identity_derivative(flux):
-        raise UnsupportedFluxError("odd symmetry needs f'(u) = u")
+        raise InvalidParameterError("odd symmetry needs f'(u) = u")
     total = u_left + u_right
     xi, u = profile.xi, profile.u
     mirrored_x = total - xi
@@ -167,10 +161,10 @@ def l1_window_error(profile: Profile, exact, window) -> float:
     """Trapezoid integral of |profile - exact Riemann solution| over a window."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise WindowError("window must be an increasing pair")
+        raise InvalidParameterError("window must be an increasing pair")
     if lo < profile.xi[0] or hi > profile.xi[-1]:
-        raise WindowError("window (%g, %g) outside the profile mesh (%g, %g)"
-                          % (lo, hi, profile.xi[0], profile.xi[-1]))
+        raise InvalidParameterError("window (%g, %g) outside the profile mesh (%g, %g)"
+                                    % (lo, hi, profile.xi[0], profile.xi[-1]))
     inner = profile.xi[(profile.xi > lo) & (profile.xi < hi)]
     xs = np.concatenate([[lo], inner, [hi]])
     diff = np.abs(np.interp(xs, profile.xi, profile.u) - eval_riemann(exact, xs))
@@ -298,6 +292,15 @@ def barrier_operator_margin(problem: ProfileProblem, profile: Profile,
     return float(max(np.max(nodes, initial=-math.inf), *tails))
 
 
+def probe_seed(seed) -> int:
+    """The uniqueness probe's seed: DEFAULT_PROBE_SEED for None, else the
+    integer, which must be non-negative."""
+    seed = DEFAULT_PROBE_SEED if seed is None else int(seed)
+    if seed < 0:
+        raise InvalidParameterError("probe seed must be non-negative")
+    return seed
+
+
 def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
                      n_guesses: int = 6, seed: int = DEFAULT_PROBE_SEED) -> ProbeResult:
     """Relax randomized monotone ramp guesses along the self-similar
@@ -328,6 +331,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
     as failed."""
     if n_guesses < 2:
         raise InvalidParameterError("need at least 2 guesses to compare")
+    seed = probe_seed(seed)
     opts = opts or SolveOptions()
     mesh = build_mesh(problem, opts)
     span = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
@@ -380,7 +384,7 @@ def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
     profile, solved or not: it tests the residual, not the solver's
     translation invariance."""
     if not has_identity_derivative(flux):
-        raise UnsupportedFluxError("translation family needs f'(u) = u")
+        raise InvalidParameterError("translation family needs f'(u) = u")
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParameterError("lam must be finite")
@@ -448,7 +452,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     a failing verdict with value inf, not an error.
     """
     opts = options or SolveOptions()
-    seed = DEFAULT_PROBE_SEED if seed is None else int(seed)
+    seed = probe_seed(seed)
     increasing = problem.u_left < problem.u_right
     quadratic = has_identity_derivative(problem.flux)
 
@@ -480,7 +484,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
 
     if quadratic and problem.u_left != problem.u_right:
         windowed = windowed_by_slope(profile)
-        h_vals = first_integral_H(windowed, problem.epsilon)
+        h_vals = first_integral_H(windowed.u - windowed.xi, windowed.du, problem.epsilon)
         spread = float(np.max(h_vals) - np.min(h_vals))
         # the scheme's own O(h^2) drift dominates the spread; the threshold
         # follows the layer-resolution knob so it measures brokenness, not

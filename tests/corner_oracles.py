@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wavefan.errors import DegenerateProfileError, InvalidParameterError, WindowError
+from wavefan.errors import InvalidParameterError
 
 # int_{-inf}^0 exp(-t^2/2) dt
 GAUSS_HALF_MASS = math.sqrt(math.pi / 2.0)
@@ -93,13 +93,13 @@ def fit_tail_rate(corner, window):
     against xi over the window, which must hold at least five nodes."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise WindowError("empty tail window")
+        raise InvalidParameterError("empty tail window")
     if lo < corner.xi[0] or hi > corner.xi[-1]:
-        raise WindowError("tail window outside the computed range")
+        raise InvalidParameterError("tail window outside the computed range")
     mask = (corner.xi >= lo) & (corner.xi <= hi)
     if int(mask.sum()) < 5:
-        raise WindowError("tail window contains fewer than 5 nodes")
+        raise InvalidParameterError("tail window contains fewer than 5 nodes")
     w = corner.w[mask]
     if np.any(w <= 0.0):
-        raise DegenerateProfileError("deviation must stay positive in the window")
+        raise InvalidParameterError("deviation must stay positive in the window")
     return float(-np.polyfit(corner.xi[mask], np.log(w), 1)[0])

@@ -55,7 +55,7 @@ def test_criterion_02_burgers_shock(capsys):
     profile, report = wf.solve_profile(prob, opts)
     u_origin = float(profile.u[np.argmin(np.abs(profile.xi))])
     windowed = wf.windowed_by_slope(profile, ratio=1e-4)
-    h_vals = wf.first_integral_H(windowed, prob.epsilon)
+    h_vals = wf.first_integral_H(windowed.u - windowed.xi, windowed.du, prob.epsilon)
     spread = float(np.max(h_vals) - np.min(h_vals))
     dt = perf_counter() - t0
     conds = {
@@ -95,7 +95,7 @@ def test_criterion_04_corner_profile(capsys):
     corner = wf.solve_corner()  # [-8, 10]
     below = barrier_lower(corner.xi)
     above = barrier_upper(corner.xi, BarrierUpper(L=10.0))
-    max_h = float(np.max(np.abs(wf.first_integral_H(corner, 1.0))))
+    max_h = float(np.max(np.abs(wf.first_integral_H(corner.w, corner.p, 1.0))))
     rate = fit_tail_rate(corner, (4.0, 8.0))
     u_m4 = float(np.interp(-4.0, corner.xi, corner.u))
     dt = perf_counter() - t0

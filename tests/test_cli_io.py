@@ -103,8 +103,10 @@ def test_parse_rejects_bad_states_and_tols():
     ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.05,0.1"],
     ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.1,0"],
     ["sweep", "--ul", "1", "--ur", "-1", "--eps", "nan"],
+    ["verify", "--ul", "1", "--ur", "-1", "--seed", "-1"],
 ], ids=["tol-inf", "tol-nan", "tail-tol-nan", "tail-tol-one", "riemann-state-nan",
-        "corner-one-sample", "eps-repeated", "eps-increasing", "eps-zero", "eps-nan"])
+        "corner-one-sample", "eps-repeated", "eps-increasing", "eps-zero", "eps-nan",
+        "seed-negative"])
 def test_out_of_range_values_rejected_at_parse_time(argv, capsys):
     with pytest.raises(ConfigError):
         parse_config(argv)
@@ -158,12 +160,14 @@ def test_parse_does_not_carry_values_between_calls():
 # ---------------------------------------------------------------------------
 # config files
 
-def test_config_file_merges_with_overrides(tmp_path):
+@pytest.mark.parametrize("config_first", [True, False], ids=["config-first", "config-last"])
+def test_config_file_merges_with_overrides(tmp_path, config_first):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# sweep setup\nul=-1\nur=1\n\neps=0.1,0.05\n")
-    cfg = parse_config(["solve", "--config", str(cfg_file), "--eps", "0.05"])
+    config, flags = ["--config", str(cfg_file)], ["--eps", "0.05"]
+    cfg = parse_config(["solve"] + (config + flags if config_first else flags + config))
     assert cfg.u_left == -1.0 and cfg.u_right == 1.0
-    assert cfg.eps == (0.05,)  # explicit flag beats the file
+    assert cfg.eps == (0.05,)  # explicit flag beats the file, wherever --config stands
 
 
 def test_config_file_errors(tmp_path):
@@ -184,7 +188,8 @@ def test_config_file_errors(tmp_path):
     (["solve", "--ul", "1", "--ur", "-1"], "ul=nan", "--ul"),
     (["corner", "--samples", "11"], "samples=1", "--samples"),
     (["solve", "--ul", "1", "--ur", "-1", "--eps", "0.05"], "eps=0.05,0.1", "--eps"),
-], ids=["tol-inf", "ul-nan", "samples-one", "eps-increasing"])
+    (["verify", "--ul", "1", "--ur", "-1", "--seed", "3"], "seed=-1", "--seed"),
+], ids=["tol-inf", "ul-nan", "samples-one", "eps-increasing", "seed-negative"])
 def test_a_file_value_is_checked_even_when_overridden(tmp_path, capsys, argv, line, flag):
     # each flag has one check, run on every occurrence: the file's value is
     # an occurrence even when the command line that follows replaces it
@@ -484,7 +489,7 @@ def test_main_corner_and_riemann_csv_match_row_oracle(tmp_path):
     assert main(["corner", "--xi-min", "-5", "--xi-max", "4", "--samples", "300",
                  "--out", str(out)]) == 0
     corner = wf.solve_corner(xi_min=-5.0, xi_max=4.0, n_points=300)
-    h_vals = wf.first_integral_H(corner, 1.0)
+    h_vals = wf.first_integral_H(corner.w, corner.p, 1.0)
     assert out.read_bytes() == csv_rows_oracle(
         "xi,U,p,w,H", (corner.xi, corner.u, corner.p, corner.w, h_vals))
 

@@ -18,11 +18,7 @@ from corner_oracles import (
     invert_first_integral,
 )
 from wavefan import corner_layer
-from wavefan.errors import (
-    DegenerateProfileError,
-    InvalidParameterError,
-    WindowError,
-)
+from wavefan.errors import InvalidParameterError
 
 
 def bisect_p_direct(w, iters=300):
@@ -133,7 +129,7 @@ def test_corner_brackets_strictly(corner):
 
 
 def test_corner_first_integral_vanishes(corner):
-    h = wf.first_integral_H(corner, 1.0)
+    h = wf.first_integral_H(corner.w, corner.p, 1.0)
     assert np.max(np.abs(h)) <= 1e-12
 
 
@@ -249,12 +245,12 @@ def test_fit_tail_rate_recovers_synthetic_rates():
 
 
 def test_fit_tail_rate_window_errors(corner):
-    with pytest.raises(WindowError):
+    with pytest.raises(InvalidParameterError, match="tail window outside the computed range"):
         fit_tail_rate(corner, (50.0, 60.0))
-    with pytest.raises(WindowError):
+    with pytest.raises(InvalidParameterError, match="empty tail window"):
         fit_tail_rate(corner, (8.0, 4.0))
     tiny = synthetic_corner(1.0, n=6)
-    with pytest.raises(WindowError):
+    with pytest.raises(InvalidParameterError, match="tail window contains fewer than 5 nodes"):
         # fewer than five nodes inside the window
         fit_tail_rate(tiny, (2.0, 2.1))
 
@@ -262,12 +258,12 @@ def test_fit_tail_rate_window_errors(corner):
 def test_first_integral_rejects_zero_slope():
     prof = wf.CornerProfile(xi=np.array([0.0, 1.0]), u=np.array([1.0, 2.0]),
                             p=np.array([0.5, 0.0]), w=np.array([1.0, 1.0]))
-    with pytest.raises(DegenerateProfileError):
-        wf.first_integral_H(prof, 1.0)
+    with pytest.raises(InvalidParameterError, match="zero slope: first integral is undefined"):
+        wf.first_integral_H(prof.w, prof.p, 1.0)
 
 
 def test_first_integral_rejects_bad_epsilon(corner):
     with pytest.raises(InvalidParameterError):
-        wf.first_integral_H(corner, 0.0)
+        wf.first_integral_H(corner.w, corner.p, 0.0)
     with pytest.raises(InvalidParameterError):
-        wf.first_integral_H(corner, -1.0)
+        wf.first_integral_H(corner.w, corner.p, -1.0)

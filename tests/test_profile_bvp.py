@@ -20,7 +20,6 @@ from wavefan.errors import (
     CoverageError,
     InvalidParameterError,
     NonConvergenceError,
-    WindowError,
 )
 from wavefan.flux import divided_difference
 
@@ -307,7 +306,8 @@ def test_mesh_refines_with_layer_budget():
 
 
 def test_mesh_rejects_domain_missing_the_fan():
-    with pytest.raises(WindowError):
+    with pytest.raises(InvalidParameterError,
+                       match=r"domain \(-0.5, 2\) does not contain the wave fan \(-1, 1\)"):
         wf.build_mesh(make_problem(-1.0, 1.0), wf.SolveOptions(domain=(-0.5, 2.0)))
 
 
@@ -1303,7 +1303,7 @@ def test_solve_profile_reconstructs_the_slope_once(slope_calls, monkeypatch):
     assert attempts == [0.01, 0.01] and flows == [0.01] and report.stages == 2
     assert slope_calls == [len(profile.xi)]
     assert np.array_equal(profile.du, wf.reconstruct_derivative(profile.xi, profile.u))
-    assert len(slope_calls) == 1      # read again: cached, not recomputed
+    assert len(slope_calls) == 1      # read again: carried, not recomputed
 
 
 def test_probe_never_reconstructs_slopes(slope_calls):
@@ -1313,16 +1313,15 @@ def test_probe_never_reconstructs_slopes(slope_calls):
 
 
 def test_profile_slope_is_lazy_unless_given(slope_calls):
+    # a profile carries the slope it was given, and no other
     xi = np.linspace(-1.0, 1.0, 9)
     given = np.full(9, 7.0)
     assert wf.Profile(xi, xi ** 2, given).du is given
     assert slope_calls == []
-    lazy = wf.Profile(xi, xi ** 2)
-    assert slope_calls == []
-    assert np.allclose(lazy.du, 2.0 * xi, atol=1e-12)
-    assert lazy.du is lazy.du and len(slope_calls) == 1
+    bare = wf.Profile(xi, xi ** 2)
+    assert bare.du is None and slope_calls == []
     with pytest.raises(dataclasses.FrozenInstanceError):
-        lazy.u = xi
+        bare.u = xi
 
 
 def test_problem_validation():

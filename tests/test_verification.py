@@ -12,8 +12,6 @@ import wavefan as wf
 from wavefan.errors import (
     CoverageError,
     InvalidParameterError,
-    UnsupportedFluxError,
-    WindowError,
 )
 from wavefan import corner_layer, profile_bvp, verification
 from wavefan.verification import _barrier_ratio, _judge, _translate_defect
@@ -191,15 +189,15 @@ def test_quadratic_checks_accept_any_flux_with_identity_derivative(shock_profile
 
 def test_quadratic_checks_reject_a_shifted_derivative(shock_profile):
     shifted = wf.polynomial_flux((0.0, 1.0, 0.5))  # f'(u) = u + 1
-    with pytest.raises(UnsupportedFluxError):
+    with pytest.raises(InvalidParameterError, match=r"odd symmetry needs f'\(u\) = u"):
         wf.check_symmetry(shock_profile, 1.0, -1.0, flux=shifted)
-    with pytest.raises(UnsupportedFluxError):
+    with pytest.raises(InvalidParameterError, match=r"translation family needs f'\(u\) = u"):
         wf.translation_invariance_check(shock_profile, 0.05, 0.1, flux=shifted)
 
 
 def test_symmetry_rejects_other_fluxes(shock_profile):
     cubic = wf.polynomial_flux([0.0, 0.0, 0.0, 1.0])
-    with pytest.raises(UnsupportedFluxError):
+    with pytest.raises(InvalidParameterError, match=r"odd symmetry needs f'\(u\) = u"):
         wf.check_symmetry(shock_profile, 1.0, -1.0, flux=cubic)
     # quadratic flux passes through the guard
     wf.check_symmetry(shock_profile, 1.0, -1.0, flux=wf.burgers_flux())
@@ -210,9 +208,10 @@ def test_symmetry_rejects_other_fluxes(shock_profile):
 
 def test_l1_window_errors(shock_profile, shock_problem):
     exact = wf.solve_exact(shock_problem.flux, 1.0, -1.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(InvalidParameterError, match="window must be an increasing pair"):
         wf.l1_window_error(shock_profile, exact, (0.5, -0.5))
-    with pytest.raises(WindowError):
+    with pytest.raises(InvalidParameterError,
+                       match=r"window \(-100, 0\) outside the profile mesh"):
         wf.l1_window_error(shock_profile, exact, (-100.0, 0.0))
 
 
@@ -537,7 +536,7 @@ def test_translation_defect_stays_at_the_floor_as_viscosity_falls(eps):
 
 def test_translation_check_rejects_other_fluxes(shock_profile):
     cubic = wf.polynomial_flux([0.0, 0.0, 0.0, 1.0])
-    with pytest.raises(UnsupportedFluxError):
+    with pytest.raises(InvalidParameterError, match=r"translation family needs f'\(u\) = u"):
         wf.translation_invariance_check(shock_profile, 0.05, 0.1, flux=cubic)
     with pytest.raises(InvalidParameterError):
         wf.translation_invariance_check(shock_profile, -0.05, 0.1, BURGERS)
@@ -770,6 +769,13 @@ def test_a_passing_probe_entry_carries_its_run_counts(shock_problem):
             entry["n_failed"]) == (probe.max_distance, probe.n_converged,
                                    probe.n_out_of_class, probe.n_failed)
     assert probe.n_converged + probe.n_out_of_class + probe.n_failed == 6
+
+
+def test_battery_and_probe_reject_a_negative_seed(shock_problem):
+    with pytest.raises(InvalidParameterError, match="probe seed must be non-negative"):
+        wf.run_battery(shock_problem, seed=-1)
+    with pytest.raises(InvalidParameterError, match="probe seed must be non-negative"):
+        wf.uniqueness_probe(shock_problem, seed=-1)
 
 
 def test_battery_on_rarefaction(rarefaction_problem):
