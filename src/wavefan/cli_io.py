@@ -36,12 +36,12 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .corner_layer import first_integral_H, solve_corner
+from .corner_layer import check_xi_max, check_xi_min, first_integral_H, solve_corner
 from .errors import ConfigError, InvalidParameterError, ProfileFormatError, WavefanError
 from .flux import burgers_flux, format_flux_token, parse_flux_token
 from .profile_bvp import Profile, ProfileProblem, SolveOptions, solve_profile
 from .riemann import describe_waves, eval_riemann, solve_exact, wave_speed_span
-from .verification import probe_seed, run_battery
+from .verification import CHECK_NAMES, probe_seed, run_battery
 
 _FMT = b"%.17g"  # every CSV number: 17 significant digits round-trip every double
 _DECADES = (-308, 308)      # floor(log10|x|) of the normal doubles
@@ -208,8 +208,8 @@ def _build_parser():
 
     p_corner = sub.add_parser("corner", help="integrate the corner profile")
     p_corner.set_defaults(run=_cmd_corner)
-    p_corner.add_argument("--xi-min", type=float, default=-8.0)
-    p_corner.add_argument("--xi-max", type=float, default=10.0)
+    p_corner.add_argument("--xi-min", type=_checked(float, check_xi_min), default=-8.0)
+    p_corner.add_argument("--xi-max", type=_checked(float, check_xi_max), default=10.0)
     p_corner.add_argument("--samples", type=_checked(int, _at_least_two), default=2001,
                           help="number of equispaced output nodes")
     p_corner.add_argument("--out", type=_writable_path, default=None,
@@ -224,7 +224,7 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run the check battery")
     common(p_verify, _cmd_verify)
-    p_verify.add_argument("--check", default=None,
+    p_verify.add_argument("--check", default=None, choices=CHECK_NAMES, metavar="CHECK",
                           help="single check name (default: every applicable check)")
     p_verify.add_argument("--seed", type=_checked(int, probe_seed), default=None,
                           help="probe seed (default: the builtin probe seed)")
@@ -586,12 +586,8 @@ def _cmd_solve(config: argparse.Namespace) -> int:
 
 
 def _cmd_corner(config: argparse.Namespace) -> int:
-    try:        # solve_corner owns the ranges; outside them the invocation is wrong
-        corner = solve_corner(xi_min=config.xi_min, xi_max=config.xi_max,
-                              n_points=config.samples)
-    except InvalidParameterError as exc:
-        raise ConfigError("%s, got --xi-min %r --xi-max %r"
-                          % (exc, config.xi_min, config.xi_max)) from None
+    corner = solve_corner(xi_min=config.xi_min, xi_max=config.xi_max,
+                          n_points=config.samples)
     h_vals = first_integral_H(corner.w, corner.p, 1.0)
     text = _csv_text(("xi", "U", "p", "w", "H"),
                      (corner.xi, corner.u, corner.p, corner.w, h_vals))
@@ -621,7 +617,7 @@ def _cmd_verify(config: argparse.Namespace) -> int:
                             seed=config.seed)
     if config.check is not None:
         if config.check not in checks:
-            raise ConfigError("unknown or inapplicable check %r; this run has: %s"
+            raise ConfigError("check %r does not apply to this run; it has: %s"
                               % (config.check, ", ".join(sorted(checks))))
         checks = {config.check: checks[config.check]}
     _write_json(checks, config.out)

@@ -90,13 +90,23 @@ def solve_corner(xi_min: float = -8.0, xi_max: float = 10.0,
     return _corner_profile(float(xi_min), float(xi_max), operator.index(n_points))
 
 
+def check_xi_min(xi_min: float) -> None:
+    """`solve_corner`'s rule for xi_min: it lies in [-30, -4]."""
+    if not (-30.0 <= xi_min <= -4.0):
+        raise InvalidParameterError("xi_min must lie in [-30, -4]")
+
+
+def check_xi_max(xi_max: float) -> None:
+    """`solve_corner`'s rule for xi_max: it lies in (0, 30]."""
+    if not (0.0 < xi_max <= 30.0):
+        raise InvalidParameterError("xi_max must lie in (0, 30]")
+
+
 @functools.lru_cache(maxsize=8)
 def _corner_profile(xi_min: float, xi_max: float, n_points: int) -> CornerProfile:
     """`solve_corner` on normalised arguments."""
-    if not (-30.0 <= xi_min <= -4.0):
-        raise InvalidParameterError("xi_min must lie in [-30, -4]")
-    if not (0.0 < xi_max <= 30.0):
-        raise InvalidParameterError("xi_max must lie in (0, 30]")
+    check_xi_min(xi_min)
+    check_xi_max(xi_max)
     if n_points < 2:
         raise InvalidParameterError("n_points must be at least 2")
 

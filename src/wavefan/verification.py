@@ -3,11 +3,13 @@
 Each check here turns a structural property of the viscous profiles --
 monotonicity, odd symmetry, the corner-layer expansion, comparison-function
 (super/subsolution) margins, uniqueness, translation invariance -- into a
-number with a definite expected sign or bound. The sliding and sweeping
-margins, which a proof wants strictly positive, count a node only where its
-defect exceeds the defect's own roundoff, so flat tails cannot fake a sign.
-The barrier margin is L(g)/g, read off the main profile and closed-form
-tails past its ends, so no solve has to reach out to M.
+number with a definite expected sign or bound. Each takes (profile,
+problem, ...) and reads the states, flux, viscosity, exact solution and K
+from the problem; only lam, M and the L1 window are passed. The sliding and
+sweeping margins, which a proof wants strictly positive, count a node only
+where its defect exceeds the defect's own roundoff, so flat tails cannot
+fake a sign. The barrier margin is L(g)/g, read off the main profile and
+closed-form tails past its ends, so no solve has to reach out to M.
 
 The margin checks evaluate translates by moving the *sample points*, never
 by re-interpolating the profile values: a translate of a mesh function is
@@ -26,8 +28,6 @@ import numpy as np
 from .corner_layer import first_integral_H, solve_corner
 from .errors import CoverageError, InvalidParameterError, NonConvergenceError
 from .flux import (
-    FluxSpec,
-    burgers_flux,
     chord_slope_Q,
     derivative,
     has_identity_derivative,
@@ -49,6 +49,10 @@ from .profile_bvp import (
 from .riemann import eval_riemann, solve_exact, wave_speed_span
 
 DEFAULT_PROBE_SEED = 20240817
+# every name `run_battery` can report, in the order it runs the checks
+CHECK_NAMES = ("monotone", "l1_window", "first_integral_spread", "translation_invariance",
+               "symmetry", "corner_remainder", "sliding_margin", "sweeping_margin",
+               "barrier_margin", "uniqueness_probe")
 _EPS_MACH = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)    # e^x overflows exactly for x above it
 
@@ -85,12 +89,10 @@ class ProbeResult:
     n_out_of_class: int
 
 
-def check_monotone(profile: Profile, u_left: float, u_right: float) -> float:
+def check_monotone(profile: Profile, problem: ProfileProblem) -> float:
     """Smallest signed neighbour difference, min_i sign(uR-uL)*(u_{i+1}-u_i);
-    >= 0 means monotone the right way; 0 by convention when uL = uR."""
-    s = float(np.sign(u_right - u_left))
-    if s == 0.0:
-        return 0.0
+    >= 0 means monotone the right way; 0 when uL = uR, whose sign is 0."""
+    s = float(np.sign(problem.u_right - problem.u_left))
     return float(np.min(s * np.diff(profile.u)))
 
 
@@ -100,15 +102,14 @@ def _rounding_tol(problem: ProfileProblem) -> float:
     return 4.0 * _EPS_MACH * max(abs(problem.u_left), abs(problem.u_right))
 
 
-def check_symmetry(profile: Profile, u_left: float, u_right: float,
-                   flux: FluxSpec) -> float:
+def check_symmetry(profile: Profile, problem: ProfileProblem) -> float:
     """Sup deviation from the odd symmetry u(uL+uR-xi) + u(xi) = uL+uR.
 
     The symmetry holds when f'(u) = u (the quadratic flux u^2/2, up to a
-    constant), so passing a flux without that derivative is an error."""
-    if not has_identity_derivative(flux):
+    constant), so a problem whose flux lacks that derivative is an error."""
+    if not has_identity_derivative(problem.flux):
         raise InvalidParameterError("odd symmetry needs f'(u) = u")
-    total = u_left + u_right
+    total = problem.u_left + problem.u_right
     xi, u = profile.xi, profile.u
     mirrored_x = total - xi
     mask = (mirrored_x >= xi[0]) & (mirrored_x <= xi[-1])
@@ -157,8 +158,8 @@ def check_corner_expansion(profile: Profile, problem: ProfileProblem) -> float:
     return float(np.max(rem) * math.exp(1.0 / root) / root)
 
 
-def l1_window_error(profile: Profile, exact, window) -> float:
-    """Trapezoid integral of |profile - exact Riemann solution| over a window."""
+def l1_window_error(profile: Profile, problem: ProfileProblem, window) -> float:
+    """Trapezoid integral of |profile - the problem's `solve_exact`| over a window."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise InvalidParameterError("window must be an increasing pair")
@@ -167,32 +168,26 @@ def l1_window_error(profile: Profile, exact, window) -> float:
                                     % (lo, hi, profile.xi[0], profile.xi[-1]))
     inner = profile.xi[(profile.xi > lo) & (profile.xi < hi)]
     xs = np.concatenate([[lo], inner, [hi]])
+    exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
     diff = np.abs(np.interp(xs, profile.xi, profile.u) - eval_riemann(exact, xs))
     return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(xs)))
 
 
-def _translate_defect(profile: Profile, problem: ProfileProblem, lam: float,
-                      big_k: float | None = None):
-    """Per-node defect m of the slid translate (big_k None, a = lam, nodes
-    inside the domain) or the sweeping one (a = f'(u + lam) - f'(u) -
-    2*K*lam), and its roundoff n: m is minus the residual with f'(u) - xi
-    raised by a, and n is that residual's `residual_noise`."""
+def _translate_defect(profile: Profile, problem: ProfileProblem, lam: float):
+    """Per-node defect m of the slid translate for increasing data (a =
+    lam, nodes inside the domain), else of the sweeping one (a = f'(u +
+    lam) - f'(u) - 2*K*lam, K = Lip(f') on the state interval), and its
+    roundoff n: m is minus the residual with f'(u) - xi raised by a, and n
+    is that residual's `residual_noise`."""
     lam = float(lam)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidParameterError("lam must be finite and >= 0")
-    if big_k is None:
-        if not problem.u_left < problem.u_right:
-            raise InvalidParameterError("sliding family applies to increasing data")
+    if problem.u_left < problem.u_right:
         a, keep = lam, profile.xi[1:-1] - lam >= profile.xi[0]
         if not np.any(keep):
             raise CoverageError("translate leaves no overlap with the domain")
     else:
-        if not problem.u_left > problem.u_right:
-            raise InvalidParameterError("sweeping family applies to decreasing data")
-        needed = lipschitz_of_derivative(problem.flux, *problem.state_interval)
-        if not (np.isfinite(big_k) and big_k >= needed):
-            raise InvalidParameterError(
-                "K = %g is below the Lipschitz constant %g of f'" % (big_k, needed))
+        big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
         u_in = profile.u[1:-1]
         a = (derivative(problem.flux, u_in + lam) - derivative(problem.flux, u_in)
              - 2.0 * big_k * lam)
@@ -223,23 +218,27 @@ def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
     at its roundoff floor the margin tests the sign of D1(u), the sign that
     `check_monotone` tests on neighbour differences, at a tolerance of
     about `residual_noise`/|a| in place of that check's."""
+    if not problem.u_left < problem.u_right:
+        raise InvalidParameterError("sliding family applies to increasing data")
     return _judge(*_translate_defect(profile, problem, lam))
 
 
 def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
-                                  lam: float, big_k: float) -> tuple[float, int]:
+                                  lam: float) -> tuple[float, int]:
     """(value, undecided) of the sweeping translate u(xi - 2*K*lam) + lam
-    for decreasing data, by `_judge`; K must dominate the Lipschitz constant
-    of f' on the state interval or the construction is invalid.
+    for decreasing data, by `_judge`, with K = sup|f''| on the state
+    interval, the Lipschitz constant of f' that the construction needs.
 
     Its defect is -R(u) + a*D1(u) as for `sliding_supersolution_margin`,
     with a = f'(u + lam) - f'(u) - 2*K*lam, which lies between about
     -3*K*lam and -K*lam, so it too tests the sign of D1(u) once R(u) is at
     its roundoff floor."""
-    return _judge(*_translate_defect(profile, problem, lam, float(big_k)))
+    if not problem.u_left > problem.u_right:
+        raise InvalidParameterError("sweeping family applies to decreasing data")
+    return _judge(*_translate_defect(profile, problem, lam))
 
 
-def sliding_constant_M(problem: ProfileProblem, profile: Profile) -> float:
+def sliding_constant_M(profile: Profile, problem: ProfileProblem) -> float:
     """The threshold M = 1 + eps + sup|f'| + max|du| * Lip(f') beyond which
     the exponential barrier argument takes over from the pointwise one."""
     lo, hi = problem.state_interval
@@ -248,7 +247,7 @@ def sliding_constant_M(problem: ProfileProblem, profile: Profile) -> float:
                  * lipschitz_of_derivative(problem.flux, lo, hi))
 
 
-def _barrier_ratio(problem: ProfileProblem, profile: Profile, lam: float,
+def _barrier_ratio(profile: Profile, problem: ProfileProblem, lam: float,
                    mask: np.ndarray) -> np.ndarray:
     """L(g)/g = eps - |xi| + sign(xi)*f'(u_lam) - du*Q at the masked nodes."""
     xs = profile.xi[mask]
@@ -259,7 +258,7 @@ def _barrier_ratio(problem: ProfileProblem, profile: Profile, lam: float,
             - profile.du[mask] * q)
 
 
-def barrier_operator_margin(problem: ProfileProblem, profile: Profile,
+def barrier_operator_margin(profile: Profile, problem: ProfileProblem,
                             lam: float, big_m: float) -> float:
     """Supremum over |xi| > M of L(g)/g for the barrier g = e^{-|xi|} and
 
@@ -288,7 +287,7 @@ def barrier_operator_margin(problem: ProfileProblem, profile: Profile,
     inner = (max(big_m, -profile.xi[0], 0.0), max(big_m, profile.xi[-1], 0.0))
     tails = [problem.epsilon - a + big_s + big_k * abs(du)
              for a, du in zip(inner, profile.du[[0, -1]])]
-    nodes = _barrier_ratio(problem, profile, lam, np.abs(profile.xi) > big_m)
+    nodes = _barrier_ratio(profile, problem, lam, np.abs(profile.xi) > big_m)
     return float(max(np.max(nodes, initial=-math.inf), *tails))
 
 
@@ -355,7 +354,7 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
             continue
         u = prof.u
         if np.min(u) >= lo - tol and np.max(u) <= hi + tol \
-                and check_monotone(prof, problem.u_left, problem.u_right) >= -tol:
+                and check_monotone(prof, problem) >= -tol:
             in_class.append(u)
         else:
             out_of_class += 1
@@ -366,16 +365,18 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
                        n_out_of_class=out_of_class)
 
 
-def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
-                                 flux: FluxSpec) -> float:
+def translation_invariance_check(profile: Profile, problem: ProfileProblem,
+                                 lam: float) -> float:
     """Max interior residual of the translated samples u(xi - lam) + lam
-    under eps*u'' = (u - xi)*u', the profile equation when f'(u) = u.
+    under the problem's eps*u'' = (u - xi)*u', its equation when f'(u) = u.
 
     The translate is sampled exactly (nodes shifted with the values) and
     differenced on the original spacings, its own in exact arithmetic; the
     rounded nodes xi + lam would add their rounding, magnified about 4x per
     halving of eps, to the residual's roundoff floor, where the result sits.
-    Passing a flux whose derivative is not f'(u) = u is an error.
+    A problem whose flux lacks f'(u) = u is an error. Only interior rows
+    are read, so the problem's states, which the translate's ends miss by
+    lam, do not enter.
 
     The defect is the profile's own residual up to the rounding of u + lam:
     in exact arithmetic the translate's f'(u) - xi is (u + lam) - (xi + lam)
@@ -383,13 +384,12 @@ def translation_invariance_check(profile: Profile, epsilon: float, lam: float,
     value is max |R(u)| over the nodes the translate keeps, for any
     profile, solved or not: it tests the residual, not the solver's
     translation invariance."""
-    if not has_identity_derivative(flux):
+    if not has_identity_derivative(problem.flux):
         raise InvalidParameterError("translation family needs f'(u) = u")
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParameterError("lam must be finite")
     shifted = Profile(profile.xi + lam, profile.u + lam)
-    problem = ProfileProblem(burgers_flux(), shifted.u[0], shifted.u[-1], float(epsilon))
     defect = residual(problem, shifted, _Workspace(profile.xi))[1:-1]
     xi = shifted.xi[1:-1]
     keep = (xi >= profile.xi[0]) & (xi <= profile.xi[-1])
@@ -459,9 +459,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     profile, _ = solve_profile(problem, opts)
     half_width = 0.5 * float(profile.xi[-1] - profile.xi[0])
     lam = min(0.1, half_width)
-    exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
-    big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
-    big_m = sliding_constant_M(problem, profile)
+    big_m = sliding_constant_M(profile, problem)
 
     checks = {}
     margins = {}
@@ -470,14 +468,13 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         checks[name] = {"value": float(value), "threshold": float(threshold),
                         "pass": bool(ok), **counts}
 
-    mono = check_monotone(profile, problem.u_left, problem.u_right)
+    mono = check_monotone(profile, problem)
     tol = _rounding_tol(problem)
     record("monotone", mono, -tol, mono >= -tol)
 
-    span = wave_speed_span(exact)
-    wlo = max(span[0] - 0.5, profile.xi[0])
-    whi = min(span[1] + 0.5, profile.xi[-1])
-    l1 = l1_window_error(profile, exact, (wlo, whi))
+    span = wave_speed_span(solve_exact(problem.flux, problem.u_left, problem.u_right))
+    wlo, whi = max(span[0] - 0.5, profile.xi[0]), min(span[1] + 0.5, profile.xi[-1])
+    l1 = l1_window_error(profile, problem, (wlo, whi))
     l1_threshold = max(1.0, abs(problem.u_right - problem.u_left)) \
         * math.sqrt(problem.epsilon)
     record("l1_window", l1, l1_threshold, l1 <= l1_threshold)
@@ -492,14 +489,13 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         h_threshold = max(1e-5, 2.0 * opts.layer_factor ** 2)
         record("first_integral_spread", spread, h_threshold, spread <= h_threshold)
 
-        t0 = translation_invariance_check(profile, problem.epsilon, 0.0, problem.flux)
-        t1 = translation_invariance_check(profile, problem.epsilon, min(0.7, half_width),
-                                          problem.flux)
+        t0 = translation_invariance_check(profile, problem, 0.0)
+        t1 = translation_invariance_check(profile, problem, min(0.7, half_width))
         t_threshold = max(2.0 * t0, 10.0 * opts.newton_tol)
         record("translation_invariance", t1, t_threshold, t1 <= t_threshold)
 
     if quadratic and increasing:
-        sym = check_symmetry(profile, problem.u_left, problem.u_right, problem.flux)
+        sym = check_symmetry(profile, problem)
         record("symmetry", sym, 1e-6, sym <= 1e-6)
 
         try:
@@ -513,12 +509,12 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     if problem.u_left != problem.u_right:
         name = "sliding_margin" if increasing else "sweeping_margin"
         value, undecided = sliding_supersolution_margin(profile, problem, lam) \
-            if increasing else sweeping_supersolution_margin(profile, problem, lam, big_k)
+            if increasing else sweeping_supersolution_margin(profile, problem, lam)
         record(name, value, 0.0, value > 0.0, undecided=undecided)
         margins[name] = value
 
     if increasing:
-        barrier = barrier_operator_margin(problem, profile, lam, big_m)
+        barrier = barrier_operator_margin(profile, problem, lam, big_m)
         record("barrier_margin", barrier, 0.0, barrier < 0.0)
         margins["barrier_margin"] = barrier
 
@@ -527,4 +523,5 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
            n_converged=probe.n_converged, n_out_of_class=probe.n_out_of_class,
            n_failed=probe.n_failed)
 
+    big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
     return checks, DiagnosticsRecord(K=big_k, M=big_m, lam=lam, margins=margins)

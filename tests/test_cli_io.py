@@ -189,7 +189,10 @@ def test_config_file_errors(tmp_path):
     (["corner", "--samples", "11"], "samples=1", "--samples"),
     (["solve", "--ul", "1", "--ur", "-1", "--eps", "0.05"], "eps=0.05,0.1", "--eps"),
     (["verify", "--ul", "1", "--ur", "-1", "--seed", "3"], "seed=-1", "--seed"),
-], ids=["tol-inf", "ul-nan", "samples-one", "eps-increasing", "seed-negative"])
+    (["verify", "--ul", "1", "--ur", "-1", "--check", "monotone"], "check=bogus", "--check"),
+    (["corner", "--xi-min", "-8"], "xi-min=-100", "--xi-min"),
+], ids=["tol-inf", "ul-nan", "samples-one", "eps-increasing", "seed-negative",
+        "check-unknown", "xi-min-out-of-range"])
 def test_a_file_value_is_checked_even_when_overridden(tmp_path, capsys, argv, line, flag):
     # each flag has one check, run on every occurrence: the file's value is
     # an occurrence even when the command line that follows replaces it
@@ -509,7 +512,7 @@ def test_main_corner_out_of_range_is_a_rejected_invocation(argv, capsys):
     # the ranges are solve_corner's; the CLI reports them with exit code 2
     assert main(["corner"] + argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: xi_m") and "must lie in" in err and argv[1] in err
+    assert err.startswith("error: argument --xi-m") and "must lie in" in err and argv[1] in err
 
 
 def test_main_riemann_describes_waves(tmp_path, capsys):
@@ -581,12 +584,36 @@ def test_main_verify_says_how_many_margin_nodes_were_undecided(tmp_path, capsys)
             % (entry["value"], entry["undecided"])) in capsys.readouterr().err
 
 
-def test_main_verify_unknown_check(capsys):
+def test_main_verify_unknown_check(monkeypatch, capsys):
+    # the parser rejects the name before any solve
+    def no_battery(*args, **kwargs):
+        raise AssertionError("run_battery called for an unknown check")
+
+    monkeypatch.setattr(cli_io, "run_battery", no_battery)
     code = main(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05",
                  "--check", "bogus"])
     assert code == 2
     err = capsys.readouterr().err
     assert "bogus" in err and "monotone" in err
+    assert err.startswith("error: argument --check: invalid choice: 'bogus'")
+    assert err.count("\n") == 1
+
+
+def test_main_verify_inapplicable_check_is_named_after_the_run(capsys):
+    # symmetry is a known check that a shock does not produce
+    code = main(["verify", "--ul", "1", "--ur", "-1", "--eps", "0.05",
+                 "--check", "symmetry"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: check 'symmetry' does not apply to this run; it has: ")
+    assert "sweeping_margin" in err
+
+
+def test_verify_help_names_the_check_value_as_before(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert "--check CHECK" in out and "{" not in out
 
 
 def test_main_sweep_outputs(tmp_path, capsys):

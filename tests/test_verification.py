@@ -1,6 +1,7 @@
 """Structural checks, comparison-function margins, and the check battery."""
 
 import ast
+import inspect
 import math
 import pathlib
 from dataclasses import replace
@@ -118,20 +119,56 @@ def translation_defect_oracle(profile, epsilon, lam):
 
 
 # ---------------------------------------------------------------------------
+# one calling convention
+
+CHECK_SIGNATURES = {
+    "check_monotone": ["profile", "problem"],
+    "check_symmetry": ["profile", "problem"],
+    "check_corner_expansion": ["profile", "problem"],
+    "l1_window_error": ["profile", "problem", "window"],
+    "translation_invariance_check": ["profile", "problem", "lam"],
+    "sliding_supersolution_margin": ["profile", "problem", "lam"],
+    "sweeping_supersolution_margin": ["profile", "problem", "lam"],
+    "sliding_constant_M": ["profile", "problem"],
+    "barrier_operator_margin": ["profile", "problem", "lam", "big_m"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SIGNATURES))
+def test_every_check_takes_the_profile_then_its_problem(name):
+    # the problem carries the states, flux, viscosity and K; a check is
+    # passed only what the problem does not fix
+    params = list(inspect.signature(getattr(wf, name)).parameters)
+    assert params == CHECK_SIGNATURES[name]
+
+
+def test_check_names_are_the_names_the_battery_reports():
+    # Burgers and the cubic, both ways, at 0.05 between them produce every
+    # check, corner_remainder included; no name is listed that none produces
+    seen = set()
+    for flux in ("burgers", "poly:0,0,0,1"):
+        for ul in (1.0, -1.0):
+            prob = wf.ProfileProblem(wf.parse_flux_token(flux), ul, -ul, 0.05)
+            seen |= set(wf.run_battery(prob)[0])
+    assert set(verification.CHECK_NAMES) == seen
+    assert len(verification.CHECK_NAMES) == len(seen) == 10
+
+
+# ---------------------------------------------------------------------------
 # monotonicity and symmetry detectors
 
-def test_monotone_detector_signs(shock_profile):
-    assert wf.check_monotone(shock_profile, 1.0, -1.0) >= 0.0
+def test_monotone_detector_signs(shock_profile, shock_problem):
+    assert wf.check_monotone(shock_profile, shock_problem) >= 0.0
     # flip one interior node: the detector must go negative
     u = shock_profile.u.copy()
     mid = len(u) // 2
     u[mid] = u[mid - 1] + 0.1
     broken = wf.Profile(shock_profile.xi, u, shock_profile.du)
-    assert wf.check_monotone(broken, 1.0, -1.0) < 0.0
+    assert wf.check_monotone(broken, shock_problem) < 0.0
 
 
 def test_monotone_constant_data_is_zero(shock_profile):
-    assert wf.check_monotone(shock_profile, 0.5, 0.5) == 0.0
+    assert wf.check_monotone(shock_profile, wf.ProfileProblem(BURGERS, 0.5, 0.5, 0.05)) == 0.0
 
 
 def test_monotone_forgives_a_tail_below_the_data_rounding(monkeypatch):
@@ -156,15 +193,16 @@ def test_monotone_forgives_a_tail_below_the_data_rounding(monkeypatch):
     assert len(calls) >= result.n_converged >= 2
 
 
-def test_symmetry_zero_for_symmetric_solve(shock_profile, rarefaction_profile):
-    assert wf.check_symmetry(shock_profile, 1.0, -1.0, BURGERS) <= 1e-12
-    assert wf.check_symmetry(rarefaction_profile, -1.0, 1.0, BURGERS) <= 1e-12
+def test_symmetry_zero_for_symmetric_solve(shock_profile, shock_problem,
+                                           rarefaction_profile, rarefaction_problem):
+    assert wf.check_symmetry(shock_profile, shock_problem) <= 1e-12
+    assert wf.check_symmetry(rarefaction_profile, rarefaction_problem) <= 1e-12
 
 
-def test_symmetry_detects_a_shift(shock_profile):
+def test_symmetry_detects_a_shift(shock_profile, shock_problem):
     s = 1e-4
     shifted = wf.Profile(shock_profile.xi + s, shock_profile.u, shock_profile.du)
-    dev = wf.check_symmetry(shifted, 1.0, -1.0, BURGERS)
+    dev = wf.check_symmetry(shifted, shock_problem)
     expected = 2.0 * s * float(np.max(np.abs(shock_profile.du)))
     assert dev == pytest.approx(expected, rel=0.05)
 
@@ -174,54 +212,52 @@ def test_symmetry_across_viscosity_range():
         prob = wf.ProfileProblem(wf.burgers_flux(), -1.0, 1.0, eps)
         profile, report = wf.solve_profile(prob)
         assert report.converged
-        assert wf.check_symmetry(profile, -1.0, 1.0, BURGERS) <= 1e-6
+        assert wf.check_symmetry(profile, prob) <= 1e-6
 
 
 @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.5), (0.0, 0.0, 0.5, 0.0)])
 def test_quadratic_checks_accept_any_flux_with_identity_derivative(shock_profile,
-                                                                   coeffs):
-    flux = wf.polynomial_flux(coeffs)
-    assert wf.check_symmetry(shock_profile, 1.0, -1.0, flux) \
-        == wf.check_symmetry(shock_profile, 1.0, -1.0, BURGERS)
-    assert wf.translation_invariance_check(shock_profile, 0.05, 0.7, flux) \
-        == wf.translation_invariance_check(shock_profile, 0.05, 0.7, BURGERS)
+                                                                   shock_problem, coeffs):
+    other = replace(shock_problem, flux=wf.polynomial_flux(coeffs))
+    assert wf.check_symmetry(shock_profile, other) \
+        == wf.check_symmetry(shock_profile, shock_problem)
+    assert wf.translation_invariance_check(shock_profile, other, 0.7) \
+        == wf.translation_invariance_check(shock_profile, shock_problem, 0.7)
 
 
-def test_quadratic_checks_reject_a_shifted_derivative(shock_profile):
-    shifted = wf.polynomial_flux((0.0, 1.0, 0.5))  # f'(u) = u + 1
+def test_quadratic_checks_reject_a_shifted_derivative(shock_profile, shock_problem):
+    shifted = replace(shock_problem, flux=wf.polynomial_flux((0.0, 1.0, 0.5)))  # f' = u + 1
     with pytest.raises(InvalidParameterError, match=r"odd symmetry needs f'\(u\) = u"):
-        wf.check_symmetry(shock_profile, 1.0, -1.0, flux=shifted)
+        wf.check_symmetry(shock_profile, shifted)
     with pytest.raises(InvalidParameterError, match=r"translation family needs f'\(u\) = u"):
-        wf.translation_invariance_check(shock_profile, 0.05, 0.1, flux=shifted)
+        wf.translation_invariance_check(shock_profile, shifted, 0.1)
 
 
-def test_symmetry_rejects_other_fluxes(shock_profile):
-    cubic = wf.polynomial_flux([0.0, 0.0, 0.0, 1.0])
+def test_symmetry_rejects_other_fluxes(shock_profile, shock_problem):
+    cubic = replace(shock_problem, flux=wf.polynomial_flux([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(InvalidParameterError, match=r"odd symmetry needs f'\(u\) = u"):
-        wf.check_symmetry(shock_profile, 1.0, -1.0, flux=cubic)
+        wf.check_symmetry(shock_profile, cubic)
     # quadratic flux passes through the guard
-    wf.check_symmetry(shock_profile, 1.0, -1.0, flux=wf.burgers_flux())
+    wf.check_symmetry(shock_profile, replace(shock_problem, flux=wf.burgers_flux()))
 
 
 # ---------------------------------------------------------------------------
 # window diagnostics
 
 def test_l1_window_errors(shock_profile, shock_problem):
-    exact = wf.solve_exact(shock_problem.flux, 1.0, -1.0)
     with pytest.raises(InvalidParameterError, match="window must be an increasing pair"):
-        wf.l1_window_error(shock_profile, exact, (0.5, -0.5))
+        wf.l1_window_error(shock_profile, shock_problem, (0.5, -0.5))
     with pytest.raises(InvalidParameterError,
                        match=r"window \(-100, 0\) outside the profile mesh"):
-        wf.l1_window_error(shock_profile, exact, (-100.0, 0.0))
+        wf.l1_window_error(shock_profile, shock_problem, (-100.0, 0.0))
 
 
 def test_l1_window_scales_with_viscosity(shock_problem):
-    exact = wf.solve_exact(shock_problem.flux, 1.0, -1.0)
     errs = []
     for eps in (0.1, 0.05):
         prob = replace(shock_problem, epsilon=eps)
         profile, _ = wf.solve_profile(prob, wf.SolveOptions(domain=(-2.0, 2.0)))
-        errs.append(wf.l1_window_error(profile, exact, (-1.5, 1.5)))
+        errs.append(wf.l1_window_error(profile, prob, (-1.5, 1.5)))
     assert 0.0 < errs[1] < errs[0]
 
 
@@ -282,13 +318,13 @@ def test_margins_match_the_written_out_slope_oracle_bitwise(
         assert wf.sliding_supersolution_margin(prof, prob, lam) \
             == margin_verdict_oracle(want, noise)
     for prob, prof in ((shock_problem, shock_profile), cubic_profiles["decreasing"]):
-        big_k = 1.5 * wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
-        defect, noise = _translate_defect(prof, prob, lam, big_k)
+        big_k = wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
+        defect, noise = _translate_defect(prof, prob, lam)
         want, shift = sweeping_margin_oracle(prof, prob, lam, big_k)
         assert np.array_equal(defect, want)
         assert np.allclose(noise, node_noise_oracle(prof, prob, shift),
                            rtol=8.0 * EPS_MACH, atol=0.0)
-        assert wf.sweeping_supersolution_margin(prof, prob, lam, big_k) \
+        assert wf.sweeping_supersolution_margin(prof, prob, lam) \
             == margin_verdict_oracle(want, noise)
 
 
@@ -316,12 +352,8 @@ def _solved_margin(flux, ul, ur, eps, bump=None):
         u = prof.u.copy()
         u[node] += size
         prof = wf.Profile(prof.xi, u)
-    if ul < ur:
-        return (_translate_defect(prof, prob, 0.1),
-                wf.sliding_supersolution_margin(prof, prob, 0.1)[0])
-    big_k = wf.lipschitz_of_derivative(prob.flux, *prob.state_interval)
-    return (_translate_defect(prof, prob, 0.1, big_k),
-            wf.sweeping_supersolution_margin(prof, prob, 0.1, big_k)[0])
+    margin = wf.sliding_supersolution_margin if ul < ur else wf.sweeping_supersolution_margin
+    return _translate_defect(prof, prob, 0.1), margin(prof, prob, 0.1)[0]
 
 
 @pytest.mark.parametrize("flux, ul, ur, eps", MARGIN_GRID)
@@ -403,29 +435,26 @@ def test_sweeping_margin_positive_on_resolved_tails(shock_problem):
     # the tails decay to 1e-6 of the jump at |xi| = 0.54 (where
     # xi*1 + xi^2/2 = eps*ln(1e6)), so no node's slope is roundoff
     narrow, _ = wf.solve_profile(shock_problem, wf.SolveOptions(domain=(-0.55, 0.55)))
-    margin, _ = wf.sweeping_supersolution_margin(narrow, shock_problem, 0.1, 1.0)
+    margin, _ = wf.sweeping_supersolution_margin(narrow, shock_problem, 0.1)
     assert margin > 1e-10
-    assert abs(wf.sweeping_supersolution_margin(narrow, shock_problem, 0.0, 1.0)[0]) <= 1e-10
+    assert abs(wf.sweeping_supersolution_margin(narrow, shock_problem, 0.0)[0]) <= 1e-10
 
 
 def test_sweeping_margin_preconditions(shock_profile, shock_problem,
                                        rarefaction_profile, rarefaction_problem):
     with pytest.raises(InvalidParameterError):
-        wf.sweeping_supersolution_margin(rarefaction_profile, rarefaction_problem, 0.1, 1.0)
+        wf.sweeping_supersolution_margin(rarefaction_profile, rarefaction_problem, 0.1)
     with pytest.raises(InvalidParameterError):
-        # K below the Lipschitz constant of f' (which is 1 for the quadratic)
-        wf.sweeping_supersolution_margin(shock_profile, shock_problem, 0.1, 0.5)
-    with pytest.raises(InvalidParameterError):
-        wf.sweeping_supersolution_margin(shock_profile, shock_problem, -1.0, 1.0)
+        wf.sweeping_supersolution_margin(shock_profile, shock_problem, -1.0)
 
 
 def test_sliding_constant_formula(rarefaction_profile):
     prob = wf.ProfileProblem(wf.burgers_flux(), -1.0, 1.0, 0.1)
     profile, _ = wf.solve_profile(prob)
-    m = wf.sliding_constant_M(prob, profile)
+    m = wf.sliding_constant_M(profile, prob)
     assert m == pytest.approx(2.1 + float(np.max(np.abs(profile.du))), rel=1e-12)
     # only the viscosity term moves when the profile is held fixed
-    doubled = wf.sliding_constant_M(replace(prob, epsilon=0.2), profile)
+    doubled = wf.sliding_constant_M(profile, replace(prob, epsilon=0.2))
     assert doubled - m == pytest.approx(0.1, rel=1e-9)
 
 
@@ -433,14 +462,14 @@ def test_sliding_constant_for_constant_data():
     prob = wf.ProfileProblem(wf.burgers_flux(), 0.3, 0.3, 0.2)
     mesh = wf.build_mesh(prob)
     profile = wf.initial_guess(prob, mesh)
-    assert wf.sliding_constant_M(prob, profile) == pytest.approx(1.5, rel=1e-14)
+    assert wf.sliding_constant_M(profile, prob) == pytest.approx(1.5, rel=1e-14)
 
 
 @pytest.fixture(scope="module")
 def wide_rarefaction(rarefaction_problem):
     """The rarefaction re-solved on a domain reaching past |xi| = M, and M."""
     base, _ = wf.solve_profile(rarefaction_problem)
-    big_m = wf.sliding_constant_M(rarefaction_problem, base)
+    big_m = wf.sliding_constant_M(base, rarefaction_problem)
     wide, _ = wf.solve_profile(
         rarefaction_problem, wf.SolveOptions(domain=(-(big_m + 1.5), big_m + 1.5)))
     return wide, big_m
@@ -448,7 +477,7 @@ def wide_rarefaction(rarefaction_problem):
 
 def test_barrier_margin_negative_beyond_threshold(rarefaction_problem, wide_rarefaction):
     wide, big_m = wide_rarefaction
-    assert wf.barrier_operator_margin(rarefaction_problem, wide, 0.1, big_m) < 0.0
+    assert wf.barrier_operator_margin(wide, rarefaction_problem, 0.1, big_m) < 0.0
 
 
 def test_barrier_ratio_matches_written_out_oracle(rarefaction_problem, wide_rarefaction):
@@ -457,10 +486,10 @@ def test_barrier_ratio_matches_written_out_oracle(rarefaction_problem, wide_rare
     mask = np.abs(wide.xi) > big_m
     assert np.count_nonzero(mask) > 10
     lg, g = barrier_operator_oracle(rarefaction_problem, wide, 0.1, mask)
-    got = _barrier_ratio(rarefaction_problem, wide, 0.1, mask)
+    got = _barrier_ratio(wide, rarefaction_problem, 0.1, mask)
     terms = np.abs(wide.xi[mask]) + 1.0 + rarefaction_problem.epsilon
     assert np.all(np.abs(got - lg / g) <= 8.0 * EPS_MACH * terms)
-    margin = wf.barrier_operator_margin(rarefaction_problem, wide, 0.1, big_m)
+    margin = wf.barrier_operator_margin(wide, rarefaction_problem, 0.1, big_m)
     assert margin == max(float(np.max(got)),
                          barrier_tail_oracle(rarefaction_problem, wide, big_m))
 
@@ -468,7 +497,7 @@ def test_barrier_ratio_matches_written_out_oracle(rarefaction_problem, wide_rare
 def test_barrier_margin_far_threshold_is_tail_closed_form(rarefaction_problem,
                                                          rarefaction_profile):
     # at M = 800 no node is left and g = e^{-800} underflows; the ratio does not
-    val = wf.barrier_operator_margin(rarefaction_problem, rarefaction_profile, 0.1, 800.0)
+    val = wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.1, 800.0)
     assert np.isfinite(val) and val < 0.0
     assert val == pytest.approx(
         barrier_tail_oracle(rarefaction_problem, rarefaction_profile, 800.0),
@@ -478,30 +507,32 @@ def test_barrier_margin_far_threshold_is_tail_closed_form(rarefaction_problem,
 def test_barrier_margin_small_threshold_is_diagnostic(rarefaction_profile,
                                                       rarefaction_problem):
     # M = 0 is allowed; the margin is then merely a number, not a certificate
-    val = wf.barrier_operator_margin(rarefaction_problem, rarefaction_profile, 0.1, 0.0)
+    val = wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.1, 0.0)
     assert np.isfinite(val)
 
 
 def test_barrier_margin_errors(rarefaction_profile, rarefaction_problem,
                                shock_profile, shock_problem):
     # a threshold beyond the mesh leaves only the closed-form tails
-    far = wf.barrier_operator_margin(rarefaction_problem, rarefaction_profile, 0.1, 1e6)
+    far = wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.1, 1e6)
     assert far == pytest.approx(
         barrier_tail_oracle(rarefaction_problem, rarefaction_profile, 1e6),
         rel=4.0 * EPS_MACH)
     with pytest.raises(InvalidParameterError):
-        wf.barrier_operator_margin(shock_problem, shock_profile, 0.1, 3.0)
+        wf.barrier_operator_margin(shock_profile, shock_problem, 0.1, 3.0)
     with pytest.raises(InvalidParameterError):
-        wf.barrier_operator_margin(rarefaction_problem, rarefaction_profile, 0.0, 3.0)
+        wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
 # translation invariance and uniqueness
 
-def test_translation_defect_independent_of_shift(shock_profile, rarefaction_profile):
-    for profile in (shock_profile, rarefaction_profile):
-        t0 = wf.translation_invariance_check(profile, 0.05, 0.0, BURGERS)
-        t1 = wf.translation_invariance_check(profile, 0.05, 0.7, BURGERS)
+def test_translation_defect_independent_of_shift(shock_profile, shock_problem,
+                                                  rarefaction_profile, rarefaction_problem):
+    for profile, problem in ((shock_profile, shock_problem),
+                             (rarefaction_profile, rarefaction_problem)):
+        t0 = wf.translation_invariance_check(profile, problem, 0.0)
+        t1 = wf.translation_invariance_check(profile, problem, 0.7)
         assert t0 <= 1e-10
         assert t1 <= max(2.0 * t0, 1e-10)
 
@@ -518,9 +549,9 @@ def test_translation_defect_is_the_residual_of_any_profile():
     u[i] += 1e-2
     bumped = wf.Profile(profile.xi, u)
     assert profile.xi[i] + 0.7 < profile.xi[-1]
-    t0 = wf.translation_invariance_check(bumped, 0.01, 0.0, BURGERS)
+    t0 = wf.translation_invariance_check(bumped, problem, 0.0)
     assert t0 == np.max(np.abs(wf.residual(problem, bumped)[1:-1])) > 1.0
-    assert wf.translation_invariance_check(bumped, 0.01, 0.7, BURGERS) == t0
+    assert wf.translation_invariance_check(bumped, problem, 0.7) == t0
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.005])
@@ -529,27 +560,30 @@ def test_translation_defect_stays_at_the_floor_as_viscosity_falls(eps):
     # 2.25e-10 and 9.06e-10 here, above the battery's threshold
     problem = wf.ProfileProblem(BURGERS, 1.0, -1.0, eps)
     profile, _ = wf.solve_profile(problem)
-    t0 = wf.translation_invariance_check(profile, eps, 0.0, BURGERS)
-    t1 = wf.translation_invariance_check(profile, eps, 0.7, BURGERS)
+    t0 = wf.translation_invariance_check(profile, problem, 0.0)
+    t1 = wf.translation_invariance_check(profile, problem, 0.7)
     assert t1 <= max(2.0 * t0, 10.0 * wf.SolveOptions().newton_tol)
 
 
-def test_translation_check_rejects_other_fluxes(shock_profile):
-    cubic = wf.polynomial_flux([0.0, 0.0, 0.0, 1.0])
+def test_translation_check_rejects_other_fluxes(shock_profile, shock_problem):
+    cubic = replace(shock_problem, flux=wf.polynomial_flux([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(InvalidParameterError, match=r"translation family needs f'\(u\) = u"):
-        wf.translation_invariance_check(shock_profile, 0.05, 0.1, flux=cubic)
-    with pytest.raises(InvalidParameterError):
-        wf.translation_invariance_check(shock_profile, -0.05, 0.1, BURGERS)
+        wf.translation_invariance_check(shock_profile, cubic, 0.1)
+    with pytest.raises(InvalidParameterError):  # raised by the problem itself
+        wf.translation_invariance_check(shock_profile, replace(shock_problem, epsilon=-0.05),
+                                        0.1)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, -0.3])
-def test_translation_defect_matches_written_out_oracle(lam, shock_profile,
-                                                       rarefaction_profile):
+def test_translation_defect_matches_written_out_oracle(lam, shock_profile, shock_problem,
+                                                       rarefaction_profile,
+                                                       rarefaction_problem):
     # the residual kernel orders the operations differently, so the two
     # agree to the roundoff of the terms the defect is the difference of
-    for profile in (shock_profile, rarefaction_profile):
+    for profile, problem in ((shock_profile, shock_problem),
+                             (rarefaction_profile, rarefaction_problem)):
         expected, terms = translation_defect_oracle(profile, 0.05, lam)
-        got = wf.translation_invariance_check(profile, 0.05, lam, BURGERS)
+        got = wf.translation_invariance_check(profile, problem, lam)
         assert abs(got - expected) <= 8.0 * EPS_MACH * terms
 
 
