@@ -45,11 +45,15 @@ residual. If the residual is then at its roundoff floor, at an iterate
 inside the flow's bound on the states, the solve has converged; otherwise
 the start was too far off, and the self-similar Dafermos flow
 (`dafermos_flow`) runs from the same guess on the same mesh until Newton
-can finish. Each Newton solve evaluates one residual per iteration, and
-its residuals and Jacobians on one workspace (mesh differences computed
-once, scratch arrays reused, the Jacobian built from the slopes its
-residual left there), so the iterations allocate almost no fresh memory.
-The roundoff floor is a pass over every node; Newton computes it only when
+can finish. The central three-point scheme has one home, the class
+`_Central`: the residual, its roundoff and a cheap bound of that, the
+Jacobian and the linear step, on one mesh with its differences computed
+once and its scratch arrays reused. Each Newton solve and each flow keeps
+one, evaluates one residual per iteration and builds each Jacobian from
+the slopes its residual left there, so the iterations allocate almost no
+fresh memory; setting another class in its place swaps the discretization
+for the solve, the flow, the noise floor and the margins at once. The
+roundoff floor is a pass over every node; Newton computes it only when
 the residual is at or below a bound of it made of maxima of the mesh and
 of u, which rules it out while the residual is large.
 
@@ -71,6 +75,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -738,41 +743,54 @@ def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
     return Profile(xi=xi, u=u)
 
 
-class _Workspace:
-    """The mesh differences and scratch arrays that `residual` and `jacobian`
-    use on one mesh. Newton keeps one per solve, so its iterations allocate
-    almost nothing; a fresh workspace per call gives the same values."""
+class _Central:
+    """The central three-point scheme for `problem` on the mesh xi: the one
+    definition of the interior residual, its roundoff, a cheap bound of
+    that roundoff, the tridiagonal Jacobian and the shifted linear step.
 
-    def __init__(self, xi: np.ndarray):
+    It owns the mesh differences and scratch arrays. Newton and the flow
+    keep one per solve, so their iterations allocate almost nothing; a
+    fresh one per call gives the same values. `residual` leaves D1(u) and
+    f'(u) - xi in the scratch arrays, and `band` at the same u reads them.
+    Newton, the flow, the functions `residual`, `residual_noise`,
+    `residual_noise_floor` and `jacobian`, and `verification` reach the
+    scheme only through this class, looked up by name at call time: a
+    subclass set in its place changes the discretization for all of them."""
+
+    def __init__(self, problem: ProfileProblem, xi: np.ndarray):
+        self.problem = problem
         self.xi = xi
         n = len(xi)
         self.hm = xi[1:-1] - xi[:-2]
         self.hp = xi[2:] - xi[1:-1]
         self.hs = self.hm + self.hp
         self.sm, self.sp, self.d1, self.c, self.t = (np.empty(n - 2) for _ in range(5))
-        self._geometry = self._ab = self._noise_maxima = None
 
-    def jacobian_geometry(self):
-        """hp*hs, hm*hp, hm*hs, hp-hm and a (3, n) band array; built on
-        first use."""
-        if self._ab is None:
-            hm, hp, hs = self.hm, self.hp, self.hs
-            self._geometry = (hp * hs, hm * hp, hm * hs, hp - hm)
-            self._ab = np.empty((3, len(self.xi)))
-        return self._geometry, self._ab
+    @cached_property
+    def _band_geometry(self):
+        # hp*hs, hm*hp, hm*hs, hp-hm and the (3, n) band array
+        hm, hp, hs = self.hm, self.hp, self.hs
+        return hp * hs, hm * hp, hm * hs, hp - hm, np.empty((3, len(self.xi)))
 
-    def noise_maxima(self):
-        """max 1/(hm*hp), max (1/hm + 1/hp) and max |xi| over the interior
-        nodes; computed on first use."""
-        if self._noise_maxima is None:
-            hm, hp, xi = self.hm, self.hp, self.xi[1:-1]
-            self._noise_maxima = (float(np.max(1.0 / (hm * hp))),
-                                  float(np.max(1.0 / hm + 1.0 / hp)), _max_abs(xi))
-        return self._noise_maxima
+    @cached_property
+    def _noise_maxima(self):
+        # max 1/(hm*hp), max (1/hm + 1/hp) and max |xi| over the interior nodes
+        hm, hp, xi = self.hm, self.hp, self.xi[1:-1]
+        return (float(np.max(1.0 / (hm * hp))), float(np.max(1.0 / hm + 1.0 / hp)),
+                _max_abs(xi))
 
-    def slopes(self, u: np.ndarray):
-        """The one-sided slopes sm, sp and the central slope d1 at the
-        interior nodes, in the workspace's arrays."""
+    def _speed_offset(self, profile: Profile) -> np.ndarray:
+        """f'(u_i) - xi_i at the profile's interior nodes, in self.c."""
+        c = derivative(self.problem.flux, profile.u[1:-1], out=self.c)
+        c -= profile.xi[1:-1]
+        return c
+
+    def residual(self, profile: Profile, offset=0.0) -> np.ndarray:
+        """`residual` of the profile, whose spacings are the mesh's."""
+        problem, u = self.problem, profile.u
+        r = np.empty(len(u))
+        r[0] = u[0] - problem.u_left
+        r[-1] = u[-1] - problem.u_right
         sm = np.subtract(u[1:-1], u[:-2], out=self.sm)
         sm /= self.hm
         sp = np.subtract(u[2:], u[1:-1], out=self.sp)
@@ -780,18 +798,92 @@ class _Workspace:
         d1 = np.multiply(self.hm, sp, out=self.d1)
         d1 += np.multiply(self.hp, sm, out=self.t)
         d1 /= self.hs
-        return sm, sp, d1
+        c = self._speed_offset(profile)
+        inner = np.subtract(sp, sm, out=r[1:-1])
+        inner *= problem.epsilon * 2.0
+        inner /= self.hs
+        inner -= np.multiply(c, d1, out=self.t)
+        if np.any(offset):
+            inner -= np.multiply(offset, d1, out=self.t)
+        return r
 
-    def speed_offset(self, flux: FluxSpec, profile: Profile) -> np.ndarray:
-        """f'(u_i) - xi_i at the profile's interior nodes; only the scratch
-        array is the workspace's."""
-        c = derivative(flux, profile.u[1:-1], out=self.c)
-        c -= profile.xi[1:-1]
-        return c
+    def noise(self, profile: Profile, offset=0.0) -> np.ndarray:
+        """`residual_noise` of the profile; the scratch arrays are overwritten."""
+        u, hm, hp = profile.u, self.hm, self.hp
+        uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
+        c = np.abs(self._speed_offset(profile)) + np.abs(offset)
+        return 4.0 * _EPS_MACH * (2.0 * self.problem.epsilon * uscale / (hm * hp)
+                                  + c * uscale * (1.0 / hm + 1.0 / hp))
+
+    def noise_bound(self, u: np.ndarray) -> float:
+        """An upper bound of `residual_noise_floor` at u that costs two passes
+        over u: 4*eps_mach*(2*level), where
+
+            level = 2*eps*umax*max 1/(hm*hp) + (S + max|xi|)*umax*max(1/hm + 1/hp),
+
+        umax = max|u| and S = sup |f'| over [min u, max u]. Each factor bounds
+        its counterpart in every node's `noise` and both terms are summed in
+        the same association, so the exact level is at least each node's
+        exact level; the factor 2 covers the few ulps by which either computed
+        value can stray from its exact one, overflow to inf included. The mesh
+        maxima are computed on first use."""
+        inv_hmhp, inv_h, xmax = self._noise_maxima
+        lo, hi = float(u.min()), float(u.max())
+        umax = max(-lo, hi)
+        s = sup_derivative(self.problem.flux, lo, hi)
+        level = 2.0 * self.problem.epsilon * umax * inv_hmhp + (s + xmax) * umax * inv_h
+        return 4.0 * _EPS_MACH * (2.0 * level)
+
+    def band(self, u: np.ndarray) -> np.ndarray:
+        """`jacobian` at u, the profile of the last `residual`, from the
+        central slope self.d1 and the offset self.c = f'(u) - xi it left;
+        the band array is the scheme's own, overwritten by the next call."""
+        hphs, hmhp, hmhs, hpmhm, ab = self._band_geometry
+        d1, c, t = self.d1, self.c, self.t
+        eps = self.problem.epsilon
+
+        # identity boundary rows; the unused corners of the band are zero
+        ab[0, :2] = 0.0
+        ab[2, -2:] = 0.0
+        ab[1, [0, -1]] = 1.0
+        # superdiagonal entries J[i, i+1], stored in ab[0, i+1]:
+        # 2 eps / (hp hs) - c hm / (hp hs)
+        sup = np.divide(2.0 * eps, hphs, out=ab[0, 2:])
+        np.multiply(c, self.hm, out=t)
+        t /= hphs
+        sup -= t
+        # diagonal: -2 eps / (hm hp) - c (hp - hm) / (hm hp) - f''(u) d1
+        diag = np.divide(-2.0 * eps, hmhp, out=ab[1, 1:-1])
+        np.multiply(c, hpmhm, out=t)
+        t /= hmhp
+        diag -= t
+        second_derivative(self.problem.flux, u[1:-1], out=t)
+        t *= d1
+        diag -= t
+        # subdiagonal entries J[i, i-1], stored in ab[2, i-1]:
+        # 2 eps / (hm hs) + c hp / (hm hs)
+        sub = np.divide(2.0 * eps, hmhs, out=ab[2, :-2])
+        np.multiply(c, self.hp, out=t)
+        t /= hmhs
+        sub += t
+        return ab
+
+    def step(self, u: np.ndarray, r: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        """The d with (J - shift*I) d = -r, J = `band` at u, r its residual;
+        NaN if the band is singular. The identity boundary rows take their
+        exact d = -r, so pivoting cannot move the end values."""
+        ab = self.band(u)
+        ab[1, 1:-1] -= shift
+        try:
+            step = solve_banded(ab, -r)      # ab and -r are scratch
+        except np.linalg.LinAlgError:
+            step = np.full(len(u), np.nan)
+        step[0], step[-1] = -r[0], -r[-1]
+        return step
 
 
 def residual(problem: ProfileProblem, profile: Profile,
-             work: _Workspace | None = None, offset=0.0) -> np.ndarray:
+             work: _Central | None = None, offset=0.0) -> np.ndarray:
     """Full-length discrete residual; the first and last entries are the
     boundary mismatches and the interior entries are
 
@@ -801,117 +893,46 @@ def residual(problem: ProfileProblem, profile: Profile,
     a = offset (a scalar or one value per interior node) raises the
     transport coefficient, as translating the profile does; a*D1(u) is
     subtracted on its own after (f'(u_i) - xi_i)*D1(u), and not at all when
-    a is zero. `work`, a workspace for the profile's mesh spacings, saves
-    recomputing the mesh differences and allocating temporaries; the values
-    are the same. The workspace is left holding D1(u) and f'(u_i) - xi_i,
-    which a following Jacobian at the same u reuses.
+    a is zero. `work`, the scheme (`_Central`) of the problem on the
+    profile's mesh spacings, saves recomputing the mesh differences and
+    allocating temporaries; the values are the same. It is left holding
+    D1(u) and f'(u_i) - xi_i, which a following Jacobian at the same u
+    reuses.
     """
-    xi, u = profile.xi, profile.u
-    w = work if work is not None else _Workspace(xi)
-    n = len(xi)
-    r = np.empty(n)
-    r[0] = u[0] - problem.u_left
-    r[-1] = u[-1] - problem.u_right
-    sm, sp, d1 = w.slopes(u)
-    c = w.speed_offset(problem.flux, profile)
-    inner = np.subtract(sp, sm, out=r[1:-1])
-    inner *= problem.epsilon * 2.0
-    inner /= w.hs
-    inner -= np.multiply(c, d1, out=w.t)
-    if np.any(offset):
-        inner -= np.multiply(offset, d1, out=w.t)
-    return r
+    scheme = work if work is not None else _Central(problem, profile.xi)
+    return scheme.residual(profile, offset)
 
 
 def residual_noise(problem: ProfileProblem, profile: Profile,
-                   work: _Workspace | None = None, offset=0.0) -> np.ndarray:
+                   work: _Central | None = None, offset=0.0) -> np.ndarray:
     """Roundoff of `residual` (with the same offset a) at each interior
     node: 4*eps_mach times the terms it is the difference of,
     2*eps*uscale/(hm*hp) + (|f'(u) - xi| + |a|)*uscale*(1/hm + 1/hp), uscale
-    the largest |u| of the stencil. `work` is a workspace for profile.xi, as
+    the largest |u| of the stencil. `work` is the scheme on profile.xi, as
     in `residual`; its scratch arrays are overwritten."""
-    u = profile.u
-    w = work if work is not None else _Workspace(profile.xi)
-    hm, hp = w.hm, w.hp
-    uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
-    c = np.abs(w.speed_offset(problem.flux, profile)) + np.abs(offset)
-    return 4.0 * _EPS_MACH * (2.0 * problem.epsilon * uscale / (hm * hp)
-                              + c * uscale * (1.0 / hm + 1.0 / hp))
+    scheme = work if work is not None else _Central(problem, profile.xi)
+    return scheme.noise(profile, offset)
 
 
 def residual_noise_floor(problem: ProfileProblem, profile: Profile,
-                         work: _Workspace | None = None) -> float:
+                         work: _Central | None = None) -> float:
     """Roundoff level of the interior residual, the largest `residual_noise`:
     below it the residual is indistinguishable from zero in floating point,
     so iterating past it cannot help."""
     return float(np.max(residual_noise(problem, profile, work)))
 
 
-def _noise_floor_bound(problem: ProfileProblem, u: np.ndarray, work: _Workspace) -> float:
-    """An upper bound of `residual_noise_floor` at u that costs two passes
-    over u: 4*eps_mach*(2*level), where
-
-        level = 2*eps*umax*max 1/(hm*hp) + (S + max|xi|)*umax*max(1/hm + 1/hp),
-
-    umax = max|u| and S = sup |f'| over [min u, max u]. Each factor bounds
-    its counterpart in every node's `residual_noise` and both terms are summed
-    in the same association, so the exact level is at least each node's
-    exact level; the factor 2 covers the few ulps by which either computed
-    value can stray from its exact one, overflow to inf included."""
-    inv_hmhp, inv_h, xmax = work.noise_maxima()
-    lo, hi = float(u.min()), float(u.max())
-    umax = max(-lo, hi)
-    s = sup_derivative(problem.flux, lo, hi)
-    level = 2.0 * problem.epsilon * umax * inv_hmhp + (s + xmax) * umax * inv_h
-    return 4.0 * _EPS_MACH * (2.0 * level)
-
-
 def jacobian(problem: ProfileProblem, profile: Profile,
-             work: _Workspace | None = None) -> np.ndarray:
+             work: _Central | None = None) -> np.ndarray:
     """Analytic tridiagonal Jacobian of `residual`, in the banded (3, n)
     storage of `solve_banded` (ab[0, 1:] the superdiagonal, ab[1] the
     diagonal, ab[2, :-1] the subdiagonal); the boundary rows are identity.
-    With a workspace `work` the band array is the workspace's own,
-    overwritten by the next call."""
-    w = work if work is not None else _Workspace(profile.xi)
-    w.slopes(profile.u)
-    w.speed_offset(problem.flux, profile)
-    return _jacobian_band(problem, profile.u, w)
-
-
-def _jacobian_band(problem: ProfileProblem, u: np.ndarray, w: _Workspace) -> np.ndarray:
-    """`jacobian` at u from the central slope w.d1 and the offset
-    w.c = f'(u) - xi that the workspace already holds for u, as `residual`
-    leaves them."""
-    (hphs, hmhp, hmhs, hpmhm), ab = w.jacobian_geometry()
-    d1, c, t = w.d1, w.c, w.t
-    eps = problem.epsilon
-
-    # identity boundary rows; the unused corners of the band are zero
-    ab[0, :2] = 0.0
-    ab[2, -2:] = 0.0
-    ab[1, [0, -1]] = 1.0
-    # superdiagonal entries J[i, i+1], stored in ab[0, i+1]:
-    # 2 eps / (hp hs) - c hm / (hp hs)
-    sup = np.divide(2.0 * eps, hphs, out=ab[0, 2:])
-    np.multiply(c, w.hm, out=t)
-    t /= hphs
-    sup -= t
-    # diagonal: -2 eps / (hm hp) - c (hp - hm) / (hm hp) - f''(u) d1
-    diag = np.divide(-2.0 * eps, hmhp, out=ab[1, 1:-1])
-    np.multiply(c, hpmhm, out=t)
-    t /= hmhp
-    diag -= t
-    second_derivative(problem.flux, u[1:-1], out=t)
-    t *= d1
-    diag -= t
-    # subdiagonal entries J[i, i-1], stored in ab[2, i-1]:
-    # 2 eps / (hm hs) + c hp / (hm hs)
-    sub = np.divide(2.0 * eps, hmhs, out=ab[2, :-2])
-    np.multiply(c, w.hp, out=t)
-    t /= hmhs
-    sub += t
-    return ab
+    It is the band that the scheme `work` builds from the slopes a residual
+    at the profile leaves there; with `work` given, the band array is the
+    scheme's own, overwritten by the next call."""
+    scheme = work if work is not None else _Central(problem, profile.xi)
+    scheme.residual(profile)
+    return scheme.band(profile.u)
 
 
 def _max_abs(r: np.ndarray) -> float:
@@ -976,21 +997,6 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _linear_step(problem: ProfileProblem, u: np.ndarray, r: np.ndarray,
-                 work: _Workspace, shift: float = 0.0) -> np.ndarray:
-    """The d with (J - shift*I) d = -r, J the Jacobian at u from the slopes
-    `work` holds for u; NaN if the band is singular. The identity boundary
-    rows take their exact d = -r, so pivoting cannot move the end values."""
-    ab = _jacobian_band(problem, u, work)
-    ab[1, 1:-1] -= shift
-    try:
-        step = solve_banded(ab, -r)      # ab and -r are scratch
-    except np.linalg.LinAlgError:
-        step = np.full(len(u), np.nan)
-    step[0], step[-1] = -r[0], -r[-1]
-    return step
-
-
 def newton_solve(problem: ProfileProblem, guess: Profile,
                  options: SolveOptions | None = None) -> tuple[Profile, SolveReport]:
     """Newton iteration from the given guess on the guess's own mesh, full
@@ -1009,23 +1015,23 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
 
     The floor is judged once, at the last iterate, and only in reach: it
     scales with |u|*|f'(u)|. It first compares the residual with
-    `_noise_floor_bound`, an upper bound of the floor from the mesh maxima
-    (computed once per solve) and the range of u. A residual above the
+    the scheme's `noise_bound`, an upper bound of the floor from the mesh
+    maxima (computed once per solve) and the range of u. A residual above the
     bound is above the floor, so the floor is computed only for a residual
     at or below the bound, and every decision, iterate and report is the
     one the floor alone gives.
 
     Each Jacobian reuses the slopes and f'(u) - xi that the residual of the
-    accepted step left in the workspace. The returned profile carries no
-    slope.
+    accepted step left in the scheme (`_Central`). The returned profile
+    carries no slope.
     """
     opts = options or SolveOptions()
     _check_guess(guess)
     xi = np.asarray(guess.xi, dtype=float)
     u = np.asarray(guess.u, dtype=float).copy()
-    work = _Workspace(xi)
+    scheme = _Central(problem, xi)
 
-    r = residual(problem, Profile(xi, u), work)
+    r = residual(problem, Profile(xi, u), scheme)
     history = [_max_abs(r)]
     converged = history[-1] <= opts.newton_tol
     floor_limited = False
@@ -1038,9 +1044,9 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
                            mesh_size=len(xi), floor_limited=floor_limited)
 
     while not converged and iterations < _MAX_ITER:
-        step = _linear_step(problem, u, r, work)
+        step = scheme.step(u, r)
         trial = np.add(u, step, out=step)
-        rt = residual(problem, Profile(xi, trial), work)
+        rt = residual(problem, Profile(xi, trial), scheme)
         nt = _max_abs(rt)
         iterations += 1
         if not (nt <= (1.0 - _ARMIJO) * history[-1] or nt <= opts.newton_tol):
@@ -1053,8 +1059,8 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
         # the bound is at least the floor, so a residual above it is above
         # the floor too; only a residual at or below it needs the floor
         converged = floor_limited = _in_reach(problem, u) \
-            and not history[-1] > _noise_floor_bound(problem, u, work) \
-            and history[-1] <= residual_noise_floor(problem, Profile(xi, u), work)
+            and not history[-1] > scheme.noise_bound(u) \
+            and history[-1] <= residual_noise_floor(problem, Profile(xi, u), scheme)
 
     if not converged:
         raise NonConvergenceError(
@@ -1069,30 +1075,40 @@ def dafermos_flow(problem: ProfileProblem, guess: Profile) -> Profile:
     35, 1998) from `guess`, on its mesh, of the self-similar Dafermos flow
     v_tau = eps*v'' - (f'(v) - xi)*v' (tau = ln t, xi = x/t; `residual`),
     whose steady states are the profiles: linearly implicit Euler steps
-    (J - I/dt) d = -r. A layer off its place s is a front x = s*t + x0, so
-    xi - s = x0*e^(-tau) relaxes at rate 1 for every eps, to within eps at
-    tau = ln(x0/eps): 11.5 for x0 = 1 at eps = 1e-5. The residual stays
-    O(1/eps) meanwhile and cannot pace the steps, so dt grows from _FLOW_DT
-    = 0.05 by _FLOW_GROWTH = 1.5 per accepted step: tau = 0.1*(1.5^n - 1)
-    is 11.5 after 12 steps. A step that is not finite or leaves the states'
-    interval widened by half its length on each side (`_in_reach`)
+    (J - I/dt) d = -r, the scheme's `step`. A layer off its place s is a
+    front x = s*t + x0, which the exact flow carries in at rate 1 in tau,
+    xi - s = x0*e^(-tau). The steps do not: a step adds about
+    x0*dt/(1 + dt) times the profile's slope, which moves the layer only
+    while that shift is below the layer's width, about eps. A larger one
+    adds a bump, and a step that leaves the states' interval widened by
+    half its length on each side (`_in_reach`), or is not finite,
     overshoots the bounded flow; it is rejected and dt cut by _FLOW_CUT =
-    4. At sup residual _FLOW_HANDOVER = 1e-3 the layers are in place and
-    the flow returns. After _FLOW_STEPS steps, rejected ones included
-    (several times the 12-18 it has taken), it raises NonConvergenceError.
+    4. The residual stays O(1/eps) until the layer is in place and cannot
+    pace the steps, so dt grows from _FLOW_DT = 0.05 by _FLOW_GROWTH = 1.5
+    per accepted step and settles where a step moves the layer by about
+    its width: with the step limit raised to 2,000, the Burgers shock's
+    runs at eps 5e-4 took 0.65-0.76*|x0|/eps accepted steps. At sup
+    residual _FLOW_HANDOVER = 1e-3 the layers are in place and the flow
+    returns. After _FLOW_STEPS = 100 steps, rejected ones included, it
+    raises NonConvergenceError. The six runs of `uniqueness_probe` at its
+    default seed take 74-77 accepted steps in all on the Burgers data at
+    eps 0.05, about 13 a run, but 187 accepted and 31 rejected on the
+    Burgers shock at 0.005; on the cubic +-1 they take 415 + 97 at 0.01
+    and 409 + 107 at 0.005, where four of the six runs spend the whole
+    budget and fail.
     """
     xi, u = guess.xi, guess.u
-    work = _Workspace(xi)
-    r = residual(problem, guess, work)
+    scheme = _Central(problem, xi)
+    r = residual(problem, guess, scheme)
     history = [_max_abs(r)]
     dt = _FLOW_DT
     for _ in range(_FLOW_STEPS):
-        trial = u + _linear_step(problem, u, r, work, 1.0 / dt)
+        trial = u + scheme.step(u, r, 1.0 / dt)
         if not _in_reach(problem, trial):
             dt /= _FLOW_CUT
             continue
         u = trial
-        r = residual(problem, Profile(xi, u), work)
+        r = residual(problem, Profile(xi, u), scheme)
         history.append(_max_abs(r))
         if history[-1] <= _FLOW_HANDOVER:
             return Profile(xi, u)

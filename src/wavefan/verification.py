@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import profile_bvp
 from .corner_layer import first_integral_H, solve_corner
 from .errors import CoverageError, InvalidParameterError, NonConvergenceError
 from .flux import (
@@ -38,7 +39,6 @@ from .profile_bvp import (
     Profile,
     ProfileProblem,
     SolveOptions,
-    _Workspace,
     build_mesh,
     dafermos_flow,
     newton_solve,
@@ -308,10 +308,13 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
     same profile.
 
     Guess centres and widths are drawn from per-guess child seeds, so the
-    set of guesses depends only on `seed`. The flow carries a misplaced
-    layer to its place at rate 1 in tau = ln t for every eps and hands
-    Newton an iterate near a steady state; Newton alone from a ramp whose
-    layer sits far from its place mostly stalls at a rejected full step.
+    set of guesses depends only on `seed`. The flow moves a misplaced
+    layer by about its width, about eps, per accepted step, so a ramp x0
+    from its place takes about 0.7*|x0|/eps steps, and a run that needs more
+    than the flow's budget fails (`dafermos_flow`: four of the six on the
+    cubic +-1 at eps 0.01); a run that arrives hands Newton an iterate near
+    a steady state. Newton alone from a ramp whose layer sits far from its
+    place mostly stalls at a rejected full step.
 
     Uniqueness is proved for bounded monotone profiles, and the paper
     builds an unbounded Burgers solution, so only runs that end in that
@@ -390,7 +393,7 @@ def translation_invariance_check(profile: Profile, problem: ProfileProblem,
     if not np.isfinite(lam):
         raise InvalidParameterError("lam must be finite")
     shifted = Profile(profile.xi + lam, profile.u + lam)
-    defect = residual(problem, shifted, _Workspace(profile.xi))[1:-1]
+    defect = residual(problem, shifted, profile_bvp._Central(problem, profile.xi))[1:-1]
     xi = shifted.xi[1:-1]
     keep = (xi >= profile.xi[0]) & (xi <= profile.xi[-1])
     if not np.any(keep):

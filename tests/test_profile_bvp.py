@@ -670,13 +670,13 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_workspace_residual_and_jacobian_match_fresh_evaluation_bitwise():
-    # Newton keeps one workspace per solve and lets the banded solve
+    # Newton keeps one scheme per solve and lets the banded solve
     # overwrite its band array; every call must equal a fresh evaluation
     rng = np.random.default_rng(19)
     for flux in (wf.burgers_flux(), wf.polynomial_flux([0.0, 0.2, 0.5, 1.0 / 3.0])):
         prob = wf.ProfileProblem(flux, 1.0, -1.0, 0.03)
         xi = np.sort(rng.uniform(-2.0, 2.0, 400))
-        work = profile_bvp._Workspace(xi)
+        work = profile_bvp._Central(prob, xi)
         for _ in range(3):
             u = np.tanh(-xi / 0.1) + 1e-3 * rng.standard_normal(len(xi))
             prof = wf.Profile(xi, u)
@@ -689,17 +689,17 @@ def test_workspace_residual_and_jacobian_match_fresh_evaluation_bitwise():
 
 def test_jacobian_from_the_residual_workspace_matches_fresh_jacobian_bitwise():
     # Newton builds each Jacobian from the slopes and f'(u) - xi that the
-    # accepted trial's residual left in the workspace
+    # accepted trial's residual left in the scheme
     rng = np.random.default_rng(29)
     for flux in (wf.burgers_flux(), wf.polynomial_flux([0.0, 0.2, 0.5, 1.0 / 3.0])):
         prob = wf.ProfileProblem(flux, 1.0, -1.0, 0.03)
         xi = np.sort(rng.uniform(-2.0, 2.0, 400))
-        work = profile_bvp._Workspace(xi)
+        work = profile_bvp._Central(prob, xi)
         for _ in range(3):
             prof = wf.Profile(xi, np.tanh(-xi / 0.1) + 1e-3 * rng.standard_normal(len(xi)))
             wf.residual(prob, prof, work)
             assert np.array_equal(work.c, wf.derivative(flux, prof.u[1:-1]) - xi[1:-1])
-            ab = profile_bvp._jacobian_band(prob, prof.u, work)
+            ab = work.band(prof.u)
             assert np.array_equal(ab, wf.jacobian(prob, prof))
 
 
@@ -746,11 +746,11 @@ def test_offset_residual_is_minus_the_translate_defect_bitwise(flux, ul):
     r = wf.residual(prob, prof)
     assert np.array_equal(wf.residual(prob, prof, offset=0.0), r)
     for a in (lam, sweep):
-        work = profile_bvp._Workspace(prof.xi)
+        work = profile_bvp._Central(prob, prof.xi)
         got = wf.residual(prob, prof, work, offset=a)
         assert np.array_equal(-got[1:-1], a * d1_oracle(prof) - r[1:-1])
         assert (got[0], got[-1]) == (r[0], r[-1])
-        # the workspace keeps f'(u) - xi without the offset, for the Jacobian
+        # the scheme keeps f'(u) - xi without the offset, for the Jacobian
         assert np.array_equal(work.c, wf.derivative(prob.flux, u_in) - prof.xi[1:-1])
         assert np.array_equal(wf.residual_noise(prob, prof, offset=a),
                               node_noise_oracle(prob, prof, a))
@@ -762,7 +762,7 @@ def test_noise_floor_on_a_used_workspace_matches_oracle_bitwise():
         prob = wf.ProfileProblem(flux, 1.0, -1.0, 0.03)
         xi = np.sort(rng.uniform(-2.0, 2.0, 400))
         prof = wf.Profile(xi, np.tanh(-xi / 0.1) + 1e-3 * rng.standard_normal(len(xi)))
-        work = profile_bvp._Workspace(xi)
+        work = profile_bvp._Central(prob, xi)
         wf.jacobian(prob, prof, work)
         expected = noise_floor_oracle(prob, prof)
         assert wf.residual_noise_floor(prob, prof, work) == expected
@@ -778,9 +778,8 @@ def test_noise_floor_bound_is_at_least_the_floor(coeffs, seed, n, eps, scale):
     xi = graded_mesh(rng, n) * rng.uniform(0.1, 10.0)
     u = scale * rng.uniform(-1.0, 1.0, n)
     prob = wf.ProfileProblem(wf.polynomial_flux(coeffs), u[0], u[-1], eps)
-    work = profile_bvp._Workspace(xi)
-    assert profile_bvp._noise_floor_bound(prob, u, work) \
-        >= wf.residual_noise_floor(prob, wf.Profile(xi, u), work)
+    work = profile_bvp._Central(prob, xi)
+    assert work.noise_bound(u) >= wf.residual_noise_floor(prob, wf.Profile(xi, u), work)
 
 
 def test_newton_evaluates_the_floor_only_where_it_can_decide(monkeypatch):
@@ -1196,9 +1195,9 @@ def test_a_singular_band_gives_a_nan_step_and_ends_newton(monkeypatch):
     guess = wf.initial_guess(prob, wf.build_mesh(prob))
     u = guess.u.copy()
     u[0] += 0.25
-    work = profile_bvp._Workspace(guess.xi)
+    work = profile_bvp._Central(prob, guess.xi)
     r = wf.residual(prob, wf.Profile(guess.xi, u), work)
-    step = profile_bvp._linear_step(prob, u, r, work)
+    step = work.step(u, r)
     assert np.all(np.isnan(step[1:-1]))
     assert (step[0], step[-1]) == (-r[0], -r[-1])
     with pytest.raises(NonConvergenceError) as info:
@@ -1213,11 +1212,11 @@ def test_solve_banded_is_scipys_tridiagonal_solve_bitwise(ul, ur, eps, flux):
     # shifted by 1/dt: the same dgtsv call as scipy's solve_banded((1, 1))
     prob = make_problem(ul, ur, eps, flux=flux)
     guess = wf.initial_guess(prob, wf.build_mesh(prob))
-    work = profile_bvp._Workspace(guess.xi)
+    work = profile_bvp._Central(prob, guess.xi)
     u = guess.u
     for shift in (0.0, 0.0, 1.0 / profile_bvp._FLOW_DT):
         r = wf.residual(prob, wf.Profile(guess.xi, u), work)
-        ab = profile_bvp._jacobian_band(prob, u, work)
+        ab = work.band(u)
         ab[1, 1:-1] -= shift
         expect = solve_banded((1, 1), ab, -r)
         x = profile_bvp.solve_banded(ab.copy(), -r)
@@ -1272,14 +1271,14 @@ def test_flow_rejects_a_bad_step_and_cuts_dt(monkeypatch, spoil):
     # the first step is spoiled (not finite, or past the states' interval
     # widened by half its length); each later one is accepted, dt growing 1.5x
     shifts = []
-    real = profile_bvp._linear_step
+    real = profile_bvp._Central.step
 
-    def spy(problem, u, r, work, shift=0.0):
+    def spy(scheme, u, r, shift=0.0):
         shifts.append(shift)
-        step = real(problem, u, r, work, shift)
+        step = real(scheme, u, r, shift)
         return spoil(step) if len(shifts) == 1 else step
 
-    monkeypatch.setattr(profile_bvp, "_linear_step", spy)
+    monkeypatch.setattr(profile_bvp._Central, "step", spy)
     prob = wf.ProfileProblem(QUARTIC, 1.0, -1.0, 1e-3)
     flowed = profile_bvp.dafermos_flow(prob, wf.initial_guess(prob, wf.build_mesh(prob)))
     assert shifts[0] == 1.0 / profile_bvp._FLOW_DT
