@@ -8,6 +8,7 @@ differentiable, which is all the profile solver needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,11 +98,10 @@ def evaluate(flux: FluxSpec, u):
 
 
 def _polyval(u, coeffs: np.ndarray, out: np.ndarray | None):
-    """polyval(u, coeffs), written into `out` if one is given: the same
-    Horner steps, so the values are bitwise those of numpy's polyval."""
-    if out is None:
-        return np.polynomial.polynomial.polyval(u, coeffs)
-    np.multiply(u, 0.0, out=out)
+    """polyval(u, coeffs) by Horner's rule, written into `out` if one is
+    given: the same steps as numpy's polyval, so the values and the type
+    of a scalar result are those of numpy's."""
+    out = u * 0.0 if out is None else np.multiply(u, 0.0, out=out)
     out += coeffs[-1]
     for a in coeffs[-2::-1]:
         out *= u
@@ -195,12 +195,26 @@ def divided_difference(coefficients, a, b):
     """(p(b) - p(a))/(b - a) for the polynomial p with ascending coefficients
     c_k, elementwise in a and b, as sum_{k>=1} c_k*h_(k-1)(a, b) with
     h_m = h_(m-1)*b + a^m (powers by repeated products): it takes no
-    difference of nearby values, and is p'(a) at a == b."""
+    difference of nearby values, and is p'(a) at a == b.
+
+    Where a power overflows, the slope itself may not. So a sum that is
+    not finite is formed again on the states scaled by 2^-e into [-1, 1],
+    with each c_k scaled by 2^(e(k-1)): the same slope, by scalings that
+    are exact unless a scaled value leaves the normal range. A finite sum
+    is returned as it is, and so is the sum when a scaled c_k overflows.
+    Only a Python float sum is formed again; numpy values are summed once."""
     total, h, a_pow = 0.0, 0.0, 1.0
     for c in coefficients[1:]:
         h, a_pow = h * b + a_pow, a_pow * a
         total += c * h
-    return total
+    if type(total) is not float or math.isfinite(total):
+        return total
+    e = math.frexp(max(abs(a), abs(b)))[1]
+    try:
+        scaled = [math.ldexp(c, e * (k - 1)) for k, c in enumerate(coefficients)]
+    except OverflowError:
+        return total
+    return divided_difference(scaled, math.ldexp(a, -e), math.ldexp(b, -e)) if e else total
 
 
 def chord_slope_Q(flux: FluxSpec, a, b):

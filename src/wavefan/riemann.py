@@ -9,14 +9,22 @@ from p and is the right state or a tangency point, a root of a polynomial.
 A fan starts where f' is below every such chord, and inside a fan u(xi)
 inverts f' to full floating-point accuracy.
 
-The solution is self-similar: u depends on xi = x/t only.
+The solution is self-similar: u depends on xi = x/t only. Its waves, the
+constant states, shocks and rarefaction fans, all have one shape: each
+spans [xi_lo, xi_hi] from u_left to u_right, and starts where the wave
+before it ends. A shock is a wave of zero width (xi_lo = xi_hi = its
+speed), and a constant state has u_left = u_right = u. A chord slope
+whose powers of the states overflow is formed again on the states scaled
+by a power of 2 (`divided_difference`), so data whose slopes fit in
+doubles are solved even where f does not; data whose slopes or f'
+overflow raise CoverageError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.polynomial.polynomial as _poly
@@ -30,50 +38,55 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class ConstantState:
+    """The state u on [xi_lo, xi_hi]; u_left and u_right are both u."""
+
     u: float
     xi_lo: float
     xi_hi: float
+    u_left = u_right = property(lambda self: self.u)
 
 
 @dataclass(frozen=True)
 class Shock:
-    """Jump from u_left to u_right travelling at the Rankine-Hugoniot speed."""
+    """Jump from u_left to u_right travelling at the Rankine-Hugoniot speed:
+    a wave of zero width, whose xi_lo and xi_hi are both its speed."""
 
     speed: float
     u_left: float
     u_right: float
+    xi_lo = xi_hi = property(lambda self: self.speed)
 
 
 @dataclass(frozen=True)
 class RarefactionFan:
-    """Continuous wave on [xi_lo, xi_hi]; u(xi) inverts f' between u_lo and u_hi."""
+    """Continuous wave on [xi_lo, xi_hi]; u(xi) inverts f' from u_left at
+    xi_lo to u_right at xi_hi."""
 
     xi_lo: float
     xi_hi: float
-    u_lo: float          # state at xi_lo
-    u_hi: float          # state at xi_hi
+    u_left: float
+    u_right: float
 
 
 @dataclass(frozen=True)
 class RiemannSolution:
+    """The waves from u_left to u_right, ordered ConstantState / Shock /
+    RarefactionFan entries that partition xi: each has xi_lo, xi_hi, u_left
+    and u_right, and starts where the one before it ends, in xi and in u."""
+
     flux: FluxSpec
     u_left: float
     u_right: float
-    waves: tuple  # ordered ConstantState / Shock / RarefactionFan, partitioning xi
+    waves: tuple
 
 
 def wave_speed_span(sol: RiemannSolution) -> tuple[float, float]:
     """Smallest and largest finite wave speed (equal for a constant solution)."""
-    speeds = []
-    for w in sol.waves:
-        if isinstance(w, Shock):
-            speeds.append(w.speed)
-        elif isinstance(w, RarefactionFan):
-            speeds.extend((w.xi_lo, w.xi_hi))
-    if not speeds:
+    waves = [w for w in sol.waves if not isinstance(w, ConstantState)]
+    if not waves:
         v = float(derivative(sol.flux, sol.u_left))
         return v, v
-    return min(speeds), max(speeds)
+    return min(w.xi_lo for w in waves), max(w.xi_hi for w in waves)
 
 
 def _reflected_flux(flux: FluxSpec) -> FluxSpec:
@@ -158,10 +171,10 @@ def _solve_increasing(flux: FluxSpec, u_left: float, u_right: float) -> list:
         speed = divided_difference(flux.coefficients, a, b)
         fan = waves.pop() if waves and isinstance(waves[-1], RarefactionFan) else None
         # a fan of zero width, or over two adjacent doubles, folds into the shock
-        if fan and (fan.xi_lo >= speed or fan.u_hi == np.nextafter(fan.u_lo, b)):
-            return add_shock(fan.u_lo, b)
+        if fan and (fan.xi_lo >= speed or fan.u_right == np.nextafter(fan.u_left, b)):
+            return add_shock(fan.u_left, b)
         if fan:  # the fan ends on the tangent shock, at its speed
-            waves.append(RarefactionFan(fan.xi_lo, speed, fan.u_lo, fan.u_hi))
+            waves.append(RarefactionFan(fan.xi_lo, speed, fan.u_left, fan.u_right))
         waves.append(Shock(speed, a, b))
 
     p = u_left
@@ -172,9 +185,9 @@ def _solve_increasing(flux: FluxSpec, u_left: float, u_right: float) -> list:
             edge = float(derivative(flux, r))
             prev = waves[-1] if waves else None
             if isinstance(prev, RarefactionFan):  # split off by a concave sliver
-                waves[-1] = RarefactionFan(prev.xi_lo, edge, prev.u_lo, r)
+                waves[-1] = RarefactionFan(prev.xi_lo, edge, prev.u_left, r)
             else:
-                xi_lo = prev.speed if prev else float(derivative(flux, p))
+                xi_lo = prev.xi_hi if prev else float(derivative(flux, p))
                 waves.append(RarefactionFan(xi_lo, edge, p, r))
             p = r
         else:
@@ -183,7 +196,7 @@ def _solve_increasing(flux: FluxSpec, u_left: float, u_right: float) -> list:
     last = waves[-1]
     if isinstance(last, RarefactionFan) and last.xi_hi <= last.xi_lo:
         waves.pop()
-        add_shock(last.u_lo, last.u_hi)
+        add_shock(last.u_left, last.u_right)
     return waves
 
 
@@ -191,17 +204,12 @@ def _with_constants(waves, u_left):
     """Insert the surrounding constant states, and those of positive width
     between waves."""
     full = []
-    cursor_u = u_left
-    cursor_xi = -np.inf
+    cursor_u, cursor_xi = u_left, -np.inf
     for w in waves:
-        start = w.speed if isinstance(w, Shock) else w.xi_lo
-        if start > cursor_xi:
-            full.append(ConstantState(cursor_u, cursor_xi, start))
+        if w.xi_lo > cursor_xi:
+            full.append(ConstantState(cursor_u, cursor_xi, w.xi_lo))
         full.append(w)
-        if isinstance(w, Shock):
-            cursor_u, cursor_xi = w.u_right, w.speed
-        else:
-            cursor_u, cursor_xi = w.u_hi, w.xi_hi
+        cursor_u, cursor_xi = w.u_right, w.xi_hi
     full.append(ConstantState(cursor_u, cursor_xi, np.inf))
     return tuple(full)
 
@@ -227,15 +235,12 @@ def solve_exact(flux: FluxSpec, u_left: float, u_right: float) -> RiemannSolutio
     elif u_left > u_right:
         # decreasing data: solve the reflected increasing problem with
         # g(v) = -f(-v) and map v -> -v (speeds are preserved)
-        waves = [Shock(w.speed, -w.u_left, -w.u_right) if isinstance(w, Shock)
-                 else RarefactionFan(w.xi_lo, w.xi_hi, -w.u_lo, -w.u_hi)
+        waves = [replace(w, u_left=-w.u_left, u_right=-w.u_right)
                  for w in _solve_increasing(_reflected_flux(flux), -u_left, -u_right)]
     else:
         waves = []
     # f' may overflow where no chord slope does, by up to a factor of the degree
-    edges = [e for w in waves
-             for e in ((w.speed,) if isinstance(w, Shock) else (w.xi_lo, w.xi_hi))]
-    if not np.all(np.isfinite(edges)):
+    if not all(math.isfinite(e) for w in waves for e in (w.xi_lo, w.xi_hi)):
         raise CoverageError("wave speeds of the flux overflow doubles on states of "
                             "magnitude up to %g" % max(abs(u_left), abs(u_right)))
     return RiemannSolution(flux, u_left, u_right, _with_constants(waves, u_left))
@@ -247,11 +252,11 @@ def _invert_fan(flux: FluxSpec, fan: RarefactionFan, xi: np.ndarray) -> np.ndarr
     relative one stalls on a fan that starts at an inflection point; a point
     whose f'(u) - xi is at the rounding level of xi also stops, since its
     steps only follow noise (on poly:0,10,0,1 they never met the tolerance)."""
-    lo = np.full_like(xi, fan.u_lo)   # f'(lo) <= xi
-    hi = np.full_like(xi, fan.u_hi)   # f'(hi) >= xi
+    lo = np.full_like(xi, fan.u_left)   # f'(lo) <= xi
+    hi = np.full_like(xi, fan.u_right)  # f'(hi) >= xi
     share = np.clip((xi - fan.xi_lo) / (fan.xi_hi - fan.xi_lo), 0.0, 1.0)
-    u = fan.u_lo + share * (fan.u_hi - fan.u_lo)
-    tol = 4.0 * _EPS * max(abs(fan.u_lo), abs(fan.u_hi))
+    u = fan.u_left + share * (fan.u_right - fan.u_left)
+    tol = 4.0 * _EPS * max(abs(fan.u_left), abs(fan.u_right))
     noise = 4.0 * _EPS * np.abs(xi)
     for _ in range(100):
         gap = derivative(flux, u) - xi
@@ -267,7 +272,7 @@ def _invert_fan(flux: FluxSpec, fan: RarefactionFan, xi: np.ndarray) -> np.ndarr
         u = new
         if np.all(done):
             break
-    return np.where(xi <= fan.xi_lo, fan.u_lo, np.where(xi >= fan.xi_hi, fan.u_hi, u))
+    return np.where(xi <= fan.xi_lo, fan.u_left, np.where(xi >= fan.xi_hi, fan.u_right, u))
 
 
 def eval_riemann(sol: RiemannSolution, xi):
@@ -307,5 +312,5 @@ def describe_waves(sol: RiemannSolution) -> list[str]:
             lines.append("shock at xi=%.12g: %.12g -> %.12g" % (w.speed, w.u_left, w.u_right))
         else:
             lines.append("rarefaction fan on xi in (%.12g, %.12g): %.12g -> %.12g"
-                         % (w.xi_lo, w.xi_hi, w.u_lo, w.u_hi))
+                         % (w.xi_lo, w.xi_hi, w.u_left, w.u_right))
     return lines

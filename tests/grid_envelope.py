@@ -21,8 +21,8 @@ FAN_TABLE_N = 20_001
 class GridFan:
     xi_lo: float
     xi_hi: float
-    u_lo: float
-    u_hi: float
+    u_left: float
+    u_right: float
     table_fp: np.ndarray = field(repr=False, compare=False)
     table_u: np.ndarray = field(repr=False, compare=False)
 
@@ -182,6 +182,6 @@ def grid_waves(flux, u_left, u_right, n_grid=200_001):
         if isinstance(w, Shock):
             waves.append(Shock(w.speed, -w.u_left, -w.u_right))
         else:
-            waves.append(GridFan(w.xi_lo, w.xi_hi, -w.u_lo, -w.u_hi,
+            waves.append(GridFan(w.xi_lo, w.xi_hi, -w.u_left, -w.u_right,
                                  w.table_fp, -w.table_u))
     return waves

@@ -1,5 +1,7 @@
 """Flux descriptions: evaluation, derivatives, bounds, token round-trips."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -149,6 +151,33 @@ def test_divided_difference_matches_the_loop_bitwise():
         assert np.array_equal(divided_difference(coeffs, p, q), want)
 
 
+def test_divided_difference_scales_states_whose_powers_overflow():
+    # states near M with the u^k coefficient near M^(1-k): the powers of
+    # the states overflow where the terms do not. A sum the loop leaves
+    # finite keeps its bits; the others are the exact chord to within the
+    # rounding bound of the Riemann walk's ranking, (n + 1)*eps_mach*B
+    rng = np.random.default_rng(43)
+    overflowed = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 8))
+        m = 10.0 ** rng.uniform(40.0, 150.0)
+        coeffs = tuple(float(x) * 10.0 ** rng.uniform(-3.0, 3.0) * m ** (1 - k)
+                       for k, x in enumerate(rng.uniform(-1.0, 1.0, n + 1)))
+        a, b = (float(x) * m for x in rng.uniform(-1.0, 1.0, 2))
+        got = divided_difference(coeffs, a, b)
+        loop = chord_slope_loop_oracle(coeffs, a, b)
+        if np.isfinite(loop):
+            assert got == loop
+            continue
+        overflowed += 1
+        fa, fb = Fraction(a), Fraction(b)
+        h = [sum(fa ** i * fb ** (j - i) for i in range(j + 1)) for j in range(n)]
+        exact = sum(Fraction(c) * hk for c, hk in zip(coeffs[1:], h))
+        bound = sum(abs(Fraction(c)) * abs(hk) for c, hk in zip(coeffs[1:], h))
+        assert abs(Fraction(got) - exact) <= (n + 1) * np.finfo(float).eps * bound
+    assert overflowed >= 100
+
+
 def test_chord_slope_equal_arguments_is_exactly_zero():
     # by definition, not as a limit: the smooth limit would be f''(u) = 1
     assert wf.chord_slope_Q(BURGERS, 0.3, 0.3) == 0.0
@@ -209,6 +238,17 @@ def test_derivatives_written_into_out_match_bitwise():
             out = np.full_like(u, np.nan)
             assert fn(flux, u, out=out) is out
             assert np.array_equal(out, fn(flux, u))
+
+
+def test_derivatives_match_numpy_polyval_bitwise():
+    u = np.random.default_rng(6).uniform(-3.0, 3.0, 300)
+    for flux in (BURGERS, CUBIC, wf.polynomial_flux((0.3, -1.0, 0.2, 0.0, 0.25))):
+        for fn, coeffs in ((wf.derivative, flux._d1), (wf.second_derivative, flux._d2)):
+            assert np.array_equal(fn(flux, u), np.polynomial.polynomial.polyval(u, coeffs))
+            for x in (float(u[0]), u[1], -0.0):
+                want = np.polynomial.polynomial.polyval(x, coeffs)
+                got = fn(flux, x)
+                assert type(got) is type(want) and np.array_equal(got, want)
 
 
 def test_token_round_trip():

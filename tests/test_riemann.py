@@ -113,14 +113,7 @@ def test_wave_speeds_nondecreasing_and_partition():
             continue
         ul, ur = rng.uniform(-1.2, 1.2, 2)
         sol = wf.solve_exact(flux, float(ul), float(ur))
-        edges = []
-        for w in sol.waves:
-            if isinstance(w, ConstantState):
-                edges.extend([w.xi_lo, w.xi_hi])
-            elif isinstance(w, Shock):
-                edges.extend([w.speed, w.speed])
-            else:
-                edges.extend([w.xi_lo, w.xi_hi])
+        edges = [e for w in sol.waves for e in (w.xi_lo, w.xi_hi)]
         finite = [e for e in edges if np.isfinite(e)]
         assert all(b >= a - 1e-12 for a, b in zip(finite, finite[1:]))
         assert edges[0] == -np.inf and edges[-1] == np.inf
@@ -175,18 +168,6 @@ def _random_problems(seed, count):
         yield wf.polynomial_flux(tuple(coeffs)), float(ul), float(ur)
 
 
-def _xi_edges(w):
-    return (w.speed, w.speed) if isinstance(w, Shock) else (w.xi_lo, w.xi_hi)
-
-
-def _states(w):
-    if isinstance(w, ConstantState):
-        return w.u, w.u
-    if isinstance(w, Shock):
-        return w.u_left, w.u_right
-    return w.u_lo, w.u_hi
-
-
 def test_quartic_double_tangent_partition_is_exact():
     # fans down to the two minima of the W-shaped flux, joined by the
     # stationary double-tangent shock, with nothing in between
@@ -196,7 +177,7 @@ def test_quartic_double_tangent_partition_is_exact():
     left, shock, right = sol.waves[1:4]
     assert left.xi_hi == shock.speed == right.xi_lo
     assert abs(shock.speed) <= 1e-15
-    assert (left.u_hi, right.u_lo) == (shock.u_left, shock.u_right)
+    assert (left.u_right, right.u_left) == (shock.u_left, shock.u_right)
     assert shock.u_left == pytest.approx(-np.sqrt(0.5), abs=1e-15)
     assert shock.u_right == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
@@ -299,13 +280,18 @@ def test_shock_speed_is_the_exact_chord_on_symmetric_states():
 
 
 def test_wave_edges_exactly_contiguous_for_random_fluxes():
-    for flux, ul, ur in _random_problems(23, 200):
+    # and on the extreme data the README names, with the flux whose powers
+    # of the states overflow where its chord slopes do not
+    sextic = wf.polynomial_flux((0.0,) * 6 + (1e-200,))
+    extreme = [(BURGERS, 1e200, -1e200), (BURGERS, -1e200, 1e200), (CUBIC, -1e150, 1e150),
+               (CUBIC, 1e150, -1e150), (sextic, 1e62, 2e62), (sextic, 2e62, 1e62)]
+    for flux, ul, ur in list(_random_problems(23, 200)) + extreme:
         sol = wf.solve_exact(flux, ul, ur)
-        edges = [_xi_edges(w) for w in sol.waves]
+        edges = [(w.xi_lo, w.xi_hi) for w in sol.waves]
         assert edges[0][0] == -np.inf and edges[-1][1] == np.inf
         assert all(lo <= hi for lo, hi in edges)
         assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-        states = [_states(w) for w in sol.waves]
+        states = [(w.u_left, w.u_right) for w in sol.waves]
         assert states[0][0] == ul and states[-1][1] == ur
         assert all(a[1] == b[0] for a, b in zip(states, states[1:]))
         for w in sol.waves:
@@ -329,7 +315,7 @@ def test_fan_inversion_solves_f_prime_to_roundoff():
                 u = wf.eval_riemann(sol, xi)
                 gap = np.abs(wf.derivative(flux, u) - xi)
                 assert np.all(gap <= 1e-13 * np.maximum(1.0, np.abs(xi)))
-                assert np.all(np.sign(w.u_hi - w.u_lo) * np.diff(u) >= 0.0)
+                assert np.all(np.sign(w.u_right - w.u_left) * np.diff(u) >= 0.0)
     assert fans >= 30
 
 
@@ -368,7 +354,8 @@ def test_waves_match_grid_oracle():
         want = _oracle_waves(flux, ul, ur)
         assert [isinstance(w, Shock) for w in got] == [isinstance(w, Shock) for w in want]
         for g, o in zip(got, want):
-            for x, y in zip(_states(g) + _xi_edges(g), _states(o) + _xi_edges(o)):
+            for x, y in zip((g.u_left, g.u_right, g.xi_lo, g.xi_hi),
+                            (o.u_left, o.u_right, o.xi_lo, o.xi_hi)):
                 assert abs(x - y) <= 1e-13 * max(1.0, abs(y)), (flux, ul, ur, g, o)
 
 
@@ -385,8 +372,24 @@ def test_data_whose_chords_overflow_f_are_solved_by_their_slopes():
                                             ConstantState]
     shock, fan = sol.waves[1:3]
     assert shock.speed == pytest.approx(7.5e299, rel=1e-14)
-    assert shock.u_right == fan.u_lo == pytest.approx(5e149, rel=1e-14)
+    assert shock.u_right == fan.u_left == pytest.approx(5e149, rel=1e-14)
     assert fan.xi_lo == shock.speed and fan.xi_hi == pytest.approx(3e300, rel=1e-14)
+
+
+def test_data_whose_powers_overflow_are_solved_by_scaled_chord_slopes():
+    # u^5 overflows at 1e62 where 1e-200*u^5 does not: the chord slopes
+    # raised CoverageError; the fan is f' = 6e-200*u^5 over the data, and
+    # the decreasing data are one shock at the exact chord slope 6.3e111
+    sextic = wf.polynomial_flux((0.0,) * 6 + (1e-200,))
+    sol = wf.solve_exact(sextic, 1e62, 2e62)
+    assert [type(w) for w in sol.waves] == [ConstantState, RarefactionFan, ConstantState]
+    fan = sol.waves[1]
+    assert (fan.u_left, fan.u_right) == (1e62, 2e62)
+    assert fan.xi_lo == pytest.approx(6e110, rel=1e-14)
+    assert fan.xi_hi == pytest.approx(1.92e112, rel=1e-14)
+    sol = wf.solve_exact(sextic, 2e62, 1e62)
+    assert [type(w) for w in sol.waves] == [ConstantState, Shock, ConstantState]
+    assert sol.waves[1].speed == pytest.approx(6.3e111, rel=1e-14)
 
 
 def test_a_fan_near_the_range_of_doubles_inverts_without_overflow():
