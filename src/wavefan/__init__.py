@@ -17,7 +17,6 @@ from .errors import (
 from .flux import (
     FluxSpec,
     burgers_flux,
-    chord_slope_Q,
     derivative,
     derivative_range,
     evaluate,
@@ -62,7 +61,6 @@ from .profile_bvp import (
 from .verification import (
     DiagnosticsRecord,
     ProbeResult,
-    barrier_operator_margin,
     check_corner_expansion,
     check_monotone,
     check_symmetry,

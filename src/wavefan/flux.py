@@ -197,12 +197,14 @@ def divided_difference(coefficients, a, b):
     h_m = h_(m-1)*b + a^m (powers by repeated products): it takes no
     difference of nearby values, and is p'(a) at a == b.
 
-    Where a power overflows, the slope itself may not. So a sum that is
-    not finite is formed again on the states scaled by 2^-e into [-1, 1],
-    with each c_k scaled by 2^(e(k-1)): the same slope, by scalings that
-    are exact unless a scaled value leaves the normal range. A finite sum
-    is returned as it is, and so is the sum when a scaled c_k overflows.
-    Only a Python float sum is formed again; numpy values are summed once."""
+    Where a power or the running sum overflows, the slope itself may not.
+    So a sum that is not finite is formed again on the states scaled by
+    2^-e into [-1, 1], where |h_(k-1)| <= k, with each c_k scaled by
+    2^(e(k-1) - g), g >= 0 the least shift that keeps sum_k |c_k|*k below
+    2^1023; that sum times 2^g is the slope, infinite only where it
+    overflows. The scalings are exact unless a scaled value leaves the
+    normal range. A finite sum is returned as it is. Only a Python float
+    sum is formed again; numpy values are summed once."""
     total, h, a_pow = 0.0, 0.0, 1.0
     for c in coefficients[1:]:
         h, a_pow = h * b + a_pow, a_pow * a
@@ -210,17 +212,15 @@ def divided_difference(coefficients, a, b):
     if type(total) is not float or math.isfinite(total):
         return total
     e = math.frexp(max(abs(a), abs(b)))[1]
-    try:
-        scaled = [math.ldexp(c, e * (k - 1)) for k, c in enumerate(coefficients)]
-    except OverflowError:
+    terms = list(enumerate(coefficients[1:], start=1))
+    top = max((math.frexp(c)[1] + e * (k - 1) for k, c in terms if c), default=0)
+    bound = sum(abs(math.ldexp(c, e * (k - 1) - top)) * k for k, c in terms)
+    g = max(0, top + math.frexp(bound)[1] - 1023)
+    if not (e or g):
         return total
-    return divided_difference(scaled, math.ldexp(a, -e), math.ldexp(b, -e)) if e else total
-
-
-def chord_slope_Q(flux: FluxSpec, a, b):
-    """Chord slope of f': (f'(a) - f'(b)) / (a - b), extended by 0 at a == b;
-    elementwise. By `divided_difference`, so |Q| is within any Lipschitz
-    constant of f' on [a, b] up to the rounding of its terms however close
-    a and b are; the quotient would divide the rounding of f' by a - b.
-    """
-    return np.where(a == b, 0.0, divided_difference(flux._d1, a, b))[()]
+    scaled = [0.0] + [math.ldexp(c, e * (k - 1) - g) for k, c in terms]
+    slope = divided_difference(scaled, math.ldexp(a, -e), math.ldexp(b, -e))
+    try:
+        return math.ldexp(slope, g)
+    except OverflowError:
+        return math.copysign(math.inf, slope)

@@ -14,10 +14,10 @@ constant states, shocks and rarefaction fans, all have one shape: each
 spans [xi_lo, xi_hi] from u_left to u_right, and starts where the wave
 before it ends. A shock is a wave of zero width (xi_lo = xi_hi = its
 speed), and a constant state has u_left = u_right = u. A chord slope
-whose powers of the states overflow is formed again on the states scaled
-by a power of 2 (`divided_difference`), so data whose slopes fit in
-doubles are solved even where f does not; data whose slopes or f'
-overflow raise CoverageError.
+whose powers of the states or running sum overflow is formed again on
+the states and coefficients scaled by powers of 2 (`divided_difference`),
+so data whose slopes fit in doubles are solved even where f does not;
+data whose slopes or f' overflow raise CoverageError.
 """
 
 from __future__ import annotations

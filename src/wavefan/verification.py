@@ -5,11 +5,12 @@ monotonicity, odd symmetry, the corner-layer expansion, comparison-function
 (super/subsolution) margins, uniqueness, translation invariance -- into a
 number with a definite expected sign or bound. Each takes (profile,
 problem, ...) and reads the states, flux, viscosity, exact solution and K
-from the problem; only lam, M and the L1 window are passed. The sliding and
+from the problem; only lam and the L1 window are passed. The sliding and
 sweeping margins, which a proof wants strictly positive, count a node only
 where its defect exceeds the defect's own roundoff, so flat tails cannot
-fake a sign. The barrier margin is L(g)/g, read off the main profile and
-closed-form tails past its ends, so no solve has to reach out to M.
+fake a sign. The barrier threshold M (`sliding_constant_M`) is reported,
+not checked: the barrier inequality holds past it for any profile in the
+state interval, by the definition of M.
 
 The margin checks evaluate translates by moving the *sample points*, never
 by re-interpolating the profile values: a translate of a mesh function is
@@ -29,7 +30,6 @@ from . import profile_bvp
 from .corner_layer import first_integral_H, solve_corner
 from .errors import CoverageError, InvalidParameterError, NonConvergenceError
 from .flux import (
-    chord_slope_Q,
     derivative,
     has_identity_derivative,
     lipschitz_of_derivative,
@@ -52,7 +52,7 @@ DEFAULT_PROBE_SEED = 20240817
 # every name `run_battery` can report, in the order it runs the checks
 CHECK_NAMES = ("monotone", "l1_window", "first_integral_spread", "translation_invariance",
                "symmetry", "corner_remainder", "sliding_margin", "sweeping_margin",
-               "barrier_margin", "uniqueness_probe")
+               "uniqueness_probe")
 _EPS_MACH = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)    # e^x overflows exactly for x above it
 
@@ -62,7 +62,7 @@ class DiagnosticsRecord:
     """Constants and margins shared by the comparison-function checks."""
 
     K: float            # Lipschitz constant of f' used by the sweeping family
-    M: float            # threshold beyond which the barrier argument applies
+    M: float            # barrier threshold, reported not checked (`sliding_constant_M`)
     lam: float          # translate amount used for the margin checks
     margins: dict       # check-name -> reported margin
 
@@ -240,55 +240,17 @@ def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
 
 def sliding_constant_M(profile: Profile, problem: ProfileProblem) -> float:
     """The threshold M = 1 + eps + sup|f'| + max|du| * Lip(f') beyond which
-    the exponential barrier argument takes over from the pointwise one."""
+    the exponential barrier argument takes over from the pointwise one.
+
+    It is reported, not checked. For g = e^{-|xi|} and
+    L(g) = eps*g'' - (f'(u_lam) - xi)*g' - du*Q*g, any translate u_lam in
+    the state interval and any Q with |Q| <= Lip(f') give, for |xi| > M,
+    L(g)/g = eps - |xi| + sign(xi)*f'(u_lam) - du*Q
+           <= eps - M + sup|f'| + max|du|*Lip(f') = -1."""
     lo, hi = problem.state_interval
     return float(1.0 + problem.epsilon + sup_derivative(problem.flux, lo, hi)
                  + np.max(np.abs(profile.du))
                  * lipschitz_of_derivative(problem.flux, lo, hi))
-
-
-def _barrier_ratio(profile: Profile, problem: ProfileProblem, lam: float,
-                   mask: np.ndarray) -> np.ndarray:
-    """L(g)/g = eps - |xi| + sign(xi)*f'(u_lam) - du*Q at the masked nodes."""
-    xs = profile.xi[mask]
-    u_here = profile.u[mask]
-    u_lam = np.interp(xs + lam, profile.xi, profile.u)
-    q = chord_slope_Q(problem.flux, u_lam, u_here)
-    return (problem.epsilon - np.abs(xs) + np.sign(xs) * derivative(problem.flux, u_lam)
-            - profile.du[mask] * q)
-
-
-def barrier_operator_margin(profile: Profile, problem: ProfileProblem,
-                            lam: float, big_m: float) -> float:
-    """Supremum over |xi| > M of L(g)/g for the barrier g = e^{-|xi|} and
-
-        L(g) = eps*g'' - (f'(u_lam) - xi)*g' - du*Q*g,
-
-    with u_lam the profile shifted by lam and Q the chord slope of f'
-    between the two profiles; dividing by g > 0 keeps the sign and cannot
-    underflow. Mesh nodes with |xi| > M use the profile. Past each mesh end
-    L(g)/g <= eps - |xi| + sup|f'| + Lip(f')*|du_end|, with sup|f'| and
-    Lip(f') on the state interval and du_end the end node's slope. The bound
-    needs |u'| <= |du_end| past the end, which (ln|u'|)' = (f'(u) - xi)/eps
-    gives wherever xi lies beyond f' of the tail's states, as it does past
-    a mesh end beyond the range of f'. It is largest at the tail's inner end
-    and at most -1 when M comes from sliding_constant_M."""
-    lam = float(lam)
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise InvalidParameterError("lam must be finite and positive")
-    if not problem.u_left < problem.u_right:
-        raise InvalidParameterError("barrier check applies to increasing data")
-    if not np.isfinite(big_m):
-        raise InvalidParameterError("M must be finite")
-    lo, hi = problem.state_interval
-    big_s = sup_derivative(problem.flux, lo, hi)
-    big_k = lipschitz_of_derivative(problem.flux, lo, hi)
-    # the inner end of each tail: |xi| > M and outside the mesh
-    inner = (max(big_m, -profile.xi[0], 0.0), max(big_m, profile.xi[-1], 0.0))
-    tails = [problem.epsilon - a + big_s + big_k * abs(du)
-             for a, du in zip(inner, profile.du[[0, -1]])]
-    nodes = _barrier_ratio(profile, problem, lam, np.abs(profile.xi) > big_m)
-    return float(max(np.max(nodes, initial=-math.inf), *tails))
 
 
 def probe_seed(seed) -> int:
@@ -424,9 +386,10 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     inconclusive or not, adds its run counts n_converged (in class),
     n_out_of_class and n_failed, and the translate margin's entry adds
     `undecided`, the number of nodes whose defect is within its roundoff;
-    diagnostics records the constants the comparison-function checks used
-    and the margins. `monotone` passes down to minus the probe's rounding
-    bound (`_rounding_tol`); `sliding_supersolution_margin` and
+    diagnostics records the constants the comparison-function checks used,
+    the margins, and the barrier threshold M of `sliding_constant_M`, which
+    is reported, not checked. `monotone` passes down to minus the probe's
+    rounding bound (`_rounding_tol`); `sliding_supersolution_margin` and
     `sweeping_supersolution_margin` pass when their value exceeds 0.
     The margins' lam, 0.1, and the translation check's shift, 0.7, are
     capped at half the domain's width so the translates overlap it (for
@@ -515,11 +478,6 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
             if increasing else sweeping_supersolution_margin(profile, problem, lam)
         record(name, value, 0.0, value > 0.0, undecided=undecided)
         margins[name] = value
-
-    if increasing:
-        barrier = barrier_operator_margin(profile, problem, lam, big_m)
-        record("barrier_margin", barrier, 0.0, barrier < 0.0)
-        margins["barrier_margin"] = barrier
 
     probe = uniqueness_probe(problem, opts, seed=seed)
     record("uniqueness_probe", probe.max_distance, 1e-6, probe.max_distance <= 1e-6,

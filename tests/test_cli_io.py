@@ -546,14 +546,14 @@ def test_main_verify_json_and_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("eps", ["0.05", "0.01", "0.005"])
 def test_main_verify_cubic_rarefaction_gives_verdicts(eps, tmp_path, capsys):
-    # M is 70 to 612 here, far past the mesh; the exit code follows the verdicts
+    # the exit code follows the verdicts
     out = tmp_path / "checks.json"
     code = main(["verify", "--flux", "poly:0,0,0,1", "--ul", "-1", "--ur", "1",
                  "--eps", eps, "--out", str(out)])
     err = capsys.readouterr().err
     assert "error:" not in err
     checks = json.loads(out.read_text())
-    assert checks["barrier_margin"]["pass"]
+    assert "sliding_margin" in checks and "barrier_margin" not in checks
     failed = sorted(name for name, entry in checks.items() if not entry["pass"])
     assert code == (1 if failed else 0)
     assert all("FAIL %s:" % name in err for name in failed)
@@ -597,6 +597,20 @@ def test_main_verify_unknown_check(monkeypatch, capsys):
     assert "bogus" in err and "monotone" in err
     assert err.startswith("error: argument --check: invalid choice: 'bogus'")
     assert err.count("\n") == 1
+
+
+def test_main_verify_rejects_the_removed_barrier_check(monkeypatch, capsys):
+    # barrier_margin is no longer a battery name: the parser rejects it
+    # before any solve, as any unknown name
+    def no_battery(*args, **kwargs):
+        raise AssertionError("run_battery called for a removed check")
+
+    monkeypatch.setattr(cli_io, "run_battery", no_battery)
+    code = main(["verify", "--ul", "-1", "--ur", "1", "--eps", "0.05",
+                 "--check", "barrier_margin"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --check: invalid choice: 'barrier_margin'")
 
 
 def test_main_verify_inapplicable_check_is_named_after_the_run(capsys):

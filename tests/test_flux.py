@@ -96,39 +96,34 @@ def test_derivative_range_of_a_point_is_the_derivative_there():
         assert [m.hex() for m in wf.derivative_range(flux, a, a)] == [v, v]
 
 
-def test_chord_slope_pinned_values():
-    assert wf.chord_slope_Q(BURGERS, 0.7, 0.2) == 1.0
-    assert wf.chord_slope_Q(BURGERS, 0.5, 0.5) == 0.0
-    assert wf.chord_slope_Q(CUBIC, 1.0, 0.0) == 3.0
-    # the quotient (f'(a) - f'(b))/(a - b) reads 8 here, against Lip(f') = 6
-    assert wf.chord_slope_Q(CUBIC, 1.0, np.nextafter(1.0, 2.0)) == 6.0
+def shock_speed_in_derivative_range(flux, a, b, slack=2.0):
+    """The shock speed `divided_difference(coefficients, a, b)` lies in
+    `derivative_range(flux, a, b)`, as the mean value theorem says, up to
+    `slack` eps_mach times the sum of |f'|'s terms at the larger |state|,
+    plus 4 subnormal steps for terms that underflow: the rounding of the
+    kernel's terms and of the range's own values."""
+    speed = divided_difference(flux.coefficients, a, b)
+    lo, hi = wf.derivative_range(flux, a, b)
+    rounding = slack * np.finfo(float).eps * np.polynomial.polynomial.polyval(
+        max(abs(a), abs(b)), np.abs(flux._d1)) + 4.0 * np.finfo(float).smallest_subnormal
+    return lo - rounding <= speed <= hi + rounding
 
 
-def test_chord_slope_is_elementwise():
-    a = np.array([0.7, 0.5, 1.0, -0.3])
-    b = np.array([0.2, 0.5, 0.0, 1.9])
-    for flux in (BURGERS, CUBIC):
-        want = [wf.chord_slope_Q(flux, x, y) for x, y in zip(a, b)]
-        assert np.array_equal(wf.chord_slope_Q(flux, a, b), want)
-
-
-@pytest.mark.parametrize("token, slack", [("poly:0,0,0,1", 0.0), ("poly:0,0,-1,0,1", 2.0),
-                                          ("poly:0,0.3,0,-1,0,0.5", 2.0)])
-def test_chord_slope_on_nearby_doubles_stays_within_lipschitz(token, slack):
-    # b = a + 1 to 10 ulps: the quotient divides the rounding of f' by a - b
-    # and broke the cubic's bound on about half these pairs; the kernel
-    # meets it exactly there, and for higher degrees up to the rounding of
-    # its terms, `slack` eps_mach times the sum of |f''|'s terms
+@pytest.mark.parametrize("token", ["poly:0,0,0,1", "poly:0,0,-1,0,1", "poly:0,0.3,0,-1,0,0.5"])
+def test_shock_speed_on_nearby_doubles_lies_in_the_derivative_range(token):
+    # b = a + 1, 2, 3, 5 and 10 ulps, then random pairs: the quotient
+    # (f(b) - f(a))/(b - a) divides the rounding of f by b - a and misses
+    # the range on every nearby pair here; the kernel takes no difference
+    # of nearby values
     flux = wf.parse_flux_token(token)
     a = np.random.default_rng(11).uniform(-2.0, 2.0, 300)
-    rounding = slack * np.finfo(float).eps * np.polynomial.polynomial.polyval(
-        np.abs(a), np.abs(flux._d2))
+    pairs = list(zip(*np.random.default_rng(12).uniform(-2.0, 2.0, (2, 300))))
     b = a
     for k in range(1, 11):
         b = np.nextafter(b, np.inf)
         if k in (1, 2, 3, 5, 10):
-            bound = [wf.lipschitz_of_derivative(flux, x, y) for x, y in zip(a, b)]
-            assert np.all(np.abs(wf.chord_slope_Q(flux, a, b)) <= bound + rounding)
+            pairs += zip(a, b)
+    assert all(shock_speed_in_derivative_range(flux, float(x), float(y)) for x, y in pairs)
 
 
 def chord_slope_loop_oracle(coefficients, p, q):
@@ -139,6 +134,23 @@ def chord_slope_loop_oracle(coefficients, p, q):
         h, p_pow = h * q + p_pow, p_pow * p
         slope += c * h
     return float(slope)
+
+
+def exact_chord(coeffs, a, b):
+    """(chord, slack): the exact `Fraction` chord sum_k c_k*h_(k-1)(a, b)
+    and (n + 1)*eps_mach*B with B = sum_k |c_k|*|h_(k-1)(a, b)|, the
+    rounding bound of the Riemann walk's ranking."""
+    fa, fb = Fraction(a), Fraction(b)
+    n = len(coeffs) - 1
+    h = [sum(fa ** i * fb ** (j - i) for i in range(j + 1)) for j in range(n)]
+    exact = sum(Fraction(c) * hk for c, hk in zip(coeffs[1:], h))
+    bound = sum(abs(Fraction(c)) * abs(hk) for c, hk in zip(coeffs[1:], h))
+    return exact, (n + 1) * Fraction(np.finfo(float).eps) * bound
+
+
+def within_rounding_of_exact_chord(coeffs, a, b, got):
+    exact, slack = exact_chord(coeffs, a, b)
+    return abs(Fraction(got) - exact) <= slack
 
 
 def test_divided_difference_matches_the_loop_bitwise():
@@ -170,24 +182,57 @@ def test_divided_difference_scales_states_whose_powers_overflow():
             assert got == loop
             continue
         overflowed += 1
-        fa, fb = Fraction(a), Fraction(b)
-        h = [sum(fa ** i * fb ** (j - i) for i in range(j + 1)) for j in range(n)]
-        exact = sum(Fraction(c) * hk for c, hk in zip(coeffs[1:], h))
-        bound = sum(abs(Fraction(c)) * abs(hk) for c, hk in zip(coeffs[1:], h))
-        assert abs(Fraction(got) - exact) <= (n + 1) * np.finfo(float).eps * bound
+        assert within_rounding_of_exact_chord(coeffs, a, b, got)
     assert overflowed >= 100
 
 
-def test_chord_slope_equal_arguments_is_exactly_zero():
-    # by definition, not as a limit: the smooth limit would be f''(u) = 1
-    assert wf.chord_slope_Q(BURGERS, 0.3, 0.3) == 0.0
+def test_divided_difference_is_infinite_only_where_the_chord_overflows():
+    # coefficients and states over 1e+-100 and 1e+-60: where the loop's sum
+    # is not finite, the slope is the exact chord to within its rounding
+    # bound, or infinite with the exact chord's sign where that bound
+    # reaches past the largest double
+    rng = np.random.default_rng(5)
+    top = Fraction(np.finfo(float).max)
+    redone = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 8))
+        coeffs = tuple(float(x) * 10.0 ** rng.uniform(-100.0, 100.0)
+                       for x in rng.uniform(-2.0, 2.0, n + 1))
+        a, b = (float(x) * 10.0 ** rng.uniform(-60.0, 60.0) for x in rng.uniform(-1.0, 1.0, 2))
+        if np.isfinite(chord_slope_loop_oracle(coeffs, a, b)):
+            continue
+        redone += 1
+        got = divided_difference(coeffs, a, b)
+        exact, slack = exact_chord(coeffs, a, b)
+        if np.isfinite(got):
+            assert abs(Fraction(got) - exact) <= slack
+        else:
+            assert abs(exact) + slack >= top and np.sign(got) == np.sign(exact)
+    assert redone >= 30
+
+
+@pytest.mark.parametrize("coeffs, a, b, exact", [
+    # -inf without the shift g: a scaled c_k overflows
+    ((-2.668006033554351e-84, -2.558094404201224e-52, -9.959382886818326e-85,
+      -1.206070236147511e-77, -0.007221121815731862, 2.331998377186082e-68,
+      3.0337844397531804e+19, -2.6982949837351364e-24),
+     -1.8729123094005826e+55, 6.2565203123677575, -1.1646464035552965e+308),
+    # -inf without the shift g, even in sign: the scaled running sum
+    # passes the largest double before it comes back
+    ((1.4488970891995676e-47, 5.204619933850851e-59, 1.9556978144712814e+50,
+      1.0749676808715948e+45, -4.1014091599527224e-44, 1.3830828364522243e+98,
+      0.00015960146290451574, -4.6647655703987576e-14),
+     -7.678052134106925e-47, -2.679166994737613e+52, 7.126023075573126e+307),
+], ids=["scaled_coefficient_overflows", "running_sum_overflows"])
+def test_divided_difference_keeps_slopes_just_below_the_largest_double(coeffs, a, b, exact):
+    got = divided_difference(coeffs, a, b)
+    assert np.isfinite(got) and np.sign(got) == np.sign(exact)
+    assert within_rounding_of_exact_chord(coeffs, a, b, got)
 
 
 @given(a=st.floats(-2, 2), b=st.floats(-2, 2))
-def test_chord_slope_bounded_by_lipschitz(a, b):
-    q = wf.chord_slope_Q(CUBIC, a, b)
-    k = wf.lipschitz_of_derivative(CUBIC, -2.0, 2.0)
-    assert abs(q) <= k + 1e-12
+def test_cubic_shock_speed_lies_in_the_derivative_range(a, b):
+    assert shock_speed_in_derivative_range(CUBIC, a, b)
 
 
 @given(u=st.floats(-5, 5))

@@ -15,7 +15,8 @@ from wavefan.errors import (
     InvalidParameterError,
 )
 from wavefan import corner_layer, profile_bvp, verification
-from wavefan.verification import _barrier_ratio, _judge, _translate_defect
+from wavefan.flux import divided_difference
+from wavefan.verification import _judge, _translate_defect
 
 
 EPS_MACH = float(np.finfo(float).eps)
@@ -75,12 +76,13 @@ def margin_verdict_oracle(defect, noise):
 
 def barrier_operator_oracle(problem, profile, lam, mask):
     """Oracle: L(g) = eps*g'' - (f'(u_lam) - xi)*g' - du*Q*g for g = e^{-|xi|}
-    at the masked nodes, written out term by term, and g there."""
+    at the masked nodes, written out term by term, and g there; Q is the
+    chord slope of f' between u_lam and u, within Lip(f') of zero."""
     xs = profile.xi[mask]
     u_lam = np.interp(xs + lam, profile.xi, profile.u)
     g = np.exp(-np.abs(xs))
     gp = -np.sign(xs) * g
-    q = np.array([wf.chord_slope_Q(problem.flux, a, b)
+    q = np.array([divided_difference(problem.flux._d1, a, b)
                   for a, b in zip(u_lam, profile.u[mask])])
     lg = (problem.epsilon * g - (wf.derivative(problem.flux, u_lam) - xs) * gp
           - profile.du[mask] * q * g)
@@ -130,7 +132,6 @@ CHECK_SIGNATURES = {
     "sliding_supersolution_margin": ["profile", "problem", "lam"],
     "sweeping_supersolution_margin": ["profile", "problem", "lam"],
     "sliding_constant_M": ["profile", "problem"],
-    "barrier_operator_margin": ["profile", "problem", "lam", "big_m"],
 }
 
 
@@ -151,7 +152,7 @@ def test_check_names_are_the_names_the_battery_reports():
             prob = wf.ProfileProblem(wf.parse_flux_token(flux), ul, -ul, 0.05)
             seen |= set(wf.run_battery(prob)[0])
     assert set(verification.CHECK_NAMES) == seen
-    assert len(verification.CHECK_NAMES) == len(seen) == 10
+    assert len(verification.CHECK_NAMES) == len(seen) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -467,61 +468,47 @@ def test_sliding_constant_for_constant_data():
 
 @pytest.fixture(scope="module")
 def wide_rarefaction(rarefaction_problem):
-    """The rarefaction re-solved on a domain reaching past |xi| = M, and M."""
+    """The rarefaction re-solved on a domain reaching past |xi| = M."""
     base, _ = wf.solve_profile(rarefaction_problem)
     big_m = wf.sliding_constant_M(base, rarefaction_problem)
     wide, _ = wf.solve_profile(
         rarefaction_problem, wf.SolveOptions(domain=(-(big_m + 1.5), big_m + 1.5)))
-    return wide, big_m
+    return wide
 
 
-def test_barrier_margin_negative_beyond_threshold(rarefaction_problem, wide_rarefaction):
-    wide, big_m = wide_rarefaction
-    assert wf.barrier_operator_margin(wide, rarefaction_problem, 0.1, big_m) < 0.0
-
-
-def test_barrier_ratio_matches_written_out_oracle(rarefaction_problem, wide_rarefaction):
-    # the node values are L(g)/g of the undivided operator, to roundoff
-    wide, big_m = wide_rarefaction
-    mask = np.abs(wide.xi) > big_m
-    assert np.count_nonzero(mask) > 10
-    lg, g = barrier_operator_oracle(rarefaction_problem, wide, 0.1, mask)
-    got = _barrier_ratio(wide, rarefaction_problem, 0.1, mask)
-    terms = np.abs(wide.xi[mask]) + 1.0 + rarefaction_problem.epsilon
-    assert np.all(np.abs(got - lg / g) <= 8.0 * EPS_MACH * terms)
-    margin = wf.barrier_operator_margin(wide, rarefaction_problem, 0.1, big_m)
-    assert margin == max(float(np.max(got)),
-                         barrier_tail_oracle(rarefaction_problem, wide, big_m))
-
-
-def test_barrier_margin_far_threshold_is_tail_closed_form(rarefaction_problem,
-                                                         rarefaction_profile):
-    # at M = 800 no node is left and g = e^{-800} underflows; the ratio does not
-    val = wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.1, 800.0)
-    assert np.isfinite(val) and val < 0.0
-    assert val == pytest.approx(
-        barrier_tail_oracle(rarefaction_problem, rarefaction_profile, 800.0),
-        rel=4.0 * EPS_MACH)
-
-
-def test_barrier_margin_small_threshold_is_diagnostic(rarefaction_profile,
-                                                      rarefaction_problem):
-    # M = 0 is allowed; the margin is then merely a number, not a certificate
-    val = wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.1, 0.0)
-    assert np.isfinite(val)
-
-
-def test_barrier_margin_errors(rarefaction_profile, rarefaction_problem,
-                               shock_profile, shock_problem):
-    # a threshold beyond the mesh leaves only the closed-form tails
-    far = wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.1, 1e6)
-    assert far == pytest.approx(
-        barrier_tail_oracle(rarefaction_problem, rarefaction_profile, 1e6),
-        rel=4.0 * EPS_MACH)
-    with pytest.raises(InvalidParameterError):
-        wf.barrier_operator_margin(shock_profile, shock_problem, 0.1, 3.0)
-    with pytest.raises(InvalidParameterError):
-        wf.barrier_operator_margin(rarefaction_profile, rarefaction_problem, 0.0, 3.0)
+@pytest.mark.parametrize("token", ["burgers", "poly:0,0,0,1", "poly:0,0,-1,0,1"])
+def test_barrier_ratio_is_at_most_minus_one_past_the_sliding_constant(token, rarefaction_problem,
+                                                                      wide_rarefaction):
+    # L(g)/g = eps - |xi| + sign(xi)*f'(u_lam) - du*Q <= eps - M + sup|f'|
+    # + max|du|*Lip(f') = -1 past M = sliding_constant_M, for any profile
+    # whose values lie in the state interval: a barrier verdict at this M
+    # cannot fail, so the battery reports M and checks nothing with it.
+    # Random profiles: values in the interval, slopes of either sign,
+    # meshes ending on either side of M; the allowance is 8 eps_mach times
+    # the terms' size, |xi| + M
+    flux = wf.parse_flux_token(token)
+    rng = np.random.default_rng(47)
+    cases = [(rarefaction_problem, wide_rarefaction)] if token == "burgers" else []
+    for _ in range(20):
+        lo, hi = np.sort(rng.uniform(-1.5, 1.5, 2))
+        prob = wf.ProfileProblem(flux, float(lo), float(hi), float(10.0 ** rng.uniform(-3, -1)))
+        n = int(rng.integers(5, 200))
+        du = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-1.0, 1.0)
+        big_m = wf.sliding_constant_M(wf.Profile(np.arange(n, dtype=float), du, du), prob)
+        # nodes within 1 of -M and of M, each end up to 1 inside M or 2 past it
+        reach = rng.uniform(-1.0, 2.0, 2)
+        xi = np.sort(np.concatenate([-big_m - rng.uniform(-1.0, reach[0], n // 2),
+                                     big_m + rng.uniform(-1.0, reach[1], n - n // 2)]))
+        cases.append((prob, wf.Profile(xi, rng.uniform(lo, hi, n), du)))
+    beyond = 0
+    for prob, profile in cases:
+        big_m = wf.sliding_constant_M(profile, prob)
+        mask = np.abs(profile.xi) > big_m
+        beyond += np.count_nonzero(mask)
+        lg, g = barrier_operator_oracle(prob, profile, 0.1, mask)
+        worst = max(np.max(lg / g, initial=-math.inf), barrier_tail_oracle(prob, profile, big_m))
+        assert worst <= -1.0 + 8.0 * EPS_MACH * (np.max(np.abs(profile.xi)) + big_m)
+    assert beyond > 100
 
 
 # ---------------------------------------------------------------------------
@@ -821,10 +808,9 @@ def test_battery_on_rarefaction(rarefaction_problem):
     checks, diag = wf.run_battery(rarefaction_problem)
     assert set(checks) == {"monotone", "l1_window", "first_integral_spread",
                            "translation_invariance", "symmetry", "corner_remainder",
-                           "sliding_margin", "barrier_margin", "uniqueness_probe"}
+                           "sliding_margin", "uniqueness_probe"}
     assert all(c["pass"] for c in checks.values())
     assert diag.margins["sliding_margin"] > 0.0
-    assert diag.margins["barrier_margin"] < 0.0
     assert np.isfinite(diag.margins["corner_remainder"])
 
 
@@ -838,7 +824,7 @@ def test_battery_sizes_its_translates_to_narrow_domains(ul, eps):
     applicable = {"monotone", "l1_window", "first_integral_spread",
                   "translation_invariance", "uniqueness_probe"}
     if ul < 0.0:
-        applicable |= {"symmetry", "sliding_margin", "barrier_margin"}
+        applicable |= {"symmetry", "sliding_margin"}
         if eps > 1.985e-6:
             applicable.add("corner_remainder")
     else:
@@ -870,12 +856,9 @@ def test_battery_judges_margins_at_their_roundoff():
 
 @pytest.mark.parametrize("eps", [0.05, 0.01, 0.005])
 def test_battery_on_cubic_rarefaction_returns_verdicts(eps):
-    # M is 70 to 612 here; the barrier needs no mesh node beyond it
     prob = wf.ProfileProblem(wf.polynomial_flux([0.0, 0.0, 0.0, 1.0]), -1.0, 1.0, eps)
     checks, diag = wf.run_battery(prob)
     assert diag.M > 60.0
-    assert checks["barrier_margin"]["value"] < 0.0
-    assert checks["barrier_margin"]["pass"]
     for entry in checks.values():
         assert not (math.isnan(entry["value"]) or math.isnan(entry["threshold"]))
 
