@@ -163,6 +163,25 @@ def test_divided_difference_matches_the_loop_bitwise():
         assert np.array_equal(divided_difference(coeffs, p, q), want)
 
 
+@pytest.mark.parametrize("coeffs, scale", [
+    ((0.0, 0.0, 0.5), 2.0), ((0.0, 0.0, 0.0, 1.0), 2.0), ((0.0, 0.3, 0.0, -1.0, 0.0, 0.5), 2.0),
+    # u^5 overflows past |u| of about 1e61.6, f'(u) = 6e-200*u^5 does not
+    ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-200), 1e62),
+], ids=["burgers", "cubic", "quintic", "powers_overflow"])
+def test_divided_difference_at_equal_states_is_the_derivative(coeffs, scale):
+    # a == b is the limit p'(a), h_(k-1)(a, a) = k*a^(k-1), not a special
+    # case; where the loop's powers overflow, the scaled sum still gives it
+    states = [float(x) for x in np.random.default_rng(13).uniform(-1.0, 1.0, 200) * scale]
+    overflowed = 0
+    for u in states:
+        got = divided_difference(coeffs, u, u)
+        assert np.isfinite(got) and within_rounding_of_exact_chord(coeffs, u, u, got)
+        overflowed += not np.isfinite(chord_slope_loop_oracle(coeffs, u, u))
+    assert (overflowed > 20) == (scale > 2.0)
+    if coeffs == BURGERS.coefficients:
+        assert [divided_difference(coeffs, u, u) for u in states] == states
+
+
 def test_divided_difference_scales_states_whose_powers_overflow():
     # states near M with the u^k coefficient near M^(1-k): the powers of
     # the states overflow where the terms do not. A sum the loop leaves

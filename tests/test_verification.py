@@ -814,6 +814,15 @@ def test_battery_on_rarefaction(rarefaction_problem):
     assert np.isfinite(diag.margins["corner_remainder"])
 
 
+def test_battery_reports_the_sliding_constant_of_its_solve(rarefaction_problem):
+    # M is reported, not checked: the battery's M is that of its own solve,
+    # and no margin is judged against it
+    _, diag = wf.run_battery(rarefaction_problem)
+    profile, _ = wf.solve_profile(rarefaction_problem)
+    assert diag.M == wf.sliding_constant_M(profile, rarefaction_problem)
+    assert "barrier_margin" not in diag.margins
+
+
 @pytest.mark.parametrize("ul, eps", [(-0.1, 1e-3), (0.1, 1e-3), (-0.01, 1e-6), (0.01, 1e-6)])
 def test_battery_sizes_its_translates_to_narrow_domains(ul, eps):
     # the domains are about 0.57 and 0.03 wide, less than the translation
