@@ -46,16 +46,16 @@ inside the flow's bound on the states, the solve has converged; otherwise
 the start was too far off, and the self-similar Dafermos flow
 (`dafermos_flow`) runs from the same guess on the same mesh until Newton
 can finish. The central three-point scheme has one home, the class
-`_Central`: the residual, its roundoff and a cheap bound of that, the
-Jacobian and the linear step, on one mesh with its differences computed
-once and its scratch arrays reused. Each Newton solve and each flow keeps
-one, evaluates one residual per iteration and builds each Jacobian from
-the slopes its residual left there, so the iterations allocate almost no
-fresh memory; setting another class in its place swaps the discretization
-for the solve, the flow, the noise floor and the margins at once. The
-roundoff floor is a pass over every node; Newton computes it only when
-the residual is at or below a bound of it made of maxima of the mesh and
-of u, which rules it out while the residual is large.
+`_Central`: the residual, its roundoff, the Jacobian and the linear
+step, on one mesh with its differences computed once and its scratch
+arrays reused. Each Newton solve and each flow keeps one, evaluates one
+residual per iteration and builds each Jacobian from the slopes its
+residual left there, so the iterations allocate almost no fresh memory;
+setting another class in its place swaps the discretization for the
+solve, the flow, the noise floor and the margins at once. The roundoff
+floor is a pass over every node; Newton checks it once per solve, at
+the last iterate, and only when that iterate is in reach and short of
+the tolerance.
 
 Derivatives along a computed profile are reconstructed with fourth-order
 five-point stencils; second-order differences leave an O(h^2) bias in the
@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import CoverageError, InvalidParameterError, NonConvergenceError
 from .flux import (FluxSpec, _interior_critical_points, derivative, derivative_range,
-                   divided_difference, second_derivative, sup_derivative)
+                   divided_difference, second_derivative)
 from .riemann import RarefactionFan, Shock, eval_riemann, solve_exact, wave_speed_span
 
 _MAX_NODES = 400_000
@@ -745,8 +745,8 @@ def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
 
 class _Central:
     """The central three-point scheme for `problem` on the mesh xi: the one
-    definition of the interior residual, its roundoff, a cheap bound of
-    that roundoff, the tridiagonal Jacobian and the shifted linear step.
+    definition of the interior residual, its roundoff, the tridiagonal
+    Jacobian and the shifted linear step.
 
     It owns the mesh differences and scratch arrays. Newton and the flow
     keep one per solve, so their iterations allocate almost nothing; a
@@ -771,13 +771,6 @@ class _Central:
         # hp*hs, hm*hp, hm*hs, hp-hm and the (3, n) band array
         hm, hp, hs = self.hm, self.hp, self.hs
         return hp * hs, hm * hp, hm * hs, hp - hm, np.empty((3, len(self.xi)))
-
-    @cached_property
-    def _noise_maxima(self):
-        # max 1/(hm*hp), max (1/hm + 1/hp) and max |xi| over the interior nodes
-        hm, hp, xi = self.hm, self.hp, self.xi[1:-1]
-        return (float(np.max(1.0 / (hm * hp))), float(np.max(1.0 / hm + 1.0 / hp)),
-                _max_abs(xi))
 
     def _speed_offset(self, profile: Profile) -> np.ndarray:
         """f'(u_i) - xi_i at the profile's interior nodes, in self.c."""
@@ -814,25 +807,6 @@ class _Central:
         c = np.abs(self._speed_offset(profile)) + np.abs(offset)
         return 4.0 * _EPS_MACH * (2.0 * self.problem.epsilon * uscale / (hm * hp)
                                   + c * uscale * (1.0 / hm + 1.0 / hp))
-
-    def noise_bound(self, u: np.ndarray) -> float:
-        """An upper bound of `residual_noise_floor` at u that costs two passes
-        over u: 4*eps_mach*(2*level), where
-
-            level = 2*eps*umax*max 1/(hm*hp) + (S + max|xi|)*umax*max(1/hm + 1/hp),
-
-        umax = max|u| and S = sup |f'| over [min u, max u]. Each factor bounds
-        its counterpart in every node's `noise` and both terms are summed in
-        the same association, so the exact level is at least each node's
-        exact level; the factor 2 covers the few ulps by which either computed
-        value can stray from its exact one, overflow to inf included. The mesh
-        maxima are computed on first use."""
-        inv_hmhp, inv_h, xmax = self._noise_maxima
-        lo, hi = float(u.min()), float(u.max())
-        umax = max(-lo, hi)
-        s = sup_derivative(self.problem.flux, lo, hi)
-        level = 2.0 * self.problem.epsilon * umax * inv_hmhp + (s + xmax) * umax * inv_h
-        return 4.0 * _EPS_MACH * (2.0 * level)
 
     def band(self, u: np.ndarray) -> np.ndarray:
         """`jacobian` at u, the profile of the last `residual`, from the
@@ -1013,13 +987,9 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     Otherwise NonConvergenceError is raised with the partial report: the
     start is too far off, and `solve_profile` hands it to the Dafermos flow.
 
-    The floor is judged once, at the last iterate, and only in reach: it
-    scales with |u|*|f'(u)|. It first compares the residual with
-    the scheme's `noise_bound`, an upper bound of the floor from the mesh
-    maxima (computed once per solve) and the range of u. A residual above the
-    bound is above the floor, so the floor is computed only for a residual
-    at or below the bound, and every decision, iterate and report is the
-    one the floor alone gives.
+    The floor is checked once per solve, at the last iterate, and only in
+    reach: it scales with |u|*|f'(u)|, which an iterate far outside the
+    states can make large enough to pass any residual.
 
     Each Jacobian reuses the slopes and f'(u) - xi that the residual of the
     accepted step left in the scheme (`_Central`). The returned profile
@@ -1056,10 +1026,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
         converged = nt <= opts.newton_tol
 
     if not converged:
-        # the bound is at least the floor, so a residual above it is above
-        # the floor too; only a residual at or below it needs the floor
         converged = floor_limited = _in_reach(problem, u) \
-            and not history[-1] > scheme.noise_bound(u) \
             and history[-1] <= residual_noise_floor(problem, Profile(xi, u), scheme)
 
     if not converged:

@@ -411,6 +411,12 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         2e-3    2146 (145)
         1.2e-3  1.4e6 (9.7e4)
 
+    `sweeping_margin` is omitted where K = 0, a linear flux: the sweeping
+    translate u + lam is then an exact solution, its defect is minus the
+    profile's own residual bit for bit, and its sign is that residual's
+    roundoff (for f = u from 1 to -1 it read 0 at eps 0.05, a failure, and
+    8.1e-12 at 0.005, a pass, on correct profiles).
+
     One solve_profile call feeds every check, whichever way the data run;
     the uniqueness probe relaxes its default 6 ramp guesses along the
     Dafermos flow, finishes each by Newton, and compares the runs that end
@@ -472,7 +478,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         except CoverageError:
             pass
 
-    if problem.u_left != problem.u_right:
+    big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
+    if problem.u_left != problem.u_right and (increasing or big_k > 0.0):
         name = "sliding_margin" if increasing else "sweeping_margin"
         value, undecided = sliding_supersolution_margin(profile, problem, lam) \
             if increasing else sweeping_supersolution_margin(profile, problem, lam)
@@ -483,6 +490,4 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     record("uniqueness_probe", probe.max_distance, 1e-6, probe.max_distance <= 1e-6,
            n_converged=probe.n_converged, n_out_of_class=probe.n_out_of_class,
            n_failed=probe.n_failed)
-
-    big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
     return checks, DiagnosticsRecord(K=big_k, M=big_m, lam=lam, margins=margins)

@@ -103,10 +103,11 @@ def test_parse_rejects_bad_states_and_tols():
     ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.05,0.1"],
     ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.1,0"],
     ["sweep", "--ul", "1", "--ur", "-1", "--eps", "nan"],
+    ["sweep", "--ul", "1", "--ur", "-1", "--eps", "0.1,abc"],
     ["verify", "--ul", "1", "--ur", "-1", "--seed", "-1"],
 ], ids=["tol-inf", "tol-nan", "tail-tol-nan", "tail-tol-one", "riemann-state-nan",
         "corner-one-sample", "eps-repeated", "eps-increasing", "eps-zero", "eps-nan",
-        "seed-negative"])
+        "eps-malformed", "seed-negative"])
 def test_out_of_range_values_rejected_at_parse_time(argv, capsys):
     with pytest.raises(ConfigError):
         parse_config(argv)
@@ -161,10 +162,12 @@ def test_parse_does_not_carry_values_between_calls():
 # config files
 
 @pytest.mark.parametrize("config_first", [True, False], ids=["config-first", "config-last"])
-def test_config_file_merges_with_overrides(tmp_path, config_first):
+@pytest.mark.parametrize("joined", [False, True], ids=["config-space", "config-equals"])
+def test_config_file_merges_with_overrides(tmp_path, config_first, joined):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# sweep setup\nul=-1\nur=1\n\neps=0.1,0.05\n")
-    config, flags = ["--config", str(cfg_file)], ["--eps", "0.05"]
+    config = ["--config=" + str(cfg_file)] if joined else ["--config", str(cfg_file)]
+    flags = ["--eps", "0.05"]
     cfg = parse_config(["solve"] + (config + flags if config_first else flags + config))
     assert cfg.u_left == -1.0 and cfg.u_right == 1.0
     assert cfg.eps == (0.05,)  # explicit flag beats the file, wherever --config stands
@@ -173,6 +176,12 @@ def test_config_file_merges_with_overrides(tmp_path, config_first):
 def test_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config(["solve", "--config", str(tmp_path / "absent.cfg")])
+    with pytest.raises(ConfigError, match="needs a file path"):
+        parse_config(["solve", "--ul", "0", "--ur", "1", "--config"])
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("ul=-1\n=1\n")
+    with pytest.raises(ConfigError, match=":2: empty key"):
+        parse_config(["solve", "--config", str(empty)])
     bad = tmp_path / "bad.cfg"
     bad.write_text("ul=-1\njust some words\n")
     with pytest.raises(ConfigError, match=":2"):
@@ -339,6 +348,7 @@ def test_read_profile_error_positions(tmp_path):
     cases = [
         ("nope\n0,1,2\n", ":1:"),
         ("xi,u,du\n0,1,2\n1,2\n", ":3:"),
+        ("xi,u,du\n0,1,2\n\n1,2\n", ":4:"),     # a blank line is skipped, still counted
         ("xi,u,du\n0,abc,2\n", ":2:"),
         ("xi,u,du\n0,1,2\n0,1,2\n", ":3:"),
         ("xi,u,du\n", ":2:"),

@@ -41,6 +41,8 @@ def test_lipschitz_pinned_values():
 def test_lipschitz_rejects_reversed_interval():
     with pytest.raises(InvalidParameterError):
         wf.lipschitz_of_derivative(BURGERS, 1.0, -1.0)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        wf.lipschitz_of_derivative(BURGERS, -np.inf, 1.0)
 
 
 def test_lipschitz_is_tight_upper_bound_of_dense_scan():
@@ -323,7 +325,7 @@ def test_token_round_trip():
 
 
 def test_parse_rejects_malformed_tokens():
-    for bad in ("poly:abc", "cosine", "poly:", "poly:1"):
+    for bad in ("poly:abc", "cosine", "poly:", "poly:1", "poly:0,inf"):
         with pytest.raises(InvalidParameterError):
             wf.parse_flux_token(bad)
 

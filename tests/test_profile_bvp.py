@@ -769,22 +769,10 @@ def test_noise_floor_on_a_used_workspace_matches_oracle_bitwise():
         assert wf.residual_noise_floor(prob, prof) == expected
 
 
-@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5),
-       seed=st.integers(0, 2**32 - 1), n=st.integers(3, 80),
-       eps=st.floats(1e-4, 1.0), scale=st.floats(1e-3, 1e3))
-def test_noise_floor_bound_is_at_least_the_floor(coeffs, seed, n, eps, scale):
-    assume(any(c != 0.0 for c in coeffs[1:]))
-    rng = np.random.default_rng(seed)
-    xi = graded_mesh(rng, n) * rng.uniform(0.1, 10.0)
-    u = scale * rng.uniform(-1.0, 1.0, n)
-    prob = wf.ProfileProblem(wf.polynomial_flux(coeffs), u[0], u[-1], eps)
-    work = profile_bvp._Central(prob, xi)
-    assert work.noise_bound(u) >= wf.residual_noise_floor(prob, wf.Profile(xi, u), work)
-
-
 def test_newton_evaluates_the_floor_only_where_it_can_decide(monkeypatch):
-    # the cubic's rejected full steps come far above the floor, which the
-    # bound settles, and at it, where the one floor evaluation ends the solve
+    # the floor is a pass over every node, so it is checked once per solve,
+    # at the last iterate: the cubic stalls at its floor after a rejected
+    # full step, and the one floor evaluation ends the solve
     calls = []
     real = profile_bvp.residual_noise
 

@@ -8,7 +8,7 @@ import wavefan as wf
 from grid_envelope import GridFan, grid_waves
 from wavefan import riemann
 from wavefan.errors import CoverageError
-from wavefan.flux import evaluate
+from wavefan.flux import divided_difference, evaluate
 from wavefan.riemann import ConstantState, RarefactionFan, Shock
 
 BURGERS = wf.burgers_flux()
@@ -269,6 +269,24 @@ def test_shock_between_adjacent_doubles_moves_at_the_characteristic_speed():
         assert abs(sol.waves[1].speed - slope) <= 8.0 * np.spacing(abs(slope))
 
 
+@pytest.mark.parametrize("token, ul, ur", [
+    ("poly:0.9009273926518706,-0.7116807745607325,0.8972988942744877,"
+     "-0.3763370959790291,-0.1533471020548487", 0.909048347064366, -0.2724025908925163),
+    ("poly:0.5375435198183329,0.05125904632450817,-0.7019039532585749,"
+     "0.9299354879594715,-0.196727552222965,-0.4095314886746084",
+     -1.0445904227028953, -1.1266190024535605),
+])
+def test_a_fan_of_zero_width_folds_into_the_shock_after_it(token, ul, ur):
+    # the envelope starts with a one-ulp fan at a tangency whose width
+    # rounds to zero; it folds into the shock, which then starts at ul
+    flux = wf.parse_flux_token(token)
+    sol = wf.solve_exact(flux, ul, ur)
+    assert [type(w) for w in sol.waves] == [ConstantState, Shock, ConstantState]
+    shock = sol.waves[1]
+    assert (shock.u_left, shock.u_right) == (ul, ur)
+    assert shock.speed == divided_difference(flux.coefficients, ul, ur)
+
+
 def test_shock_speed_is_the_exact_chord_on_symmetric_states():
     # the divided difference sums p^i q^j terms, so a symmetric chord of an
     # even flux is exactly zero, as the difference of f values is
@@ -392,6 +410,18 @@ def test_data_whose_powers_overflow_are_solved_by_scaled_chord_slopes():
     assert sol.waves[1].speed == pytest.approx(6.3e111, rel=1e-14)
 
 
+@pytest.mark.parametrize("ul, ur", [(np.nan, 1.0), (0.0, np.inf)])
+def test_non_finite_states_are_rejected(ul, ur):
+    with pytest.raises(wf.InvalidParameterError, match="states must be finite"):
+        wf.solve_exact(BURGERS, ul, ur)
+
+
+def test_a_shock_whose_f_prime_overflows_moves_at_its_chord_slope():
+    # f'(1e308) = 2e308 is past the largest double; the shock's chord is not
+    sol = wf.solve_exact(wf.parse_flux_token("poly:0,0,1"), 1e308, -5e307)
+    assert sol.waves[1:-1] == (Shock(5e307, 1e308, -5e307),)
+
+
 def test_a_fan_near_the_range_of_doubles_inverts_without_overflow():
     # the grid `wavefan riemann` samples; the fan inversion's bracket test
     # multiplied two distances of about 1e200 and overflowed
@@ -403,6 +433,9 @@ def test_a_fan_near_the_range_of_doubles_inverts_without_overflow():
 @pytest.mark.parametrize("token, ul, ur", [
     # chord slopes past the largest double
     ("poly:0,0,0,1", -1e200, 1e200),
+    # f' past it at a fan edge, where every chord slope fits
+    ("poly:0,0,1", -5e307, 1e308),
+    ("poly:0,0,1", -1e308, 5e307),
     # the trimmed tangency polynomial's companion matrix overflows
     ("poly:1.1377936137343168e+55,-5.502009174623611e+176,-2.2117348121533902e-58,"
      "-8.760681336070306e+80,-9.694248646073712e-179,1.1788084130278703e-161,0",

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import math
 import pathlib
 from dataclasses import replace
@@ -14,7 +15,7 @@ from wavefan.errors import (
     CoverageError,
     InvalidParameterError,
 )
-from wavefan import corner_layer, profile_bvp, verification
+from wavefan import cli_io, corner_layer, profile_bvp, verification
 from wavefan.flux import divided_difference
 from wavefan.verification import _judge, _translate_defect
 
@@ -291,6 +292,9 @@ def test_sliding_margin_preconditions(shock_profile, shock_problem, rarefaction_
         wf.sliding_supersolution_margin(shock_profile, shock_problem, 0.1)
     with pytest.raises(InvalidParameterError):
         wf.sliding_supersolution_margin(rarefaction_profile, rarefaction_problem, -0.1)
+    width = rarefaction_profile.xi[-1] - rarefaction_profile.xi[0]
+    with pytest.raises(CoverageError, match="no overlap"):
+        wf.sliding_supersolution_margin(rarefaction_profile, rarefaction_problem, width)
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +453,27 @@ def test_sweeping_margin_preconditions(shock_profile, shock_problem,
         wf.sweeping_supersolution_margin(shock_profile, shock_problem, -1.0)
 
 
+@pytest.mark.parametrize("token", ["poly:0,1", "poly:2,-0.5"])
+def test_a_linear_flux_has_no_sweeping_margin(token, tmp_path):
+    # with K = 0 the sweeping offset f'(u + lam) - f'(u) - 2*K*lam is zero,
+    # so the translate u + lam solves the equation: its defect is -R(u) bit
+    # for bit, and its sign the converged residual's roundoff (for f = u it
+    # read 0, all 337 nodes undecided, at eps 0.05 and 8.1e-12 at 0.005)
+    flux = wf.parse_flux_token(token)
+    assert wf.lipschitz_of_derivative(flux, -1.0, 1.0) == 0.0
+    for eps in (0.05, 0.005):
+        prob = wf.ProfileProblem(flux, 1.0, -1.0, eps)
+        profile, _ = wf.solve_profile(prob)
+        defect, noise = _translate_defect(profile, prob, 0.1)
+        assert np.array_equal(defect, -wf.residual(prob, profile)[1:-1])
+        assert np.array_equal(noise, wf.residual_noise(prob, profile))
+        out = tmp_path / "checks.json"
+        assert cli_io.main(["verify", "--flux", token, "--ul", "1", "--ur", "-1",
+                            "--eps", repr(eps), "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {"monotone", "l1_window",
+                                                    "uniqueness_probe"}
+
+
 def test_sliding_constant_formula(rarefaction_profile):
     prob = wf.ProfileProblem(wf.burgers_flux(), -1.0, 1.0, 0.1)
     profile, _ = wf.solve_profile(prob)
@@ -559,6 +584,11 @@ def test_translation_check_rejects_other_fluxes(shock_profile, shock_problem):
     with pytest.raises(InvalidParameterError):  # raised by the problem itself
         wf.translation_invariance_check(shock_profile, replace(shock_problem, epsilon=-0.05),
                                         0.1)
+    with pytest.raises(InvalidParameterError, match="lam must be finite"):
+        wf.translation_invariance_check(shock_profile, shock_problem, math.nan)
+    width = shock_profile.xi[-1] - shock_profile.xi[0]
+    with pytest.raises(CoverageError, match="no overlap"):
+        wf.translation_invariance_check(shock_profile, shock_problem, 1.5 * width)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, -0.3])
