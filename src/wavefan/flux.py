@@ -203,8 +203,11 @@ def divided_difference(coefficients, a, b):
     2^(e(k-1) - g), g >= 0 the least shift that keeps sum_k |c_k|*k below
     2^1023; that sum times 2^g is the slope, infinite only where it
     overflows. The scalings are exact unless a scaled value leaves the
-    normal range. A finite sum is returned as it is. Only a Python float
-    sum is formed again; numpy values are summed once."""
+    normal range. A finite sum is returned as it is, and so is one where
+    e = g = 0: that is a non-finite state (`math.frexp` gives inf and nan
+    the exponent 0), whose sum formed again on the same arguments would
+    recurse without end. Only a Python float sum is formed again; numpy
+    values are summed once."""
     total, h, a_pow = 0.0, 0.0, 1.0
     for c in coefficients[1:]:
         h, a_pow = h * b + a_pow, a_pow * a

@@ -598,7 +598,9 @@ class _ShockLayer:
     the distance overflows.
 
     Each side also keeps int (U - end state) dxi outward from t = 0, as a
-    fraction of the jump and in units of eps, for `centre_offset`.
+    fraction of the jump and in units of eps, at the same nodes: linear
+    between them, it makes the window mass of `centre_offset` piecewise
+    linear, with an exact zero.
     """
 
     def __init__(self, shock: Shock, chord_excess: np.ndarray):
@@ -633,42 +635,31 @@ class _ShockLayer:
         w[k:] = 1.0
         return w
 
-    def _mass(self, x: float) -> float:
-        # int_0^x (U - step)/(-(u_R - u_L)), the step jumping at 0; x in eps
-        _, dist, mass = self.sides[1 if x >= 0.0 else 0]
-        return float(np.interp(abs(x), dist, mass))
-
     def centre_offset(self, half: float) -> float:
         """The offset d, in units of eps, of the layer's centre from the
         shock speed at which int (U - step) over |xi - s| <= half*eps is
-        zero (see `initial_guess`). The window's mass mu(d) grows with d at
-        the rate of the jump's share inside the window, so Newton steps
-        safeguarded by bisection find the root; mu is exactly zero at d = 0
-        when both sides of the table are equal, as for a symmetric shock.
-        The root lies in (-half, half): past the centre the share's tail is
-        below 1/2, so each side's mass over a width y is below y/2, and
-        mu(-half) < 0 < mu(half)."""
-        def mu(d):
-            return self._mass(half - d) - self._mass(-half - d) + min(max(d, -half), half)
+        zero (see `initial_guess`). For |d| <= half that window mass is
 
-        lo, hi = -half, half
-        d, last = 0.0, hi - lo
-        for _ in range(100):
-            m = mu(d)
-            if m == 0.0:
-                return d
-            lo, hi = (lo, d) if m > 0.0 else (d, hi)
-            inside = float(self.share(half - d)[0] - self.share(-half - d)[0])
-            nxt = d - m / inside if inside > 0.0 else math.nan
-            # bisect when Newton leaves the bracket (or has no step) or does
-            # not halve the step before last, so the bracket keeps shrinking
-            if not (lo < nxt < hi and abs(nxt - d) <= 0.5 * last):
-                nxt = 0.5 * (lo + hi)
-            last = abs(nxt - d)
-            if last <= 1e-12:
-                return nxt
-            d = nxt
-        return d
+            mu(d) = M_r(half - d) - M_l(half + d) + d,
+
+        with M_l and M_r the two sides' masses, interpolated linearly in
+        their tables and constant past their ends. So mu is linear between
+        the knots -half, 0, half and each d = half - dist_r[k] or
+        dist_l[k] - half inside, and its zero is exact: the first knot where
+        mu >= 0 if mu is 0 there, as it is at d = 0 when both sides of the
+        table are equal, for a symmetric shock, and otherwise the zero of
+        mu's chord from the knot before it. The root lies in (-half, half):
+        past the centre the share's tail is below 1/2, so each side's mass
+        over a width y is below y/2, and mu(-half) < 0 < mu(half)."""
+        (_, dist_l, mass_l), (_, dist_r, mass_r) = self.sides
+        # a repeated knot has one mu, so the chord never joins a knot to its twin
+        d = np.sort(np.clip(np.concatenate(([0.0], half - dist_r, dist_l - half)),
+                            -half, half))
+        mu = np.interp(half - d, dist_r, mass_r) - np.interp(half + d, dist_l, mass_l) + d
+        k = _first(mu >= 0.0)
+        if mu[k] == 0.0:
+            return float(d[k])
+        return float(d[k - 1] - mu[k - 1] * (d[k] - d[k - 1]) / (mu[k] - mu[k - 1]))
 
 
 def _shock_layer(flux: FluxSpec, shock: Shock) -> _ShockLayer | None:
@@ -701,11 +692,13 @@ def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
     (f'(u) - xi)*u' = (f(u) - xi*u)' + u, so integrating it over the line
     for the viscous and the inviscid solutions gives
     int (u_viscous - u_inviscid) dxi = 0. Each wave is therefore shifted
-    from the shock speed s until int (U - step) over |xi - s| <= W is zero,
-    W = `_CENTRE_WINDOW`*sqrt(eps), the mollification scale. A wave with
+    from the shock speed s to where int (U - step) over |xi - s| <= W is
+    zero, W = `_CENTRE_WINDOW`*sqrt(eps), the mollification scale; on the
+    tabulated wave that mass is piecewise linear in the shift, and
+    `_ShockLayer.centre_offset` takes its exact zero. A wave with
     exponential tails on both sides has all its mass within a few eps, so
-    the window does not matter there, and a symmetric one stays at s. A
-    wave with an algebraic tail has a mass growing like eps*ln(1/eps),
+    the window does not matter there, and a symmetric one stays exactly at
+    s. A wave with an algebraic tail has a mass growing like eps*ln(1/eps),
     which the window cuts at the sqrt(eps) scale where the fan takes over.
 
     Fallback: if g vanishes inside (u_L, u_R) (the quartic poly:0,0,-1,0,1
@@ -761,10 +754,11 @@ class _Central:
         self.problem = problem
         self.xi = xi
         n = len(xi)
-        self.hm = xi[1:-1] - xi[:-2]
-        self.hp = xi[2:] - xi[1:-1]
+        self.h = xi[1:] - xi[:-1]
+        self.hm, self.hp = self.h[:-1], self.h[1:]
         self.hs = self.hm + self.hp
-        self.sm, self.sp, self.d1, self.c, self.t = (np.empty(n - 2) for _ in range(5))
+        self.s = np.empty(n - 1)
+        self.d1, self.c, self.t = (np.empty(n - 2) for _ in range(3))
 
     @cached_property
     def _band_geometry(self):
@@ -784,10 +778,9 @@ class _Central:
         r = np.empty(len(u))
         r[0] = u[0] - problem.u_left
         r[-1] = u[-1] - problem.u_right
-        sm = np.subtract(u[1:-1], u[:-2], out=self.sm)
-        sm /= self.hm
-        sp = np.subtract(u[2:], u[1:-1], out=self.sp)
-        sp /= self.hp
+        slope = np.subtract(u[1:], u[:-1], out=self.s)
+        slope /= self.h
+        sm, sp = slope[:-1], slope[1:]
         d1 = np.multiply(self.hm, sp, out=self.d1)
         d1 += np.multiply(self.hp, sm, out=self.t)
         d1 /= self.hs

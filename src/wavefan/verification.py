@@ -364,16 +364,22 @@ def translation_invariance_check(profile: Profile, problem: ProfileProblem,
 
 
 def windowed_by_slope(profile: Profile, ratio: float = 1e-6) -> Profile:
-    """Contiguous sub-profile where |du| >= ratio * max|du|.
+    """The run of nodes around the peak of |du| where |du| >= ratio * max|du|.
 
     In far tails the profile saturates to its limit in floating point and
     the reconstructed slope is pure roundoff; diagnostics that divide by or
-    take logs of the slope are only meaningful where it is resolved."""
-    top = float(np.max(np.abs(profile.du)))
-    if top == 0.0:
+    take logs of the slope are only meaningful where it is resolved. On a
+    jump of about 1e-9 of the states or less, neighbouring nodes can hold
+    equal values between resolved steps, so the window ends at the first
+    node on each side of the peak below the bound, not at the last one
+    above it."""
+    slope = np.abs(profile.du)
+    peak = int(np.argmax(slope))
+    if slope[peak] == 0.0:
         raise InvalidParameterError("profile slope is identically zero")
-    good = np.nonzero(np.abs(profile.du) >= ratio * top)[0]
-    lo, hi = good[0], good[-1] + 1
+    below = np.concatenate(([-1], np.flatnonzero(slope < ratio * slope[peak]), [len(slope)]))
+    k = np.searchsorted(below, peak)
+    lo, hi = below[k - 1] + 1, below[k]
     return Profile(xi=profile.xi[lo:hi], u=profile.u[lo:hi], du=profile.du[lo:hi])
 
 

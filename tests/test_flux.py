@@ -230,6 +230,10 @@ def test_divided_difference_is_infinite_only_where_the_chord_overflows():
         else:
             assert abs(exact) + slack >= top and np.sign(got) == np.sign(exact)
     assert redone >= 30
+    # a non-finite state has exponent 0, so its sum is returned unscaled
+    # instead of being formed again on the same arguments
+    got = [divided_difference((0.0, 0.0, 1.0), x, 1.0) for x in (np.inf, -np.inf, np.nan)]
+    assert got[:2] == [np.inf, -np.inf] and np.isnan(got[2])
 
 
 @pytest.mark.parametrize("coeffs, a, b, exact", [

@@ -601,12 +601,24 @@ def test_shock_layer_centre_balances_the_window_mass(coeffs, a, b, eps):
     layer = profile_bvp._shock_layer(flux, wf.Shock(speed, lo, q))
     assume(layer is not None)
     half = 1.0 / math.sqrt(eps)
+    (_, dist_l, mass_l), (_, dist_r, mass_r) = layer.sides
     def mu(d):
-        return layer._mass(half - d) - layer._mass(-half - d) + min(max(d, -half), half)
+        return np.interp(half - d, dist_r, mass_r) - np.interp(half + d, dist_l, mass_l) + d
 
-    assert mu(-half) < 0.0 < mu(half)       # the bracket the root search starts from
+    assert mu(-half) < 0.0 < mu(half)       # the bracket the root lies in
     d = layer.centre_offset(half)
-    assert abs(mu(d)) <= 1e-12 * half
+    # mu's three terms are each at most half in size; the two interpolations
+    # (about three roundings each) and the two sums round at eps_mach*half
+    tol = 8.0 * np.finfo(float).eps * half
+    assert abs(mu(d)) <= tol
+    lo, hi = -half, half
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mu(mid) < 0.0 else (lo, mid)
+    # both are within tol of a zero of mu, whose slope is the share of the
+    # jump inside the window (0 in rounding for a layer far wider than it)
+    inside = float(layer.share(half - d)[0] - layer.share(-half - d)[0])
+    assert abs(d - hi) * inside <= 2.0 * tol
     w = layer.share(np.linspace(-4.0 * half, 4.0 * half, 401))
     assert np.all(np.diff(w) >= 0.0) and w[0] >= 0.0 and w[-1] <= 1.0
 
@@ -958,6 +970,19 @@ def test_solved_rarefaction_tracks_the_fan(rarefaction_profile, rarefaction_prob
     err = np.max(np.abs(rarefaction_profile.u[mask] - exact))
     assert err < 0.1
     assert np.all(np.diff(rarefaction_profile.u) >= 0)
+
+
+@pytest.mark.parametrize("token", ["poly:0,0,0,1", "poly:0,0.3,0,-1,0,0.5"])
+@pytest.mark.parametrize("eps", [0.05, 5e-3])
+def test_an_odd_flux_gives_mirrored_data_the_negated_profile(token, eps):
+    # f odd makes f' even, so -u solves the equation wherever u does: the
+    # mesh, the guess with its shock centres, and every step are negated
+    # bit for bit
+    flux = wf.parse_flux_token(token)
+    down, _ = wf.solve_profile(wf.ProfileProblem(flux, 1.0, -1.0, eps))
+    up, _ = wf.solve_profile(wf.ProfileProblem(flux, -1.0, 1.0, eps))
+    assert np.array_equal(down.xi, up.xi)
+    assert np.array_equal(down.u, -up.u) and np.array_equal(down.du, -up.du)
 
 
 # {burgers, cubic, quartic} x both ways x eps

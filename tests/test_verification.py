@@ -957,14 +957,23 @@ def test_battery_sizes_the_corner_to_the_rescaled_mesh(ul, ur, eps):
     assert np.isfinite(diag.margins["corner_remainder"])
 
 
-@pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("ul, ur", [
+    (1.0, -1.0), (-1.0, 1.0),
+    # jumps of one ulp and of 1e-9, both ways: the reconstructed slope has
+    # exactly flat steps between resolved ones
+    (1.0, 1.0 + 2.0 ** -52), (1.0 + 2.0 ** -52, 1.0), (1.0, 1.0 + 1e-9), (1.0 + 1e-9, 1.0)])
 def test_battery_same_for_burgers_token_and_half_square_polynomial(ul, ur):
     (checks, diag), (poly_checks, poly_diag) = (
         wf.run_battery(wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, 0.05))
         for token in ("burgers", "poly:0,0,0.5"))
-    assert "translation_invariance" in poly_checks
+    assert {"translation_invariance", "first_integral_spread"} <= set(poly_checks)
     assert poly_checks == checks
     assert poly_diag == diag
+    # the first integral's window holds the slope's peak and no zero slope
+    profile, _ = wf.solve_profile(wf.ProfileProblem(BURGERS, ul, ur, 0.05))
+    window = wf.windowed_by_slope(profile)
+    assert np.max(np.abs(window.du)) == np.max(np.abs(profile.du))
+    assert np.all(window.du != 0.0)
 
 
 def test_battery_on_constant_data():
