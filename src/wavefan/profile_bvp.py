@@ -38,17 +38,17 @@ each shock its viscous travelling wave, eps*U' = f(U) - f(u_L) - s*(U - u_L),
 integrated once per shock on nodes clustered at both roots and centred so
 that it carries no mass against the jump over a sqrt(eps) window (the
 viscous and inviscid profiles have equal integrals); elsewhere the inviscid
-solution mollified over sqrt(eps). A shock whose g vanishes between its
-states has no travelling wave and keeps its mollified jump. Newton takes
-only full steps and stops at the first one that does not lower the
-residual. If the residual is then at its roundoff floor, at an iterate
-inside the flow's bound on the states, the solve has converged; otherwise
-the start was too far off, and the self-similar Dafermos flow
-(`dafermos_flow`) runs from the same guess on the same mesh until Newton
-can finish. The central three-point scheme has one home, the class
-`_Central`: the residual, its roundoff, the Jacobian and the linear
-step, on one mesh with its differences computed once and its scratch
-arrays reused. Each Newton solve and each flow keeps one, evaluates one
+solution itself, at the nodes. A shock whose g vanishes between its states
+has no travelling wave and keeps its inviscid jump. Newton takes only
+full steps and stops at the first one that does not lower the residual.
+If the residual is then at its roundoff floor, at an iterate inside the
+flow's bound on the states, the solve has converged; otherwise the start
+was too far off, and the self-similar Dafermos flow (`dafermos_flow`)
+runs from the same guess on the same mesh until Newton can finish. The
+central three-point scheme has one home, the class `_Central`: the
+residual, its roundoff, the Jacobian and the linear step, on one mesh
+with its differences computed once and its scratch arrays reused. Each
+Newton solve and each flow keeps one, evaluates one
 residual per iteration and builds each Jacobian from the slopes its
 residual left there, so the iterations allocate almost no fresh memory;
 setting another class in its place swaps the discretization for the
@@ -103,7 +103,7 @@ _FLOW_HANDOVER = 1e-3
 _FLOW_STEPS = 100
 _LAYER_DT = 1.0 / 16.0   # see _ShockLayer
 _LAYER_T = _SHOCK_EFOLDS / 2.0
-_CENTRE_WINDOW = 1.0     # see initial_guess
+_CENTRE_WINDOW = 1.0     # in sqrt(eps), the corner scale; see initial_guess
 
 
 @dataclass(frozen=True)
@@ -678,23 +678,26 @@ def _shock_layer(flux: FluxSpec, shock: Shock) -> _ShockLayer | None:
 
 def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
     """The inviscid solution with each shock replaced by its viscous
-    travelling wave and the rest mollified on the sqrt(eps) scale.
+    travelling wave, pinned to the boundary states at the domain ends.
 
     Near a shock the profile is the travelling wave of `_ShockLayer`, on the
-    eps scale; elsewhere its zero-order asymptotics is the inviscid solution,
-    whose fan edges a sliding average over sqrt(eps) rounds off. So the
-    jump of every shock with a travelling wave is taken out of the inviscid
-    values, the continuous remainder is mollified, and the wave is added
+    eps scale; elsewhere its zero-order asymptotics is the inviscid solution
+    itself. So the inviscid values are taken at the nodes, the jump of every
+    shock with a travelling wave is taken out of them, and the wave is added
     back. `solve_profile` uses this as the Newton start at the target
-    viscosity.
+    viscosity. Wherever the inviscid solution is a constant state and every
+    travelling wave has reached its end state, the guess is that state
+    exactly, equal data included; like Newton's iterates, it carries no
+    slope.
 
     Centre: the profile equation has the exact identity
     (f'(u) - xi)*u' = (f(u) - xi*u)' + u, so integrating it over the line
     for the viscous and the inviscid solutions gives
     int (u_viscous - u_inviscid) dxi = 0. Each wave is therefore shifted
     from the shock speed s to where int (U - step) over |xi - s| <= W is
-    zero, W = `_CENTRE_WINDOW`*sqrt(eps), the mollification scale; on the
-    tabulated wave that mass is piecewise linear in the shift, and
+    zero, W = `_CENTRE_WINDOW`*sqrt(eps), the width of the corner layers
+    where a fan next to the shock takes over; on the tabulated wave that
+    mass is piecewise linear in the shift, and
     `_ShockLayer.centre_offset` takes its exact zero. A wave with
     exponential tails on both sides has all its mass within a few eps, so
     the window does not matter there, and a symmetric one stays exactly at
@@ -703,34 +706,20 @@ def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
 
     Fallback: if g vanishes inside (u_L, u_R) (the quartic poly:0,0,-1,0,1
     shock 1 -> -1 touches its chord at 0, and its layer scales like
-    sqrt(eps)), that shock keeps the mollified jump. With no travelling
-    wave at all the guess is the mollified inviscid solution alone.
+    sqrt(eps)), there is no travelling wave and that shock keeps its
+    inviscid jump.
     """
     xi = np.asarray(xi, dtype=float)
-    if problem.u_left == problem.u_right:
-        u = np.full(len(xi), problem.u_left)
-        return Profile(xi=xi, u=u, du=np.zeros(len(xi)))
     exact = solve_exact(problem.flux, problem.u_left, problem.u_right)
     eps = problem.epsilon
-    layers = []
+    u = eval_riemann(exact, xi)
+    half = _CENTRE_WINDOW / math.sqrt(eps)         # W in units of eps
     for wave in exact.waves:
         layer = _shock_layer(problem.flux, wave) if isinstance(wave, Shock) else None
         if layer is not None:
-            layers.append((wave, layer))
-    delta = 0.5 * math.sqrt(eps)
-    step = delta / 8.0
-    aux = np.arange(xi[0] - 2.0 * delta, xi[-1] + 2.0 * delta + step, step)
-    vals = eval_riemann(exact, aux)
-    for shock, layer in layers:
-        vals[aux > shock.speed] -= layer.jump
-    prefix = _cumulative_trapezoid(vals, step)
-    upper = np.interp(xi + delta, aux, prefix)
-    lower = np.interp(xi - delta, aux, prefix)
-    u = (upper - lower) / (2.0 * delta)
-    half = _CENTRE_WINDOW / math.sqrt(eps)         # W in units of eps
-    for shock, layer in layers:
-        centre = shock.speed + eps * layer.centre_offset(half)
-        u += layer.jump * layer.share((xi - centre) / eps)
+            u[xi > wave.speed] -= layer.jump
+            centre = wave.speed + eps * layer.centre_offset(half)
+            u += layer.jump * layer.share((xi - centre) / eps)
     u[0] = problem.u_left
     u[-1] = problem.u_right
     return Profile(xi=xi, u=u)

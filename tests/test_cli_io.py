@@ -582,11 +582,10 @@ def test_main_verify_says_why_the_probe_failed(tmp_path, capsys):
 
 
 def test_main_verify_says_how_many_margin_nodes_were_undecided(tmp_path, capsys):
-    # the cubic 1 -> 0 at 0.01 fails its sweeping margin by a value far
-    # below its roundoff everywhere but on a few nodes
+    # the Burgers shock 0 -> -1 at 0.01 fails its sweeping margin by
+    # -2.97e-30, a value far below its roundoff on 228 nodes
     out = tmp_path / "checks.json"
-    code = main(["verify", "--flux", "poly:0,0,0,1", "--ul", "1", "--ur", "0",
-                 "--eps", "0.01", "--out", str(out)])
+    code = main(["verify", "--ul", "0", "--ur", "-1", "--eps", "0.01", "--out", str(out)])
     assert code == 1
     entry = json.loads(out.read_text())["sweeping_margin"]
     assert not entry["pass"] and entry["undecided"] > 0

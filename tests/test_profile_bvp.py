@@ -529,31 +529,13 @@ def test_initial_guess_constant_data_is_exact():
     mesh = wf.build_mesh(prob)
     guess = wf.initial_guess(prob, mesh)
     assert np.all(guess.u == 0.3)
-    assert np.all(guess.du == 0.0)
-
-
-def mollified_guess_oracle(problem, xi):
-    """Oracle: the inviscid solution mollified on the sqrt(eps) scale, every
-    shock included, as the guess was before shocks got travelling waves."""
-    exact = wf.solve_exact(problem.flux, problem.u_left, problem.u_right)
-    delta = 0.5 * math.sqrt(problem.epsilon)
-    step = delta / 8.0
-    aux = np.arange(xi[0] - 2.0 * delta, xi[-1] + 2.0 * delta + step, step)
-    vals = wf.eval_riemann(exact, aux)
-    prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
-    upper = np.interp(xi + delta, aux, prefix)
-    lower = np.interp(xi - delta, aux, prefix)
-    u = (upper - lower) / (2.0 * delta)
-    u[0] = problem.u_left
-    u[-1] = problem.u_right
-    return u
 
 
 @pytest.mark.parametrize("eps", [0.05, 5e-3, 5e-4])
 def test_initial_guess_burgers_shock_is_the_tanh_layer(eps):
     # f is quadratic, so the travelling wave's quadrature is exact and the
-    # guess is -tanh(xi/(2 eps)) up to the rounding of the mollified
-    # constant 1 it is added to; the symmetric wave is not shifted
+    # guess is -tanh(xi/(2 eps)) up to the rounding of the share it
+    # evaluates; the symmetric wave is not shifted
     prob = make_problem(1.0, -1.0, eps)
     mesh = wf.build_mesh(prob)
     guess = wf.initial_guess(prob, mesh)
@@ -571,20 +553,49 @@ def test_initial_guess_is_monotone_inside_the_states_with_pinned_ends(token, ul,
     prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, eps)
     guess = wf.initial_guess(prob, wf.build_mesh(prob))
     assert guess.u[0] == ul and guess.u[-1] == ur
-    # monotone and inside [-1, 1] up to prefix-sum roundoff
+    # monotone and inside [-1, 1] up to roundoff
     assert np.all(np.diff(guess.u) * np.sign(ur - ul) >= -1e-12)
     assert np.all((guess.u >= -1.0 - 1e-12) & (guess.u <= 1.0 + 1e-12))
 
 
-def test_initial_guess_without_a_travelling_wave_is_the_mollified_jump():
+@pytest.mark.parametrize("token, ul, ur", [
+    ("burgers", 1.0, -1.0), ("burgers", -1.0, 1.0), ("poly:0,0,0,1", 1.0, -1.0),
+    ("poly:0,0,0,1", -1.0, 1.0), ("poly:0,0,-1,0,1", 1.0, -1.0), ("poly:0,0,0,1", 1.0, 0.0)])
+@pytest.mark.parametrize("eps", [0.05, 5e-3, 5e-4])
+def test_initial_guess_holds_the_far_states_exactly(token, ul, ur, eps):
+    # outside the wave-speed span, where every travelling wave is at its end
+    # state, the guess is the state itself, not a rounding of it. A sonic
+    # side's algebraic tail reaches past the domain end (the cubic +-1 on
+    # the right; the quartic -1 -> 1, sonic on both sides, has no such node)
+    prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, eps)
+    mesh = wf.build_mesh(prob)
+    exact = wf.solve_exact(prob.flux, ul, ur)
+    slo, shi = wf.wave_speed_span(exact)
+    left, right = mesh < slo, mesh > shi
+    for shock in (w for w in exact.waves if isinstance(w, wf.Shock)):
+        layer = profile_bvp._shock_layer(prob.flux, shock)
+        if layer is not None:
+            centre = shock.speed + eps * layer.centre_offset(
+                profile_bvp._CENTRE_WINDOW / math.sqrt(eps))
+            share = layer.share((mesh - centre) / eps)
+            left &= share == 0.0
+            right &= share == 1.0
+    assert np.any(left)
+    u = wf.initial_guess(prob, mesh).u
+    assert np.all(u[left] == ul) and np.all(u[right] == ur)
+
+
+def test_initial_guess_without_a_travelling_wave_is_the_inviscid_solution():
     # the quartic shock 1 -> -1 touches its chord at u = 0, where g has a
-    # double root inside the states: no travelling wave, today's ramp
+    # double root inside the states: no travelling wave, the inviscid jump
     prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,-1,0,1"), 1.0, -1.0, 2e-3)
-    shocks = [w for w in wf.solve_exact(prob.flux, 1.0, -1.0).waves
-              if isinstance(w, wf.Shock)]
+    exact = wf.solve_exact(prob.flux, 1.0, -1.0)
+    shocks = [w for w in exact.waves if isinstance(w, wf.Shock)]
     assert len(shocks) == 1 and profile_bvp._shock_layer(prob.flux, shocks[0]) is None
     mesh = wf.build_mesh(prob)
-    assert np.array_equal(wf.initial_guess(prob, mesh).u, mollified_guess_oracle(prob, mesh))
+    inviscid = wf.eval_riemann(exact, mesh)
+    inviscid[0], inviscid[-1] = prob.u_left, prob.u_right
+    assert np.array_equal(wf.initial_guess(prob, mesh).u, inviscid)
 
 
 @given(coeffs=st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=3, max_size=6),
@@ -1079,39 +1090,40 @@ def test_target_first_solve_matches_halving_continuation(token, ul, ur):
     prob = wf.ProfileProblem(wf.parse_flux_token(token), ul, ur, HALVING[-1])
     direct, report = wf.solve_profile(prob)
     halved = halving_chain(prob)
-    # the quartic shock has no travelling wave to start from (see
-    # test_quartic_shock_below_2e3_takes_the_flow); its first full step fails
-    assert report.stages == (2 if (token, ul) == ("poly:0,0,-1,0,1", 1.0) else 1)
+    # the quartic shock has no travelling wave and starts from its inviscid
+    # jump, which Newton finishes alone too
+    assert report.stages == 1 and report.iterations < profile_bvp._MAX_ITER
     assert np.array_equal(direct.xi, halved.xi)
     assert np.max(np.abs(direct.u - halved.u)) <= 1e-9
 
 
 def test_quartic_shock_solves_at_default_settings(tmp_path, capsys):
-    # no travelling wave to start from: Newton's second full step from the
-    # mollified jump fails, and the flow hands it an iterate it finishes
+    # no travelling wave to start from: Newton finishes from the inviscid
+    # jump on its own, in 17 iterations
     report = tmp_path / "report.json"
     assert wf.cli_io.main(["solve", "--flux", "poly:0,0,-1,0,1", "--ul", "1", "--ur", "-1",
                            "--eps", "0.002", "--report", str(report)]) == 0
     payload = json.loads(report.read_text())
-    assert payload["converged"] and payload["stages"] == 2
+    assert payload["converged"] and payload["stages"] == 1
+    assert payload["iterations"] < profile_bvp._MAX_ITER
 
 
-def test_quartic_shock_below_2e3_takes_the_flow():
-    # the chord touches f at the sonic state 0, so this shock has no
-    # travelling wave and Newton from the mollified jump fails at 1e-3
-    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,-1,0,1"), 1.0, -1.0, 1e-3)
+def test_fast_cubic_shock_at_1e3_takes_the_flow():
+    # the cubic shock 2 -> -0.5 leaves 2 at the characteristic gap 8.75 and
+    # reaches -0.5 at 2.5; Newton from its travelling wave fails at 1e-3
+    prob = wf.ProfileProblem(CUBIC, 2.0, -0.5, 1e-3)
     profile, report = wf.solve_profile(prob)
     assert report.converged and report.stages == 2
-    # the failed attempt ends at its first rejected full step (2 iterations,
-    # then 6 after the flow), not after all _MAX_ITER
+    # the failed attempt ends at its first rejected full step (1 iteration,
+    # then 3 after the flow), not after all _MAX_ITER
     assert report.iterations < profile_bvp._MAX_ITER
     assert np.all(np.diff(profile.u) <= 0.0)
 
 
-@pytest.mark.parametrize("eps, flux", [(5e-3, None), (1e-3, QUARTIC)])
-def test_a_newton_iteration_evaluates_one_residual(monkeypatch, eps, flux):
+@pytest.mark.parametrize("ul, ur, eps, flux", [(1.0, -1.0, 5e-3, None), (2.0, -0.5, 1e-3, CUBIC)])
+def test_a_newton_iteration_evaluates_one_residual(monkeypatch, ul, ur, eps, flux):
     # the guess's residual, then one trial per iteration, accepted or not;
-    # the quartic shock's first attempt raises at its first rejected full step
+    # the fast cubic shock's first attempt raises at its first rejected full step
     calls = []
     real = profile_bvp.residual
 
@@ -1119,7 +1131,7 @@ def test_a_newton_iteration_evaluates_one_residual(monkeypatch, eps, flux):
         calls.append(1)
         return real(*args, **kwargs)
 
-    prob = make_problem(1.0, -1.0, eps, flux)
+    prob = make_problem(ul, ur, eps, flux)
     guess = wf.initial_guess(prob, wf.build_mesh(prob))
     monkeypatch.setattr(profile_bvp, "residual", counting)
     if flux is None:
@@ -1129,7 +1141,7 @@ def test_a_newton_iteration_evaluates_one_residual(monkeypatch, eps, flux):
         with pytest.raises(NonConvergenceError) as exc:
             wf.newton_solve(prob, guess)
         report = exc.value.report
-        assert report.iterations == 2 and len(report.residual_history) == 2
+        assert report.iterations == 1 and len(report.residual_history) == 1
     assert len(calls) == 1 + report.iterations
 
 

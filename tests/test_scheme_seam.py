@@ -76,8 +76,12 @@ def test_the_conservative_form_solves_the_cubic_with_no_mass_defect(monkeypatch,
 
 
 def test_the_seam_reaches_the_flow(monkeypatch):
-    # the quartic shock's Newton start stalls, so the flow runs, its shifted
-    # steps taken by the class set in the seam
+    # from a linear ramp across the domain the quartic shock's Newton start
+    # stalls, so the flow runs, its shifted steps taken by the class set in
+    # the seam
+    def ramp(problem, xi):
+        return wf.Profile(xi, np.interp(xi, xi[[0, -1]], [problem.u_left, problem.u_right]))
+
     shifts = []
     real = Conservative.step
 
@@ -87,6 +91,7 @@ def test_the_seam_reaches_the_flow(monkeypatch):
 
     monkeypatch.setattr(Conservative, "step", spy)
     monkeypatch.setattr(profile_bvp, "_Central", Conservative)
+    monkeypatch.setattr(profile_bvp, "initial_guess", ramp)
     prob = wf.ProfileProblem(QUARTIC, 1.0, -1.0, 0.01)
     profile, report = wf.solve_profile(prob)
     assert report.converged and report.stages == 2

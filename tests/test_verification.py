@@ -174,10 +174,10 @@ def test_monotone_constant_data_is_zero(shock_profile):
 
 
 def test_monotone_forgives_a_tail_below_the_data_rounding(monkeypatch):
-    # the cubic 1 -> 0's right tail decays to 1e-55 and steps the wrong way
-    # by far less than a rounding of the data; the battery and the probe
-    # judge it by the same bound, through check_monotone
-    prob = wf.ProfileProblem(wf.parse_flux_token("poly:0,0,0,1"), 1.0, 0.0, 0.01)
+    # the Burgers shock 0 -> -1's tail steps the wrong way by 7.4e-21, far
+    # less than a rounding of the data; the battery and the probe judge it
+    # by the same bound, through check_monotone
+    prob = wf.ProfileProblem(wf.burgers_flux(), 0.0, -1.0, 0.01)
     checks, _ = wf.run_battery(prob)
     assert checks["monotone"]["threshold"] == -4.0 * EPS_MACH
     assert -4.0 * EPS_MACH <= checks["monotone"]["value"] < 0.0
@@ -486,8 +486,7 @@ def test_sliding_constant_formula(rarefaction_profile):
 
 def test_sliding_constant_for_constant_data():
     prob = wf.ProfileProblem(wf.burgers_flux(), 0.3, 0.3, 0.2)
-    mesh = wf.build_mesh(prob)
-    profile = wf.initial_guess(prob, mesh)
+    profile, _ = wf.solve_profile(prob)
     assert wf.sliding_constant_M(profile, prob) == pytest.approx(1.5, rel=1e-14)
 
 
