@@ -435,6 +435,8 @@ def _csv_text(names, columns) -> str:
 
 def write_profile(profile: Profile, path) -> None:
     """Write a profile as ``xi,u,du`` CSV at full double precision."""
+    if profile.du is None:
+        raise InvalidParameterError("the profile has no slope du to write")
     _write_text(path, _csv_text(("xi", "u", "du"), (profile.xi, profile.u, profile.du)))
 
 

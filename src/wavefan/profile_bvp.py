@@ -756,13 +756,13 @@ class _Central:
         return hp * hs, hm * hp, hm * hs, hp - hm, np.empty((3, len(self.xi)))
 
     def _speed_offset(self, profile: Profile) -> np.ndarray:
-        """f'(u_i) - xi_i at the profile's interior nodes, in self.c."""
+        """f'(u_i) - xi_i at the interior nodes of the scheme's mesh, in self.c."""
         c = derivative(self.problem.flux, profile.u[1:-1], out=self.c)
-        c -= profile.xi[1:-1]
+        c -= self.xi[1:-1]
         return c
 
     def residual(self, profile: Profile, offset=0.0) -> np.ndarray:
-        """`residual` of the profile, whose spacings are the mesh's."""
+        """`residual` of the profile's values on the scheme's mesh."""
         problem, u = self.problem, profile.u
         r = np.empty(len(u))
         r[0] = u[0] - problem.u_left
@@ -849,11 +849,11 @@ def residual(problem: ProfileProblem, profile: Profile,
     a = offset (a scalar or one value per interior node) raises the
     transport coefficient, as translating the profile does; a*D1(u) is
     subtracted on its own after (f'(u_i) - xi_i)*D1(u), and not at all when
-    a is zero. `work`, the scheme (`_Central`) of the problem on the
-    profile's mesh spacings, saves recomputing the mesh differences and
-    allocating temporaries; the values are the same. It is left holding
-    D1(u) and f'(u_i) - xi_i, which a following Jacobian at the same u
-    reuses.
+    a is zero. `work`, the scheme (`_Central`) of the problem on
+    profile.xi, saves recomputing the mesh differences and allocating
+    temporaries; the values are the same. A scheme reads its own mesh,
+    never the profile's. It is left holding D1(u) and f'(u_i) - xi_i, which
+    a following Jacobian at the same u reuses.
     """
     scheme = work if work is not None else _Central(problem, profile.xi)
     return scheme.residual(profile, offset)

@@ -12,11 +12,15 @@ fake a sign. The barrier threshold M (`sliding_constant_M`) is reported,
 not checked: the barrier inequality holds past it for any profile in the
 state interval, by the definition of M.
 
-The margin checks evaluate translates by moving the *sample points*, never
-by re-interpolating the profile values: a translate of a mesh function is
-known exactly at its own shifted nodes, so the only noise in the reported
-defect is the roundoff already present in the residual. Interpolating first
-would bury the margins under O(h^2) interpolation error.
+The sliding and sweeping margins and the translation check judge
+translates u(xi - shift) + lift, and evaluate each by moving the *sample
+points*, never by re-interpolating the profile values: a translate of a
+mesh function is known exactly at its own shifted nodes, where its
+residual is the profile's own with f'(u) - xi raised by the transport
+offset a = f'(u + lift) - f'(u) - shift (`_translate_defect`). So every
+interior node is judged, and the only noise in the reported defect is the
+roundoff already present in the residual. Interpolating first would bury
+the margins under O(h^2) interpolation error.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import profile_bvp
 from .corner_layer import first_integral_H, solve_corner
 from .errors import CoverageError, InvalidParameterError, NonConvergenceError
 from .flux import (
@@ -173,27 +176,22 @@ def l1_window_error(profile: Profile, problem: ProfileProblem, window) -> float:
     return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(xs)))
 
 
-def _translate_defect(profile: Profile, problem: ProfileProblem, lam: float):
-    """Per-node defect m of the slid translate for increasing data (a =
-    lam, nodes inside the domain), else of the sweeping one (a = f'(u +
-    lam) - f'(u) - 2*K*lam, K = Lip(f') on the state interval), and its
-    roundoff n: m is minus the residual with f'(u) - xi raised by a, and n
-    is that residual's `residual_noise`."""
-    lam = float(lam)
+def _translate_defect(profile: Profile, problem: ProfileProblem, shift: float, lift: float):
+    """Per-node defect m of the translate u(xi - shift) + lift at every
+    interior node, and its roundoff n. The translate's samples are
+    (xi_i + shift, u_i + lift), spaced as the profile's nodes, so its
+    residual there is the profile's with f'(u) - xi raised by the transport
+    offset a = f'(u + lift) - f'(u) - shift: m is minus that residual,
+    -R(u) + a*D1(u), and n is its `residual_noise`."""
+    u_in = profile.u[1:-1]
+    a = derivative(problem.flux, u_in + lift) - derivative(problem.flux, u_in) - shift
+    return -residual(problem, profile, offset=a)[1:-1], residual_noise(problem, profile, offset=a)
+
+
+def _check_margin_lam(lam) -> None:
+    """The margins' translate amount must be finite and >= 0."""
     if not (np.isfinite(lam) and lam >= 0.0):
         raise InvalidParameterError("lam must be finite and >= 0")
-    if problem.u_left < problem.u_right:
-        a, keep = lam, profile.xi[1:-1] - lam >= profile.xi[0]
-        if not np.any(keep):
-            raise CoverageError("translate leaves no overlap with the domain")
-    else:
-        big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
-        u_in = profile.u[1:-1]
-        a = (derivative(problem.flux, u_in + lam) - derivative(problem.flux, u_in)
-             - 2.0 * big_k * lam)
-        keep = slice(None)
-    defect = -residual(problem, profile, offset=a)[1:-1]
-    return defect[keep], residual_noise(problem, profile, offset=a)[keep]
 
 
 def _judge(defect: np.ndarray, noise: np.ndarray) -> tuple[float, int]:
@@ -208,26 +206,27 @@ def _judge(defect: np.ndarray, noise: np.ndarray) -> tuple[float, int]:
 def sliding_supersolution_margin(profile: Profile, problem: ProfileProblem,
                                  lam: float) -> tuple[float, int]:
     """(value, undecided) of the slid translate u(xi + lam) for increasing
-    data, by `_judge`. Its samples are (xi_i - lam, u_i), so its defect at
-    its own interior nodes is minus the residual with f'(u) - xi raised by
-    lam: for lam > 0 a strict supersolution, positive wherever it exceeds
-    its roundoff.
+    data, by `_judge`: the translate with shift -lam and lift 0, whose
+    offset is a = lam (`_translate_defect`), for lam > 0 a strict
+    supersolution, positive wherever it exceeds its roundoff.
 
-    By `residual`'s definition that defect is -R(u) + a*D1(u) with a = lam,
-    R(u) the profile's own residual and D1(u) its central slope. With R(u)
-    at its roundoff floor the margin tests the sign of D1(u), the sign that
-    `check_monotone` tests on neighbour differences, at a tolerance of
-    about `residual_noise`/|a| in place of that check's."""
+    Its defect is -R(u) + a*D1(u), R(u) the profile's own residual and
+    D1(u) its central slope. With R(u) at its roundoff floor the margin
+    tests the sign of D1(u), the sign that `check_monotone` tests on
+    neighbour differences, at a tolerance of about `residual_noise`/|a| in
+    place of that check's."""
     if not problem.u_left < problem.u_right:
         raise InvalidParameterError("sliding family applies to increasing data")
-    return _judge(*_translate_defect(profile, problem, lam))
+    _check_margin_lam(lam)
+    return _judge(*_translate_defect(profile, problem, -lam, 0.0))
 
 
 def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
                                   lam: float) -> tuple[float, int]:
     """(value, undecided) of the sweeping translate u(xi - 2*K*lam) + lam
     for decreasing data, by `_judge`, with K = sup|f''| on the state
-    interval, the Lipschitz constant of f' that the construction needs.
+    interval, the Lipschitz constant of f' that the construction needs: the
+    translate with shift 2*K*lam and lift lam (`_translate_defect`).
 
     Its defect is -R(u) + a*D1(u) as for `sliding_supersolution_margin`,
     with a = f'(u + lam) - f'(u) - 2*K*lam, which lies between about
@@ -235,7 +234,16 @@ def sweeping_supersolution_margin(profile: Profile, problem: ProfileProblem,
     its roundoff floor."""
     if not problem.u_left > problem.u_right:
         raise InvalidParameterError("sweeping family applies to decreasing data")
-    return _judge(*_translate_defect(profile, problem, lam))
+    _check_margin_lam(lam)
+    big_k = lipschitz_of_derivative(problem.flux, *problem.state_interval)
+    return _judge(*_translate_defect(profile, problem, 2.0 * big_k * lam, lam))
+
+
+def _slope(profile: Profile) -> np.ndarray:
+    """The profile's slope du; a profile built without one is an error."""
+    if profile.du is None:
+        raise InvalidParameterError("the profile has no slope du (solve_profile gives one)")
+    return profile.du
 
 
 def sliding_constant_M(profile: Profile, problem: ProfileProblem) -> float:
@@ -249,7 +257,7 @@ def sliding_constant_M(profile: Profile, problem: ProfileProblem) -> float:
            <= eps - M + sup|f'| + max|du|*Lip(f') = -1."""
     lo, hi = problem.state_interval
     return float(1.0 + problem.epsilon + sup_derivative(problem.flux, lo, hi)
-                 + np.max(np.abs(profile.du))
+                 + np.max(np.abs(_slope(profile)))
                  * lipschitz_of_derivative(problem.flux, lo, hi))
 
 
@@ -332,35 +340,21 @@ def uniqueness_probe(problem: ProfileProblem, opts: SolveOptions | None = None,
 
 def translation_invariance_check(profile: Profile, problem: ProfileProblem,
                                  lam: float) -> float:
-    """Max interior residual of the translated samples u(xi - lam) + lam
-    under the problem's eps*u'' = (u - xi)*u', its equation when f'(u) = u.
-
-    The translate is sampled exactly (nodes shifted with the values) and
-    differenced on the original spacings, its own in exact arithmetic; the
-    rounded nodes xi + lam would add their rounding, magnified about 4x per
-    halving of eps, to the residual's roundoff floor, where the result sits.
-    A problem whose flux lacks f'(u) = u is an error. Only interior rows
-    are read, so the problem's states, which the translate's ends miss by
-    lam, do not enter.
+    """Max |defect| of the translate u(xi - lam) + lam under the problem's
+    eps*u'' = (u - xi)*u', its equation when f'(u) = u, at every interior
+    node (`_translate_defect` with shift and lift lam). A problem whose
+    flux lacks f'(u) = u is an error.
 
     The defect is the profile's own residual up to the rounding of u + lam:
-    in exact arithmetic the translate's f'(u) - xi is (u + lam) - (xi + lam)
-    = u - xi, and its differences on the original spacings are those of u. So the
-    value is max |R(u)| over the nodes the translate keeps, for any
-    profile, solved or not: it tests the residual, not the solver's
-    translation invariance."""
+    the offset is a = fl(u + lam) - u - lam, zero in exact arithmetic, so
+    the value is max |R(u) - a*D1(u)| for any profile, solved or not: it
+    tests the residual, not the solver's translation invariance."""
     if not has_identity_derivative(problem.flux):
         raise InvalidParameterError("translation family needs f'(u) = u")
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParameterError("lam must be finite")
-    shifted = Profile(profile.xi + lam, profile.u + lam)
-    defect = residual(problem, shifted, profile_bvp._Central(problem, profile.xi))[1:-1]
-    xi = shifted.xi[1:-1]
-    keep = (xi >= profile.xi[0]) & (xi <= profile.xi[-1])
-    if not np.any(keep):
-        raise CoverageError("translate leaves no overlap with the domain")
-    return float(np.max(np.abs(defect[keep])))
+    return float(np.max(np.abs(_translate_defect(profile, problem, lam, lam)[0])))
 
 
 def windowed_by_slope(profile: Profile, ratio: float = 1e-6) -> Profile:
@@ -373,7 +367,7 @@ def windowed_by_slope(profile: Profile, ratio: float = 1e-6) -> Profile:
     equal values between resolved steps, so the window ends at the first
     node on each side of the peak below the bound, not at the last one
     above it."""
-    slope = np.abs(profile.du)
+    slope = np.abs(_slope(profile))
     peak = int(np.argmax(slope))
     if slope[peak] == 0.0:
         raise InvalidParameterError("profile slope is identically zero")
@@ -397,9 +391,8 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     is reported, not checked. `monotone` passes down to minus the probe's
     rounding bound (`_rounding_tol`); `sliding_supersolution_margin` and
     `sweeping_supersolution_margin` pass when their value exceeds 0.
-    The margins' lam, 0.1, and the translation check's shift, 0.7, are
-    capped at half the domain's width so the translates overlap it (for
-    Burgers +-1 the domain is over 2 wide; for +-0.1 at eps 1e-3, 0.57).
+    The margins' lam is 0.1 and the translation check's shift 0.7, on
+    every domain: each translate is judged at its own nodes.
     `corner_remainder` is omitted where `check_corner_expansion` raises
     CoverageError: below eps = 1.985e-6, where its weight overflows, and
     where the corner profile, capped at xi = 30, cannot reach the rescaled
@@ -435,8 +428,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
     quadratic = has_identity_derivative(problem.flux)
 
     profile, _ = solve_profile(problem, opts)
-    half_width = 0.5 * float(profile.xi[-1] - profile.xi[0])
-    lam = min(0.1, half_width)
+    lam = 0.1
     big_m = sliding_constant_M(profile, problem)
 
     checks = {}
@@ -468,7 +460,7 @@ def run_battery(problem: ProfileProblem, options: SolveOptions | None = None,
         record("first_integral_spread", spread, h_threshold, spread <= h_threshold)
 
         t0 = translation_invariance_check(profile, problem, 0.0)
-        t1 = translation_invariance_check(profile, problem, min(0.7, half_width))
+        t1 = translation_invariance_check(profile, problem, 0.7)
         t_threshold = max(2.0 * t0, 10.0 * opts.newton_tol)
         record("translation_invariance", t1, t_threshold, t1 <= t_threshold)
 

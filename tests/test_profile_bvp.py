@@ -779,6 +779,16 @@ def test_offset_residual_is_minus_the_translate_defect_bitwise(flux, ul):
                               node_noise_oracle(prob, prof, a))
 
 
+def test_the_scheme_reads_its_own_mesh():
+    # a profile's values are differenced on the scheme's nodes, whatever
+    # nodes the profile carries
+    prob = wf.ProfileProblem(wf.burgers_flux(), 1.0, -1.0, 0.05)
+    prof, _ = wf.solve_profile(prob)
+    moved = wf.Profile(prof.xi + 0.25, prof.u)
+    work = profile_bvp._Central(prob, prof.xi)
+    assert np.array_equal(wf.residual(prob, moved, work), wf.residual(prob, prof))
+
+
 def test_noise_floor_on_a_used_workspace_matches_oracle_bitwise():
     rng = np.random.default_rng(23)
     for flux in (wf.burgers_flux(), wf.polynomial_flux([0.0, 0.2, 0.5, 1.0 / 3.0])):
