@@ -50,12 +50,10 @@ from .profile_bvp import (
     build_mesh,
     dafermos_flow,
     initial_guess,
-    jacobian,
     newton_solve,
     reconstruct_derivative,
     residual,
     residual_noise,
-    residual_noise_floor,
     solve_profile,
 )
 from .verification import (

@@ -476,11 +476,12 @@ def read_profile(path) -> Profile:
 # plot data
 
 def emit_plotdata(profiles, reference, path, labels, svg_path=None) -> None:
-    """Write a multi-column CSV: xi, one u column per profile under its
-    label, and the exact solution ``reference`` as column ``exact``.
+    """Write a multi-column CSV to ``path``: xi, one u column per profile
+    under its label, and the exact solution ``reference`` as column
+    ``exact``; with ``path`` None no CSV is written.
 
     ``profiles`` is a nonempty sequence of Profile; the grid is the finest
-    profile's mesh.  With ``svg_path`` the same columns are also rendered as
+    profile's mesh.  With ``svg_path`` the same columns are rendered as
     a line chart (one polyline per column) with axes and a legend — plain
     SVG text, no plotting package.
     """
@@ -493,8 +494,9 @@ def emit_plotdata(profiles, reference, path, labels, svg_path=None) -> None:
                for label, prof in zip(labels, profiles)]
     columns.append(("exact", eval_riemann(reference, grid)))
 
-    _write_text(path, _csv_text(["xi"] + [name for name, _ in columns],
-                                [grid] + [col for _, col in columns]))
+    if path is not None:
+        _write_text(path, _csv_text(["xi"] + [name for name, _ in columns],
+                                    [grid] + [col for _, col in columns]))
     if svg_path is not None:
         _write_text(svg_path, _render_svg(grid, columns))
 
@@ -640,7 +642,7 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
     labels = ["eps=%g" % eps for eps in config.eps]
     for prof, label in zip(profiles, labels):
         print("%s: %d nodes" % (label, len(prof.xi)))
-    if config.out:
+    if config.out or config.svg:
         emit_plotdata(profiles, solve_exact(config.flux, config.u_left, config.u_right),
                       config.out, labels, config.svg)
     return 0

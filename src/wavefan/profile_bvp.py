@@ -728,16 +728,17 @@ def initial_guess(problem: ProfileProblem, xi: np.ndarray) -> Profile:
 class _Central:
     """The central three-point scheme for `problem` on the mesh xi: the one
     definition of the interior residual, its roundoff, the tridiagonal
-    Jacobian and the shifted linear step.
+    Jacobian and the shifted linear step. Every method takes the node
+    values u on the scheme's own mesh.
 
     It owns the mesh differences and scratch arrays. Newton and the flow
     keep one per solve, so their iterations allocate almost nothing; a
     fresh one per call gives the same values. `residual` leaves D1(u) and
     f'(u) - xi in the scratch arrays, and `band` at the same u reads them.
-    Newton, the flow, the functions `residual`, `residual_noise`,
-    `residual_noise_floor` and `jacobian`, and `verification` reach the
-    scheme only through this class, looked up by name at call time: a
-    subclass set in its place changes the discretization for all of them."""
+    Newton, the flow, the noise floor and `verification` reach the scheme
+    only through this class and the functions `residual` and
+    `residual_noise`, which look it up by name at call time: a subclass set
+    in its place changes the discretization for all of them."""
 
     def __init__(self, problem: ProfileProblem, xi: np.ndarray):
         self.problem = problem
@@ -755,15 +756,15 @@ class _Central:
         hm, hp, hs = self.hm, self.hp, self.hs
         return hp * hs, hm * hp, hm * hs, hp - hm, np.empty((3, len(self.xi)))
 
-    def _speed_offset(self, profile: Profile) -> np.ndarray:
+    def _speed_offset(self, u: np.ndarray) -> np.ndarray:
         """f'(u_i) - xi_i at the interior nodes of the scheme's mesh, in self.c."""
-        c = derivative(self.problem.flux, profile.u[1:-1], out=self.c)
+        c = derivative(self.problem.flux, u[1:-1], out=self.c)
         c -= self.xi[1:-1]
         return c
 
-    def residual(self, profile: Profile, offset=0.0) -> np.ndarray:
-        """`residual` of the profile's values on the scheme's mesh."""
-        problem, u = self.problem, profile.u
+    def residual(self, u: np.ndarray, offset=0.0) -> np.ndarray:
+        """`residual` of the values u."""
+        problem = self.problem
         r = np.empty(len(u))
         r[0] = u[0] - problem.u_left
         r[-1] = u[-1] - problem.u_right
@@ -773,7 +774,7 @@ class _Central:
         d1 = np.multiply(self.hm, sp, out=self.d1)
         d1 += np.multiply(self.hp, sm, out=self.t)
         d1 /= self.hs
-        c = self._speed_offset(profile)
+        c = self._speed_offset(u)
         inner = np.subtract(sp, sm, out=r[1:-1])
         inner *= problem.epsilon * 2.0
         inner /= self.hs
@@ -782,17 +783,20 @@ class _Central:
             inner -= np.multiply(offset, d1, out=self.t)
         return r
 
-    def noise(self, profile: Profile, offset=0.0) -> np.ndarray:
-        """`residual_noise` of the profile; the scratch arrays are overwritten."""
-        u, hm, hp = profile.u, self.hm, self.hp
+    def noise(self, u: np.ndarray, offset=0.0) -> np.ndarray:
+        """`residual_noise` of the values u; the scratch arrays are overwritten."""
+        hm, hp = self.hm, self.hp
         uscale = np.maximum(np.abs(u[1:-1]), np.maximum(np.abs(u[:-2]), np.abs(u[2:])))
-        c = np.abs(self._speed_offset(profile)) + np.abs(offset)
+        c = np.abs(self._speed_offset(u)) + np.abs(offset)
         return 4.0 * _EPS_MACH * (2.0 * self.problem.epsilon * uscale / (hm * hp)
                                   + c * uscale * (1.0 / hm + 1.0 / hp))
 
     def band(self, u: np.ndarray) -> np.ndarray:
-        """`jacobian` at u, the profile of the last `residual`, from the
-        central slope self.d1 and the offset self.c = f'(u) - xi it left;
+        """The analytic tridiagonal Jacobian of `residual` at u, the values
+        of the last `residual`, from the central slope self.d1 and the
+        offset self.c = f'(u) - xi it left. It is in the banded (3, n)
+        storage of `solve_banded` (ab[0, 1:] the superdiagonal, ab[1] the
+        diagonal, ab[2, :-1] the subdiagonal), with identity boundary rows;
         the band array is the scheme's own, overwritten by the next call."""
         hphs, hmhp, hmhs, hpmhm, ab = self._band_geometry
         d1, c, t = self.d1, self.c, self.t
@@ -851,12 +855,12 @@ def residual(problem: ProfileProblem, profile: Profile,
     subtracted on its own after (f'(u_i) - xi_i)*D1(u), and not at all when
     a is zero. `work`, the scheme (`_Central`) of the problem on
     profile.xi, saves recomputing the mesh differences and allocating
-    temporaries; the values are the same. A scheme reads its own mesh,
-    never the profile's. It is left holding D1(u) and f'(u_i) - xi_i, which
-    a following Jacobian at the same u reuses.
+    temporaries; the values are the same. A scheme reads its own mesh and
+    only profile.u. It is left holding D1(u) and f'(u_i) - xi_i, which
+    its `band` at the same u reuses.
     """
     scheme = work if work is not None else _Central(problem, profile.xi)
-    return scheme.residual(profile, offset)
+    return scheme.residual(profile.u, offset)
 
 
 def residual_noise(problem: ProfileProblem, profile: Profile,
@@ -867,28 +871,7 @@ def residual_noise(problem: ProfileProblem, profile: Profile,
     the largest |u| of the stencil. `work` is the scheme on profile.xi, as
     in `residual`; its scratch arrays are overwritten."""
     scheme = work if work is not None else _Central(problem, profile.xi)
-    return scheme.noise(profile, offset)
-
-
-def residual_noise_floor(problem: ProfileProblem, profile: Profile,
-                         work: _Central | None = None) -> float:
-    """Roundoff level of the interior residual, the largest `residual_noise`:
-    below it the residual is indistinguishable from zero in floating point,
-    so iterating past it cannot help."""
-    return float(np.max(residual_noise(problem, profile, work)))
-
-
-def jacobian(problem: ProfileProblem, profile: Profile,
-             work: _Central | None = None) -> np.ndarray:
-    """Analytic tridiagonal Jacobian of `residual`, in the banded (3, n)
-    storage of `solve_banded` (ab[0, 1:] the superdiagonal, ab[1] the
-    diagonal, ab[2, :-1] the subdiagonal); the boundary rows are identity.
-    It is the band that the scheme `work` builds from the slopes a residual
-    at the profile leaves there; with `work` given, the band array is the
-    scheme's own, overwritten by the next call."""
-    scheme = work if work is not None else _Central(problem, profile.xi)
-    scheme.residual(profile)
-    return scheme.band(profile.u)
+    return scheme.noise(profile.u, offset)
 
 
 def _max_abs(r: np.ndarray) -> float:
@@ -941,7 +924,7 @@ _DGTSV = _load_dgtsv()
 
 def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b, A tridiagonal in the banded (3, n) storage of
-    `jacobian`, by LAPACK's dgtsv (Gaussian elimination with partial
+    `_Central.band`, by LAPACK's dgtsv (Gaussian elimination with partial
     pivoting; Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999):
     the routine and the call of scipy.linalg.solve_banded((1, 1), ab, b,
     overwrite_ab=True, overwrite_b=True), so the same x to the bit. ab and
@@ -963,9 +946,9 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
     the tolerance. A rejected step ends the iteration, as does `_MAX_ITER`;
     a singular or non-finite system gives a NaN step, rejected like any
     other. If the last iterate is then in reach (`_in_reach`) and its
-    residual at or below the floating-point noise floor of
-    `residual_noise_floor`, no step can show a decrease that is not
-    roundoff, and the solve is reported converged and `floor_limited`.
+    residual at or below its floating-point noise floor, the largest
+    `residual_noise`, no step can show a decrease that is not roundoff,
+    and the solve is reported converged and `floor_limited`.
     Otherwise NonConvergenceError is raised with the partial report: the
     start is too far off, and `solve_profile` hands it to the Dafermos flow.
 
@@ -1009,7 +992,7 @@ def newton_solve(problem: ProfileProblem, guess: Profile,
 
     if not converged:
         converged = floor_limited = _in_reach(problem, u) \
-            and history[-1] <= residual_noise_floor(problem, Profile(xi, u), scheme)
+            and history[-1] <= float(np.max(residual_noise(problem, Profile(xi, u), scheme)))
 
     if not converged:
         raise NonConvergenceError(

@@ -651,6 +651,16 @@ def test_main_sweep_outputs(tmp_path, capsys):
     assert svg.read_text().count("<polyline") == 3
 
 
+def test_main_sweep_writes_the_svg_without_a_csv(tmp_path, monkeypatch):
+    # --svg alone draws the chart, one polyline per eps plus `exact`, and
+    # writes no CSV anywhere
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep", "--ul", "-1", "--ur", "1", "--eps", "0.1,0.05", "--svg", "only.svg"])
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["only.svg"]
+    assert (tmp_path / "only.svg").read_text().count("<polyline") == 3
+
+
 @pytest.mark.parametrize("token, ul, ur, schedule", [
     ("burgers", 1.0, -1.0, [0.05]),
     ("poly:0,0,0,1", -1.0, 1.0, [0.1, 0.002]),

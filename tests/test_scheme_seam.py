@@ -27,8 +27,8 @@ class Conservative(profile_bvp._Central):
     band is 2*eps/(hp*hs) - c_(i+1)/hs, -2*eps/(hm*hp) - 1 and
     2*eps/(hm*hs) + c_(i-1)/hs, c = f'(u) - xi."""
 
-    def residual(self, profile, offset=0.0):
-        xi, u, p = self.xi, profile.u, self.problem
+    def residual(self, u, offset=0.0):
+        xi, p = self.xi, self.problem
         sm = (u[1:-1] - u[:-2]) / self.hm
         sp = (u[2:] - u[1:-1]) / self.hp
         a_plus = divided_difference(p.flux.coefficients, u[1:-1], u[2:]) - xi[2:]
@@ -96,7 +96,7 @@ def test_the_seam_reaches_the_flow(monkeypatch):
     profile, report = wf.solve_profile(prob)
     assert report.converged and report.stages == 2
     assert shifts[0] == 0.0 and 1.0 / profile_bvp._FLOW_DT in shifts
-    assert np.max(np.abs(Conservative(prob, profile.xi).residual(profile))) <= 1e-10
+    assert np.max(np.abs(Conservative(prob, profile.xi).residual(profile.u))) <= 1e-10
 
 
 def test_the_seam_reaches_the_margins(monkeypatch):
@@ -106,8 +106,8 @@ def test_the_seam_reaches_the_margins(monkeypatch):
     lam = 0.1
     central = wf.sliding_supersolution_margin(profile, prob, lam)
     scheme = Conservative(prob, profile.xi)
-    defect = -scheme.residual(profile, offset=lam)[1:-1]
-    noise = scheme.noise(profile, lam)
+    defect = -scheme.residual(profile.u, offset=lam)[1:-1]
+    noise = scheme.noise(profile.u, lam)
     monkeypatch.setattr(profile_bvp, "_Central", Conservative)
     patched = wf.sliding_supersolution_margin(profile, prob, lam)
     assert patched == verification._judge(defect, noise)

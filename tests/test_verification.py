@@ -613,6 +613,45 @@ def test_translation_defect_stays_at_the_floor_as_viscosity_falls(eps):
     assert t1 <= max(2.0 * t0, 10.0 * wf.SolveOptions().newton_tol)
 
 
+@pytest.mark.parametrize("ul, ur", [(1.0, -1.0), (-1.0, 1.0), (1.003, -0.998), (-1.002, 0.997),
+                                    (0.0, -1.0), (0.5, 0.4999995), (1.0, 0.999999),
+                                    (0.1, -0.1), (-0.1, 0.1)])
+def test_zero_shift_translate_defect_is_the_solves_residual_bitwise(ul, ur):
+    # the offset f'(u) - f'(u) - 0 is 0 exactly, and the solve pins both end
+    # rows at 0, so the zero-shift defect is the residual the solve reported
+    for eps in (1.0, 0.05, 0.01, 5e-3, 1e-3, 5e-4, 1000.0):
+        problem = wf.ProfileProblem(BURGERS, ul, ur, eps)
+        profile, report = wf.solve_profile(problem)
+        assert wf.translation_invariance_check(profile, problem, 0.0) == report.residual_norm
+
+
+def test_battery_judges_translation_against_the_solves_residual(monkeypatch):
+    # the threshold is built from the battery's own solve, and the check
+    # runs once, at the shift it judges
+    reports, shifts = [], []
+    real_solve, real_check = verification.solve_profile, verification.translation_invariance_check
+
+    def solve(problem, options=None):
+        profile, report = real_solve(problem, options)
+        reports.append(report)
+        return profile, report
+
+    def check(profile, problem, lam):
+        shifts.append(lam)
+        return real_check(profile, problem, lam)
+
+    monkeypatch.setattr(verification, "solve_profile", solve)
+    monkeypatch.setattr(verification, "translation_invariance_check", check)
+    opts = wf.SolveOptions()
+    for ul in (1.0, -1.0):
+        reports.clear()
+        shifts.clear()
+        checks, _ = wf.run_battery(wf.ProfileProblem(BURGERS, ul, -ul, 0.05), opts)
+        assert shifts == [0.7] and len(reports) == 1
+        assert checks["translation_invariance"]["threshold"] \
+            == max(2.0 * reports[0].residual_norm, 10.0 * opts.newton_tol)
+
+
 def test_translation_check_rejects_other_fluxes(shock_profile, shock_problem):
     cubic = replace(shock_problem, flux=wf.polynomial_flux([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(InvalidParameterError, match=r"translation family needs f'\(u\) = u"):
